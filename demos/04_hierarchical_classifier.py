@@ -12,14 +12,14 @@ GAN may pull gradients through it but never update it.
 
 import numpy as np
 
+from hiergan.autodiff import Tape, Tensor
 from hiergan.hierarchy import FIXTURE_TREE, parse_hierarchy
 from hiergan.models import (
     ClassifierConfig,
     HierClassifier,
     ModelConfig,
+    classify,
     evaluate_classifier,
-    hier_loss,
-    predict_path,
     train_classifier,
 )
 from hiergan.synthdata import default_dataset_spec, generate_dataset
@@ -37,17 +37,22 @@ for res in (8, 16):
     print(f"{res:2d}x{res:<2d}  leaf {scores['leaf']:.3f}  {levels}  "
           f"path-consistent {scores['path_consistent']:.3f}")
 
-# Predictions are ancestor paths, not bare leaves.
+# Predictions are ancestor paths, not bare leaves. One pass of the
+# classifier also yields the trunk features and leaf probabilities that the
+# metrics read.
 sample = data.test[0]
-path = predict_path(clf, sample.hi)
+readout = classify(clf, sample.hi)
+path = readout.paths[0]
 print(f"\ntrue leaf {h.path_name(sample.leaf)}")
-print(f"predicted path {' -> '.join(h.path_name(c) for c in path)}")
+print(f"predicted path {' -> '.join(h.path_name(int(c)) for c in path)}")
+print(f"leaf probability {readout.leaf_probs[0].max():.3f}, {readout.features.shape[1]} trunk features")
 
 # The stacked loss is what the GAN pays when its samples stray off-taxonomy:
 # low against the true label, steep against a wrong one.
-right = hier_loss(clf, sample.hi, sample.leaf, h)
+x = Tensor(sample.hi.reshape(1, -1))
+right = clf.loss(Tape(), x, [sample.leaf]).item()
 wrong_leaf = next(y for y in h.leaves if y != sample.leaf)
-wrong = hier_loss(clf, sample.hi, wrong_leaf, h)
+wrong = clf.loss(Tape(), x, [wrong_leaf]).item()
 print(f"\nstacked loss vs {h.name_of(sample.leaf)}: {right:.3f}")
 print(f"stacked loss vs {h.name_of(wrong_leaf)}: {wrong:.3f}")
 

@@ -1,11 +1,13 @@
 """Desk-scale image quality and hierarchy-consistency metrics.
 
 The frozen hierarchical classifier stands in for the usual pretrained
-feature network: its penultimate trunk activations feed a Frechet distance
-between gaussian fits of real and generated features (desk-FID), and its
-leaf-head probabilities feed an inception-style score (desk-IS). The
-consistency rate is the fraction of generated images whose predicted path
-matches the conditioning leaf's ancestor path at every level.
+feature network. One pass of it over a batch (``models.classify``) yields
+everything the metrics read: its penultimate trunk activations feed a
+Frechet distance between gaussian fits of real and generated features
+(desk-FID), its leaf-head probabilities feed an inception-style score
+(desk-IS), and its predicted paths feed the consistency rate, the fraction of
+generated images whose path matches the conditioning leaf's ancestor path at
+every level.
 
 All computations here are pure functions of their inputs.
 """
@@ -17,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape, Tensor
 from .embed import ClassEmbeddingTable
 from .hierarchy import ClassHierarchy
-from .models import HierClassifier, ModelSet, predict_paths
+from .models import ModelSet, classify
 from .synthdata import Dataset
 
 
@@ -42,18 +43,6 @@ class GaussianStats:
             raise MetricsError("covariance is not symmetric")
         if np.any(np.diag(self.sigma) < -1e-12):
             raise MetricsError("covariance has negative diagonal entries")
-
-
-def feature_extract(clf: HierClassifier, images) -> np.ndarray:
-    """Penultimate trunk activations, (n, F)."""
-    x = np.asarray(images, dtype=np.float64)
-    side = int(np.sqrt(clf.pixels))
-    if x.shape == (side, side):
-        x = x[None]
-    if x.ndim != 3 or x.shape[1:] != (side, side):
-        raise MetricsError(f"expected {side}x{side} images, got shape {x.shape}")
-    tape = Tape()
-    return clf.features(tape, Tensor(x.reshape(x.shape[0], -1))).data
 
 
 def fit_gaussian(features) -> GaussianStats:
@@ -109,28 +98,14 @@ def inception_score(pred_probs) -> float:
     return float(np.exp(kl.mean()))
 
 
-def leaf_probabilities(clf: HierClassifier, images) -> np.ndarray:
-    """Softmax of the leaf-level head, (n, M_K)."""
-    x = np.asarray(images, dtype=np.float64)
-    side = int(np.sqrt(clf.pixels))
-    if x.shape == (side, side):
-        x = x[None]
-    tape = Tape()
-    logits = clf.logits(tape, Tensor(x.reshape(x.shape[0], -1)))[-1].data
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def consistency_rate(clf: HierClassifier, batch, h: ClassHierarchy) -> float:
-    """Fraction of generated samples routed to the conditioning leaf's full
-    ancestor path (every level must match). Empty batches count as 1.0."""
-    images = np.asarray(batch.samples, dtype=np.float64)
-    if images.shape[0] == 0:
+def consistency_rate(paths, leaf: int, h: ClassHierarchy) -> float:
+    """Fraction of predicted paths, (n, K), equal to the leaf's full ancestor
+    path (every level must match). An empty batch counts as 1.0."""
+    paths = np.asarray(paths)
+    if paths.shape[0] == 0:
         return 1.0
-    want = np.asarray(h.ancestor_path(batch.leaf))
-    got = predict_paths(clf, images)
-    return float(np.all(got == want, axis=1).mean())
+    want = np.asarray(h.ancestor_path(leaf))
+    return float(np.all(paths == want, axis=1).mean())
 
 
 # ------------------------------------------------------------------ report
@@ -231,12 +206,12 @@ def evaluate(
         if len(real) < 2:
             raise MetricsError(f"leaf {h.name_of(y)!r} has {len(real)} test samples; need at least 2")
         batch = generate_set(models, embeddings, y, n_per_class, seed=[seed, y])
-        real_stats = fit_gaussian(feature_extract(clf, np.stack(real)))
-        gen_stats = fit_gaussian(feature_extract(clf, batch.samples))
+        real_stats = fit_gaussian(classify(clf, np.stack(real)).features)
+        gen = classify(clf, batch.samples)
         per_leaf[h.name_of(y)] = LeafMetrics(
-            desk_fid=frechet_distance(real_stats, gen_stats),
-            desk_is=inception_score(leaf_probabilities(clf, batch.samples)),
-            consistency_rate=consistency_rate(clf, batch, h),
+            desk_fid=frechet_distance(real_stats, fit_gaussian(gen.features)),
+            desk_is=inception_score(gen.leaf_probs),
+            consistency_rate=consistency_rate(gen.paths, y, h),
             n_real=len(real),
             n_generated=n_per_class,
         )

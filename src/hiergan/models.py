@@ -5,7 +5,8 @@ All networks are small dense MLPs over flattened pixels, sized for the
 (class embedding + noise -> 8x8, then class embedding + 8x8 -> 16x16), each
 with its own discriminator. The hierarchical classifier shares one trunk and
 puts a linear head on every level of the class tree; its loss is the sum of
-per-level softmax cross-entropies against the leaf's ancestor path. Once
+per-level softmax cross-entropies against the leaf's ancestor path. One
+forward serves both the loss and ``classify``, the readout the metrics use. Once
 trained the classifier is frozen: its parameters stop collecting gradients,
 but gradients still flow through it to the *image*, which is the path the
 generated-image consistency penalty trains the generator through.
@@ -14,11 +15,11 @@ generated-image consistency penalty trains the generator through.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .autodiff import AdamState, Tape, Tensor, adam_step, load_checkpoint, save_checkpoint
+from .autodiff import AdamState, Tape, Tensor, _softmax, adam_step, load_checkpoint, save_checkpoint
 from .embed import ClassEmbeddingTable, leaf_condition_vector
 from .hierarchy import ClassHierarchy, parse_hierarchy
 from .synthdata import Dataset, batch_iter
@@ -108,6 +109,8 @@ class GeneratorStage1:
             raise ModelError(
                 f"stage-1 generator wants cond {self.cond_dim} and noise {self.noise_dim}, got {e_c.shape} and {z.shape}"
             )
+        if e_c.shape[0] != z.shape[0]:
+            raise ModelError(f"batch mismatch: {e_c.shape[0]} embeddings vs {z.shape[0]} noise rows")
         return self.net.forward(tape, tape.concat([e_c, z], axis=1))
 
     def params(self) -> list[Tensor]:
@@ -150,6 +153,18 @@ class Discriminator:
             raise ModelError(f"discriminator expects {self.pixels} pixels, got {x.shape}")
         return self.net.forward(tape, tape.concat([x, e_c], axis=1))
 
+    def loss(self, tape: Tape, real: Tensor, fake: Tensor, e_c: Tensor) -> Tensor:
+        """Non-saturating GAN loss of the discriminator:
+        BCE(D(real), 1) + BCE(D(fake), 0)."""
+        if real.shape != fake.shape:
+            raise ModelError(f"real and fake batches differ in shape: {real.shape} vs {fake.shape}")
+        real_logit = self.forward(tape, real, e_c)
+        fake_logit = self.forward(tape, fake, e_c)
+        return tape.add(
+            tape.binary_cross_entropy_with_logits(real_logit, np.ones(real_logit.shape)),
+            tape.binary_cross_entropy_with_logits(fake_logit, np.zeros(fake_logit.shape)),
+        )
+
     def params(self) -> list[Tensor]:
         return self.net.params()
 
@@ -180,13 +195,15 @@ class HierClassifier:
         return cls(hierarchy=h, pixels=pixels, trunk=trunk, heads=heads, targets=targets)
 
     def features(self, tape: Tape, x: Tensor) -> Tensor:
+        """The shared trunk: penultimate activations, (n, F)."""
         if x.shape[1] != self.pixels:
             raise ModelError(f"classifier expects {self.pixels} pixels, got {x.shape}")
         return tape.relu(self.trunk.forward(tape, x))
 
-    def logits(self, tape: Tape, x: Tensor) -> list[Tensor]:
+    def forward(self, tape: Tape, x: Tensor) -> tuple[Tensor, list[Tensor]]:
+        """One pass: trunk features and the logits of every level's head."""
         feat = self.features(tape, x)
-        return [tape.add(tape.matmul(feat, w), b) for w, b in self.heads]
+        return feat, [tape.add(tape.matmul(feat, w), b) for w, b in self.heads]
 
     def loss(self, tape: Tape, x: Tensor, leaves) -> Tensor:
         """Sum over the batch of the per-level cross-entropy stack."""
@@ -195,7 +212,7 @@ class HierClassifier:
             if int(y) not in self.targets:
                 raise ModelError(f"node id {int(y)} is not a leaf of the classifier's hierarchy")
         per_level = np.array([self.targets[int(y)] for y in leaves])  # (n, K)
-        logits = self.logits(tape, x)
+        _, logits = self.forward(tape, x)
         total = None
         for k, head_logits in enumerate(logits):
             term = tape.softmax_cross_entropy(head_logits, per_level[:, k])
@@ -210,98 +227,29 @@ class HierClassifier:
             p.requires_grad = False
 
 
-def _flatten_images(x, pixels: int) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    side = int(np.sqrt(pixels))
-    if x.shape == (side, side):
-        return x.reshape(1, pixels)
-    if x.ndim == 3 and x.shape[1:] == (side, side):
-        return x.reshape(x.shape[0], pixels)
-    if x.ndim == 2 and x.shape[1] == pixels:
-        return x
-    raise ModelError(f"expected {side}x{side} images, got shape {x.shape}")
+@dataclass
+class Readout:
+    """Everything one classifier pass yields for a batch of n images."""
+
+    features: np.ndarray  # (n, F) trunk activations
+    logits: list[np.ndarray]  # per level k, (n, M_k)
+    paths: np.ndarray  # (n, K) argmax class id per level, ties toward the lowest id
+    leaf_probs: np.ndarray  # (n, M_K) softmax of the leaf head
 
 
-def classifier_logits(clf: HierClassifier, x) -> list[np.ndarray]:
-    """Per-level logits for an image or image batch, as plain arrays."""
+def classify(clf: HierClassifier, images) -> Readout:
+    """Run a frozen classifier once over an image or an image batch."""
+    x = np.asarray(images, dtype=np.float64)
     side = int(np.sqrt(clf.pixels))
-    single = np.asarray(x).shape == (side, side)
-    flat = _flatten_images(x, clf.pixels)
-    tape = Tape()
-    out = [t.data for t in clf.logits(tape, Tensor(flat))]
-    return [o[0] for o in out] if single else out
-
-
-def hier_loss(clf: HierClassifier, x, y: int, h: ClassHierarchy) -> float:
-    """Stacked per-level cross-entropy of one image against leaf y's path."""
-    if not h.is_leaf(y):
-        raise ModelError(f"node id {y} is not a leaf")
-    flat = _flatten_images(x, clf.pixels)
-    if flat.shape[0] != 1:
-        raise ModelError("hier_loss scores one image; use HierClassifier.loss for batches")
-    tape = Tape()
-    return float(clf.loss(tape, Tensor(flat), [y]).item())
-
-
-def predict_path(clf: HierClassifier, x) -> tuple[int, ...]:
-    """Per-level argmax class ids, ties broken toward the lowest id."""
-    logits = classifier_logits(clf, x)
-    h = clf.hierarchy
-    if logits[0].ndim != 1:
-        raise ModelError("predict_path takes a single image; use predict_paths for batches")
-    return tuple(h.level_classes(k + 1)[int(np.argmax(l))] for k, l in enumerate(logits))
-
-
-def predict_paths(clf: HierClassifier, x) -> np.ndarray:
-    """Batched predict_path: (n, K) class ids."""
-    flat = _flatten_images(x, clf.pixels)
-    tape = Tape()
-    logits = clf.logits(tape, Tensor(flat))
-    h = clf.hierarchy
-    cols = []
-    for k, t in enumerate(logits):
-        level = np.asarray(h.level_classes(k + 1))
-        cols.append(level[np.argmax(t.data, axis=1)])
-    return np.stack(cols, axis=1)
-
-
-def generate(g1: GeneratorStage1, g2: GeneratorStage2, e_c, z):
-    """Run both stages; returns (lo 8x8, hi 16x16) or batched versions."""
-    e_c = np.asarray(e_c, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    single = e_c.ndim == 1
-    e2, z2 = np.atleast_2d(e_c), np.atleast_2d(z)
-    if e2.shape[0] != z2.shape[0]:
-        raise ModelError(f"batch mismatch: {e2.shape[0]} embeddings vs {z2.shape[0]} noise rows")
-    tape = Tape()
-    ec_t, z_t = Tensor(e2), Tensor(z2)
-    lo = g1.forward(tape, ec_t, z_t)
-    hi = g2.forward(tape, ec_t, lo)
-    lo_img = lo.data.reshape(-1, 8, 8)
-    hi_img = hi.data.reshape(-1, 16, 16)
-    return (lo_img[0], hi_img[0]) if single else (lo_img, hi_img)
-
-
-def adversarial_losses(d: Discriminator, real_batch, fake_batch, e_c) -> tuple[float, float]:
-    """Non-saturating GAN losses: d_loss = BCE(D(real),1) + BCE(D(fake),0),
-    g_loss = BCE(D(fake),1)."""
-    real = _flatten_images(real_batch, d.pixels)
-    fake = _flatten_images(fake_batch, d.pixels)
-    if real.shape != fake.shape:
-        raise ModelError(f"real and fake batches differ in shape: {real.shape} vs {fake.shape}")
-    e2 = np.atleast_2d(np.asarray(e_c, dtype=np.float64))
-    if e2.shape[0] == 1 and real.shape[0] > 1:
-        e2 = np.repeat(e2, real.shape[0], axis=0)
-    tape = Tape()
-    ec_t = Tensor(e2)
-    real_logit = d.forward(tape, Tensor(real), ec_t)
-    fake_logit = d.forward(tape, Tensor(fake), ec_t)
-    d_loss = tape.add(
-        tape.binary_cross_entropy_with_logits(real_logit, np.ones(real_logit.shape)),
-        tape.binary_cross_entropy_with_logits(fake_logit, np.zeros(fake_logit.shape)),
-    )
-    g_loss = tape.binary_cross_entropy_with_logits(fake_logit, np.ones(fake_logit.shape))
-    return float(d_loss.item()), float(g_loss.item())
+    if x.shape == (side, side):
+        x = x[None]
+    if x.ndim != 3 or x.shape[1:] != (side, side):
+        raise ModelError(f"expected {side}x{side} images, got shape {x.shape}")
+    feat, logits = clf.forward(Tape(), Tensor(x.reshape(x.shape[0], clf.pixels)))
+    logits = [t.data for t in logits]
+    levels = [np.asarray(clf.hierarchy.level_classes(k)) for k in range(1, len(logits) + 1)]
+    paths = np.stack([level[np.argmax(l, axis=1)] for level, l in zip(levels, logits)], axis=1)
+    return Readout(features=feat.data, logits=logits, paths=paths, leaf_probs=_softmax(logits[-1], axis=1))
 
 
 # ----------------------------------------------------------------- training
@@ -346,7 +294,7 @@ def evaluate_classifier(clf: HierClassifier, samples) -> dict:
     h = clf.hierarchy
     imgs = np.stack([s.lo if clf.pixels == LO_PIXELS else s.hi for s in samples])
     leaves = np.array([s.leaf for s in samples])
-    paths = predict_paths(clf, imgs)
+    paths = classify(clf, imgs).paths
     true = np.array([h.ancestor_path(int(y)) for y in leaves])
     per_level = (paths == true).mean(axis=0)
     return {
@@ -384,6 +332,12 @@ class ModelSet:
     def condition(self, y: int) -> np.ndarray:
         return leaf_condition_vector(self.table, y)
 
+    def generate(self, tape: Tape, e_c: Tensor, z: Tensor, stage: int = 2) -> Tensor:
+        """The generator graph: stage 1's 8x8 images, or at stage 2 the 16x16
+        images grown from them. Rows are flattened pixels."""
+        lo = self.g1.forward(tape, e_c, z)
+        return lo if stage == 1 else self.g2.forward(tape, e_c, lo)
+
 
 def build_models(h: ClassHierarchy, table: ClassEmbeddingTable, cfg: ModelConfig) -> ModelSet:
     rng = np.random.default_rng(cfg.seed)
@@ -403,93 +357,28 @@ def build_models(h: ClassHierarchy, table: ClassEmbeddingTable, cfg: ModelConfig
 _MANIFEST_KEY = "__manifest__"
 
 
-def _named_params(ms: ModelSet) -> dict[str, Tensor]:
-    named = {}
-    for component in (ms.g1, ms.g2, ms.d_lo, ms.d_hi, ms.clf_lo, ms.clf_hi):
-        for p in component.params():
-            named[p.name] = p
-    return named
-
-
-def save_models(ms: ModelSet, path) -> None:
-    """Checkpoint all network parameters plus a manifest entry holding the
-    architecture config as JSON (utf-8 bytes stored as float64 values)."""
-    manifest = json.dumps(
-        {
-            "embed_dim": ms.config.embed_dim,
-            "gen_hidden": ms.config.gen_hidden,
-            "disc_hidden": ms.config.disc_hidden,
-            "clf_hidden": ms.config.clf_hidden,
-            "feature_width": ms.config.feature_width,
-            "seed": ms.config.seed,
-            "hierarchy": ms.hierarchy.serialize(),
-        },
-        sort_keys=True,
-    ).encode("utf-8")
-    named: dict[str, np.ndarray] = {k: v.data for k, v in _named_params(ms).items()}
-    named[_MANIFEST_KEY] = np.frombuffer(manifest, dtype=np.uint8).astype(np.float64)
+def _save_with_manifest(path, params: list[Tensor], manifest: dict) -> None:
+    """Checkpoint named parameters plus a manifest entry holding the
+    architecture as JSON (utf-8 bytes stored as float64 values)."""
+    named: dict[str, np.ndarray] = {p.name: p.data for p in params}
+    blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    named[_MANIFEST_KEY] = np.frombuffer(blob, dtype=np.uint8).astype(np.float64)
     save_checkpoint(path, named)
 
 
-def load_models(path, table: ClassEmbeddingTable) -> ModelSet:
-    """Rebuild a ModelSet from a checkpoint; shapes are validated against the
-    manifest's architecture config. Classifiers come back frozen."""
+def _load_with_manifest(path, build):
+    """Read a checkpoint, rebuild its networks with ``build(manifest) ->
+    (networks, params)`` and copy in the stored values, which must match the
+    rebuilt parameters in name and shape, none missing and none extra."""
     blobs = load_checkpoint(path)
     if _MANIFEST_KEY not in blobs:
         raise ModelError(f"{path} has no architecture manifest")
-    manifest = json.loads(bytes(blobs.pop(_MANIFEST_KEY).astype(np.uint8)).decode("utf-8"))
-    cfg = ModelConfig(
-        embed_dim=manifest["embed_dim"],
-        gen_hidden=manifest["gen_hidden"],
-        disc_hidden=manifest["disc_hidden"],
-        clf_hidden=manifest["clf_hidden"],
-        feature_width=manifest["feature_width"],
-        seed=manifest["seed"],
-    )
-    h = parse_hierarchy(manifest["hierarchy"])
-    ms = build_models(h, table, cfg)
-    for name, param in _named_params(ms).items():
-        if name not in blobs:
-            raise ModelError(f"checkpoint {path} is missing parameter {name!r}")
-        if blobs[name].shape != param.data.shape:
-            raise ModelError(
-                f"checkpoint {path}: parameter {name!r} has shape {blobs[name].shape}, expected {param.data.shape}"
-            )
-        param.data = blobs[name]
-    extras = set(blobs) - {p.name for p in _named_params(ms).values()}
-    if extras:
-        raise ModelError(f"checkpoint {path} has unknown parameters {sorted(extras)}")
-    ms.clf_lo.freeze()
-    ms.clf_hi.freeze()
-    return ms
-
-
-def save_classifier(clf: HierClassifier, path) -> None:
-    """Checkpoint a single classifier with enough manifest to rebuild it."""
-    manifest = json.dumps(
-        {
-            "pixels": clf.pixels,
-            "clf_hidden": clf.trunk.layers[0][0].shape[1],
-            "feature_width": clf.trunk.layers[-1][0].shape[1],
-            "hierarchy": clf.hierarchy.serialize(),
-        },
-        sort_keys=True,
-    ).encode("utf-8")
-    named: dict[str, np.ndarray] = {p.name: p.data for p in clf.params()}
-    named[_MANIFEST_KEY] = np.frombuffer(manifest, dtype=np.uint8).astype(np.float64)
-    save_checkpoint(path, named)
-
-
-def load_classifier(path) -> HierClassifier:
-    """Rebuild a frozen classifier from its checkpoint."""
-    blobs = load_checkpoint(path)
-    if _MANIFEST_KEY not in blobs:
-        raise ModelError(f"{path} has no architecture manifest")
-    manifest = json.loads(bytes(blobs.pop(_MANIFEST_KEY).astype(np.uint8)).decode("utf-8"))
-    h = parse_hierarchy(manifest["hierarchy"])
-    cfg = ModelConfig(clf_hidden=manifest["clf_hidden"], feature_width=manifest["feature_width"])
-    clf = HierClassifier.init(h, manifest["pixels"], cfg, np.random.default_rng(0))
-    for p in clf.params():
+    try:
+        manifest = json.loads(bytes(blobs.pop(_MANIFEST_KEY).astype(np.uint8)).decode("utf-8"))
+        networks, params = build(manifest)
+    except (ValueError, KeyError, TypeError, AttributeError) as err:
+        raise ModelError(f"checkpoint {path} has a malformed manifest: {err!r}") from err
+    for p in params:
         if p.name not in blobs:
             raise ModelError(f"checkpoint {path} is missing parameter {p.name!r}")
         if blobs[p.name].shape != p.data.shape:
@@ -497,8 +386,57 @@ def load_classifier(path) -> HierClassifier:
                 f"checkpoint {path}: parameter {p.name!r} has shape {blobs[p.name].shape}, expected {p.data.shape}"
             )
         p.data = blobs[p.name]
-    extras = set(blobs) - {p.name for p in clf.params()}
+    extras = set(blobs) - {p.name for p in params}
     if extras:
         raise ModelError(f"checkpoint {path} has unknown parameters {sorted(extras)}")
+    return networks
+
+
+def _model_set_params(ms: ModelSet) -> list[Tensor]:
+    return [p for net in (ms.g1, ms.g2, ms.d_lo, ms.d_hi, ms.clf_lo, ms.clf_hi) for p in net.params()]
+
+
+def save_models(ms: ModelSet, path) -> None:
+    """Checkpoint all network parameters with the architecture config."""
+    manifest = asdict(ms.config) | {"hierarchy": ms.hierarchy.serialize()}
+    _save_with_manifest(path, _model_set_params(ms), manifest)
+
+
+def load_models(path, table: ClassEmbeddingTable) -> ModelSet:
+    """Rebuild a ModelSet from a checkpoint; shapes are validated against the
+    manifest's architecture config. Classifiers come back frozen."""
+
+    def build(manifest):
+        cfg = ModelConfig(**{f.name: manifest[f.name] for f in fields(ModelConfig)})
+        ms = build_models(parse_hierarchy(manifest["hierarchy"]), table, cfg)
+        return ms, _model_set_params(ms)
+
+    ms = _load_with_manifest(path, build)
+    ms.clf_lo.freeze()
+    ms.clf_hi.freeze()
+    return ms
+
+
+def save_classifier(clf: HierClassifier, path) -> None:
+    """Checkpoint a single classifier with enough manifest to rebuild it."""
+    manifest = {
+        "pixels": clf.pixels,
+        "clf_hidden": clf.trunk.layers[0][0].shape[1],
+        "feature_width": clf.trunk.layers[-1][0].shape[1],
+        "hierarchy": clf.hierarchy.serialize(),
+    }
+    _save_with_manifest(path, clf.params(), manifest)
+
+
+def load_classifier(path) -> HierClassifier:
+    """Rebuild a frozen classifier from its checkpoint."""
+
+    def build(manifest):
+        h = parse_hierarchy(manifest["hierarchy"])
+        cfg = ModelConfig(clf_hidden=manifest["clf_hidden"], feature_width=manifest["feature_width"])
+        clf = HierClassifier.init(h, manifest["pixels"], cfg, np.random.default_rng(0))
+        return clf, clf.params()
+
+    clf = _load_with_manifest(path, build)
     clf.freeze()
     return clf

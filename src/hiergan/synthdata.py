@@ -232,14 +232,18 @@ def load_dataset(path) -> Dataset:
     if version != _VERSION:
         raise DatasetError(f"unsupported dataset version {version} (expected {_VERSION})")
     (spec_len,) = struct.unpack("<I", take(4))
-    payload = json.loads(bytes(take(spec_len)).decode("utf-8"))
-    spec = DatasetSpec(
-        hierarchy=parse_hierarchy(payload["hierarchy"]),
-        samples_per_leaf=payload["samples_per_leaf"],
-        level_noise=tuple(payload["level_noise"]),
-        observation_noise=payload["observation_noise"],
-        seed=payload["seed"],
-    )
+    spec_blob = bytes(take(spec_len))
+    try:
+        payload = json.loads(spec_blob.decode("utf-8"))
+        spec = DatasetSpec(
+            hierarchy=parse_hierarchy(payload["hierarchy"]),
+            samples_per_leaf=payload["samples_per_leaf"],
+            level_noise=tuple(payload["level_noise"]),
+            observation_noise=payload["observation_noise"],
+            seed=payload["seed"],
+        )
+    except (ValueError, KeyError, TypeError, AttributeError) as err:
+        raise DatasetError(f"dataset {path} has a malformed spec: {err!r}") from err
     n_train, n_test = struct.unpack("<II", take(8))
     d = Dataset(spec=spec)
     for i in range(n_train + n_test):

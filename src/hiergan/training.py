@@ -155,19 +155,6 @@ class RunArtifacts:
     abort_reason: str = ""
 
 
-def hierarchy_penalty(clf: HierClassifier, batch: GeneratedBatch, h: ClassHierarchy) -> float:
-    """Mean stacked cross-entropy of a generated batch against its leaf."""
-    images = np.asarray(batch.samples, dtype=np.float64)
-    n = images.shape[0]
-    if n == 0:
-        raise TrainingError("hierarchy_penalty needs a non-empty batch")
-    if not h.is_leaf(batch.leaf):
-        raise TrainingError(f"node id {batch.leaf} is not a leaf")
-    tape = Tape()
-    x = Tensor(images.reshape(n, -1))
-    return float(clf.loss(tape, x, [batch.leaf] * n).item()) / n
-
-
 def generate_set(models: ModelSet, embeddings: ClassEmbeddingTable, c: int, n: int, seed) -> GeneratedBatch:
     """n stage-2 images for leaf c from fresh seeded noise."""
     e_row = leaf_condition_vector(embeddings, c)
@@ -175,10 +162,7 @@ def generate_set(models: ModelSet, embeddings: ClassEmbeddingTable, c: int, n: i
         return GeneratedBatch(samples=np.zeros((0, 16, 16)), leaf=c, stage=2)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, models.g1.noise_dim))
-    e = np.tile(e_row, (n, 1))
-    tape = Tape()
-    lo = models.g1.forward(tape, Tensor(e), Tensor(z))
-    hi = models.g2.forward(tape, Tensor(e), lo)
+    hi = models.generate(Tape(), Tensor(np.tile(e_row, (n, 1))), Tensor(z))
     return GeneratedBatch(samples=hi.data.reshape(n, 16, 16), leaf=c, stage=2)
 
 
@@ -281,12 +265,6 @@ class Trainer:
             return tape.concat([re, im], axis=1)
         return Tensor(np.tile(leaf_condition_vector(self.models.table, y), (n, 1)))
 
-    def _fake_graph(self, tape: Tape, e_c: Tensor, z: Tensor) -> Tensor:
-        lo = self.models.g1.forward(tape, e_c, z)
-        if self.stage == 1:
-            return lo
-        return self.models.g2.forward(tape, e_c, lo)
-
     # -------------------------------------------------------------- steps
 
     def joint_step(self, real_images: np.ndarray, y: int, z: np.ndarray) -> StepLosses:
@@ -296,17 +274,10 @@ class Trainer:
         real_flat = real_images.reshape(n, -1)
 
         # --- discriminator step (generator and embeddings held fixed)
-        tape_detached = Tape()
-        e_const = self._condition(Tape(), y, n)
-        e_const = Tensor(e_const.data)
-        fake_flat = self._fake_graph(tape_detached, e_const, Tensor(z)).data
+        e_const = Tensor(self._condition(Tape(), y, n).data)
+        fake_flat = self.models.generate(Tape(), e_const, Tensor(z), self.stage).data
         tape_d = Tape()
-        real_logit = self.disc.forward(tape_d, Tensor(real_flat), e_const)
-        fake_logit = self.disc.forward(tape_d, Tensor(fake_flat), e_const)
-        d_loss = tape_d.add(
-            tape_d.binary_cross_entropy_with_logits(real_logit, np.ones(real_logit.shape)),
-            tape_d.binary_cross_entropy_with_logits(fake_logit, np.zeros(fake_logit.shape)),
-        )
+        d_loss = self.disc.loss(tape_d, Tensor(real_flat), Tensor(fake_flat), e_const)
         d_grads = tape_d.backward(d_loss)
         adam_step(
             self.d_params,
@@ -320,7 +291,7 @@ class Trainer:
         # --- generator step (discriminator held fixed)
         tape_g = Tape()
         e_c = self._condition(tape_g, y, n)
-        fake = self._fake_graph(tape_g, e_c, Tensor(z))
+        fake = self.models.generate(tape_g, e_c, Tensor(z), self.stage)
         g_adv = tape_g.binary_cross_entropy_with_logits(
             self.disc.forward(tape_g, fake, e_c), np.ones((n, 1))
         )

@@ -15,7 +15,7 @@ import conftest
 import numpy as np
 import pytest
 
-from hiergan.autodiff import Tensor, grad_check
+from hiergan.autodiff import Tape, Tensor, grad_check
 from hiergan.cli import main as cli_main
 from hiergan.embed import (
     CheConfig,
@@ -29,7 +29,6 @@ from hiergan.embed import (
 from hiergan.hierarchy import FIXTURE_TREE, parse_hierarchy
 from hiergan.metrics import (
     GaussianStats,
-    feature_extract,
     fit_gaussian,
     frechet_distance,
     inception_score,
@@ -39,9 +38,8 @@ from hiergan.models import (
     HierClassifier,
     ModelConfig,
     build_models,
-    classifier_logits,
+    classify,
     evaluate_classifier,
-    hier_loss,
     train_classifier,
 )
 from hiergan.synthdata import Dataset, Sample, default_dataset_spec, generate_dataset
@@ -105,7 +103,7 @@ def test_criterion_01_gradients(dataset):
 
     def composite(tape, ps):
         e_c = trainer._condition(tape, y, 3)
-        fake = trainer._fake_graph(tape, e_c, Tensor(z))
+        fake = trainer.models.generate(tape, e_c, Tensor(z), trainer.stage)
         g_adv = tape.binary_cross_entropy_with_logits(
             trainer.disc.forward(tape, fake, e_c), np.ones((3, 1))
         )
@@ -133,7 +131,10 @@ def test_criterion_02_stacked_loss_oracle():
     rng = np.random.default_rng(4)
     images = rng.uniform(size=(1000, 8, 8))
     leaves = rng.choice(tree24.leaves, size=1000)
-    logits = classifier_logits(clf, images)
+    logits = classify(clf, images).logits
+
+    def stacked_loss(clf, image, y):
+        return clf.loss(Tape(), Tensor(image.reshape(1, -1)), [y]).item()
 
     def oracle(rows, y):
         total = 0.0
@@ -144,14 +145,14 @@ def test_criterion_02_stacked_loss_oracle():
         return total
 
     worst = max(
-        abs(hier_loss(clf, images[i], int(leaves[i]), tree24) - oracle([lv[i] for lv in logits], leaves[i]))
+        abs(stacked_loss(clf, images[i], int(leaves[i])) - oracle([lv[i] for lv in logits], leaves[i]))
         for i in range(1000)
     )
 
     zero = HierClassifier.init(tree24, 64, ModelConfig(), np.random.default_rng(0))
     for p in zero.params():
         p.data = np.zeros_like(p.data)
-    forced = hier_loss(zero, images[0], int(tree24.leaves[0]), tree24)
+    forced = stacked_loss(zero, images[0], int(tree24.leaves[0]))
     forced_err = abs(forced - (np.log(2) + np.log(4)))
     report(
         2,
@@ -461,8 +462,8 @@ def test_criterion_10_metric_sanity(dataset, classifiers):
     for y in TREE.leaves:
         rows = [s.hi for s in dataset.test if s.leaf == y]
         half = len(rows) // 2
-        a = fit_gaussian(feature_extract(clf_hi, np.stack(rows[:half])))
-        b = fit_gaussian(feature_extract(clf_hi, np.stack(rows[half:])))
+        a = fit_gaussian(classify(clf_hi, np.stack(rows[:half])).features)
+        b = fit_gaussian(classify(clf_hi, np.stack(rows[half:])).features)
         real_fids.append(frechet_distance(a, b))
     real_fid = float(np.mean(real_fids))
     ratio = real_fid / gen_fid

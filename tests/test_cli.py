@@ -1,8 +1,13 @@
 import hashlib
 import json
+import shutil
+import struct
+import zlib
 
+import numpy as np
 import pytest
 
+from hiergan.autodiff import load_checkpoint, save_checkpoint
 from hiergan.cli import main
 from hiergan.hierarchy import FIXTURE_TREE
 
@@ -323,3 +328,71 @@ def test_lock_released_after_run(ws, tmp_path):
     assert main(["gen-data", "--config", str(ws["cfg"]), "--out", str(out)]) == 0
     assert not (tmp_path / "d.hgds.lock").exists()
     assert main(["gen-data", "--config", str(ws["cfg"]), "--out", str(out)]) == 0  # reusable
+
+
+# ------------------------------------------------------- malformed artifacts
+
+
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+def rewrite_dataset_spec(src, dest, edit):
+    """Copy a dataset file with its spec JSON edited and a valid CRC."""
+    body = src.read_bytes()[:-4]
+    (spec_len,) = struct.unpack("<I", body[8:12])
+    spec = edit(json.loads(body[12 : 12 + spec_len]))
+    blob = json.dumps(spec).encode()
+    body = body[:8] + struct.pack("<I", len(blob)) + blob + body[12 + spec_len :]
+    dest.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+
+def rewrite_manifest(src, dest, manifest_bytes):
+    """Copy a checkpoint with its architecture manifest replaced."""
+    blobs = load_checkpoint(src)
+    blobs["__manifest__"] = np.frombuffer(manifest_bytes, dtype=np.uint8).astype(np.float64)
+    save_checkpoint(dest, blobs)
+
+
+def manifest_without(path, key):
+    manifest = json.loads(bytes(load_checkpoint(path)["__manifest__"].astype("uint8")))
+    del manifest[key]
+    return json.dumps(manifest).encode()
+
+
+def test_dataset_spec_missing_key_exits_two(ws, tmp_path, capsys):
+    bad = tmp_path / "bad.hgds"
+    rewrite_dataset_spec(ws["data"], bad, lambda spec: {k: v for k, v in spec.items() if k != "samples_per_leaf"})
+    code = main(["train-clf", "--data", str(bad), "--resolution", "8", "--out", str(tmp_path / "c.hgck")])
+    assert code == 2
+    assert_one_line_error(capsys)
+
+
+def test_classifier_manifest_missing_key_exits_two(ws, tmp_path, capsys):
+    bad = tmp_path / "clf8.hgck"
+    rewrite_manifest(ws["clf8"], bad, manifest_without(ws["clf8"], "pixels"))
+    argv = gan_args(ws, "treegan", tmp_path / "run")
+    argv[argv.index("--clf8") + 1] = str(bad)
+    assert main(argv) == 2
+    assert_one_line_error(capsys)
+
+
+def test_classifier_manifest_not_json_exits_two(ws, tmp_path, capsys):
+    bad = tmp_path / "clf16.hgck"
+    rewrite_manifest(ws["clf16"], bad, b"\x00not json{")
+    argv = gan_args(ws, "treegan", tmp_path / "run")
+    argv[argv.index("--clf16") + 1] = str(bad)
+    assert main(argv) == 2
+    assert_one_line_error(capsys)
+
+
+def test_models_manifest_missing_key_exits_two(ws, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(ws["run"], run)
+    models = run / "models.hgck"
+    rewrite_manifest(models, models, manifest_without(models, "gen_hidden"))
+    code = main(["eval", "--run", str(run), "--data", str(ws["data"]), "--out", str(tmp_path / "m.csv")])
+    assert code == 2
+    assert_one_line_error(capsys)

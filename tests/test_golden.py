@@ -1,0 +1,54 @@
+"""Golden fingerprint: sha256 of the artifacts of two short fixed runs.
+
+`test_run_replays_exactly` only shows that a run agrees with itself; these
+hashes show that a refactor kept every number. A change that alters the
+numerics on purpose (a new op order, a fused op) updates the hashes here and
+says so in CHANGES.md, with criterion 8 passing on unchanged bounds.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from hiergan.hierarchy import FIXTURE_TREE, parse_hierarchy
+from hiergan.models import ClassifierConfig, HierClassifier, ModelConfig, train_classifier
+from hiergan.synthdata import default_dataset_spec, generate_dataset
+from hiergan.training import TrainConfig, run_training, save_run
+
+TREE = parse_hierarchy(FIXTURE_TREE)
+
+GOLDEN = {
+    "treegan": {
+        "trace.csv": "144c28f6a7d6ff8d1b6ba93763b4d4911e89ccb250a143318aa8e505a65e4431",
+        "models.hgck": "86b725513a3470c3c7fe287852630e0931261b67f2ff575c0e6b1d017f34463e",
+        "metrics_step000020.json": "3f304352b6dca42c51f27f22586204db9e926663cdc038f65040c8c51d9af465",
+    },
+    "npc": {
+        "trace.csv": "4f8cf101e5815db7f10e5d9e2ca1ae04d446525a85e40d80b367f62409840f54",
+        "models.hgck": "7274a289f552de0dc1bc55fc134c5e908f9b92109143d835467005eccfcca687",
+        "metrics_step000020.json": "9b329ce6acc5081d7e9cd4b7e1d702b424aa9f314e59b354785a0d41215f7d79",
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def setup():
+    dataset = generate_dataset(default_dataset_spec(TREE, samples_per_leaf=30, seed=0))
+    cfg = ClassifierConfig(epochs=3, seed=0)
+    clfs = []
+    for res in (8, 16):
+        clf = HierClassifier.init(TREE, res * res, ModelConfig(), np.random.default_rng(cfg.seed))
+        clfs.append(train_classifier(clf, dataset, res, cfg))
+    return dataset, clfs
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN))
+def test_golden_fingerprint(setup, mode, tmp_path):
+    dataset, (clf_lo, clf_hi) = setup
+    cfg = TrainConfig(mode=mode, steps_per_stage=10, eval_every=10, eval_n_per_class=50, seed=0)
+    art = run_training(dataset, TREE, cfg, clf_lo, clf_hi)
+    assert not art.aborted, art.abort_reason
+    save_run(art, tmp_path)
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN[mode]}
+    assert got == GOLDEN[mode]

@@ -10,17 +10,14 @@ from hiergan.metrics import (
     build_report,
     consistency_rate,
     evaluate,
-    feature_extract,
     fit_gaussian,
     frechet_distance,
     inception_score,
-    leaf_probabilities,
     report_csv,
     report_json,
 )
-from hiergan.models import ClassifierConfig, ModelConfig, build_models, train_classifier
+from hiergan.models import ClassifierConfig, ModelConfig, build_models, classify, train_classifier
 from hiergan.synthdata import default_dataset_spec, generate_dataset
-from hiergan.training import GeneratedBatch
 
 
 @pytest.fixture(scope="module")
@@ -51,26 +48,26 @@ def trained(tree, table, corpus):
 
 def test_feature_extract_shape_and_determinism(trained, corpus):
     imgs = np.stack([s.hi for s in corpus.test[:10]])
-    f1 = feature_extract(trained.clf_hi, imgs)
-    f2 = feature_extract(trained.clf_hi, imgs)
+    f1 = classify(trained.clf_hi, imgs).features
+    f2 = classify(trained.clf_hi, imgs).features
     assert f1.shape == (10, 32)
     assert np.array_equal(f1, f2)
 
 
 def test_feature_extract_identical_images_identical_rows(trained):
     img = np.random.default_rng(0).uniform(size=(16, 16))
-    feats = feature_extract(trained.clf_hi, np.stack([img, img, img]))
+    feats = classify(trained.clf_hi, np.stack([img, img, img])).features
     assert np.array_equal(feats[0], feats[1]) and np.array_equal(feats[1], feats[2])
 
 
 def test_feature_extract_nondegenerate_on_real_data(trained, corpus):
-    feats = feature_extract(trained.clf_hi, np.stack([s.hi for s in corpus.test]))
+    feats = classify(trained.clf_hi, np.stack([s.hi for s in corpus.test])).features
     assert np.trace(np.cov(feats.T)) > 0.0
 
 
 def test_feature_extract_resolution_mismatch(trained):
     with pytest.raises((MetricsError, ValueError)):
-        feature_extract(trained.clf_hi, np.zeros((3, 8, 8)))
+        classify(trained.clf_hi, np.zeros((3, 8, 8)))
 
 
 # ------------------------------------------------------------ fit_gaussian
@@ -235,7 +232,7 @@ def test_inception_score_rejects_bad_rows():
 
 def test_leaf_probabilities_rows_sum_to_one(trained):
     imgs = np.random.default_rng(7).uniform(size=(5, 16, 16))
-    probs = leaf_probabilities(trained.clf_hi, imgs)
+    probs = classify(trained.clf_hi, imgs).leaf_probs
     assert probs.shape == (5, 6)
     assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-12
 
@@ -247,8 +244,7 @@ def test_consistency_on_real_training_data(trained, corpus, tree):
     # the trained classifier routes real samples of each class correctly
     for y in tree.leaves[:2]:
         imgs = np.stack([s.hi for s in corpus.train if s.leaf == y])
-        batch = GeneratedBatch(samples=imgs, leaf=int(y), stage=2)
-        assert consistency_rate(trained.clf_hi, batch, tree) >= 0.95
+        assert consistency_rate(classify(trained.clf_hi, imgs).paths, int(y), tree) >= 0.95
 
 
 def test_consistency_all_levels_rule(tree, table):
@@ -264,21 +260,21 @@ def test_consistency_all_levels_rule(tree, table):
     y = tree.id_of("wolf")
     clf.heads[0][1].data[:] = [5.0, 0.0]  # canine branch: correct
     clf.heads[1][1].data[:] = [0.0, 0.0, 5.0, 0.0, 0.0, 0.0]  # dog leaf: wrong
-    batch = GeneratedBatch(samples=np.random.default_rng(8).uniform(size=(4, 8, 8)), leaf=y, stage=1)
-    assert consistency_rate(clf, batch, tree) == 0.0
+    paths = classify(clf, np.random.default_rng(8).uniform(size=(4, 8, 8))).paths
+    assert consistency_rate(paths, y, tree) == 0.0
 
 
 def test_consistency_batch_order_invariant(trained, corpus, tree):
     y = tree.leaves[0]
     imgs = np.stack([s.hi for s in corpus.test if s.leaf == y])
-    fwd = consistency_rate(trained.clf_hi, GeneratedBatch(imgs, int(y), 2), tree)
-    rev = consistency_rate(trained.clf_hi, GeneratedBatch(imgs[::-1], int(y), 2), tree)
+    fwd = consistency_rate(classify(trained.clf_hi, imgs).paths, int(y), tree)
+    rev = consistency_rate(classify(trained.clf_hi, imgs[::-1]).paths, int(y), tree)
     assert fwd == rev
 
 
 def test_consistency_empty_batch(trained, tree):
-    batch = GeneratedBatch(samples=np.zeros((0, 16, 16)), leaf=int(tree.leaves[0]), stage=2)
-    assert consistency_rate(trained.clf_hi, batch, tree) == 1.0
+    paths = classify(trained.clf_hi, np.zeros((0, 16, 16))).paths
+    assert consistency_rate(paths, int(tree.leaves[0]), tree) == 1.0
 
 
 # ------------------------------------------------------------------ report

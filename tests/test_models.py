@@ -10,15 +10,10 @@ from hiergan.models import (
     ModelConfig,
     ModelError,
     ModelSet,
-    adversarial_losses,
     build_models,
-    classifier_logits,
+    classify,
     evaluate_classifier,
-    generate,
-    hier_loss,
     load_models,
-    predict_path,
-    predict_paths,
     save_models,
     train_classifier,
 )
@@ -49,10 +44,18 @@ def zeroed(net):
 # ---------------------------------------------------------------- generator
 
 
+def generate_images(ms, e, z):
+    """Both stages for one condition/noise row or a batch of them, as images."""
+    e2, z2 = Tensor(np.atleast_2d(e)), Tensor(np.atleast_2d(z))
+    lo = ms.generate(Tape(), e2, z2, stage=1).data.reshape(-1, 8, 8)
+    hi = ms.generate(Tape(), e2, z2, stage=2).data.reshape(-1, 16, 16)
+    return (lo[0], hi[0]) if np.ndim(e) == 1 else (lo, hi)
+
+
 def test_generate_shapes_and_range(models, tree):
     e = models.condition(tree.id_of("dog"))
     z = np.random.default_rng(0).standard_normal(32)
-    lo, hi = generate(models.g1, models.g2, e, z)
+    lo, hi = generate_images(models, e, z)
     assert lo.shape == (8, 8) and hi.shape == (16, 16)
     for img in (lo, hi):
         assert np.all(img > 0.0) and np.all(img < 1.0)
@@ -62,15 +65,15 @@ def test_generate_batched(models, tree):
     rng = np.random.default_rng(1)
     e = np.stack([models.condition(y) for y in tree.leaves[:3]])
     z = rng.standard_normal((3, 32))
-    lo, hi = generate(models.g1, models.g2, e, z)
+    lo, hi = generate_images(models, e, z)
     assert lo.shape == (3, 8, 8) and hi.shape == (3, 16, 16)
 
 
 def test_generate_deterministic(models, tree):
     e = models.condition(tree.id_of("cat"))
     z = np.random.default_rng(2).standard_normal(32)
-    a = generate(models.g1, models.g2, e, z)
-    b = generate(models.g1, models.g2, e, z)
+    a = generate_images(models, e, z)
+    b = generate_images(models, e, z)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
@@ -78,17 +81,17 @@ def test_generate_zero_weights_gives_half(tree, table):
     ms = build_models(tree, table, ModelConfig(seed=3))
     zeroed(ms.g1.net)
     zeroed(ms.g2.net)
-    lo, hi = generate(ms.g1, ms.g2, np.zeros(32), np.zeros(32))
+    lo, hi = generate_images(ms, np.zeros(32), np.zeros(32))
     assert np.all(lo == 0.5) and np.all(hi == 0.5)
 
 
 def test_generate_dimension_mismatch(models):
     with pytest.raises(ModelError):
-        generate(models.g1, models.g2, np.zeros(7), np.zeros(32))
+        generate_images(models, np.zeros(7), np.zeros(32))
     with pytest.raises(ModelError):
-        generate(models.g1, models.g2, np.zeros(32), np.zeros(7))
+        generate_images(models, np.zeros(32), np.zeros(7))
     with pytest.raises(ModelError, match="batch mismatch"):
-        generate(models.g1, models.g2, np.zeros((2, 32)), np.zeros((3, 32)))
+        generate_images(models, np.zeros((2, 32)), np.zeros((3, 32)))
 
 
 def test_generator_pixel_gradcheck(tree, table):
@@ -110,12 +113,24 @@ def test_generator_pixel_gradcheck(tree, table):
 # ------------------------------------------------------------ discriminator
 
 
+def gan_losses(d, real, fake, e):
+    """The D step's loss and the G step's adversarial term, as joint_step
+    computes them, for image batches and one condition row."""
+    n = real.shape[0]
+    e_c = Tensor(np.tile(e, (n, 1)))
+    real_t, fake_t = Tensor(real.reshape(n, -1)), Tensor(fake.reshape(fake.shape[0], -1))
+    tape = Tape()
+    d_loss = d.loss(tape, real_t, fake_t, e_c)
+    g_loss = tape.binary_cross_entropy_with_logits(d.forward(tape, fake_t, e_c), np.ones((n, 1)))
+    return d_loss.item(), g_loss.item()
+
+
 def test_adversarial_losses_at_logit_zero(tree, table):
     ms = build_models(tree, table, ModelConfig(seed=6))
     zeroed(ms.d_lo.net)
     rng = np.random.default_rng(0)
     real, fake = rng.uniform(size=(4, 8, 8)), rng.uniform(size=(4, 8, 8))
-    d_loss, g_loss = adversarial_losses(ms.d_lo, real, fake, np.zeros(32))
+    d_loss, g_loss = gan_losses(ms.d_lo, real, fake, np.zeros(32))
     assert abs(d_loss - 2 * np.log(2)) < 1e-12
     assert abs(g_loss - np.log(2)) < 1e-12
 
@@ -128,11 +143,11 @@ def test_adversarial_losses_saturated_discriminator(tree, table):
     b_last.data = np.array([1000.0])
     rng = np.random.default_rng(1)
     real, fake = rng.uniform(size=(2, 8, 8)), rng.uniform(size=(2, 8, 8))
-    d_real_only, g_fooled = adversarial_losses(ms.d_lo, real, fake, np.zeros(32))
+    d_real_only, g_fooled = gan_losses(ms.d_lo, real, fake, np.zeros(32))
     assert np.isfinite(d_real_only) and np.isfinite(g_fooled)
     assert g_fooled < 1e-9  # D says "real" for everything, so G's loss vanishes
     b_last.data = np.array([-1000.0])
-    _, g_rejected = adversarial_losses(ms.d_lo, real, fake, np.zeros(32))
+    _, g_rejected = gan_losses(ms.d_lo, real, fake, np.zeros(32))
     assert np.isfinite(g_rejected) and g_rejected > 20.0  # clamped, large
 
 
@@ -141,7 +156,7 @@ def test_adversarial_losses_match_loop_oracle(tree, table):
     rng = np.random.default_rng(2)
     real, fake = rng.uniform(size=(5, 8, 8)), rng.uniform(size=(5, 8, 8))
     e = rng.standard_normal(32)
-    d_loss, g_loss = adversarial_losses(ms.d_lo, real, fake, e)
+    d_loss, g_loss = gan_losses(ms.d_lo, real, fake, e)
 
     def logit(img):
         tape = Tape()
@@ -160,20 +175,27 @@ def test_adversarial_losses_match_loop_oracle(tree, table):
 
 def test_adversarial_losses_shape_mismatch(models):
     rng = np.random.default_rng(3)
+    e_c = Tensor(np.zeros((4, 32)))
     with pytest.raises(ModelError):
-        adversarial_losses(models.d_lo, rng.uniform(size=(4, 8, 8)), rng.uniform(size=(3, 8, 8)), np.zeros(32))
+        models.d_lo.loss(Tape(), Tensor(rng.uniform(size=(4, 64))), Tensor(rng.uniform(size=(3, 64))), e_c)
 
 
 # --------------------------------------------------------------- classifier
 
 
+def loss_of(clf, img, y):
+    """Stacked per-level cross-entropy of one image against leaf y's path."""
+    return clf.loss(Tape(), Tensor(img.reshape(1, -1)), [y]).item()
+
+
 def test_classifier_logit_shapes(models, tree):
     img = np.random.default_rng(4).uniform(size=(8, 8))
-    logits = classifier_logits(models.clf_lo, img)
-    assert [l.shape for l in logits] == [(2,), (6,)]
+    logits = classify(models.clf_lo, img).logits
+    assert [l.shape for l in logits] == [(1, 2), (1, 6)]
     batch = np.random.default_rng(5).uniform(size=(7, 16, 16))
-    logits = classifier_logits(models.clf_hi, batch)
-    assert [l.shape for l in logits] == [(7, 2), (7, 6)]
+    out = classify(models.clf_hi, batch)
+    assert [l.shape for l in out.logits] == [(7, 2), (7, 6)]
+    assert out.features.shape == (7, 32) and out.paths.shape == (7, 2) and out.leaf_probs.shape == (7, 6)
 
 
 def test_classifier_zero_weights_uniform(tree, table):
@@ -182,20 +204,20 @@ def test_classifier_zero_weights_uniform(tree, table):
     for w, b in ms.clf_lo.heads:
         w.data = np.zeros_like(w.data)
         b.data = np.zeros_like(b.data)
-    logits = classifier_logits(ms.clf_lo, np.full((8, 8), 0.4))
+    logits = classify(ms.clf_lo, np.full((8, 8), 0.4)).logits
     assert all(np.all(l == 0.0) for l in logits)
 
 
 def test_classifier_resolution_mismatch(models):
     with pytest.raises(ModelError):
-        classifier_logits(models.clf_lo, np.zeros((16, 16)))
+        classify(models.clf_lo, np.zeros((16, 16)))
 
 
 def test_trunk_features_shared_across_heads(models):
     # recompute twice: same input, same features feeding every head
     img = np.random.default_rng(6).uniform(size=(1, 64))
     t1, t2 = Tape(), Tape()
-    f1 = models.clf_lo.features(t1, Tensor(img))
+    f1, _ = models.clf_lo.forward(t1, Tensor(img))
     f2 = models.clf_lo.features(t2, Tensor(img))
     assert np.array_equal(f1.data, f2.data)
     assert f1.shape == (1, 32)
@@ -207,7 +229,7 @@ def test_hier_loss_uniform_logits(tree, table):
     for w, b in ms.clf_lo.heads:
         w.data = np.zeros_like(w.data)
         b.data = np.zeros_like(b.data)
-    val = hier_loss(ms.clf_lo, np.full((8, 8), 0.2), tree.id_of("dog"), tree)
+    val = loss_of(ms.clf_lo, np.full((8, 8), 0.2), tree.id_of("dog"))
     assert abs(val - (np.log(2) + np.log(6))) < 1e-12
 
 
@@ -221,7 +243,7 @@ def test_hier_loss_saturated_correct_logits(tree, table):
         b.data = np.zeros_like(b.data)
         pos = tree.level_classes(k).index(tree.ancestor(y, k))
         b.data[pos] = 1000.0
-    assert hier_loss(ms.clf_lo, np.full((8, 8), 0.6), y, tree) < 1e-9
+    assert loss_of(ms.clf_lo, np.full((8, 8), 0.6), y) < 1e-9
 
 
 def test_hier_loss_matches_loop_oracle(models, tree):
@@ -229,10 +251,11 @@ def test_hier_loss_matches_loop_oracle(models, tree):
     for _ in range(20):
         img = rng.uniform(size=(8, 8))
         y = int(rng.choice(tree.leaves))
-        got = hier_loss(models.clf_lo, img, y, tree)
-        logits = classifier_logits(models.clf_lo, img)
+        got = loss_of(models.clf_lo, img, y)
+        logits = classify(models.clf_lo, img).logits
         want = 0.0
         for k, l in enumerate(logits, start=1):
+            l = l[0]
             probs = np.exp(l - l.max())
             probs /= probs.sum()
             pos = tree.level_classes(k).index(tree.ancestor(y, k))
@@ -242,7 +265,7 @@ def test_hier_loss_matches_loop_oracle(models, tree):
 
 def test_hier_loss_rejects_non_leaf(models, tree):
     with pytest.raises(ModelError):
-        hier_loss(models.clf_lo, np.zeros((8, 8)), tree.id_of("canine"), tree)
+        loss_of(models.clf_lo, np.zeros((8, 8)), tree.id_of("canine"))
 
 
 def test_hier_loss_decreases_when_correct_logit_rises(tree, table):
@@ -250,11 +273,11 @@ def test_hier_loss_decreases_when_correct_logit_rises(tree, table):
     ms = build_models(tree, table, ModelConfig(seed=12))
     y = tree.id_of("lion")
     img = np.random.default_rng(8).uniform(size=(8, 8))
-    base = hier_loss(ms.clf_lo, img, y, tree)
+    base = loss_of(ms.clf_lo, img, y)
     w, b = ms.clf_lo.heads[1]
     pos = tree.level_classes(2).index(y)
     b.data[pos] += 0.5
-    assert hier_loss(ms.clf_lo, img, y, tree) < base
+    assert loss_of(ms.clf_lo, img, y) < base
 
 
 def test_hier_loss_image_gradient_gradcheck(models, tree):
@@ -277,7 +300,7 @@ def test_predict_path_forced_logits(tree, table):
         b.data = np.zeros_like(b.data)
     ms.clf_lo.heads[0][1].data[:] = [2.0, 1.0]
     ms.clf_lo.heads[1][1].data[:] = [0.0, 0.0, 5.0, 0.0, 0.0, 0.0]
-    path = predict_path(ms.clf_lo, np.full((8, 8), 0.1))
+    path = tuple(classify(ms.clf_lo, np.full((8, 8), 0.1)).paths[0])
     assert path == (tree.id_of("canine"), tree.level_classes(2)[2])
 
 
@@ -287,7 +310,7 @@ def test_predict_path_tie_breaks_low(tree, table):
     for w, b in ms.clf_lo.heads:
         w.data = np.zeros_like(w.data)
         b.data = np.zeros_like(b.data)
-    path = predict_path(ms.clf_lo, np.full((8, 8), 0.9))
+    path = tuple(classify(ms.clf_lo, np.full((8, 8), 0.9)).paths[0])
     assert path == (tree.level_classes(1)[0], tree.level_classes(2)[0])
 
 
@@ -401,8 +424,8 @@ def test_save_load_round_trip(tmp_path, tree, table):
         assert np.array_equal(a.data, b.data)
     e = ms.condition(tree.id_of("tiger"))
     z = np.random.default_rng(11).standard_normal(32)
-    lo_a, hi_a = generate(ms.g1, ms.g2, e, z)
-    lo_b, hi_b = generate(back.g1, back.g2, e, z)
+    lo_a, hi_a = generate_images(ms, e, z)
+    lo_b, hi_b = generate_images(back, e, z)
     assert np.array_equal(lo_a, lo_b) and np.array_equal(hi_a, hi_b)
     assert all(not p.requires_grad for p in back.clf_lo.params())
 

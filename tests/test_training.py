@@ -3,19 +3,17 @@ import json
 import numpy as np
 import pytest
 
-from hiergan.autodiff import NonFiniteError, Tensor, grad_check
+from hiergan.autodiff import NonFiniteError, Tape, Tensor, grad_check
 from hiergan.embed import CheConfig, train_che
 from hiergan.hierarchy import FIXTURE_TREE, parse_hierarchy
-from hiergan.models import ModelConfig, build_models, hier_loss
+from hiergan.models import ModelConfig, ModelError, build_models
 from hiergan.synthdata import default_dataset_spec, generate_dataset
 from hiergan.training import (
-    GeneratedBatch,
     TrainConfig,
     TrainMode,
     Trainer,
     TrainingError,
     generate_set,
-    hierarchy_penalty,
     run_training,
     save_run,
     trace_csv,
@@ -101,13 +99,18 @@ def test_config_accepts_mode_strings():
 # -------------------------------------------------------- hierarchy penalty
 
 
+def penalty(clf, images, y):
+    """The G step's penalty: mean stacked cross-entropy of a batch against leaf y."""
+    n = images.shape[0]
+    return clf.loss(Tape(), Tensor(images.reshape(n, -1)), [y] * n).item() / n
+
+
 def test_penalty_single_sample_equals_hier_loss(tree, frozen_clfs):
     clf_lo, _ = frozen_clfs
     img = np.random.default_rng(0).uniform(size=(1, 8, 8))
     y = int(tree.leaves[2])
-    batch = GeneratedBatch(samples=img, leaf=y, stage=1)
-    assert hierarchy_penalty(clf_lo, batch, tree) == pytest.approx(
-        hier_loss(clf_lo, img[0], y, tree), abs=1e-12
+    assert penalty(clf_lo, img, y) == pytest.approx(
+        clf_lo.loss(Tape(), Tensor(img[0].reshape(1, 64)), [y]).item(), abs=1e-12
     )
 
 
@@ -115,19 +118,18 @@ def test_penalty_matches_loop_average(tree, frozen_clfs):
     clf_lo, _ = frozen_clfs
     imgs = np.random.default_rng(1).uniform(size=(7, 8, 8))
     y = int(tree.leaves[4])
-    batch = GeneratedBatch(samples=imgs, leaf=y, stage=1)
-    want = np.mean([hier_loss(clf_lo, img, y, tree) for img in imgs])
-    assert hierarchy_penalty(clf_lo, batch, tree) == pytest.approx(want, abs=1e-12)
+    want = np.mean([penalty(clf_lo, img[None], y) for img in imgs])
+    assert penalty(clf_lo, imgs, y) == pytest.approx(want, abs=1e-12)
 
 
 def test_penalty_rejects_bad_input(tree, frozen_clfs):
     clf_lo, _ = frozen_clfs
-    with pytest.raises(TrainingError, match="non-empty"):
-        hierarchy_penalty(clf_lo, GeneratedBatch(np.zeros((0, 8, 8)), int(tree.leaves[0]), 1), tree)
-    with pytest.raises(TrainingError, match="leaf"):
-        hierarchy_penalty(clf_lo, GeneratedBatch(np.zeros((2, 8, 8)), tree.id_of("canine"), 1), tree)
+    with pytest.raises(TrainingError, match="batch_size"):
+        TrainConfig(batch_size=0)  # the G step's batch is never empty
+    with pytest.raises(ModelError, match="leaf"):
+        penalty(clf_lo, np.zeros((2, 8, 8)), tree.id_of("canine"))
     with pytest.raises(ValueError):
-        hierarchy_penalty(clf_lo, GeneratedBatch(np.zeros((2, 16, 16)), int(tree.leaves[0]), 2), tree)
+        penalty(clf_lo, np.zeros((2, 16, 16)), int(tree.leaves[0]))
 
 
 # -------------------------------------------------------------- generate_set
@@ -183,7 +185,7 @@ def test_composite_generator_objective_gradcheck(tree, corpus):
 
     def objective(tape, ps):
         e_c = trainer._condition(tape, y, 3)
-        fake = trainer._fake_graph(tape, e_c, Tensor(z))
+        fake = trainer.models.generate(tape, e_c, Tensor(z), trainer.stage)
         g_adv = tape.binary_cross_entropy_with_logits(
             trainer.disc.forward(tape, fake, e_c), np.ones((3, 1))
         )
