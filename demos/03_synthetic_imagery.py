@@ -5,8 +5,9 @@ A desk-scale image corpus with built-in ancestry
 The benchmark data is synthetic on purpose: every 16x16 image is a rendered
 gaussian blob whose shape parameters drift down the label tree, so siblings
 look alike and cousins do not, and the whole corpus is a pure function of a
-seed. Each sample also carries its exact 8x8 average-pooled version, which
-the coarse training stage consumes.
+seed. A split is three parallel arrays, row i being one sample: the 16x16
+images, their exact 8x8 average-pooled versions, which the coarse training
+stage consumes, and the leaf labels.
 """
 
 import numpy as np
@@ -28,8 +29,8 @@ print(f"train {len(data.train)} samples, test {len(data.test)} samples, "
       f"{spec.samples_per_leaf} per leaf before the 80/20 split")
 
 # The low-res channel is exactly the pooled high-res image, not a re-render.
-s = data.train[0]
-assert np.array_equal(s.lo, downsample(s.hi))
+print(f"train arrays: hi {data.train.hi.shape}, lo {data.train.lo.shape}, leaf {data.train.leaf.shape}")
+assert np.array_equal(data.train.lo, downsample(data.train.hi))
 print("lo == mean-pool(hi) holds exactly")
 
 
@@ -59,5 +60,5 @@ print(f"  {h.name_of(fox)} vs {h.name_of(cat)} (cousins):  "
 
 # Regenerating from the same spec is bit-identical.
 again = generate_dataset(default_dataset_spec(h, samples_per_leaf=50, seed=0))
-assert all(np.array_equal(a.hi, b.hi) for a, b in zip(data.train, again.train))
+assert np.array_equal(data.train.hi, again.train.hi)
 print("\nregeneration from the same seed is bit-identical")

@@ -40,20 +40,20 @@ for res in (8, 16):
 # Predictions are ancestor paths, not bare leaves. One pass of the
 # classifier also yields the trunk features and leaf probabilities that the
 # metrics read.
-sample = data.test[0]
-readout = classify(clf, sample.hi)
+img, leaf = data.test.hi[0], int(data.test.leaf[0])
+readout = classify(clf, img)
 path = readout.paths[0]
-print(f"\ntrue leaf {h.path_name(sample.leaf)}")
+print(f"\ntrue leaf {h.path_name(leaf)}")
 print(f"predicted path {' -> '.join(h.path_name(int(c)) for c in path)}")
 print(f"leaf probability {readout.leaf_probs[0].max():.3f}, {readout.features.shape[1]} trunk features")
 
 # The stacked loss is what the GAN pays when its samples stray off-taxonomy:
 # low against the true label, steep against a wrong one.
-x = Tensor(sample.hi.reshape(1, -1))
-right = clf.loss(Tape(), x, [sample.leaf]).item()
-wrong_leaf = next(y for y in h.leaves if y != sample.leaf)
+x = Tensor(img.reshape(1, -1))
+right = clf.loss(Tape(), x, [leaf]).item()
+wrong_leaf = next(y for y in h.leaves if y != leaf)
 wrong = clf.loss(Tape(), x, [wrong_leaf]).item()
-print(f"\nstacked loss vs {h.name_of(sample.leaf)}: {right:.3f}")
+print(f"\nstacked loss vs {h.name_of(leaf)}: {right:.3f}")
 print(f"stacked loss vs {h.name_of(wrong_leaf)}: {wrong:.3f}")
 
 # Frozen means frozen: training it further is a contract violation.

@@ -65,7 +65,7 @@ def ascii_image(img: np.ndarray) -> list[str]:
 
 # Side by side: a real sample, the treegan render, the flat render.
 fox = h.leaves[0]
-real = next(s.hi for s in data.test if s.leaf == fox)
+real = data.test.hi[data.test.leaf == fox][0]
 cols = [ascii_image(real)]
 for mode in ("treegan", "flat"):
     batch = generate_set(runs[mode].models, runs[mode].table, fox, 1, seed=99)

@@ -160,7 +160,7 @@ def _build(factory, kwargs: dict, what: str):
     """Construct a config dataclass, turning validation errors into CliError."""
     try:
         return factory(**kwargs)
-    except ValueError as err:
+    except (ValueError, DatasetError) as err:
         raise CliError(f"bad {what} config: {err}") from err
 
 

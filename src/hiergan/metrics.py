@@ -197,16 +197,13 @@ def evaluate(
     from .training import generate_set  # deferred: training builds on metrics
 
     clf = models.clf_hi
-    real_by_leaf: dict[int, list[np.ndarray]] = {y: [] for y in h.leaves}
-    for s in dataset.test:
-        real_by_leaf[s.leaf].append(s.hi)
     per_leaf: dict[str, LeafMetrics] = {}
     for y in h.leaves:
-        real = real_by_leaf[y]
+        real = dataset.test.hi[dataset.test.leaf == y]
         if len(real) < 2:
             raise MetricsError(f"leaf {h.name_of(y)!r} has {len(real)} test samples; need at least 2")
         batch = generate_set(models, embeddings, y, n_per_class, seed=[seed, y])
-        real_stats = fit_gaussian(classify(clf, np.stack(real)).features)
+        real_stats = fit_gaussian(classify(clf, real).features)
         gen = classify(clf, batch.samples)
         per_leaf[h.name_of(y)] = LeafMetrics(
             desk_fid=frechet_distance(real_stats, fit_gaussian(gen.features)),

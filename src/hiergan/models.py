@@ -22,7 +22,7 @@ import numpy as np
 from .autodiff import AdamState, Tape, Tensor, _softmax, adam_step, load_checkpoint, save_checkpoint
 from .embed import ClassEmbeddingTable, leaf_condition_vector
 from .hierarchy import ClassHierarchy, parse_hierarchy
-from .synthdata import Dataset, batch_iter
+from .synthdata import Dataset, Images, batch_iter
 
 LO_PIXELS = 64
 HI_PIXELS = 256
@@ -278,7 +278,7 @@ def train_classifier(clf: HierClassifier, dataset: Dataset, resolution: int, cfg
         raise ModelError(f"classifier expects {clf.pixels} pixels but resolution {resolution} was requested")
     params = clf.params()
     states = [AdamState.for_param(p) for p in params]
-    for b in batch_iter(dataset, "train", cfg.batch_size, seed=cfg.seed, num_epochs=cfg.epochs):
+    for b in batch_iter(dataset.train, cfg.batch_size, seed=cfg.seed, num_epochs=cfg.epochs):
         imgs = b.lo if resolution == 8 else b.hi
         tape = Tape()
         x = Tensor(imgs.reshape(imgs.shape[0], -1))
@@ -289,20 +289,17 @@ def train_classifier(clf: HierClassifier, dataset: Dataset, resolution: int, cfg
     return clf
 
 
-def evaluate_classifier(clf: HierClassifier, samples) -> dict:
-    """Leaf and per-level accuracy over a list of dataset samples."""
+def evaluate_classifier(clf: HierClassifier, images: Images) -> dict:
+    """Leaf and per-level accuracy over a dataset split."""
     h = clf.hierarchy
-    imgs = np.stack([s.lo if clf.pixels == LO_PIXELS else s.hi for s in samples])
-    leaves = np.array([s.leaf for s in samples])
-    paths = classify(clf, imgs).paths
-    true = np.array([h.ancestor_path(int(y)) for y in leaves])
-    per_level = (paths == true).mean(axis=0)
+    paths = classify(clf, images.lo if clf.pixels == LO_PIXELS else images.hi).paths
+    leaf_paths = np.array([h.ancestor_path(y) for y in h.leaves])
+    per_level = (paths == leaf_paths[np.searchsorted(h.leaves, images.leaf)]).mean(axis=0)
+    parent = np.array([-1 if n.parent is None else n.parent for n in h.nodes])
     return {
         "leaf": float(per_level[-1]),
         "levels": tuple(float(a) for a in per_level),
-        "path_consistent": float(
-            np.mean([h.nodes[int(p[-1])].parent == int(p[-2]) for p in paths]) if h.K >= 2 else 1.0
-        ),
+        "path_consistent": float(np.mean(parent[paths[:, -1]] == paths[:, -2]) if h.K >= 2 else 1.0),
     }
 
 

@@ -16,6 +16,13 @@ intensity * exp(-q/2) with intensity clamped to [0.25, 1].
 
 Resolutions are 16x16 (hi) and 8x8 (lo, exact 2x2 average pooling), the desk
 stand-ins for a 256x256/64x64 pair.
+
+A split is one ``Images`` value: parallel arrays ``hi`` (n, 16, 16), ``lo``
+(n, 8, 8) and ``leaf`` (n,) int64, where row i is one sample. Rows run
+leaf-major, then in sample order. Indexing an ``Images`` with rows gives an
+``Images``; ``batch_iter`` yields such slices, so a batch and a split are the
+same type. On disk a sample is one packed record (``leaf`` as little-endian
+uint32, then ``hi`` as 256 little-endian float64); ``lo`` is recomputed on load.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,8 +60,9 @@ class DatasetSpec:
 
     def __post_init__(self):
         self.level_noise = tuple(float(x) for x in self.level_noise)
-        if self.samples_per_leaf < 1:
-            raise DatasetError("samples_per_leaf must be positive")
+        # a fifth of each leaf's samples, rounded down, is its test split
+        if self.samples_per_leaf < 5:
+            raise DatasetError("samples_per_leaf must be at least 5")
         if len(self.level_noise) != self.hierarchy.K + 1:
             raise DatasetError(
                 f"level_noise needs K+1 = {self.hierarchy.K + 1} entries, got {len(self.level_noise)}"
@@ -79,23 +87,26 @@ def default_dataset_spec(
     )
 
 
-@dataclass
-class Sample:
-    hi: np.ndarray  # (16, 16) in [0, 1]
-    lo: np.ndarray  # (8, 8), exact 2x2 mean pool of hi
-    leaf: int
+@dataclass(frozen=True)
+class Images:
+    """Labelled images as parallel arrays; row i is one sample."""
+
+    hi: np.ndarray  # (n, 16, 16) in [0, 1]
+    lo: np.ndarray  # (n, 8, 8), exact 2x2 mean pool of hi
+    leaf: np.ndarray  # (n,) int64
+
+    def __len__(self) -> int:
+        return len(self.leaf)
+
+    def __getitem__(self, idx) -> Images:
+        return Images(hi=self.hi[idx], lo=self.lo[idx], leaf=self.leaf[idx])
 
 
 @dataclass
 class Dataset:
     spec: DatasetSpec
-    train: list[Sample] = field(default_factory=list)
-    test: list[Sample] = field(default_factory=list)
-
-    def split(self, name: str) -> list[Sample]:
-        if name not in ("train", "test"):
-            raise DatasetError(f"unknown split {name!r} (expected 'train' or 'test')")
-        return self.train if name == "train" else self.test
+    train: Images
+    test: Images
 
 
 def clamp_params(params: np.ndarray) -> np.ndarray:
@@ -143,11 +154,11 @@ def prototype_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def downsample(hi: np.ndarray) -> np.ndarray:
-    """Exact 2x2 average pooling from 16x16 to 8x8."""
+    """Exact 2x2 average pooling from (..., 16, 16) to (..., 8, 8)."""
     hi = np.asarray(hi, dtype=np.float64)
-    if hi.shape != (HI_SIZE, HI_SIZE):
+    if hi.shape[-2:] != (HI_SIZE, HI_SIZE):
         raise DatasetError(f"downsample expects {HI_SIZE}x{HI_SIZE}, got {hi.shape}")
-    return hi.reshape(LO_SIZE, 2, LO_SIZE, 2).mean(axis=(1, 3))
+    return hi.reshape(*hi.shape[:-2], LO_SIZE, 2, LO_SIZE, 2).mean(axis=(-3, -1))
 
 
 def generate_dataset(spec: DatasetSpec) -> Dataset:
@@ -162,24 +173,23 @@ def generate_dataset(spec: DatasetSpec) -> Dataset:
     for node in spec.hierarchy.nodes:  # replay the prototype draws
         rng.standard_normal(len(PARAM_FIELDS))
     protos = node_prototypes(spec)
-    d = Dataset(spec=spec)
-    n_test = spec.samples_per_leaf // 5
-    for y in spec.hierarchy.leaves:
-        for i in range(spec.samples_per_leaf):
-            params = protos[y] + spec.observation_noise * FIELD_SCALES * rng.standard_normal(
-                len(PARAM_FIELDS)
-            )
-            hi = render_params(params)
-            sample = Sample(hi=hi, lo=downsample(hi), leaf=y)
-            dest = d.test if i >= spec.samples_per_leaf - n_test else d.train
-            dest.append(sample)
-    return d
+    n = spec.samples_per_leaf
+    leaves = spec.hierarchy.leaves
+    leaf = np.repeat(np.asarray(leaves, dtype=np.int64), n)
+    hi = np.empty((len(leaf), HI_SIZE, HI_SIZE))
+    for row, y in enumerate(leaf):
+        noise = spec.observation_noise * FIELD_SCALES * rng.standard_normal(len(PARAM_FIELDS))
+        hi[row] = render_params(protos[y] + noise)
+    images = Images(hi=hi, lo=downsample(hi), leaf=leaf)
+    is_test = np.tile(np.arange(n) >= n - n // 5, len(leaves))
+    return Dataset(spec=spec, train=images[~is_test], test=images[is_test])
 
 
 # -------------------------------------------------------------- persistence
 
 _MAGIC = b"HGDS"
 _VERSION = 1
+_RECORD = np.dtype([("leaf", "<u4"), ("hi", "<f8", (HI_SIZE, HI_SIZE))])
 
 
 def _spec_json(spec: DatasetSpec) -> bytes:
@@ -199,9 +209,10 @@ def save_dataset(d: Dataset, path) -> None:
     chunks.append(struct.pack("<I", len(blob)))
     chunks.append(blob)
     chunks.append(struct.pack("<II", len(d.train), len(d.test)))
-    for sample in list(d.train) + list(d.test):
-        chunks.append(struct.pack("<I", sample.leaf))
-        chunks.append(sample.hi.astype("<f8").tobytes(order="C"))
+    records = np.empty(len(d.train) + len(d.test), dtype=_RECORD)
+    records["leaf"] = np.concatenate([d.train.leaf, d.test.leaf])
+    records["hi"] = np.concatenate([d.train.hi, d.test.hi])
+    chunks.append(records.tobytes())
     body = b"".join(chunks)
     with open(path, "wb") as fh:
         fh.write(body + struct.pack("<I", zlib.crc32(body)))
@@ -245,40 +256,30 @@ def load_dataset(path) -> Dataset:
     except (ValueError, KeyError, TypeError, AttributeError) as err:
         raise DatasetError(f"dataset {path} has a malformed spec: {err!r}") from err
     n_train, n_test = struct.unpack("<II", take(8))
-    d = Dataset(spec=spec)
-    for i in range(n_train + n_test):
-        (leaf,) = struct.unpack("<I", take(4))
-        hi = np.frombuffer(take(8 * HI_SIZE * HI_SIZE), dtype="<f8").reshape(HI_SIZE, HI_SIZE).copy()
-        sample = Sample(hi=hi, lo=downsample(hi), leaf=int(leaf))
-        (d.train if i < n_train else d.test).append(sample)
+    records = np.frombuffer(take((n_train + n_test) * _RECORD.itemsize), dtype=_RECORD)
     if pos != len(view):
         raise DatasetError(f"{path} has {len(view) - pos} trailing bytes")
-    return d
+    leaf = records["leaf"].astype(np.int64)
+    not_leaf = leaf[~np.isin(leaf, spec.hierarchy.leaves)]
+    if len(not_leaf):
+        raise DatasetError(f"dataset {path} labels a sample {not_leaf[0]}, which is not a leaf class")
+    hi = records["hi"].astype(np.float64)
+    images = Images(hi=hi, lo=downsample(hi), leaf=leaf)
+    return Dataset(spec=spec, train=images[:n_train], test=images[n_train:])
 
 
 # ------------------------------------------------------------------ batches
 
 
-@dataclass
-class Batch:
-    hi: np.ndarray  # (b, 16, 16)
-    lo: np.ndarray  # (b, 8, 8)
-    leaf: np.ndarray  # (b,) int64
-
-
-def batch_iter(d: Dataset, split: str, batch_size: int, seed: int, num_epochs: int = 1):
-    """Yield shuffled batches; reshuffles each epoch, keeps the short tail."""
-    samples = d.split(split)
-    if not samples:
-        raise DatasetError(f"split {split!r} is empty")
+def batch_iter(images: Images, batch_size: int, seed: int, num_epochs: int = 1):
+    """Yield shuffled row slices of images; reshuffles each epoch, keeps the
+    short tail."""
+    if not len(images):
+        raise DatasetError("cannot batch an empty split")
     if batch_size < 1:
         raise DatasetError("batch_size must be >= 1")
-    hi = np.stack([s.hi for s in samples])
-    lo = np.stack([s.lo for s in samples])
-    leaf = np.asarray([s.leaf for s in samples], dtype=np.int64)
     rng = np.random.default_rng(seed)
     for _ in range(num_epochs):
-        order = rng.permutation(len(samples))
-        for start in range(0, len(samples), batch_size):
-            idx = order[start : start + batch_size]
-            yield Batch(hi=hi[idx], lo=lo[idx], leaf=leaf[idx])
+        order = rng.permutation(len(images))
+        for start in range(0, len(images), batch_size):
+            yield images[order[start : start + batch_size]]

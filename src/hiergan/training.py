@@ -215,11 +215,9 @@ class Trainer:
         self.models.clf_lo = clf_lo
         self.models.clf_hi = clf_hi
 
-        self.by_leaf = {y: [] for y in h.leaves}
-        for s in dataset.train:
-            self.by_leaf[s.leaf].append(s)
+        self.by_leaf = {y: np.flatnonzero(dataset.train.leaf == y) for y in h.leaves}
         for y, rows in self.by_leaf.items():
-            if not rows:
+            if not len(rows):
                 raise TrainingError(f"leaf {h.name_of(y)!r} has no training samples")
 
         self.pairs = np.asarray(h.parent_child_pairs())
@@ -351,10 +349,9 @@ class Trainer:
     def real_batch(self, y: int) -> np.ndarray:
         """batch_size training images of leaf y, drawn with replacement."""
         rows = self.by_leaf[y]
-        idx = self.rng.integers(0, len(rows), size=self.cfg.batch_size)
-        if self.stage == 1:
-            return np.stack([rows[i].lo for i in idx])
-        return np.stack([rows[i].hi for i in idx])
+        idx = rows[self.rng.integers(0, len(rows), size=self.cfg.batch_size)]
+        train = self.dataset.train
+        return train.lo[idx] if self.stage == 1 else train.hi[idx]
 
 
 def run_training(

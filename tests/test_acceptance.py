@@ -6,6 +6,7 @@ test passes. The heavy piece is the 4-mode x 5-seed training matrix behind
 criterion 8; everything else is oracles and short runs.
 """
 
+import dataclasses
 import json
 import sys
 import time
@@ -42,7 +43,7 @@ from hiergan.models import (
     evaluate_classifier,
     train_classifier,
 )
-from hiergan.synthdata import Dataset, Sample, default_dataset_spec, generate_dataset
+from hiergan.synthdata import default_dataset_spec, generate_dataset
 from hiergan.training import TrainConfig, Trainer, TrainMode, run_training, trace_csv
 
 TREE = parse_hierarchy(FIXTURE_TREE)
@@ -273,12 +274,8 @@ def test_criterion_06_classifier_accuracy(dataset, classifiers):
     control_accs = []
     for perm_seed in range(5):
         rng = np.random.default_rng(perm_seed)
-        shuffled_leaves = rng.permutation([s.leaf for s in dataset.train])
-        shuffled = Dataset(
-            spec=dataset.spec,
-            train=[Sample(s.hi, s.lo, int(y)) for s, y in zip(dataset.train, shuffled_leaves)],
-            test=dataset.test,
-        )
+        shuffled_leaves = rng.permutation(dataset.train.leaf)
+        shuffled = dataclasses.replace(dataset, train=dataclasses.replace(dataset.train, leaf=shuffled_leaves))
         control = HierClassifier.init(TREE, 64, ModelConfig(), np.random.default_rng(0))
         train_classifier(control, shuffled, 8, ClassifierConfig())
         control_accs.append(evaluate_classifier(control, dataset.test)["leaf"])
@@ -460,10 +457,10 @@ def test_criterion_10_metric_sanity(dataset, classifiers):
 
     real_fids = []
     for y in TREE.leaves:
-        rows = [s.hi for s in dataset.test if s.leaf == y]
+        rows = dataset.test.hi[dataset.test.leaf == y]
         half = len(rows) // 2
-        a = fit_gaussian(classify(clf_hi, np.stack(rows[:half])).features)
-        b = fit_gaussian(classify(clf_hi, np.stack(rows[half:])).features)
+        a = fit_gaussian(classify(clf_hi, rows[:half]).features)
+        b = fit_gaussian(classify(clf_hi, rows[half:]).features)
         real_fids.append(frechet_distance(a, b))
     real_fid = float(np.mean(real_fids))
     ratio = real_fid / gen_fid

@@ -285,6 +285,20 @@ def test_bad_config_value_rejected(ws, tmp_path, capsys):
     assert "che_margin" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "dataset",
+    [{"samples_per_leaf": 0}, {"samples_per_leaf": 4}, {"observation_noise": -0.1}],
+    ids=["no-samples", "no-test-rows", "negative-noise"],
+)
+def test_bad_dataset_config_exits_one(ws, tmp_path, capsys, dataset):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"dataset": dataset}))
+    assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "d.hgds")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad dataset config") and err.count("\n") == 1, err
+    assert not (tmp_path / "d.hgds").exists()
+
+
 def test_missing_input_exits_one(ws, tmp_path, capsys):
     code = main(
         [
@@ -349,6 +363,15 @@ def rewrite_dataset_spec(src, dest, edit):
     dest.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
 
+def relabel_first_sample(src, dest, leaf):
+    """Copy a dataset file with its first sample's label replaced and a valid CRC."""
+    body = bytearray(src.read_bytes()[:-4])
+    (spec_len,) = struct.unpack("<I", body[8:12])
+    first = 12 + spec_len + 8  # after the train/test counts
+    body[first : first + 4] = struct.pack("<I", leaf)
+    dest.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+
+
 def rewrite_manifest(src, dest, manifest_bytes):
     """Copy a checkpoint with its architecture manifest replaced."""
     blobs = load_checkpoint(src)
@@ -395,4 +418,23 @@ def test_models_manifest_missing_key_exits_two(ws, tmp_path, capsys):
     rewrite_manifest(models, models, manifest_without(models, "gen_hidden"))
     code = main(["eval", "--run", str(run), "--data", str(ws["data"]), "--out", str(tmp_path / "m.csv")])
     assert code == 2
+    assert_one_line_error(capsys)
+
+
+def test_dataset_spec_too_few_samples_exits_two(ws, tmp_path, capsys):
+    bad = tmp_path / "bad.hgds"
+    rewrite_dataset_spec(ws["data"], bad, lambda spec: spec | {"samples_per_leaf": 4})
+    code = main(["train-clf", "--data", str(bad), "--resolution", "8", "--out", str(tmp_path / "c.hgck")])
+    assert code == 2
+    assert_one_line_error(capsys)
+    assert not (tmp_path / "c.hgck").exists()
+
+
+@pytest.mark.parametrize("leaf", [999, 0], ids=["not-a-node", "root"])
+def test_dataset_non_leaf_label_exits_two(ws, tmp_path, capsys, leaf):
+    bad = tmp_path / "bad.hgds"
+    relabel_first_sample(ws["data"], bad, leaf)
+    argv = gan_args(ws, "treegan", tmp_path / "run")
+    argv[argv.index("--data") + 1] = str(bad)
+    assert main(argv) == 2
     assert_one_line_error(capsys)

@@ -1,7 +1,8 @@
-"""Golden fingerprint: sha256 of the artifacts of two short fixed runs.
+"""Golden fingerprint: sha256 of a dataset file and of the artifacts of two
+short fixed runs.
 
 `test_run_replays_exactly` only shows that a run agrees with itself; these
-hashes show that a refactor kept every number. A change that alters the
+hashes show that a refactor kept every number and the dataset file format. A change that alters the
 numerics on purpose (a new op order, a fused op) updates the hashes here and
 says so in CHANGES.md, with criterion 8 passing on unchanged bounds.
 """
@@ -13,10 +14,12 @@ import pytest
 
 from hiergan.hierarchy import FIXTURE_TREE, parse_hierarchy
 from hiergan.models import ClassifierConfig, HierClassifier, ModelConfig, train_classifier
-from hiergan.synthdata import default_dataset_spec, generate_dataset
+from hiergan.synthdata import default_dataset_spec, generate_dataset, load_dataset, save_dataset
 from hiergan.training import TrainConfig, run_training, save_run
 
 TREE = parse_hierarchy(FIXTURE_TREE)
+
+DATASET_SHA256 = "0942e82e53af4b72ab80acf80abb4f26760738c1dec9f1a4aaadf0a6cfbdfdd2"
 
 GOLDEN = {
     "treegan": {
@@ -43,6 +46,18 @@ def setup():
     return dataset, clfs
 
 
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_golden_dataset_bytes(setup, tmp_path):
+    dataset, _ = setup
+    save_dataset(dataset, tmp_path / "a.hgds")
+    assert _sha256(tmp_path / "a.hgds") == DATASET_SHA256
+    save_dataset(load_dataset(tmp_path / "a.hgds"), tmp_path / "b.hgds")
+    assert _sha256(tmp_path / "b.hgds") == DATASET_SHA256
+
+
 @pytest.mark.parametrize("mode", sorted(GOLDEN))
 def test_golden_fingerprint(setup, mode, tmp_path):
     dataset, (clf_lo, clf_hi) = setup
@@ -50,5 +65,5 @@ def test_golden_fingerprint(setup, mode, tmp_path):
     art = run_training(dataset, TREE, cfg, clf_lo, clf_hi)
     assert not art.aborted, art.abort_reason
     save_run(art, tmp_path)
-    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN[mode]}
+    got = {name: _sha256(tmp_path / name) for name in GOLDEN[mode]}
     assert got == GOLDEN[mode]

@@ -47,7 +47,7 @@ def trained(tree, table, corpus):
 
 
 def test_feature_extract_shape_and_determinism(trained, corpus):
-    imgs = np.stack([s.hi for s in corpus.test[:10]])
+    imgs = corpus.test.hi[:10]
     f1 = classify(trained.clf_hi, imgs).features
     f2 = classify(trained.clf_hi, imgs).features
     assert f1.shape == (10, 32)
@@ -61,7 +61,7 @@ def test_feature_extract_identical_images_identical_rows(trained):
 
 
 def test_feature_extract_nondegenerate_on_real_data(trained, corpus):
-    feats = classify(trained.clf_hi, np.stack([s.hi for s in corpus.test])).features
+    feats = classify(trained.clf_hi, corpus.test.hi).features
     assert np.trace(np.cov(feats.T)) > 0.0
 
 
@@ -243,7 +243,7 @@ def test_leaf_probabilities_rows_sum_to_one(trained):
 def test_consistency_on_real_training_data(trained, corpus, tree):
     # the trained classifier routes real samples of each class correctly
     for y in tree.leaves[:2]:
-        imgs = np.stack([s.hi for s in corpus.train if s.leaf == y])
+        imgs = corpus.train.hi[corpus.train.leaf == y]
         assert consistency_rate(classify(trained.clf_hi, imgs).paths, int(y), tree) >= 0.95
 
 
@@ -266,7 +266,7 @@ def test_consistency_all_levels_rule(tree, table):
 
 def test_consistency_batch_order_invariant(trained, corpus, tree):
     y = tree.leaves[0]
-    imgs = np.stack([s.hi for s in corpus.test if s.leaf == y])
+    imgs = corpus.test.hi[corpus.test.leaf == y]
     fwd = consistency_rate(classify(trained.clf_hi, imgs).paths, int(y), tree)
     rev = consistency_rate(classify(trained.clf_hi, imgs[::-1]).paths, int(y), tree)
     assert fwd == rev

@@ -339,6 +339,18 @@ def test_trained_classifier_path_consistency(trained_lo, corpus):
     assert stats["path_consistent"] >= 0.90
 
 
+def test_evaluate_classifier_matches_per_sample_oracle(tree, table, corpus):
+    # an untrained classifier makes mistakes and off-tree paths, so every score is exercised
+    clf = build_models(tree, table, ModelConfig(seed=5)).clf_lo
+    stats = evaluate_classifier(clf, corpus.test)
+    paths = [tuple(int(c) for c in row) for row in classify(clf, corpus.test.lo).paths]
+    true = [tree.ancestor_path(int(y)) for y in corpus.test.leaf]
+    levels = tuple(float(np.mean([p[k] == t[k] for p, t in zip(paths, true)])) for k in range(tree.K))
+    consistent = float(np.mean([tree.nodes[p[-1]].parent == p[-2] for p in paths]))
+    assert stats["levels"] == levels and stats["leaf"] == levels[-1]
+    assert stats["path_consistent"] == consistent
+
+
 def test_trained_classifier_is_frozen(trained_lo):
     assert all(not p.requires_grad for p in trained_lo.params())
 
@@ -363,16 +375,12 @@ def test_classifier_training_deterministic(tree, table, corpus):
 
 def test_shuffled_labels_hit_chance(tree, table, corpus):
     # negative control: uniformly shuffled labels leave nothing to learn
-    import copy
+    import dataclasses
 
-    shuffled = copy.copy(corpus)
     rng = np.random.default_rng(0)
     leaves = list(tree.leaves)
-    from hiergan.synthdata import Sample
-
-    shuffled.train = [
-        Sample(hi=s.hi, lo=s.lo, leaf=int(rng.choice(leaves))) for s in corpus.train
-    ]
+    labels = np.array([rng.choice(leaves) for _ in range(len(corpus.train))])
+    shuffled = dataclasses.replace(corpus, train=dataclasses.replace(corpus.train, leaf=labels))
     ms = build_models(tree, table, ModelConfig(seed=2))
     clf = train_classifier(ms.clf_lo, shuffled, 8, ClassifierConfig(epochs=20, seed=2))
     stats = evaluate_classifier(clf, corpus.test)

@@ -1,13 +1,18 @@
+import dataclasses
+import struct
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hiergan.hierarchy import FIXTURE_TREE, parse_hierarchy
 from hiergan.synthdata import (
-    Batch,
-    Dataset,
     DatasetError,
     DatasetSpec,
     FIELD_SCALES,
+    Images,
     PARAM_HIGH,
     PARAM_LOW,
     batch_iter,
@@ -51,6 +56,13 @@ def test_spec_rejects_negative_noise(tree):
 def test_spec_rejects_empty_leaf_budget(tree):
     with pytest.raises(DatasetError, match="samples_per_leaf"):
         DatasetSpec(hierarchy=tree, samples_per_leaf=0, level_noise=(1.0, 0.5, 0.2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_spec_rejects_leaf_budget_without_test_rows(tree, n):
+    # a leaf's test split is samples_per_leaf // 5 rows, empty below 5
+    with pytest.raises(DatasetError, match="samples_per_leaf must be at least 5"):
+        DatasetSpec(hierarchy=tree, samples_per_leaf=n, level_noise=(1.0, 0.5, 0.2))
 
 
 def test_zero_noise_is_allowed(tree):
@@ -118,6 +130,17 @@ def test_downsample_matches_loop_oracle():
 def test_downsample_rejects_wrong_shape():
     with pytest.raises(DatasetError, match="16x16"):
         downsample(np.zeros((8, 8)))
+    with pytest.raises(DatasetError, match="16x16"):
+        downsample(np.zeros((3, 16, 8)))
+
+
+def test_downsample_stack_matches_per_image():
+    hi = np.random.default_rng(2).uniform(size=(4, 5, 16, 16))
+    lo = downsample(hi)
+    assert lo.shape == (4, 5, 8, 8)
+    for i in range(4):
+        for j in range(5):
+            assert np.array_equal(lo[i, j], downsample(hi[i, j]))
 
 
 # ------------------------------------------------------------- prototypes
@@ -177,29 +200,48 @@ def test_split_sizes_and_balance(tree):
     d = generate_dataset(default_dataset_spec(tree, samples_per_leaf=200, seed=0))
     assert len(d.train) == 6 * 160 and len(d.test) == 6 * 40
     for split in (d.train, d.test):
-        counts = {}
-        for s in split:
-            counts[s.leaf] = counts.get(s.leaf, 0) + 1
-        assert len(set(counts.values())) == 1  # class-balanced
-        assert set(counts) == set(tree.leaves)
+        labels, counts = np.unique(split.leaf, return_counts=True)
+        assert len(set(counts.tolist())) == 1  # class-balanced
+        assert set(labels.tolist()) == set(tree.leaves)
+
+
+def test_splits_are_leaf_major(small):
+    for split in (small.train, small.test):
+        assert split.leaf.dtype == np.int64
+        assert np.all(np.diff(split.leaf) >= 0)
 
 
 def test_sample_shapes_and_range(small):
-    for s in small.train + small.test:
-        assert s.hi.shape == (16, 16) and s.lo.shape == (8, 8)
-        assert np.all(s.hi >= 0.0) and np.all(s.hi <= 1.0)
+    for split in (small.train, small.test):
+        assert split.hi.shape == (len(split), 16, 16) and split.lo.shape == (len(split), 8, 8)
+        assert np.all(split.hi >= 0.0) and np.all(split.hi <= 1.0)
 
 
 def test_lo_is_exact_downsample(small):
-    for s in small.train + small.test:
-        assert np.array_equal(s.lo, downsample(s.hi))
+    for split in (small.train, small.test):
+        for hi, lo in zip(split.hi, split.lo):
+            assert np.array_equal(lo, downsample(hi))
+
+
+def assert_same_images(a: Images, b: Images):
+    assert np.array_equal(a.leaf, b.leaf)
+    assert np.array_equal(a.hi, b.hi)
+    assert np.array_equal(a.lo, b.lo)
 
 
 def test_generation_bit_identical(tree):
     spec = default_dataset_spec(tree, samples_per_leaf=10, seed=11)
     a, b = generate_dataset(spec), generate_dataset(spec)
-    for x, y in zip(a.train + a.test, b.train + b.test):
-        assert x.leaf == y.leaf and np.array_equal(x.hi, y.hi)
+    assert_same_images(a.train, b.train)
+    assert_same_images(a.test, b.test)
+
+
+def test_row_indexing_gives_images(small):
+    rows = small.train[np.array([3, 0])]
+    assert isinstance(rows, Images) and len(rows) == 2
+    assert rows.leaf.tolist() == [small.train.leaf[3], small.train.leaf[0]]
+    assert np.array_equal(rows.hi[1], small.train.hi[0])
+    assert np.array_equal(rows.lo[0], small.train.lo[3])
 
 
 def test_zero_observation_noise_repeats_prototype(tree):
@@ -207,10 +249,8 @@ def test_zero_observation_noise_repeats_prototype(tree):
         hierarchy=tree, samples_per_leaf=5, level_noise=(1.0, 0.5, 0.25), observation_noise=0.0
     )
     d = generate_dataset(spec)
-    by_leaf = {}
-    for s in d.train + d.test:
-        by_leaf.setdefault(s.leaf, []).append(s.hi)
-    for imgs in by_leaf.values():
+    for y in tree.leaves:
+        imgs = np.concatenate([d.train.hi[d.train.leaf == y], d.test.hi[d.test.leaf == y]])
         for img in imgs[1:]:
             assert np.array_equal(imgs[0], img)
 
@@ -231,9 +271,9 @@ def test_nearest_prototype_classifier_strong(tree):
         stack = np.stack([render_params(leaf_prototypes(spec)[y]) for y in ys])
         flat = stack.reshape(len(ys), -1)
         hits = 0
-        for s in d.test:
-            dist = np.linalg.norm(flat - s.hi.ravel(), axis=1)
-            hits += ys[int(np.argmin(dist))] == s.leaf
+        for hi, leaf in zip(d.test.hi, d.test.leaf):
+            dist = np.linalg.norm(flat - hi.ravel(), axis=1)
+            hits += ys[int(np.argmin(dist))] == leaf
         assert hits / len(d.test) >= 0.95
 
 
@@ -250,10 +290,8 @@ def test_save_load_round_trip(tmp_path, small):
     assert back.spec.seed == small.spec.seed
     assert back.spec.hierarchy.serialize() == small.spec.hierarchy.serialize()
     assert len(back.train) == len(small.train) and len(back.test) == len(small.test)
-    for x, y in zip(back.train + back.test, small.train + small.test):
-        assert x.leaf == y.leaf
-        assert np.array_equal(x.hi, y.hi)
-        assert np.array_equal(x.lo, y.lo)  # recomputed on load, still exact
+    assert_same_images(back.train, small.train)  # lo is recomputed on load, still exact
+    assert_same_images(back.test, small.test)
 
 
 def test_save_bytes_reproducible(tmp_path, small):
@@ -269,8 +307,8 @@ def test_load_matches_regeneration(tmp_path, tree):
     save_dataset(generate_dataset(spec), path)
     fresh = generate_dataset(spec)
     back = load_dataset(path)
-    for x, y in zip(back.train + back.test, fresh.train + fresh.test):
-        assert x.leaf == y.leaf and np.array_equal(x.hi, y.hi)
+    assert_same_images(back.train, fresh.train)
+    assert_same_images(back.test, fresh.test)
 
 
 def test_load_rejects_bad_magic(tmp_path, small):
@@ -330,49 +368,88 @@ def test_load_rejects_trailing_bytes(tmp_path, small):
         load_dataset(path)
 
 
+def with_counts(blob: bytes, n_train: int, n_test: int) -> bytes:
+    """The dataset file with its train/test record counts replaced and a valid CRC."""
+    body = bytearray(blob[:-4])
+    (spec_len,) = struct.unpack("<I", body[8:12])
+    body[12 + spec_len : 20 + spec_len] = struct.pack("<II", n_train, n_test)
+    return bytes(body) + struct.pack("<I", zlib.crc32(body))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    samples_per_leaf=st.integers(5, 12),
+    seed=st.integers(0, 2**32 - 1),
+    level_noise=st.lists(st.floats(0.0, 2.0), min_size=3, max_size=3),
+    observation_noise=st.floats(0.0, 0.5),
+    count_shift=st.sampled_from([(1, 0), (0, 1), (-1, 0), (0, -1)]),
+)
+def test_save_load_round_trip_property(
+    tmp_path_factory, tree, samples_per_leaf, seed, level_noise, observation_noise, count_shift
+):
+    spec = DatasetSpec(
+        hierarchy=tree,
+        samples_per_leaf=samples_per_leaf,
+        level_noise=tuple(level_noise),
+        observation_noise=observation_noise,
+        seed=seed,
+    )
+    d = generate_dataset(spec)
+    tmp = tmp_path_factory.mktemp("prop")
+    save_dataset(d, tmp / "a.hgds")
+    back = load_dataset(tmp / "a.hgds")
+    assert back.spec.hierarchy.serialize() == tree.serialize()
+    assert dataclasses.replace(back.spec, hierarchy=tree) == spec
+    assert_same_images(back.train, d.train)
+    assert_same_images(back.test, d.test)
+    save_dataset(back, tmp / "b.hgds")
+    blob = (tmp / "a.hgds").read_bytes()
+    assert (tmp / "b.hgds").read_bytes() == blob
+    # a record count that disagrees with the body length
+    (tmp / "c.hgds").write_bytes(with_counts(blob, len(d.train) + count_shift[0], len(d.test) + count_shift[1]))
+    with pytest.raises(DatasetError, match="truncated|trailing"):
+        load_dataset(tmp / "c.hgds")
+
+
 # ---------------------------------------------------------------- batches
 
 
 def test_batch_sizes_include_short_tail(tree):
     spec = default_dataset_spec(tree, samples_per_leaf=5, seed=0)
     d = generate_dataset(spec)
-    d.train = d.train[:10]
-    sizes = [len(b.leaf) for b in batch_iter(d, "train", batch_size=3, seed=0)]
+    sizes = [len(b) for b in batch_iter(d.train[:10], batch_size=3, seed=0)]
     assert sizes == [3, 3, 3, 1]
 
 
 def test_batches_cover_split_exactly(small):
     seen = []
-    for b in batch_iter(small, "test", batch_size=7, seed=2):
-        assert isinstance(b, Batch)
+    for b in batch_iter(small.test, batch_size=7, seed=2):
+        assert isinstance(b, Images)
         assert b.hi.shape[1:] == (16, 16) and b.lo.shape[1:] == (8, 8)
         for hi, leaf in zip(b.hi, b.leaf):
             seen.append((int(leaf), float(hi.sum())))
-    want = sorted((s.leaf, float(s.hi.sum())) for s in small.test)
+    want = sorted((int(leaf), float(hi.sum())) for hi, leaf in zip(small.test.hi, small.test.leaf))
     assert sorted(seen) == want
 
 
 def test_batches_reshuffle_each_epoch(small):
-    batches = list(batch_iter(small, "train", batch_size=len(small.train), seed=3, num_epochs=2))
+    batches = list(batch_iter(small.train, batch_size=len(small.train), seed=3, num_epochs=2))
     assert len(batches) == 2
     assert not np.array_equal(batches[0].leaf, batches[1].leaf)
     assert sorted(batches[0].leaf.tolist()) == sorted(batches[1].leaf.tolist())
 
 
 def test_batches_deterministic(small):
-    a = [b.leaf.copy() for b in batch_iter(small, "train", batch_size=16, seed=9)]
-    b = [b.leaf.copy() for b in batch_iter(small, "train", batch_size=16, seed=9)]
+    a = [b.leaf.copy() for b in batch_iter(small.train, batch_size=16, seed=9)]
+    b = [b.leaf.copy() for b in batch_iter(small.train, batch_size=16, seed=9)]
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_batch_iter_rejects_bad_args(small, tree):
     with pytest.raises(DatasetError, match="batch_size"):
-        list(batch_iter(small, "train", batch_size=0, seed=0))
-    with pytest.raises(DatasetError, match="unknown split"):
-        list(batch_iter(small, "validation", batch_size=4, seed=0))
-    empty = Dataset(spec=small.spec)
+        list(batch_iter(small.train, batch_size=0, seed=0))
     with pytest.raises(DatasetError, match="empty"):
-        list(batch_iter(empty, "train", batch_size=4, seed=0))
+        list(batch_iter(small.train[:0], batch_size=4, seed=0))
 
 
 def test_field_scales_positive():
