@@ -7,10 +7,21 @@ reverse, accumulating adjoints additively, so a tensor feeding several
 consumers receives the sum of their contributions. Construction order is a
 topological order, which makes the single reverse sweep correct.
 
+Adjoints are computed only for tracked inputs: a backward rule returns None
+for an input whose ``requires_grad`` is off, so frozen classifier weights and
+constant images cost no gradient product. ``linear(x, w, b)`` is one record
+for ``x @ w + b``, the dense layer every network is built from; its bias
+adjoint is the column sum of the output adjoint.
+
 Tapes are single-writer and rebuilt per training step. Gradients are exposed
 on ``Tensor.grad`` for every tensor created with ``requires_grad=True``; that
 includes non-parameter leaves such as images fed to a frozen classifier,
-whose input gradient drives the generator.
+whose input gradient drives the generator. A tensor no record on the tape
+produced, including one made on another tape, is a leaf.
+
+``adam_step`` updates the moment arrays of each ``AdamState`` in place and
+rebinds ``Tensor.data`` to a new array, so the forward values a tape's
+closures captured never change under them.
 
 Checkpoint file layout (little-endian throughout):
 
@@ -121,7 +132,7 @@ class Tape:
     # ------------------------------------------------------------------ core
 
     def _emit(self, op: str, inputs: tuple[Tensor, ...], data: np.ndarray, backward) -> Tensor:
-        if not np.all(np.isfinite(data)):
+        if not np.isfinite(data).all():
             raise NonFiniteError(f"op {op!r} produced non-finite values")
         out = Tensor(data)
         out.requires_grad = any(t.requires_grad for t in inputs)
@@ -135,9 +146,7 @@ class Tape:
         if loss.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
         adjoints: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        leaf_grads: dict[Tensor, np.ndarray] = {}
-        if loss.requires_grad and not any(r.out is loss for r in self._records):
-            leaf_grads[loss] = adjoints[id(loss)]
+        tensors: dict[int, Tensor] = {id(loss): loss}
         for rec in reversed(self._records):
             out_g = adjoints.pop(id(rec.out), None)
             if out_g is None:
@@ -151,16 +160,15 @@ class Tape:
                     adjoints[key] = adjoints[key] + g
                 else:
                     adjoints[key] = g
-        produced = {id(r.out) for r in self._records}
-        seen: dict[int, Tensor] = {}
-        for rec in self._records:
-            for t in rec.inputs:
-                seen.setdefault(id(t), t)
-        for key, t in seen.items():
-            if t.requires_grad and key not in produced and key in adjoints:
-                leaf_grads[t] = adjoints[key]
-        for t, g in leaf_grads.items():
-            t.grad = g
+                    tensors[key] = t
+        # records run in construction order, so each produced tensor's adjoint
+        # was complete, and popped, when its record ran: what is left is leaves
+        leaf_grads: dict[Tensor, np.ndarray] = {}
+        for key, g in adjoints.items():
+            t = tensors[key]
+            if t.requires_grad:
+                t.grad = g
+                leaf_grads[t] = g
         return leaf_grads
 
     # ------------------------------------------------------------ primitives
@@ -171,9 +179,24 @@ class Tape:
         ad, bd = a.data, b.data
 
         def back(g):
-            return g @ bd.T, ad.T @ g
+            return (g @ bd.T if a.requires_grad else None, ad.T @ g if b.requires_grad else None)
 
         return self._emit("matmul", (a, b), ad @ bd, back)
+
+    def linear(self, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+        """Dense layer ``x @ w + b`` for x (n, k), w (k, m) and b (m,)."""
+        if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
+            raise ValueError(f"linear shape mismatch: {x.shape} @ {w.shape} + {b.shape}")
+        xd, wd = x.data, w.data
+
+        def back(g):
+            return (
+                g @ wd.T if x.requires_grad else None,
+                xd.T @ g if w.requires_grad else None,
+                g.sum(axis=0) if b.requires_grad else None,
+            )
+
+        return self._emit("linear", (x, w, b), xd @ wd + b.data, back)
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
         data = a.data + b.data
@@ -427,8 +450,9 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One bias-corrected Adam update, in place. Defaults beta1=0.5,
-    beta2=0.999 match the GAN training configuration."""
+    """One bias-corrected Adam update: the states' moment arrays change in
+    place, each ``p.data`` is rebound to the updated values. Defaults
+    beta1=0.5, beta2=0.999 match the GAN training configuration."""
     if lr <= 0:
         raise ValueError("lr must be positive")
     for p, g, st in zip(params, grads, states, strict=True):
@@ -436,8 +460,10 @@ def adam_step(
         if g.shape != p.data.shape:
             raise ValueError(f"gradient shape {g.shape} does not match parameter shape {p.data.shape}")
         st.t += 1
-        st.m = beta1 * st.m + (1.0 - beta1) * g
-        st.v = beta2 * st.v + (1.0 - beta2) * (g * g)
+        st.m *= beta1
+        st.m += (1.0 - beta1) * g
+        st.v *= beta2
+        st.v += (1.0 - beta2) * (g * g)
         m_hat = st.m / (1.0 - beta1**st.t)
         v_hat = st.v / (1.0 - beta2**st.t)
         p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)

@@ -27,6 +27,7 @@ import json
 import logging
 import os
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,7 @@ from .models import (
 )
 from .synthdata import (
     DatasetError,
+    DatasetSpec,
     default_dataset_spec,
     generate_dataset,
     load_dataset,
@@ -156,10 +158,30 @@ def resolve_hierarchy(config: dict, hierarchy_file: str | None):
     return parse_hierarchy(text), text
 
 
-def _build(factory, kwargs: dict, what: str):
-    """Construct a config dataclass, turning validation errors into CliError."""
+def _fits(value, want) -> bool:
+    """Whether a JSON value fits a config field annotated ``want``: int
+    fields take integers, float fields any number, tuple fields a list of
+    numbers, and a bool is no number. Other fields are not checked here."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if want is int:
+        return number and isinstance(value, int)
+    if want is float:
+        return number
+    if typing.get_origin(want) is tuple:
+        return isinstance(value, list) and all(_fits(v, float) for v in value)
+    return True
+
+
+def _build(cls, kwargs: dict, what: str, base=None):
+    """Construct config dataclass ``cls`` from ``kwargs``, as a copy of
+    ``base`` when one is given; a wrong-typed value, or one the dataclass
+    rejects, becomes a CliError."""
+    hints = typing.get_type_hints(cls)
+    for key, value in kwargs.items():
+        if not _fits(value, hints[key]):
+            raise CliError(f"bad {what} config: {key} has the wrong type: {value!r}")
     try:
-        return factory(**kwargs)
+        return cls(**kwargs) if base is None else dataclasses.replace(base, **kwargs)
     except (ValueError, DatasetError) as err:
         raise CliError(f"bad {what} config: {err}") from err
 
@@ -226,9 +248,7 @@ def cmd_gen_data(args) -> int:
     config = load_config(args.config)
     h, h_text = resolve_hierarchy(config, None)
     section = _section(config, "dataset", args.seed)
-    spec = _build(
-        lambda **kw: dataclasses.replace(default_dataset_spec(h), **kw), section, "dataset"
-    )
+    spec = _build(DatasetSpec, section, "dataset", base=default_dataset_spec(h))
     out = Path(args.out)
     with output_lock(out, is_dir=False):
         dataset = generate_dataset(spec)
@@ -341,8 +361,11 @@ def cmd_train_gan(args) -> int:
 def cmd_eval(args) -> int:
     config = load_config(args.config)
     section = _section(config, "eval", args.seed)
-    n_per_class = int(section.get("n_per_class", 500))
-    seed = int(section.get("seed", 0))
+    for key, value in section.items():
+        if not _fits(value, int) or value < 0:
+            raise CliError(f"bad eval config: {key} must be a non-negative integer, got {value!r}")
+    n_per_class = section.get("n_per_class", 500)
+    seed = section.get("seed", 0)
     dataset = load_dataset(args.data)
     h = dataset.spec.hierarchy
     run = Path(args.run)

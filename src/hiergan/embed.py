@@ -94,6 +94,8 @@ class CheConfig:
             raise EmbeddingError("dim, negatives_per_positive, and epochs must be positive")
         if self.margin <= 0 or self.lr <= 0:
             raise EmbeddingError("margin and lr must be positive")
+        if self.seed < 0:
+            raise EmbeddingError("seed must be non-negative")
 
 
 @dataclass
@@ -203,13 +205,8 @@ def sample_negatives(
         raise EmbeddingError("need n >= 1 negatives")
     if len(h) < 3:
         raise EmbeddingError(f"hierarchy with {len(h)} nodes admits no negative pairs")
-    ids = range(len(h))
-
-    def unrelated(a: int, b: int) -> bool:
-        return a != b and not h.is_parent_child(a, b) and not h.is_parent_child(b, a)
-
-    parent_side = [q for q in ids if unrelated(q, c)]
-    child_side = [q for q in ids if unrelated(p, q)]
+    parent_side = h.unrelated(c)
+    child_side = h.unrelated(p)
     out: list[tuple[int, int]] = []
     for _ in range(n):
         side = int(rng.integers(2))

@@ -67,6 +67,11 @@ class ClassHierarchy:
         }
         self._pc_pairs = tuple((n.parent, n.id) for n in self.nodes if n.parent is not None)
         self._pc_set = frozenset(self._pc_pairs)
+        ids = range(len(self.nodes))
+        self._unrelated: tuple[tuple[int, ...], ...] = tuple(
+            tuple(q for q in ids if q != a and (a, q) not in self._pc_set and (q, a) not in self._pc_set)
+            for a in ids
+        )
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -117,6 +122,11 @@ class ClassHierarchy:
 
     def is_parent_child(self, p: int, c: int) -> bool:
         return (p, c) in self._pc_set
+
+    def unrelated(self, node_id: int) -> tuple[int, ...]:
+        """Ids with no parent-child edge to node_id in either direction,
+        node_id itself excluded, ordered by id."""
+        return self._unrelated[node_id]
 
     def path_name(self, node_id: int) -> str:
         parts = []

@@ -63,7 +63,7 @@ class Mlp:
             raise ModelError(f"expected input (n, {self.in_dim}), got {x.shape}")
         h = x
         for i, (w, b) in enumerate(self.layers):
-            h = tape.add(tape.matmul(h, w), b)
+            h = tape.linear(h, w, b)
             if i < len(self.layers) - 1:
                 h = tape.leaky_relu(h) if self.hidden == "leaky_relu" else tape.relu(h)
         if self.out == "sigmoid":
@@ -203,7 +203,7 @@ class HierClassifier:
     def forward(self, tape: Tape, x: Tensor) -> tuple[Tensor, list[Tensor]]:
         """One pass: trunk features and the logits of every level's head."""
         feat = self.features(tape, x)
-        return feat, [tape.add(tape.matmul(feat, w), b) for w, b in self.heads]
+        return feat, [tape.linear(feat, w, b) for w, b in self.heads]
 
     def loss(self, tape: Tape, x: Tensor, leaves) -> Tensor:
         """Sum over the batch of the per-level cross-entropy stack."""
@@ -267,6 +267,8 @@ class ClassifierConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.lr <= 0:
             raise ModelError("classifier config needs epochs >= 1, batch_size >= 1, lr > 0")
+        if self.seed < 0:
+            raise ModelError("classifier seed must be non-negative")
 
 
 def train_classifier(clf: HierClassifier, dataset: Dataset, resolution: int, cfg: ClassifierConfig) -> HierClassifier:

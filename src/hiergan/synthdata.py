@@ -70,6 +70,8 @@ class DatasetSpec:
         # zero is allowed (degenerate diagnostics); negatives are not
         if any(x < 0 for x in self.level_noise) or self.observation_noise < 0:
             raise DatasetError("noise scales must be non-negative")
+        if self.seed < 0:
+            raise DatasetError("seed must be non-negative")
 
 
 def default_dataset_spec(

@@ -16,6 +16,12 @@ lambda2 * margin loss plus whatever reached the class embedding through the
 generator pathway. When lambda1 == 0 the penalty branch is skipped outright,
 which makes TREEGAN with lambda1=0 bit-identical to NPC, not merely close.
 
+The generator graph (conditioning rows and fake images) is built once per
+step, before the D step: the D step reads its values as constants, and the G
+step appends the updated discriminator to the same tape. Nothing the graph
+depends on changes in between, because the D step updates only discriminator
+weights.
+
 Stage 1 trains the 8x8 generator against its discriminator and classifier;
 its weights then freeze while stage 2 trains the 16x16 generator. One rng
 seeded from the config drives every step in a fixed order (real-batch
@@ -271,11 +277,16 @@ class Trainer:
         n = real_images.shape[0]
         real_flat = real_images.reshape(n, -1)
 
+        # the generator graph, built once: the D step reads its values, and
+        # the G step extends it once D has moved
+        tape_g = Tape()
+        e_c = self._condition(tape_g, y, n)
+        fake = self.models.generate(tape_g, e_c, Tensor(z), self.stage)
+
         # --- discriminator step (generator and embeddings held fixed)
-        e_const = Tensor(self._condition(Tape(), y, n).data)
-        fake_flat = self.models.generate(Tape(), e_const, Tensor(z), self.stage).data
+        e_const = Tensor(e_c.data)
         tape_d = Tape()
-        d_loss = self.disc.loss(tape_d, Tensor(real_flat), Tensor(fake_flat), e_const)
+        d_loss = self.disc.loss(tape_d, Tensor(real_flat), Tensor(fake.data), e_const)
         d_grads = tape_d.backward(d_loss)
         adam_step(
             self.d_params,
@@ -287,9 +298,6 @@ class Trainer:
         )
 
         # --- generator step (discriminator held fixed)
-        tape_g = Tape()
-        e_c = self._condition(tape_g, y, n)
-        fake = self.models.generate(tape_g, e_c, Tensor(z), self.stage)
         g_adv = tape_g.binary_cross_entropy_with_logits(
             self.disc.forward(tape_g, fake, e_c), np.ones((n, 1))
         )

@@ -213,6 +213,89 @@ def test_frozen_network_input_gradient():
     assert x.grad is not None
 
 
+def _dense_case(seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(5, 4)), rng.normal(size=(4, 3)), rng.normal(size=(3,)), rng.normal(size=(5, 3))
+
+
+def _dense_grads(layer, x_data, w_data, b_data, weights, tracked=(True, True, True)):
+    """Value and gradients of sum(layer(x, w, b) * weights) on a fresh tape;
+    ``tracked`` says which of x, w, b require a gradient."""
+    t = Tape()
+    x, w, b = (Tensor(d.copy(), requires_grad=r) for d, r in zip((x_data, w_data, b_data), tracked))
+    out = layer(t, x, w, b)
+    grads = t.backward(t.sum(t.mul(out, Tensor(weights))))
+    return out.data, [grads.get(v) for v in (x, w, b)]
+
+
+def _fused(t, x, w, b):
+    return t.linear(x, w, b)
+
+
+def _unfused(t, x, w, b):
+    return t.add(t.matmul(x, w), b)
+
+
+def test_linear_is_matmul_plus_add_bit_for_bit():
+    for seed in range(5):
+        case = _dense_case(seed)
+        value, grads = _dense_grads(_fused, *case)
+        ref_value, ref_grads = _dense_grads(_unfused, *case)
+        assert value.tobytes() == ref_value.tobytes()
+        for g, ref in zip(grads, ref_grads):
+            assert g.shape == ref.shape and g.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("layer", [_fused, _unfused], ids=["linear", "matmul"])
+@pytest.mark.parametrize("untracked", [0, 1], ids=["constant-x", "frozen-w"])
+def test_untracked_operand_gets_no_gradient(layer, untracked):
+    case = _dense_case(7)
+    _, full = _dense_grads(layer, *case)
+    tracked = tuple(i != untracked for i in range(3))
+    _, grads = _dense_grads(layer, *case, tracked=tracked)
+    assert grads[untracked] is None
+    for i in range(3):
+        if i != untracked:
+            assert grads[i].tobytes() == full[i].tobytes()
+
+
+def test_untracked_operand_adjoint_is_not_computed():
+    # the backward rule itself returns None for an input that needs no gradient
+    t = Tape()
+    x = Tensor(np.ones((2, 3)))
+    w, b = leaf(np.ones((3, 4))), leaf(np.zeros(4))
+    t.linear(x, w, b)
+    t.matmul(x, w)
+    for rec in t._records:
+        assert rec.backward(np.ones((2, 4)))[0] is None
+
+
+def test_linear_shape_mismatch():
+    t = Tape()
+    with pytest.raises(ValueError, match="linear"):
+        t.linear(leaf(np.ones((2, 3))), leaf(np.ones((3, 4))), leaf(np.ones(3)))
+
+
+def test_backward_of_a_leaf_loss():
+    t = Tape()
+    x = leaf([1.5])
+    t.scale(x, 2.0)  # a record that does not lead to the loss
+    grads = t.backward(x)
+    assert list(grads) == [x] and np.array_equal(grads[x], [1.0])
+    assert np.array_equal(x.grad, [1.0])
+    assert t.backward(Tensor([1.0])) == {}  # an untracked loss has no gradients
+
+
+def test_tensor_from_another_tape_is_a_leaf():
+    x = leaf([1.0, -2.0])
+    y = Tape().scale(x, 3.0)  # tracked, but produced on another tape
+    t = Tape()
+    grads = t.backward(t.sum(t.mul(y, y)))
+    assert set(grads) == {y}
+    assert np.array_equal(grads[y], 2.0 * y.data)
+    assert x.grad is None
+
+
 # -------------------------------------------------- finite-difference sweep
 
 
@@ -240,6 +323,8 @@ def _fd_cases(rng):
     cases = {
         "matmul": (lambda t, ps: weighted(t, t.matmul(ps[0], ps[1]), w_mm),
                    [mk((n, m)), mk((m, k))]),
+        "linear": (lambda t, ps: weighted(t, t.linear(ps[0], ps[1], ps[2]), w_mm),
+                   [mk((n, m)), mk((m, k)), mk((k,))]),
         "add": (lambda t, ps: weighted(t, t.add(ps[0], ps[1]), w1), [mk((n, m)), mk((m,))]),
         "sub": (lambda t, ps: weighted(t, t.sub(ps[0], ps[1]), w1), [mk((n, m)), mk((n, 1))]),
         "mul": (lambda t, ps: weighted(t, t.mul(ps[0], ps[1]), w1), [mk((n, m)), mk((m,))]),
@@ -338,6 +423,29 @@ def test_adam_converges_on_quadratic():
         g = 2.0 * (p.data - 3.0)
         adam_step([p], [g], [st], lr=0.3)
     assert abs(p.data[0] - 3.0) < 1e-2
+
+
+def test_adam_matches_out_of_place_formula_bit_for_bit():
+    def reference_step(p, m, v, g, t, lr, beta1, beta2, eps=1e-8):
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * (g * g)
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        return p - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+    rng = np.random.default_rng(17)
+    shapes = [(4, 3), (3,)]
+    params = [leaf(rng.normal(size=s)) for s in shapes]
+    states = [AdamState.for_param(p) for p in params]
+    ref = [(p.data.copy(), np.zeros(p.shape), np.zeros(p.shape)) for p in params]
+    for step in range(1, 6):
+        grads = [rng.normal(size=s) for s in shapes]
+        adam_step(params, grads, states, lr=0.01, beta1=0.5, beta2=0.999)
+        ref = [reference_step(*r, g, step, 0.01, 0.5, 0.999) for r, g in zip(ref, grads)]
+        for p, st, (rp, rm, rv) in zip(params, states, ref):
+            assert st.t == step
+            assert p.data.tobytes() == rp.tobytes()
+            assert st.m.tobytes() == rm.tobytes() and st.v.tobytes() == rv.tobytes()
 
 
 def test_adam_rejects_bad_shapes_and_lr():

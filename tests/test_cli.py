@@ -299,6 +299,54 @@ def test_bad_dataset_config_exits_one(ws, tmp_path, capsys, dataset):
     assert not (tmp_path / "d.hgds").exists()
 
 
+@pytest.mark.parametrize(
+    "section, values",
+    [
+        ("dataset", {"samples_per_leaf": 5.5}),
+        ("dataset", {"samples_per_leaf": "10"}),
+        ("dataset", {"level_noise": 5}),
+        ("dataset", {"seed": -1}),
+        ("che", {"epochs": True}),
+        ("che", {"seed": -1}),
+        ("che", {"lr": "0.01"}),
+        ("classifier", {"epochs": 2.5}),
+        ("classifier", {"seed": -1}),
+        ("gan", {"batch_size": 8.5}),
+        ("eval", {"seed": -1}),
+        ("eval", {"n_per_class": "30"}),
+    ],
+    ids=[
+        "dataset-float-int",
+        "dataset-str-int",
+        "dataset-scalar-tuple",
+        "dataset-negative-seed",
+        "che-bool-int",
+        "che-negative-seed",
+        "che-str-float",
+        "classifier-float-int",
+        "classifier-negative-seed",
+        "gan-float-int",
+        "eval-negative-seed",
+        "eval-str-int",
+    ],
+)
+def test_wrong_typed_or_out_of_range_config_exits_one(ws, tmp_path, capsys, section, values):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({section: values}))
+    out = tmp_path / "out"
+    argv = {
+        "dataset": ["gen-data", "--out", str(out)],
+        "che": ["train-che", "--out", str(out)],
+        "classifier": ["train-clf", "--data", str(ws["data"]), "--resolution", "8", "--out", str(out)],
+        "gan": gan_args(ws, "treegan", out),
+        "eval": ["eval", "--run", str(ws["run"]), "--data", str(ws["data"]), "--out", str(out)],
+    }[section]
+    # a repeated --config takes the last value
+    assert main(argv + ["--config", str(cfg)]) == 1
+    assert_one_line_error(capsys)
+    assert not out.exists()
+
+
 def test_missing_input_exits_one(ws, tmp_path, capsys):
     code = main(
         [

@@ -173,6 +173,43 @@ def test_negatives_star_tree_falls_back_to_parent_side():
         assert neg[1] == h.id_of("a")  # every corruption replaced the parent
 
 
+def per_call_sample_negatives(h, pair, n, rng):
+    """The sampler as it was before the candidate lists moved into the
+    hierarchy: both lists rebuilt from is_parent_child on every call."""
+    p, c = pair
+
+    def unrelated(a, b):
+        return a != b and not h.is_parent_child(a, b) and not h.is_parent_child(b, a)
+
+    parent_side = [q for q in range(len(h)) if unrelated(q, c)]
+    child_side = [q for q in range(len(h)) if unrelated(p, q)]
+    out = []
+    for _ in range(n):
+        side = int(rng.integers(2))
+        cands = parent_side if side == 0 else child_side
+        if not cands:
+            side = 1 - side
+            cands = parent_side if side == 0 else child_side
+        pick = cands[int(rng.integers(len(cands)))]
+        out.append((pick, c) if side == 0 else (p, pick))
+    return out
+
+
+@pytest.mark.parametrize(
+    "text",
+    [FIXTURE_TREE, "root\nroot/a\nroot/a/x\n", "root\nroot/a\nroot/b\nroot/c\n"],
+    ids=["fixture", "chain", "star"],
+)
+def test_negatives_match_per_call_oracle(text):
+    h = parse_hierarchy(text)
+    for seed in range(3):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for pair in h.parent_child_pairs():
+            assert sample_negatives(h, pair, 25, rng) == per_call_sample_negatives(h, pair, 25, ref_rng)
+        # the same draws were consumed, so the streams stay in step
+        assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)
+
+
 def test_negatives_error_cases(tree):
     rng = np.random.default_rng(0)
     with pytest.raises(EmbeddingError, match="not a parent-child"):

@@ -1,5 +1,5 @@
-"""Golden fingerprint: sha256 of a dataset file and of the artifacts of two
-short fixed runs.
+"""Golden fingerprint: sha256 of a dataset file, of a trained embedding table
+and of the artifacts of three short fixed runs.
 
 `test_run_replays_exactly` only shows that a run agrees with itself; these
 hashes show that a refactor kept every number and the dataset file format. A change that alters the
@@ -12,6 +12,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from hiergan.embed import CheConfig, save_table, train_che
 from hiergan.hierarchy import FIXTURE_TREE, parse_hierarchy
 from hiergan.models import ClassifierConfig, HierClassifier, ModelConfig, train_classifier
 from hiergan.synthdata import default_dataset_spec, generate_dataset, load_dataset, save_dataset
@@ -20,6 +21,9 @@ from hiergan.training import TrainConfig, run_training, save_run
 TREE = parse_hierarchy(FIXTURE_TREE)
 
 DATASET_SHA256 = "0942e82e53af4b72ab80acf80abb4f26760738c1dec9f1a4aaadf0a6cfbdfdd2"
+
+# the 50-epoch table is also the frozen table of the seg run below
+CHE_SHA256 = "b852f48e00884d179112c0736144fa9f14ac0edc731373d1b40fa867aa248bb5"
 
 GOLDEN = {
     "treegan": {
@@ -31,6 +35,11 @@ GOLDEN = {
         "trace.csv": "4f8cf101e5815db7f10e5d9e2ca1ae04d446525a85e40d80b367f62409840f54",
         "models.hgck": "7274a289f552de0dc1bc55fc134c5e908f9b92109143d835467005eccfcca687",
         "metrics_step000020.json": "9b329ce6acc5081d7e9cd4b7e1d702b424aa9f314e59b354785a0d41215f7d79",
+    },
+    "seg": {
+        "trace.csv": "f8e4aeb25b95e73c4faf3e93ae50db8dc720ece3d489008df32ee5134550f0f2",
+        "models.hgck": "8907ad8bf8a6dad2fd5e523ada936c77a683906d9c36d687063edfd736388e76",
+        "embeddings.hgck": CHE_SHA256,
     },
 }
 
@@ -46,6 +55,11 @@ def setup():
     return dataset, clfs
 
 
+@pytest.fixture(scope="module")
+def che_table():
+    return train_che(TREE, CheConfig(epochs=50, seed=0))
+
+
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -58,11 +72,16 @@ def test_golden_dataset_bytes(setup, tmp_path):
     assert _sha256(tmp_path / "b.hgds") == DATASET_SHA256
 
 
+def test_golden_che_table(che_table, tmp_path):
+    save_table(tmp_path / "che.hgck", che_table)
+    assert _sha256(tmp_path / "che.hgck") == CHE_SHA256
+
+
 @pytest.mark.parametrize("mode", sorted(GOLDEN))
-def test_golden_fingerprint(setup, mode, tmp_path):
+def test_golden_fingerprint(setup, che_table, mode, tmp_path):
     dataset, (clf_lo, clf_hi) = setup
     cfg = TrainConfig(mode=mode, steps_per_stage=10, eval_every=10, eval_n_per_class=50, seed=0)
-    art = run_training(dataset, TREE, cfg, clf_lo, clf_hi)
+    art = run_training(dataset, TREE, cfg, clf_lo, clf_hi, che_table if mode == "seg" else None)
     assert not art.aborted, art.abort_reason
     save_run(art, tmp_path)
     got = {name: _sha256(tmp_path / name) for name in GOLDEN[mode]}

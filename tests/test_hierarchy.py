@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hiergan.hierarchy import (
     FIXTURE_TREE,
@@ -177,3 +179,42 @@ def test_constructor_validates_directly():
     with pytest.raises(HierarchyError, match="exactly one root"):
         ClassHierarchy([ClassNode(id=0, name="a", parent=None, level=0),
                         ClassNode(id=1, name="b", parent=None, level=0)])
+
+
+# ------------------------------------------------------------- unrelated ids
+
+
+@st.composite
+def balanced_trees(draw):
+    """A random tree whose leaves share one depth, 1-3 children per node."""
+    depth = draw(st.integers(1, 3))
+    lines, frontier = ["root"], ["root"]
+    for _ in range(depth):
+        nxt = []
+        for path in frontier:
+            for _ in range(draw(st.integers(1, 3))):
+                nxt.append(f"{path}/n{len(lines)}")
+                lines.append(nxt[-1])
+        frontier = nxt
+    return parse_hierarchy("\n".join(lines) + "\n")
+
+
+def brute_force_unrelated(h, a):
+    return tuple(
+        q for q in range(len(h)) if q != a and not h.is_parent_child(a, q) and not h.is_parent_child(q, a)
+    )
+
+
+def test_unrelated_on_fixture_tree(tree):
+    for a in range(len(tree)):
+        assert tree.unrelated(a) == brute_force_unrelated(tree, a)
+    assert tree.unrelated(tree.id_of("canine")) == tuple(
+        tree.id_of(n) for n in ("feline", "cat", "lion", "tiger")
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(balanced_trees())
+def test_unrelated_matches_brute_force(h):
+    for a in range(len(h)):
+        assert h.unrelated(a) == brute_force_unrelated(h, a)

@@ -6,7 +6,7 @@ import pytest
 from hiergan.autodiff import NonFiniteError, Tape, Tensor, grad_check
 from hiergan.embed import CheConfig, train_che
 from hiergan.hierarchy import FIXTURE_TREE, parse_hierarchy
-from hiergan.models import ModelConfig, ModelError, build_models
+from hiergan.models import GeneratorStage1, GeneratorStage2, ModelConfig, ModelError, build_models
 from hiergan.synthdata import default_dataset_spec, generate_dataset
 from hiergan.training import (
     TrainConfig,
@@ -205,6 +205,34 @@ def test_run_replays_exactly(tree, corpus, frozen_clfs):
     assert trace_csv(runs[0].trace) == trace_csv(runs[1].trace)
     for a, b in zip(runs[0].models.g2.params(), runs[1].models.g2.params()):
         assert np.array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("mode", ["treegan", "seg"])
+def test_one_generator_forward_per_joint_step(tree, corpus, frozen_clfs, seg_table, mode, monkeypatch):
+    calls = {1: 0, 2: 0}
+
+    def counted(cls, stage):
+        original = cls.forward
+
+        def forward(self, *args):
+            calls[stage] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(cls, "forward", forward)
+
+    counted(GeneratorStage1, 1)
+    counted(GeneratorStage2, 2)
+    cfg = tiny_cfg(mode=mode)
+    trainer = Trainer(corpus, tree, cfg, *frozen_clfs, seg_table if mode == "seg" else None)
+    for stage, expected in ((1, {1: 1, 2: 0}), (2, {1: 1, 2: 1})):
+        if stage == 2:
+            trainer._enter_stage(2)
+        for _ in range(2):
+            calls.update({1: 0, 2: 0})
+            y = tree.leaves[0]
+            z = trainer.rng.standard_normal((cfg.batch_size, trainer.models.g1.noise_dim))
+            trainer.joint_step(trainer.real_batch(y), y, z)
+            assert calls == expected, f"stage {stage}"
 
 
 def test_lambda_zero_matches_npc_bitwise(tree, corpus, frozen_clfs):
