@@ -13,6 +13,10 @@ constant images cost no gradient product. ``linear(x, w, b)`` is one record
 for ``x @ w + b``, the dense layer every network is built from; its bias
 adjoint is the column sum of the output adjoint.
 
+``Tape._emit`` is also how another module adds a fused record: the embedding
+margin loss is one ``che_margin`` record whose backward replays, in plain
+numpy, the adjoints its primitive-op graph would produce.
+
 Tapes are single-writer and rebuilt per training step. Gradients are exposed
 on ``Tensor.grad`` for every tensor created with ``requires_grad=True``; that
 includes non-parameter leaves such as images fed to a frozen classifier,
@@ -41,6 +45,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .files import write_atomic
 
 __all__ = [
     "Tensor",
@@ -413,12 +419,10 @@ class Tape:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, with e = e^-|x|
+    # never overflowing; one pass, no masked gathers
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
@@ -550,8 +554,7 @@ def save_checkpoint(path, named: dict[str, Tensor | np.ndarray]) -> None:
         chunks.append(struct.pack("<I", arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         chunks.append(arr.astype("<f8").tobytes(order="C"))
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+    write_atomic(path, b"".join(chunks))
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:

@@ -25,6 +25,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import typing
@@ -43,6 +44,7 @@ from .embed import (
     similarity_csv,
     train_che,
 )
+from .files import write_atomic
 from .hierarchy import FIXTURE_TREE, HierarchyError, parse_hierarchy
 from .metrics import MetricsError, evaluate, report_csv, report_json
 from .models import (
@@ -160,13 +162,18 @@ def resolve_hierarchy(config: dict, hierarchy_file: str | None):
 
 def _fits(value, want) -> bool:
     """Whether a JSON value fits a config field annotated ``want``: int
-    fields take integers, float fields any number, tuple fields a list of
-    numbers, and a bool is no number. Other fields are not checked here."""
+    fields take integers, float fields any number with a finite float value,
+    tuple fields a list of such numbers; a bool is no number, and NaN,
+    Infinity (which JSON parsing accepts) and an integer beyond the float
+    range are not finite. Other fields are not checked here."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if want is int:
         return number and isinstance(value, int)
     if want is float:
-        return number
+        try:
+            return number and math.isfinite(value)
+        except OverflowError:  # an int too large for a float
+            return False
     if typing.get_origin(want) is tuple:
         return isinstance(value, list) and all(_fits(v, float) for v in value)
     return True
@@ -179,7 +186,7 @@ def _build(cls, kwargs: dict, what: str, base=None):
     hints = typing.get_type_hints(cls)
     for key, value in kwargs.items():
         if not _fits(value, hints[key]):
-            raise CliError(f"bad {what} config: {key} has the wrong type: {value!r}")
+            raise CliError(f"bad {what} config: {key} has the wrong type or is not finite: {value!r}")
     try:
         return cls(**kwargs) if base is None else dataclasses.replace(base, **kwargs)
     except (ValueError, DatasetError) as err:
@@ -228,7 +235,7 @@ def output_lock(target: Path, is_dir: bool):
 
 def _write_manifest(out: Path, is_dir: bool, payload: dict) -> None:
     dest = out / "manifest.json" if is_dir else Path(str(out) + ".manifest.json")
-    dest.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_atomic(dest, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _manifest(command: str, config: dict, args, effective: dict, inputs: dict) -> dict:
@@ -374,9 +381,8 @@ def cmd_eval(args) -> int:
     out = Path(args.out)
     with output_lock(out, is_dir=False):
         report = evaluate(models, table, dataset, h, n_per_class=n_per_class, seed=seed)
-        out.write_text(report_csv(report))
-        json_out = out.with_suffix(".json")
-        json_out.write_text(report_json(report))
+        write_atomic(out, report_csv(report))
+        write_atomic(out.with_suffix(".json"), report_json(report))
         inputs = _checksums(
             {
                 "data": args.data,
@@ -400,7 +406,7 @@ def cmd_inspect_embeddings(args) -> int:
     table = load_table(args.embeddings, h)
     out = Path(args.out)
     with output_lock(out, is_dir=False):
-        out.write_text(similarity_csv(table))
+        write_atomic(out, similarity_csv(table))
         inputs = _checksums({"embeddings": args.embeddings, "hierarchy": args.hierarchy})
         _write_manifest(out, False, _manifest("inspect-embeddings", {}, args, {}, inputs))
     print(f"wrote {len(table.names)}x{len(table.names)} similarity matrix to {out}")

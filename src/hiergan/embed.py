@@ -7,9 +7,13 @@ multiplication) and taking the cosine between the rotated vectors, flattened
 to real coordinates. Training minimizes a hinge ranking loss that pushes
 every true pair above sampled corruptions by a margin.
 
-The differentiable graph builders at the bottom are shared with the joint
-GAN objective, which keeps refining the same table while the generator
-trains.
+The differentiable margin loss at the bottom is shared with the joint GAN
+objective, which keeps refining the same table while the generator trains.
+It is one tape record (op ``che_margin``) over the four table tensors: its
+forward evaluates every pair cosine with the same numpy expressions, in the
+same order, as a graph of primitive ops would, and its backward replays that
+graph's reverse sweep, so loss and gradients are bit-identical to the
+op-by-op graph at a small fraction of its bookkeeping.
 """
 
 from __future__ import annotations
@@ -18,7 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import AdamState, Tape, Tensor, adam_step, load_checkpoint, save_checkpoint
+from .autodiff import (
+    AdamState,
+    NonFiniteError,
+    Tape,
+    Tensor,
+    _sum_to_shape,
+    adam_step,
+    load_checkpoint,
+    save_checkpoint,
+)
 from .hierarchy import ClassHierarchy
 
 PAPER_SCALE_D = 100  # full-scale embedding width; desk default is 16
@@ -281,47 +294,99 @@ class TableParams:
         )
 
 
-def pair_scores_graph(tape: Tape, tp: TableParams, pairs: np.ndarray) -> Tensor:
-    """Differentiable batch of pair scores; ``pairs`` is int (B, 2) -> (B,)."""
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    dim = tp.rel_re.shape[0]
-    ones = Tensor(np.ones((dim, 1)))
-    rp = tape.slice(tp.class_re, pairs[:, 0])
-    ip = tape.slice(tp.class_im, pairs[:, 0])
-    rc = tape.slice(tp.class_re, pairs[:, 1])
-    ic = tape.slice(tp.class_im, pairs[:, 1])
+def _pair_cosines(cre, cim, rre, rim, pairs: np.ndarray, ones: np.ndarray):
+    """Scores (B, 1) of int pairs (B, 2) from the table arrays, plus the
+    intermediate values their adjoint reads, in the order ``_cosine_adjoints``
+    unpacks them."""
+    i0, i1 = pairs[:, 0], pairs[:, 1]
+    rp, ip, rc, ic = cre[i0], cim[i0], cre[i1], cim[i1]
+    tp_re, tp_im = rp * rre - ip * rim, rp * rim + ip * rre
+    tc_re, tc_im = rc * rre - ic * rim, rc * rim + ic * rre
+    dots = (tp_re * tc_re) @ ones + (tp_im * tc_im) @ ones
+    norm_p = np.sqrt((tp_re * tp_re) @ ones + (tp_im * tp_im) @ ones)
+    norm_c = np.sqrt((tc_re * tc_re) @ ones + (tc_im * tc_im) @ ones)
+    den = norm_p * norm_c
+    return dots / den, (i0, i1, rp, ip, rc, ic, tp_re, tp_im, tc_re, tc_im, dots, norm_p, norm_c, den)
 
-    def rotate(re, im):
-        rot_re = tape.sub(tape.mul(re, tp.rel_re), tape.mul(im, tp.rel_im))
-        rot_im = tape.add(tape.mul(re, tp.rel_im), tape.mul(im, tp.rel_re))
-        return rot_re, rot_im
 
-    def row_dot(a_re, a_im, b_re, b_im):
-        return tape.add(
-            tape.matmul(tape.mul(a_re, b_re), ones),
-            tape.matmul(tape.mul(a_im, b_im), ones),
-        )
+def _acc(total, g):
+    return g if total is None else total + g
 
-    tp_re, tp_im = rotate(rp, ip)
-    tc_re, tc_im = rotate(rc, ic)
-    dots = row_dot(tp_re, tp_im, tc_re, tc_im)  # (B, 1)
-    norm_p = tape.sqrt(row_dot(tp_re, tp_im, tp_re, tp_im))
-    norm_c = tape.sqrt(row_dot(tc_re, tc_im, tc_re, tc_im))
-    scores = tape.div(dots, tape.mul(norm_p, norm_c))
-    return tape.reshape(scores, (pairs.shape[0],))
+
+def _cosine_adjoints(g, saved, rre, rim, ones, shape, grads: list) -> None:
+    """Add the adjoints of one ``_pair_cosines`` call, given its output
+    adjoint g (B, 1), into ``grads`` = [class_re, class_im, rel_re, rel_im]
+    (None until a first contribution arrives).
+
+    This is the reverse sweep of the primitive-op graph of the cosine
+    (gathers, complex rotation, row dots as ``@ ones``, square roots and the
+    division), replayed with the same numpy expressions in the same order, so
+    every adjoint is bit-identical to what the tape would compute op by op.
+    """
+    i0, i1, rp, ip, rc, ic, tp_re, tp_im, tc_re, tc_im, dots, norm_p, norm_c, den = saved
+    g_dots = g / den
+    g_den = -g * dots / (den * den)
+    g_norm_p, g_norm_c = g_den * norm_c, g_den * norm_p
+    # a row dot's adjoint spreads over its columns as ``g @ ones.T``; a
+    # squared norm feeds each factor of x * x, and the contributions add
+    rows = (g_norm_c * 0.5 / norm_c) @ ones.T
+    g_tc_re, g_tc_im = rows * tc_re + rows * tc_re, rows * tc_im + rows * tc_im
+    rows = (g_norm_p * 0.5 / norm_p) @ ones.T
+    g_tp_re, g_tp_im = rows * tp_re + rows * tp_re, rows * tp_im + rows * tp_im
+    rows = g_dots @ ones.T
+    g_tp_im, g_tc_im = g_tp_im + rows * tc_im, g_tc_im + rows * tp_im
+    g_tp_re, g_tc_re = g_tp_re + rows * tc_re, g_tc_re + rows * tp_re
+    # the rotations, child side first, each in reverse record order:
+    # im = re * rim + im * rre, then re = re * rre - im * rim
+    g_rot = []
+    for re, im, g_re, g_im in ((rc, ic, g_tc_re, g_tc_im), (rp, ip, g_tp_re, g_tp_im)):
+        neg = -g_re
+        g_im_in = g_im * rre
+        grads[2] = _acc(grads[2], (g_im * im).sum(axis=0))
+        g_re_in = g_im * rim
+        grads[3] = _acc(grads[3], (g_im * re).sum(axis=0))
+        g_im_in = g_im_in + neg * rim
+        grads[3] = grads[3] + (neg * im).sum(axis=0)
+        g_re_in = g_re_in + g_re * rre
+        grads[2] = grads[2] + (g_re * re).sum(axis=0)
+        g_rot.append((g_re_in, g_im_in))
+    # the gathers, last first; a repeated index accumulates through add.at
+    (g_rc, g_ic), (g_rp, g_ip) = g_rot
+    for k, idx, g_in in ((1, i1, g_ic), (0, i1, g_rc), (1, i0, g_ip), (0, i0, g_rp)):
+        full = np.zeros(shape)
+        np.add.at(full, idx, g_in)
+        grads[k] = _acc(grads[k], full)
 
 
 def margin_loss_graph(
     tape: Tape, tp: TableParams, pos_pairs: np.ndarray, neg_pairs: np.ndarray, margin: float
 ) -> Tensor:
-    """Differentiable hinge ranking loss; ``neg_pairs`` is int (P, n, 2)."""
-    pos_pairs = np.asarray(pos_pairs, dtype=np.int64)
+    """Differentiable hinge ranking loss, sum of max(0, margin + neg - pos);
+    ``neg_pairs`` is int (P, n, 2). One tape record, op ``che_margin``, over
+    the four table tensors."""
+    pos_pairs = np.asarray(pos_pairs, dtype=np.int64).reshape(-1, 2)
     neg_pairs = np.asarray(neg_pairs, dtype=np.int64)
     num_pos, num_neg = neg_pairs.shape[0], neg_pairs.shape[1]
-    pos = tape.reshape(pair_scores_graph(tape, tp, pos_pairs), (num_pos, 1))
-    neg = tape.reshape(pair_scores_graph(tape, tp, neg_pairs.reshape(-1, 2)), (num_pos, num_neg))
-    hinge = tape.relu(tape.add_const(tape.sub(neg, pos), margin))
-    return tape.sum(hinge)
+    params = tp.params()
+    cre, cim, rre, rim = (t.data for t in params)
+    ones = np.ones((rre.shape[0], 1))
+    pos, pos_saved = _pair_cosines(cre, cim, rre, rim, pos_pairs, ones)
+    neg, neg_saved = _pair_cosines(cre, cim, rre, rim, neg_pairs.reshape(-1, 2), ones)
+    shifted = neg.reshape(num_pos, num_neg) - pos.reshape(num_pos, 1) + float(margin)
+    if not np.isfinite(shifted).all():
+        raise NonFiniteError("op 'che_margin' produced non-finite pair scores")
+    mask = shifted > 0
+    hinge = np.where(mask, shifted, 0.0)
+
+    def back(g):
+        g_hinge = np.full(hinge.shape, float(g)) * mask
+        g_pos = _sum_to_shape(-g_hinge, (num_pos, 1))
+        grads = [None, None, None, None]
+        _cosine_adjoints(g_hinge.reshape(-1, 1), neg_saved, rre, rim, ones, cre.shape, grads)
+        _cosine_adjoints(g_pos, pos_saved, rre, rim, ones, cre.shape, grads)
+        return tuple(grads)
+
+    return tape._emit("che_margin", tuple(params), np.asarray(hinge.sum()), back)
 
 
 def train_che(h: ClassHierarchy, cfg: CheConfig) -> ClassEmbeddingTable:

@@ -89,12 +89,10 @@ def inception_score(pred_probs) -> float:
     if np.any(p < 0.0) or np.max(np.abs(p.sum(axis=1) - 1.0)) > 1e-9:
         raise MetricsError("rows must be probability distributions summing to 1 within 1e-9")
     marginal = p.mean(axis=0)
-    kl = np.zeros(p.shape[0])
-    mask = p > 0.0
-    # wherever p > 0 the marginal is >= p/n > 0, so the log is finite
-    for i in range(p.shape[0]):
-        row, m = p[i][mask[i]], marginal[mask[i]]
-        kl[i] = np.sum(row * (np.log(row) - np.log(m)))
+    # wherever p > 0 the marginal is >= p/n > 0, so the log is finite; the
+    # zero entries contribute 0 (their 0 * -inf is discarded)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kl = np.where(p > 0.0, p * (np.log(p) - np.log(marginal)), 0.0).sum(axis=1)
     return float(np.exp(kl.mean()))
 
 

@@ -15,7 +15,7 @@ generated-image consistency penalty trains the generator through.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -167,6 +167,12 @@ class Discriminator:
 
     def params(self) -> list[Tensor]:
         return self.net.params()
+
+    def constant(self) -> "Discriminator":
+        """This discriminator with its current weights as untracked
+        constants: a forward through it backpropagates to its inputs only."""
+        layers = [(Tensor(w.data), Tensor(b.data)) for w, b in self.net.layers]
+        return replace(self, net=replace(self.net, layers=layers))
 
 
 @dataclass

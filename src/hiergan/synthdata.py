@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .files import write_atomic
 from .hierarchy import ClassHierarchy, parse_hierarchy
 
 HI_SIZE = 16
@@ -216,8 +217,7 @@ def save_dataset(d: Dataset, path) -> None:
     records["hi"] = np.concatenate([d.train.hi, d.test.hi])
     chunks.append(records.tobytes())
     body = b"".join(chunks)
-    with open(path, "wb") as fh:
-        fh.write(body + struct.pack("<I", zlib.crc32(body)))
+    write_atomic(path, body + struct.pack("<I", zlib.crc32(body)))
 
 
 def load_dataset(path) -> Dataset:

@@ -20,7 +20,9 @@ The generator graph (conditioning rows and fake images) is built once per
 step, before the D step: the D step reads its values as constants, and the G
 step appends the updated discriminator to the same tape. Nothing the graph
 depends on changes in between, because the D step updates only discriminator
-weights.
+weights. The G step reads those weights as constants too
+(``Discriminator.constant``), so its backward computes adjoints for the
+generator, the class embedding and the images, and none for D.
 
 Stage 1 trains the 8x8 generator against its discriminator and classifier;
 its weights then freeze while stage 2 trains the 16x16 generator. One rng
@@ -46,6 +48,7 @@ from .embed import (
     sample_negatives,
     save_table,
 )
+from .files import write_atomic
 from .hierarchy import ClassHierarchy
 from .metrics import MetricsReport, evaluate, report_csv, report_json
 from .models import (
@@ -297,9 +300,10 @@ class Trainer:
             beta2=cfg.beta2,
         )
 
-        # --- generator step (discriminator held fixed)
+        # --- generator step (discriminator held fixed, so its weights enter
+        # as constants and get no adjoint)
         g_adv = tape_g.binary_cross_entropy_with_logits(
-            self.disc.forward(tape_g, fake, e_c), np.ones((n, 1))
+            self.disc.constant().forward(tape_g, fake, e_c), np.ones((n, 1))
         )
         lam1 = cfg.effective_lambda1
         if lam1 > 0:
@@ -440,10 +444,10 @@ def save_run(art: RunArtifacts, out_dir, extra_manifest: dict | None = None) -> 
     out.mkdir(parents=True, exist_ok=True)
     save_models(art.models, out / "models.hgck")
     save_table(out / "embeddings.hgck", art.table)
-    (out / "trace.csv").write_text(trace_csv(art.trace))
+    write_atomic(out / "trace.csv", trace_csv(art.trace))
     for step, report in art.reports:
-        (out / f"metrics_step{step:06d}.csv").write_text(report_csv(report))
-        (out / f"metrics_step{step:06d}.json").write_text(report_json(report))
+        write_atomic(out / f"metrics_step{step:06d}.csv", report_csv(report))
+        write_atomic(out / f"metrics_step{step:06d}.json", report_json(report))
     cfg_dict = asdict(art.config)
     cfg_dict["mode"] = art.config.mode.value
     manifest = {
@@ -457,4 +461,4 @@ def save_run(art: RunArtifacts, out_dir, extra_manifest: dict | None = None) -> 
     }
     if extra_manifest:
         manifest.update(extra_manifest)
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_atomic(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -12,6 +12,7 @@ from hiergan.autodiff import (
     adam_step,
     grad_check,
     load_checkpoint,
+    _sigmoid,
     save_checkpoint,
 )
 
@@ -37,6 +38,27 @@ def test_sigmoid_gradient_at_zero_is_quarter():
     loss = t.sum(t.sigmoid(x))
     grads = t.backward(loss)
     assert abs(grads[x][0] - 0.25) < 1e-15
+
+
+def masked_sigmoid(x):
+    """The two-branch sigmoid by boolean-mask gathers, the oracle for
+    ``_sigmoid``."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_matches_masked_oracle_bitwise():
+    special = np.array([0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 746.0, -746.0, 709.8, -709.8, 1e-320, -1e-320])
+    rng = np.random.default_rng(4)
+    for x in [special, special.reshape(3, 4)] + [rng.normal(size=(50, 7)) * s for s in (1e-3, 1.0, 30.0, 500.0)]:
+        with np.errstate(over="ignore"):
+            want = masked_sigmoid(x)
+        assert _sigmoid(x).tobytes() == want.tobytes()
+        assert _sigmoid(x).shape == x.shape
 
 
 def test_sum_gradient_is_all_ones():

@@ -3,6 +3,7 @@ import json
 import shutil
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,6 +229,35 @@ def test_inspect_embeddings_matrix(ws, tmp_path):
     assert len(lines) == 10  # header + 9 classes of the fixture tree
 
 
+def test_outputs_are_renamed_into_place(ws, tmp_path, monkeypatch):
+    import hiergan.files as files
+
+    renamed = []
+    replace = files.os.replace
+
+    def spy(src, dst):
+        renamed.append(dst)
+        replace(src, dst)
+
+    monkeypatch.setattr(files.os, "replace", spy)
+    metrics = tmp_path / "metrics.csv"
+    argv = ["eval", "--config", str(ws["cfg"]), "--run", str(ws["run"]), "--data", str(ws["data"])]
+    assert main(argv + ["--out", str(metrics)]) == 0
+    assert main(["inspect-embeddings", "--embeddings", str(ws["che"]), "--out", str(tmp_path / "sim.csv")]) == 0
+    assert main(["gen-data", "--config", str(ws["cfg"]), "--out", str(tmp_path / "d.hgds")]) == 0
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == [
+        "d.hgds",
+        "d.hgds.manifest.json",
+        "metrics.csv",
+        "metrics.csv.manifest.json",
+        "metrics.json",
+        "sim.csv",
+        "sim.csv.manifest.json",
+    ]
+    assert sorted(Path(p).name for p in renamed) == written
+
+
 def test_seg_mode_roundtrip(ws, tmp_path):
     out = tmp_path / "run-seg"
     assert main(gan_args(ws, "seg", out, embeddings=ws["che"])) == 0
@@ -342,6 +372,32 @@ def test_wrong_typed_or_out_of_range_config_exits_one(ws, tmp_path, capsys, sect
         "eval": ["eval", "--run", str(ws["run"]), "--data", str(ws["data"]), "--out", str(out)],
     }[section]
     # a repeated --config takes the last value
+    assert main(argv + ["--config", str(cfg)]) == 1
+    assert_one_line_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "section, text",
+    [
+        ("dataset", '{"observation_noise": NaN}'),
+        ("dataset", '{"level_noise": [0.5, Infinity, 0.1]}'),
+        ("che", '{"lr": NaN}'),
+        ("che", '{"margin": Infinity}'),
+        ("gan", '{"lambda1": Infinity}'),
+        ("che", '{"lr": 1' + "0" * 400 + "}"),
+    ],
+    ids=["dataset-nan", "dataset-inf-in-tuple", "che-nan", "che-inf", "gan-inf", "che-int-beyond-float"],
+)
+def test_non_finite_config_value_exits_one(ws, tmp_path, capsys, section, text):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({section: "@"}).replace('"@"', text))
+    out = tmp_path / "out"
+    argv = {
+        "dataset": ["gen-data", "--out", str(out)],
+        "che": ["train-che", "--out", str(out)],
+        "gan": gan_args(ws, "treegan", out),
+    }[section]
     assert main(argv + ["--config", str(cfg)]) == 1
     assert_one_line_error(capsys)
     assert not out.exists()

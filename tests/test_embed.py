@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hiergan.autodiff import Tape, grad_check
+from hiergan.autodiff import NonFiniteError, Tape, Tensor, grad_check
 from hiergan.embed import (
     CheConfig,
     ClassEmbeddingTable,
@@ -16,7 +18,6 @@ from hiergan.embed import (
     load_table,
     margin_loss_graph,
     pair_score,
-    pair_scores_graph,
     ranking_accuracy,
     sample_negatives,
     save_table,
@@ -255,12 +256,112 @@ def test_margin_loss_shape_validation():
 # ------------------------------------------------------- graph equivalence
 
 
+def reference_pair_scores_graph(tape: Tape, tp: TableParams, pairs: np.ndarray) -> Tensor:
+    """Pair scores as a graph of primitive tape ops; ``pairs`` is int (B, 2)
+    -> (B,). The margin loss's single record must reproduce it bit for bit."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    dim = tp.rel_re.shape[0]
+    ones = Tensor(np.ones((dim, 1)))
+    rp = tape.slice(tp.class_re, pairs[:, 0])
+    ip = tape.slice(tp.class_im, pairs[:, 0])
+    rc = tape.slice(tp.class_re, pairs[:, 1])
+    ic = tape.slice(tp.class_im, pairs[:, 1])
+
+    def rotate(re, im):
+        rot_re = tape.sub(tape.mul(re, tp.rel_re), tape.mul(im, tp.rel_im))
+        rot_im = tape.add(tape.mul(re, tp.rel_im), tape.mul(im, tp.rel_re))
+        return rot_re, rot_im
+
+    def row_dot(a_re, a_im, b_re, b_im):
+        return tape.add(
+            tape.matmul(tape.mul(a_re, b_re), ones),
+            tape.matmul(tape.mul(a_im, b_im), ones),
+        )
+
+    tp_re, tp_im = rotate(rp, ip)
+    tc_re, tc_im = rotate(rc, ic)
+    dots = row_dot(tp_re, tp_im, tc_re, tc_im)  # (B, 1)
+    norm_p = tape.sqrt(row_dot(tp_re, tp_im, tp_re, tp_im))
+    norm_c = tape.sqrt(row_dot(tc_re, tc_im, tc_re, tc_im))
+    scores = tape.div(dots, tape.mul(norm_p, norm_c))
+    return tape.reshape(scores, (pairs.shape[0],))
+
+
+def reference_margin_loss_graph(tape, tp, pos_pairs, neg_pairs, margin) -> Tensor:
+    """The hinge ranking loss as 78 primitive records."""
+    pos_pairs = np.asarray(pos_pairs, dtype=np.int64)
+    neg_pairs = np.asarray(neg_pairs, dtype=np.int64)
+    num_pos, num_neg = neg_pairs.shape[0], neg_pairs.shape[1]
+    pos = tape.reshape(reference_pair_scores_graph(tape, tp, pos_pairs), (num_pos, 1))
+    neg = tape.reshape(reference_pair_scores_graph(tape, tp, neg_pairs.reshape(-1, 2)), (num_pos, num_neg))
+    hinge = tape.relu(tape.add_const(tape.sub(neg, pos), margin))
+    return tape.sum(hinge)
+
+
+def scaled_loss_and_grads(loss_graph, arrays, pos, negs, margin, lam):
+    """(loss bytes, gradient bytes per table tensor, tape length) of
+    lam * loss, as the joint step's embedding update builds it."""
+    tp = TableParams(*[Tensor(a.copy(), requires_grad=True) for a in arrays])
+    tape = Tape()
+    loss = loss_graph(tape, tp, pos, negs, margin)
+    grads = tape.backward(tape.scale(loss, lam))
+    return loss.data.tobytes(), [grads[p].tobytes() for p in tp.params()], len(tape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 16),
+    num_classes=st.integers(2, 10),
+    num_pos=st.integers(1, 8),
+    num_neg=st.integers(1, 10),
+    margin=st.sampled_from([0.05, 0.2, 0.5]),
+    lam=st.sampled_from([0.5, 1.0]),
+)
+def test_margin_record_matches_primitive_graph_bitwise(seed, dim, num_classes, num_pos, num_neg, margin, lam):
+    rng = np.random.default_rng(seed)
+    arrays = [
+        rng.uniform(-1, 1, size=(num_classes, dim)),
+        rng.uniform(-1, 1, size=(num_classes, dim)),
+        rng.uniform(-1, 1, size=dim),
+        rng.uniform(-1, 1, size=dim),
+    ]
+    # indices repeat freely, so the gathers' adjoints must accumulate
+    pos = rng.integers(0, num_classes, size=(num_pos, 2))
+    negs = rng.integers(0, num_classes, size=(num_pos, num_neg, 2))
+    want = scaled_loss_and_grads(reference_margin_loss_graph, arrays, pos, negs, margin, lam)
+    got = scaled_loss_and_grads(margin_loss_graph, arrays, pos, negs, margin, lam)
+    assert got[:2] == want[:2]
+    assert (want[2], got[2]) == (79, 2)
+
+
+def test_margin_record_matches_primitive_graph_on_fixture_tree(tree):
+    rng = np.random.default_rng(11)
+    tp = TableParams.init(len(tree), 16, rng)
+    arrays = [p.data for p in tp.params()]
+    pos = np.asarray(tree.parent_child_pairs())
+    for margin in (0.05, 0.2):
+        negs = np.asarray([sample_negatives(tree, (int(p), int(c)), 10, rng) for p, c in pos])
+        want = scaled_loss_and_grads(reference_margin_loss_graph, arrays, pos, negs, margin, 1.0)
+        assert scaled_loss_and_grads(margin_loss_graph, arrays, pos, negs, margin, 1.0) == want[:2] + (2,)
+
+
+def test_margin_record_rejects_non_finite_scores(tree):
+    tp = TableParams.init(len(tree), 4, np.random.default_rng(0))
+    tp.class_re.data[1] = 0.0
+    tp.class_im.data[1] = 0.0  # a zero vector has no cosine
+    pos = np.asarray(tree.parent_child_pairs())
+    negs = np.asarray([sample_negatives(tree, (int(p), int(c)), 2, np.random.default_rng(1)) for p, c in pos])
+    with np.errstate(invalid="ignore", divide="ignore"), pytest.raises(NonFiniteError, match="che_margin"):
+        margin_loss_graph(Tape(), tp, pos, negs, 0.2)
+
+
 def test_graph_scores_match_numpy_scores(tree):
     rng = np.random.default_rng(9)
     tp = TableParams.init(len(tree), 8, rng)
     table = tp.to_table(tree)
     pairs = np.asarray(tree.parent_child_pairs())
-    scores = pair_scores_graph(Tape(), tp, pairs)
+    scores = reference_pair_scores_graph(Tape(), tp, pairs)
     for row, (p, c) in enumerate(pairs):
         assert abs(scores.data[row] - table.score(int(p), int(c))) < 1e-12
 

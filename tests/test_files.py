@@ -1,0 +1,100 @@
+import numpy as np
+import pytest
+
+import hiergan.files as files
+from hiergan.autodiff import load_checkpoint, save_checkpoint
+from hiergan.files import write_atomic
+from hiergan.hierarchy import FIXTURE_TREE, parse_hierarchy
+from hiergan.synthdata import default_dataset_spec, generate_dataset, save_dataset
+
+
+class DiskFull(OSError):
+    pass
+
+
+class HalfWriter:
+    """A file that takes half of the bytes it is given and then fails, as a
+    full disk would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        self.fh.flush()
+        raise DiskFull("no space left on device")
+
+
+@pytest.fixture
+def fail_writes(monkeypatch):
+    """Call the returned function to make every later ``write_atomic`` fail
+    halfway through its write."""
+    real_open = open
+
+    def arm():
+        monkeypatch.setattr(files, "open", lambda *a, **k: HalfWriter(real_open(*a, **k)), raising=False)
+
+    return arm
+
+
+def test_write_atomic_writes_bytes_and_text(tmp_path):
+    write_atomic(tmp_path / "a.bin", b"\x00\x01payload")
+    write_atomic(tmp_path / "b.txt", "line one\nline two\n")
+    assert (tmp_path / "a.bin").read_bytes() == b"\x00\x01payload"
+    assert (tmp_path / "b.txt").read_bytes() == b"line one\nline two\n"
+    write_atomic(tmp_path / "b.txt", "replaced\n")
+    assert (tmp_path / "b.txt").read_text() == "replaced\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bin", "b.txt"]
+
+
+def test_failed_write_leaves_no_file_and_no_temp(tmp_path, fail_writes):
+    fail_writes()
+    with pytest.raises(DiskFull):
+        write_atomic(tmp_path / "new.csv", "a,b\n1,2\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_keeps_the_existing_file(tmp_path, fail_writes):
+    target = tmp_path / "keep.csv"
+    write_atomic(target, b"old contents\n")
+    fail_writes()
+    with pytest.raises(DiskFull):
+        write_atomic(target, "new contents that never land\n")
+    assert target.read_bytes() == b"old contents\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_failed_rename_removes_the_temp(tmp_path, monkeypatch):
+    def no_replace(src, dst):
+        raise DiskFull("rename failed")
+
+    monkeypatch.setattr(files.os, "replace", no_replace)
+    with pytest.raises(DiskFull):
+        write_atomic(tmp_path / "x.bin", b"abc")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_interrupted_checkpoint_save_keeps_the_old_checkpoint(tmp_path, fail_writes):
+    path = tmp_path / "params.hgck"
+    save_checkpoint(path, {"w": np.arange(6.0).reshape(2, 3)})
+    before = path.read_bytes()
+    fail_writes()
+    with pytest.raises(DiskFull):
+        save_checkpoint(path, {"w": np.ones((40, 40))})
+    assert path.read_bytes() == before
+    assert np.array_equal(load_checkpoint(path)["w"], np.arange(6.0).reshape(2, 3))
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_interrupted_dataset_save_leaves_nothing(tmp_path, fail_writes):
+    spec = default_dataset_spec(parse_hierarchy(FIXTURE_TREE), samples_per_leaf=5, seed=0)
+    fail_writes()
+    with pytest.raises(DiskFull):
+        save_dataset(generate_dataset(spec), tmp_path / "d.hgds")
+    assert list(tmp_path.iterdir()) == []

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hiergan.embed import CheConfig, train_che
 from hiergan.hierarchy import FIXTURE_TREE, parse_hierarchy
@@ -213,6 +215,40 @@ def test_inception_score_matches_loop_oracle():
                 kl += rows[i, j] * (np.log(rows[i, j]) - np.log(marginal[j]))
         kls.append(kl)
     assert abs(got - np.exp(np.mean(kls))) < 1e-10
+
+
+def loop_inception_score(p):
+    """Row by row over the nonzero entries: the oracle for the vectorized
+    ``inception_score``."""
+    marginal = p.mean(axis=0)
+    kl = np.zeros(p.shape[0])
+    mask = p > 0.0
+    for i in range(p.shape[0]):
+        row, m = p[i][mask[i]], marginal[mask[i]]
+        kl[i] = np.sum(row * (np.log(row) - np.log(m)))
+    return float(np.exp(kl.mean()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 60),
+    num_classes=st.integers(2, 30),
+    zero_share=st.sampled_from([0.0, 0.3, 0.8]),
+)
+def test_inception_score_matches_row_loop(seed, n, num_classes, zero_share):
+    rng = np.random.default_rng(seed)
+    raw = rng.uniform(size=(n, num_classes))
+    raw[rng.uniform(size=raw.shape) < zero_share] = 0.0
+    raw[:, rng.integers(num_classes)] += 0.01  # every row keeps some mass
+    rows = raw / raw.sum(axis=1, keepdims=True)
+    got, want = inception_score(rows), loop_inception_score(rows)
+    if num_classes <= 7 or zero_share == 0.0:
+        # short rows sum in sequence, so zeros add nothing; rows without
+        # zeros sum the same entries in the same order
+        assert got == want
+    else:
+        assert abs(got - want) <= 1e-12 * want
 
 
 def test_inception_score_at_least_one():

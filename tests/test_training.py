@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,6 +236,72 @@ def test_one_generator_forward_per_joint_step(tree, corpus, frozen_clfs, seg_tab
             assert calls == expected, f"stage {stage}"
 
 
+def one_joint_step(trainer):
+    y = trainer.h.leaves[0]
+    z = trainer.rng.standard_normal((trainer.cfg.batch_size, trainer.models.g1.noise_dim))
+    trainer.joint_step(trainer.real_batch(y), y, z)
+
+
+def test_embedding_step_tape_holds_two_records(tree, corpus, frozen_clfs, monkeypatch):
+    import hiergan.training as training
+
+    tapes = []
+
+    def margin_loss_graph(tape, *args):
+        tapes.append(tape)
+        return original(tape, *args)
+
+    original = training.margin_loss_graph
+    monkeypatch.setattr(training, "margin_loss_graph", margin_loss_graph)
+    trainer = Trainer(corpus, tree, tiny_cfg(), *frozen_clfs)
+    for stage in (1, 2):
+        if stage == 2:
+            trainer._enter_stage(2)
+        one_joint_step(trainer)
+    # the margin loss is one che_margin record, then lambda2's scale
+    assert [len(t) for t in tapes] == [2, 2]
+
+
+def test_generator_step_computes_no_discriminator_gradients(tree, corpus, frozen_clfs, monkeypatch):
+    backward = Tape.backward
+    calls = []  # per backward: the gradients and the D parameters' .grad after it
+
+    def recording(tape, loss):
+        if len(calls) == 1:  # the D step's backward runs first, the G step's second
+            for p in trainer.d_params:
+                p.grad = None
+        grads = backward(tape, loss)
+        calls.append((grads, [p.grad for p in trainer.d_params]))
+        return grads
+
+    monkeypatch.setattr(Tape, "backward", recording)
+    trainer = Trainer(corpus, tree, tiny_cfg(), *frozen_clfs)
+    # stage 1 is the case that matters: there D's weights track gradients
+    assert all(p.requires_grad for p in trainer.d_params)
+    one_joint_step(trainer)
+    assert len(calls) == 3
+    g_grads, d_grad_slots = calls[1]
+    assert not set(g_grads) & set(trainer.d_params)
+    assert d_grad_slots == [None] * len(trainer.d_params)
+    assert set(trainer.g_params) <= set(g_grads)
+
+
+def test_constant_discriminator_shares_weights_and_gradients_to_inputs(tree, corpus, frozen_clfs):
+    trainer = Trainer(corpus, tree, tiny_cfg(), *frozen_clfs)
+    disc = trainer.disc
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.uniform(size=(5, disc.pixels)), requires_grad=True)
+    e_c = Tensor(rng.normal(size=(5, disc.cond_dim)), requires_grad=True)
+    results = []
+    for d in (disc, disc.constant()):
+        tape = Tape()
+        grads = tape.backward(tape.sum(d.forward(tape, x, e_c)))
+        results.append((grads[x].tobytes(), grads[e_c].tobytes(), set(grads) & set(disc.params())))
+    assert results[1][:2] == results[0][:2]
+    assert results[0][2] == set(disc.params()) and results[1][2] == set()
+    assert all(c.data is p.data for c, p in zip(disc.constant().params(), disc.params()))
+
+
 def test_lambda_zero_matches_npc_bitwise(tree, corpus, frozen_clfs):
     clf_lo, clf_hi = frozen_clfs
     a = run_training(corpus, tree, tiny_cfg(mode="treegan", lambda1=0.0), clf_lo, clf_hi)
@@ -367,6 +434,24 @@ def test_save_run_writes_everything(tree, corpus, frozen_clfs, tmp_path):
     assert manifest["config"]["lambda1"] == 15.0
     assert manifest["checkpoints"] == [9, 12]
     assert (out / "trace.csv").read_text() == trace_csv(art.trace)
+
+
+def test_save_run_renames_every_file_into_place(tree, corpus, frozen_clfs, tmp_path, monkeypatch):
+    import hiergan.files as files
+
+    renamed = []
+    replace = files.os.replace
+
+    def spy(src, dst):
+        renamed.append(Path(dst).name)
+        replace(src, dst)
+
+    clf_lo, clf_hi = frozen_clfs
+    art = run_training(corpus, tree, tiny_cfg(), clf_lo, clf_hi)
+    monkeypatch.setattr(files.os, "replace", spy)
+    out = tmp_path / "run"
+    save_run(art, out)
+    assert sorted(renamed) == sorted(p.name for p in out.iterdir())
 
 
 def test_save_run_reproducible_bytes(tree, corpus, frozen_clfs, tmp_path):
