@@ -82,28 +82,18 @@ class CliError(Exception):
 
 # ------------------------------------------------------------------- config
 
+def _fields(cls, *drop: str) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)} - set(drop)
+
+
 _SECTION_KEYS = {
     "hierarchy": {"text", "path"},
-    "dataset": {"samples_per_leaf", "level_noise", "observation_noise", "seed"},
-    "che": {"dim", "margin", "negatives_per_positive", "lr", "epochs", "seed"},
-    "classifier": {"epochs", "batch_size", "lr", "beta1", "beta2", "seed"},
+    # the hierarchy section sets the dataset's hierarchy
+    "dataset": _fields(DatasetSpec, "hierarchy"),
+    "che": _fields(CheConfig),
+    "classifier": _fields(ClassifierConfig),
     # mode comes from the --mode flag only, never from the file
-    "gan": {
-        "lambda1",
-        "lambda2",
-        "batch_size",
-        "gan_lr",
-        "emb_lr",
-        "beta1",
-        "beta2",
-        "steps_per_stage",
-        "eval_every",
-        "eval_n_per_class",
-        "che_margin",
-        "che_negatives",
-        "embed_dim",
-        "seed",
-    },
+    "gan": _fields(TrainConfig, "mode"),
     "eval": {"n_per_class", "seed"},
 }
 

@@ -34,9 +34,6 @@ from .autodiff import (
 )
 from .hierarchy import ClassHierarchy
 
-PAPER_SCALE_D = 100  # full-scale embedding width; desk default is 16
-
-
 class EmbeddingError(ValueError):
     """Invalid embedding inputs: dimension mismatch, degenerate vectors,
     unknown ids, or a hierarchy too small to corrupt."""
@@ -115,28 +112,38 @@ class CheConfig:
 class ClassEmbeddingTable:
     """Finished embeddings: one complex vector per class plus the relation.
 
-    ``names`` and ``leaves`` mirror the hierarchy the table was trained on so
-    the table is self-describing for export and conditioning.
+    The table keeps the hierarchy it was trained on, so it is self-describing
+    for export and conditioning and a saved table can be checked against the
+    hierarchy it is loaded for.
     """
 
     class_re: np.ndarray  # (N, D)
     class_im: np.ndarray  # (N, D)
     rel_re: np.ndarray  # (D,)
     rel_im: np.ndarray  # (D,)
-    names: tuple[str, ...]
-    leaves: tuple[int, ...]
+    hierarchy: ClassHierarchy
 
     def __post_init__(self):
+        if self.class_re.ndim != 2:
+            raise EmbeddingError(f"class embeddings must be (N, D), got shape {self.class_re.shape}")
         n, d = self.class_re.shape
         if self.class_im.shape != (n, d) or self.rel_re.shape != (d,) or self.rel_im.shape != (d,):
             raise EmbeddingError("inconsistent table shapes")
-        if len(self.names) != n:
-            raise EmbeddingError(f"{len(self.names)} names for {n} classes")
+        if len(self.hierarchy) != n:
+            raise EmbeddingError(f"{len(self.hierarchy)} hierarchy nodes for {n} classes")
         for arr in (self.class_re, self.class_im, self.rel_re, self.rel_im):
             if not np.all(np.isfinite(arr)):
                 raise EmbeddingError("table contains non-finite values")
         if not (np.any(self.rel_re != 0.0) or np.any(self.rel_im != 0.0)):
             raise EmbeddingError("relation embedding is all-zero")
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return tuple(n.name for n in self.hierarchy.nodes)
+
+    @property
+    def leaves(self) -> tuple[int, ...]:
+        return self.hierarchy.leaves
 
     @property
     def dim(self) -> int:
@@ -165,35 +172,26 @@ def leaf_condition_vector(table: ClassEmbeddingTable, y: int) -> np.ndarray:
     return np.concatenate([table.class_re[y], table.class_im[y]])
 
 
+_TABLE_ARRAYS = ("class_re", "class_im", "rel_re", "rel_im")
+
+
 def save_table(path, table: ClassEmbeddingTable) -> None:
-    save_checkpoint(
-        path,
-        {
-            "class_re": table.class_re,
-            "class_im": table.class_im,
-            "rel_re": table.rel_re,
-            "rel_im": table.rel_im,
-        },
-    )
+    """Checkpoint the table arrays, with its hierarchy as metadata."""
+    named = {name: getattr(table, name) for name in _TABLE_ARRAYS}
+    save_checkpoint(path, named, {"hierarchy": table.hierarchy.serialize()})
 
 
 def load_table(path, h: ClassHierarchy) -> ClassEmbeddingTable:
-    arrays = load_checkpoint(path)
-    missing = {"class_re", "class_im", "rel_re", "rel_im"} - set(arrays)
+    """Read a table saved for hierarchy ``h``; a table trained on any other
+    hierarchy is rejected."""
+    meta, arrays = load_checkpoint(path)
+    missing = set(_TABLE_ARRAYS) - set(arrays)
     if missing:
         raise EmbeddingError(f"embedding checkpoint is missing {sorted(missing)}")
-    if arrays["class_re"].shape[0] != len(h):
-        raise EmbeddingError(
-            f"checkpoint has {arrays['class_re'].shape[0]} classes, hierarchy has {len(h)}"
-        )
-    return ClassEmbeddingTable(
-        class_re=arrays["class_re"],
-        class_im=arrays["class_im"],
-        rel_re=arrays["rel_re"],
-        rel_im=arrays["rel_im"],
-        names=tuple(n.name for n in h.nodes),
-        leaves=h.leaves,
-    )
+    table = ClassEmbeddingTable(**{name: arrays[name] for name in _TABLE_ARRAYS}, hierarchy=h)
+    if meta.get("hierarchy") != h.serialize():
+        raise EmbeddingError(f"embedding checkpoint {path} was trained for a different hierarchy")
+    return table
 
 
 # ----------------------------------------------------------------- sampling
@@ -271,15 +269,6 @@ class TableParams:
             rel_im=draw((dim,), "emb.rel_im"),
         )
 
-    @classmethod
-    def from_table(cls, table: ClassEmbeddingTable, requires_grad: bool = True) -> "TableParams":
-        return cls(
-            class_re=Tensor(table.class_re.copy(), requires_grad, name="emb.class_re"),
-            class_im=Tensor(table.class_im.copy(), requires_grad, name="emb.class_im"),
-            rel_re=Tensor(table.rel_re.copy(), requires_grad, name="emb.rel_re"),
-            rel_im=Tensor(table.rel_im.copy(), requires_grad, name="emb.rel_im"),
-        )
-
     def params(self) -> list[Tensor]:
         return [self.class_re, self.class_im, self.rel_re, self.rel_im]
 
@@ -289,8 +278,7 @@ class TableParams:
             class_im=self.class_im.data.copy(),
             rel_re=self.rel_re.data.copy(),
             rel_im=self.rel_im.data.copy(),
-            names=tuple(n.name for n in h.nodes),
-            leaves=h.leaves,
+            hierarchy=h,
         )
 
 

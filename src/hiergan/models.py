@@ -14,7 +14,6 @@ generated-image consistency penalty trains the generator through.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -53,10 +52,6 @@ class Mlp:
     @property
     def in_dim(self) -> int:
         return self.layers[0][0].shape[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.layers[-1][0].shape[1]
 
     def forward(self, tape: Tape, x: Tensor) -> Tensor:
         if x.data.ndim != 2 or x.shape[1] != self.in_dim:
@@ -327,6 +322,8 @@ class ModelSet:
     table: ClassEmbeddingTable
 
     def __post_init__(self):
+        if self.table.hierarchy.serialize() != self.hierarchy.serialize():
+            raise ModelError("embedding table was trained for a different hierarchy than the models")
         if self.table.dim != self.config.embed_dim:
             raise ModelError(f"embedding table dim {self.table.dim} != config embed_dim {self.config.embed_dim}")
         if self.d_lo.pixels != LO_PIXELS or self.d_hi.pixels != HI_PIXELS:
@@ -359,28 +356,16 @@ def build_models(h: ClassHierarchy, table: ClassEmbeddingTable, cfg: ModelConfig
     )
 
 
-_MANIFEST_KEY = "__manifest__"
-
-
-def _save_with_manifest(path, params: list[Tensor], manifest: dict) -> None:
-    """Checkpoint named parameters plus a manifest entry holding the
-    architecture as JSON (utf-8 bytes stored as float64 values)."""
-    named: dict[str, np.ndarray] = {p.name: p.data for p in params}
-    blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    named[_MANIFEST_KEY] = np.frombuffer(blob, dtype=np.uint8).astype(np.float64)
-    save_checkpoint(path, named)
-
-
 def _load_with_manifest(path, build):
     """Read a checkpoint, rebuild its networks with ``build(manifest) ->
-    (networks, params)`` and copy in the stored values, which must match the
-    rebuilt parameters in name and shape, none missing and none extra."""
-    blobs = load_checkpoint(path)
-    if _MANIFEST_KEY not in blobs:
-        raise ModelError(f"{path} has no architecture manifest")
+    (networks, params)`` from its metadata and copy in the stored values,
+    which must match the rebuilt parameters in name and shape, none missing
+    and none extra."""
+    manifest, blobs = load_checkpoint(path)
     try:
-        manifest = json.loads(bytes(blobs.pop(_MANIFEST_KEY).astype(np.uint8)).decode("utf-8"))
         networks, params = build(manifest)
+    except ModelError:
+        raise
     except (ValueError, KeyError, TypeError, AttributeError) as err:
         raise ModelError(f"checkpoint {path} has a malformed manifest: {err!r}") from err
     for p in params:
@@ -404,7 +389,7 @@ def _model_set_params(ms: ModelSet) -> list[Tensor]:
 def save_models(ms: ModelSet, path) -> None:
     """Checkpoint all network parameters with the architecture config."""
     manifest = asdict(ms.config) | {"hierarchy": ms.hierarchy.serialize()}
-    _save_with_manifest(path, _model_set_params(ms), manifest)
+    save_checkpoint(path, {p.name: p for p in _model_set_params(ms)}, manifest)
 
 
 def load_models(path, table: ClassEmbeddingTable) -> ModelSet:
@@ -430,7 +415,7 @@ def save_classifier(clf: HierClassifier, path) -> None:
         "feature_width": clf.trunk.layers[-1][0].shape[1],
         "hierarchy": clf.hierarchy.serialize(),
     }
-    _save_with_manifest(path, clf.params(), manifest)
+    save_checkpoint(path, {p.name: p for p in clf.params()}, manifest)
 
 
 def load_classifier(path) -> HierClassifier:

@@ -21,20 +21,18 @@ A split is one ``Images`` value: parallel arrays ``hi`` (n, 16, 16), ``lo``
 (n, 8, 8) and ``leaf`` (n,) int64, where row i is one sample. Rows run
 leaf-major, then in sample order. Indexing an ``Images`` with rows gives an
 ``Images``; ``batch_iter`` yields such slices, so a batch and a split are the
-same type. On disk a sample is one packed record (``leaf`` as little-endian
-uint32, then ``hi`` as 256 little-endian float64); ``lo`` is recomputed on load.
+same type. On disk a dataset is one ``autodiff`` checkpoint: the spec as its
+metadata and the arrays ``train.leaf``, ``train.hi``, ``test.leaf`` and
+``test.hi``; ``lo`` is recomputed on load.
 """
 
 from __future__ import annotations
 
-import json
-import struct
-import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .files import write_atomic
+from .autodiff import CheckpointError, load_checkpoint, save_checkpoint
 from .hierarchy import ClassHierarchy, parse_hierarchy
 
 HI_SIZE = 16
@@ -190,84 +188,38 @@ def generate_dataset(spec: DatasetSpec) -> Dataset:
 
 # -------------------------------------------------------------- persistence
 
-_MAGIC = b"HGDS"
-_VERSION = 1
-_RECORD = np.dtype([("leaf", "<u4"), ("hi", "<f8", (HI_SIZE, HI_SIZE))])
-
-
-def _spec_json(spec: DatasetSpec) -> bytes:
-    payload = {
-        "hierarchy": spec.hierarchy.serialize(),
-        "samples_per_leaf": spec.samples_per_leaf,
-        "level_noise": list(spec.level_noise),
-        "observation_noise": spec.observation_noise,
-        "seed": spec.seed,
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+_SPLITS = ("train", "test")
 
 
 def save_dataset(d: Dataset, path) -> None:
-    chunks = [_MAGIC, struct.pack("<I", _VERSION)]
-    blob = _spec_json(d.spec)
-    chunks.append(struct.pack("<I", len(blob)))
-    chunks.append(blob)
-    chunks.append(struct.pack("<II", len(d.train), len(d.test)))
-    records = np.empty(len(d.train) + len(d.test), dtype=_RECORD)
-    records["leaf"] = np.concatenate([d.train.leaf, d.test.leaf])
-    records["hi"] = np.concatenate([d.train.hi, d.test.hi])
-    chunks.append(records.tobytes())
-    body = b"".join(chunks)
-    write_atomic(path, body + struct.pack("<I", zlib.crc32(body)))
+    meta = vars(d.spec) | {"hierarchy": d.spec.hierarchy.serialize()}
+    named = {f"{split}.{field}": getattr(getattr(d, split), field) for split in _SPLITS for field in ("leaf", "hi")}
+    save_checkpoint(path, named, meta)
 
 
 def load_dataset(path) -> Dataset:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 4:
-        raise DatasetError(f"truncated dataset file {path}")
-    body, (crc,) = blob[:-4], struct.unpack("<I", blob[-4:])
-    if zlib.crc32(body) != crc:
-        raise DatasetError(f"dataset checksum mismatch in {path}")
-    view = memoryview(body)
-    pos = 0
-
-    def take(n: int) -> memoryview:
-        nonlocal pos
-        if pos + n > len(view):
-            raise DatasetError(f"truncated dataset file {path}")
-        out = view[pos : pos + n]
-        pos += n
-        return out
-
-    if bytes(take(4)) != _MAGIC:
-        raise DatasetError(f"{path} is not a dataset file (bad magic)")
-    (version,) = struct.unpack("<I", take(4))
-    if version != _VERSION:
-        raise DatasetError(f"unsupported dataset version {version} (expected {_VERSION})")
-    (spec_len,) = struct.unpack("<I", take(4))
-    spec_blob = bytes(take(spec_len))
     try:
-        payload = json.loads(spec_blob.decode("utf-8"))
-        spec = DatasetSpec(
-            hierarchy=parse_hierarchy(payload["hierarchy"]),
-            samples_per_leaf=payload["samples_per_leaf"],
-            level_noise=tuple(payload["level_noise"]),
-            observation_noise=payload["observation_noise"],
-            seed=payload["seed"],
-        )
+        meta, arrays = load_checkpoint(path)
+    except CheckpointError as err:
+        raise DatasetError(str(err)) from err
+    try:
+        kwargs = {f.name: meta[f.name] for f in fields(DatasetSpec)}
+        spec = DatasetSpec(**kwargs | {"hierarchy": parse_hierarchy(meta["hierarchy"])})
     except (ValueError, KeyError, TypeError, AttributeError) as err:
         raise DatasetError(f"dataset {path} has a malformed spec: {err!r}") from err
-    n_train, n_test = struct.unpack("<II", take(8))
-    records = np.frombuffer(take((n_train + n_test) * _RECORD.itemsize), dtype=_RECORD)
-    if pos != len(view):
-        raise DatasetError(f"{path} has {len(view) - pos} trailing bytes")
-    leaf = records["leaf"].astype(np.int64)
-    not_leaf = leaf[~np.isin(leaf, spec.hierarchy.leaves)]
-    if len(not_leaf):
-        raise DatasetError(f"dataset {path} labels a sample {not_leaf[0]}, which is not a leaf class")
-    hi = records["hi"].astype(np.float64)
-    images = Images(hi=hi, lo=downsample(hi), leaf=leaf)
-    return Dataset(spec=spec, train=images[:n_train], test=images[n_train:])
+    expected = {f"{split}.{field}" for split in _SPLITS for field in ("leaf", "hi")}
+    if set(arrays) != expected:
+        raise DatasetError(f"dataset {path} holds arrays {sorted(arrays)}, expected {sorted(expected)}")
+    splits = []
+    for split in _SPLITS:
+        leaf, hi = arrays[f"{split}.leaf"], arrays[f"{split}.hi"]
+        if leaf.ndim != 1 or hi.shape != (len(leaf), HI_SIZE, HI_SIZE):
+            raise DatasetError(f"dataset {path}: {split} arrays have shapes {leaf.shape} and {hi.shape}")
+        not_leaf = leaf[~np.isin(leaf, spec.hierarchy.leaves)]
+        if len(not_leaf):
+            raise DatasetError(f"dataset {path} labels a sample {not_leaf[0]:g}, which is not a leaf class")
+        splits.append(Images(hi=hi, lo=downsample(hi), leaf=leaf.astype(np.int64)))
+    return Dataset(spec=spec, train=splits[0], test=splits[1])
 
 
 # ------------------------------------------------------------------ batches

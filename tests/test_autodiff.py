@@ -1,5 +1,11 @@
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hiergan.autodiff import (
     BCE_LOGIT_CLAMP,
@@ -482,6 +488,11 @@ def test_adam_rejects_bad_shapes_and_lr():
 # -------------------------------------------------------------- checkpoints
 
 
+def with_crc(body: bytes) -> bytes:
+    """A checkpoint body followed by its valid CRC32 trailer."""
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 def test_checkpoint_round_trip(tmp_path):
     rng = np.random.default_rng(21)
     named = {
@@ -492,26 +503,62 @@ def test_checkpoint_round_trip(tmp_path):
     }
     path = tmp_path / "params.ckpt"
     save_checkpoint(path, named)
-    loaded = load_checkpoint(path)
+    meta, loaded = load_checkpoint(path)
+    assert meta == {}
     assert list(loaded) == list(named)
     for name, arr in named.items():
         assert loaded[name].shape == np.asarray(arr).shape
         assert np.array_equal(loaded[name], arr)
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**53), 2**53) | finite | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    named=st.dictionaries(
+        st.text(min_size=1, max_size=12),
+        st.lists(st.integers(0, 3), max_size=3).flatmap(
+            lambda dims: st.lists(finite, min_size=int(np.prod(dims)), max_size=int(np.prod(dims))).map(
+                lambda values: np.asarray(values, dtype=np.float64).reshape(dims)
+            )
+        ),
+        max_size=4,
+    ),
+    meta=st.dictionaries(st.text(), json_values, max_size=4),
+)
+def test_checkpoint_round_trip_property(tmp_path_factory, named, meta):
+    path = tmp_path_factory.mktemp("ckpt") / "p.hgck"
+    save_checkpoint(path, named, meta)
+    got_meta, loaded = load_checkpoint(path)
+    assert got_meta == json.loads(json.dumps(meta))
+    assert list(loaded) == list(named)
+    for name, arr in named.items():
+        assert loaded[name].shape == arr.shape
+        assert loaded[name].tobytes() == arr.tobytes()
+    blob = path.read_bytes()
+    save_checkpoint(path, loaded, got_meta)
+    assert path.read_bytes() == blob
+
+
 def test_checkpoint_bytes_are_reproducible(tmp_path):
     rng = np.random.default_rng(22)
     named = {"a": rng.normal(size=(5,)), "b": rng.normal(size=(2, 2))}
     p1, p2 = tmp_path / "one.ckpt", tmp_path / "two.ckpt"
-    save_checkpoint(p1, named)
-    save_checkpoint(p2, named)
+    save_checkpoint(p1, named, {"k": [1, 2]})
+    save_checkpoint(p2, named, {"k": [1, 2]})
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_checkpoint_accepts_tensors(tmp_path):
     p = tmp_path / "t.ckpt"
     save_checkpoint(p, {"x": leaf([[1.0, 2.0]])})
-    assert np.array_equal(load_checkpoint(p)["x"], [[1.0, 2.0]])
+    assert np.array_equal(load_checkpoint(p)[1]["x"], [[1.0, 2.0]])
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
@@ -525,7 +572,7 @@ def test_checkpoint_rejects_truncation(tmp_path):
     p = tmp_path / "t.ckpt"
     save_checkpoint(p, {"x": np.ones((4, 4))})
     blob = p.read_bytes()
-    p.write_bytes(blob[:-7])
+    p.write_bytes(with_crc(blob[:-4][:-7]))
     with pytest.raises(CheckpointError, match="truncated"):
         load_checkpoint(p)
 
@@ -543,8 +590,37 @@ def test_checkpoint_rejects_wrong_version(tmp_path):
 def test_checkpoint_rejects_trailing_bytes(tmp_path):
     p = tmp_path / "t.ckpt"
     save_checkpoint(p, {"x": np.ones(2)})
-    p.write_bytes(p.read_bytes() + b"junk")
+    p.write_bytes(with_crc(p.read_bytes()[:-4] + b"junk"))
     with pytest.raises(CheckpointError, match="trailing"):
+        load_checkpoint(p)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [lambda b: b[:-7], lambda b: b[:20], lambda b: b + b"junk", lambda b: b[:30] + bytes([b[30] ^ 4]) + b[31:]],
+    ids=["cut-end", "cut-header", "append", "flip"],
+)
+def test_checkpoint_raw_corruption_fails_the_checksum(tmp_path, corrupt):
+    p = tmp_path / "t.ckpt"
+    save_checkpoint(p, {"x": np.ones((4, 4))}, {"note": "x"})
+    p.write_bytes(corrupt(p.read_bytes()))
+    with pytest.raises(CheckpointError, match="checksum"):
+        load_checkpoint(p)
+
+
+@pytest.mark.parametrize("meta", [b"\x00not json{", b"[1, 2]", b"\xff\xfe"], ids=["not-json", "not-object", "not-utf8"])
+def test_checkpoint_rejects_malformed_metadata(tmp_path, meta):
+    p = tmp_path / "t.ckpt"
+    p.write_bytes(with_crc(b"HGCK" + struct.pack("<II", 2, len(meta)) + meta + struct.pack("<I", 0)))
+    with pytest.raises(CheckpointError, match="metadata"):
+        load_checkpoint(p)
+
+
+def test_checkpoint_rejects_version_one(tmp_path):
+    p = tmp_path / "v1.ckpt"
+    # a version-1 file: no metadata, no checksum
+    p.write_bytes(b"HGCK" + struct.pack("<III", 1, 1, 1) + b"x" + struct.pack("<II", 1, 2) + np.ones(2).tobytes())
+    with pytest.raises(CheckpointError, match="version 1"):
         load_checkpoint(p)
 
 

@@ -5,8 +5,9 @@ import struct
 import zlib
 from pathlib import Path
 
-import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from hiergan.autodiff import load_checkpoint, save_checkpoint
 from hiergan.cli import main
@@ -457,34 +458,28 @@ def assert_one_line_error(capsys):
     assert "Traceback" not in err
 
 
+def rewrite_manifest(src, dest, manifest_bytes):
+    """Copy a checkpoint with its metadata bytes replaced and a valid CRC."""
+    body = src.read_bytes()[:-4]
+    (meta_len,) = struct.unpack_from("<I", body, 8)
+    body = body[:8] + struct.pack("<I", len(manifest_bytes)) + manifest_bytes + body[12 + meta_len :]
+    dest.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+
 def rewrite_dataset_spec(src, dest, edit):
     """Copy a dataset file with its spec JSON edited and a valid CRC."""
-    body = src.read_bytes()[:-4]
-    (spec_len,) = struct.unpack("<I", body[8:12])
-    spec = edit(json.loads(body[12 : 12 + spec_len]))
-    blob = json.dumps(spec).encode()
-    body = body[:8] + struct.pack("<I", len(blob)) + blob + body[12 + spec_len :]
-    dest.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    rewrite_manifest(src, dest, json.dumps(edit(load_checkpoint(src)[0])).encode())
 
 
 def relabel_first_sample(src, dest, leaf):
     """Copy a dataset file with its first sample's label replaced and a valid CRC."""
-    body = bytearray(src.read_bytes()[:-4])
-    (spec_len,) = struct.unpack("<I", body[8:12])
-    first = 12 + spec_len + 8  # after the train/test counts
-    body[first : first + 4] = struct.pack("<I", leaf)
-    dest.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
-
-
-def rewrite_manifest(src, dest, manifest_bytes):
-    """Copy a checkpoint with its architecture manifest replaced."""
-    blobs = load_checkpoint(src)
-    blobs["__manifest__"] = np.frombuffer(manifest_bytes, dtype=np.uint8).astype(np.float64)
-    save_checkpoint(dest, blobs)
+    meta, arrays = load_checkpoint(src)
+    arrays["train.leaf"][0] = leaf
+    save_checkpoint(dest, arrays, meta)
 
 
 def manifest_without(path, key):
-    manifest = json.loads(bytes(load_checkpoint(path)["__manifest__"].astype("uint8")))
+    manifest = load_checkpoint(path)[0]
     del manifest[key]
     return json.dumps(manifest).encode()
 
@@ -540,5 +535,84 @@ def test_dataset_non_leaf_label_exits_two(ws, tmp_path, capsys, leaf):
     relabel_first_sample(ws["data"], bad, leaf)
     argv = gan_args(ws, "treegan", tmp_path / "run")
     argv[argv.index("--data") + 1] = str(bad)
+    assert main(argv) == 2
+    assert_one_line_error(capsys)
+
+
+OTHER_TREE = "root\nroot/a\nroot/a/x\nroot/a/y\nroot/a/z\nroot/b\nroot/b/u\nroot/b/v\nroot/b/w\n"
+
+
+def test_embeddings_for_another_hierarchy_exit_two(ws, tmp_path, capsys):
+    other = tmp_path / "other.txt"
+    other.write_text(OTHER_TREE)
+    sim = tmp_path / "sim.csv"
+    code = main(["inspect-embeddings", "--embeddings", str(ws["che"]), "--hierarchy", str(other), "--out", str(sim)])
+    assert code == 2
+    assert_one_line_error(capsys)
+    assert not sim.exists()
+    che = tmp_path / "other.hgck"
+    assert main(["train-che", "--config", str(ws["cfg"]), "--hierarchy", str(other), "--out", str(che)]) == 0
+    capsys.readouterr()
+    assert main(gan_args(ws, "seg", tmp_path / "run", embeddings=che)) == 2
+    assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "flag, kind",
+    [("--data", "clf8"), ("--clf8", "data"), ("--clf16", "che"), ("--embeddings", "clf16")],
+)
+def test_wrong_kind_artifact_exits_two(ws, tmp_path, capsys, flag, kind):
+    argv = gan_args(ws, "seg", tmp_path / "run", embeddings=ws["che"])
+    argv[argv.index(flag) + 1] = str(ws[kind])
+    assert main(argv) == 2
+    assert_one_line_error(capsys)
+
+
+def corrupt(blob: bytes, how: str, at, bit: int, tail: bytes) -> bytes:
+    """Cut the file at, flip one bit at, or append bytes to it. ``at`` is a
+    byte offset (taken modulo the length) or the name of a tensor, which
+    points at the byte of its first value that holds the lowest exponent bit."""
+    if isinstance(at, str):
+        start = blob.index(at.encode()) + len(at)
+        (rank,) = struct.unpack_from("<I", blob, start)
+        at = start + 4 + 4 * rank + 6
+    at %= len(blob)
+    if how == "cut":
+        return blob[:at]
+    if how == "flip":
+        return blob[:at] + bytes([blob[at] ^ (1 << bit)]) + blob[at + 1 :]
+    return blob + tail
+
+
+def reader_argv(ws, kind, tmp):
+    """Copy the artifact of this kind into ``tmp``; return the copy and the
+    argv of the command that reads it."""
+    if kind in ("models.hgck", "embeddings.hgck"):
+        shutil.copytree(ws["run"], tmp / "run")
+        argv = ["eval", "--run", str(tmp / "run"), "--data", str(ws["data"]), "--out", str(tmp / "m.csv")]
+        return tmp / "run" / kind, argv
+    path = tmp / ws[kind].name
+    shutil.copy(ws[kind], path)
+    if kind == "data":
+        return path, ["train-clf", "--data", str(path), "--resolution", "8", "--out", str(tmp / "c.hgck")]
+    argv = gan_args(ws, "treegan", tmp / "run")
+    argv[argv.index("--clf8") + 1] = str(path)
+    return path, argv
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    kind=st.sampled_from(["data", "clf8", "models.hgck", "embeddings.hgck"]),
+    how=st.sampled_from(["cut", "flip", "append"]),
+    at=st.integers(0, 2**32),
+    bit=st.integers(0, 7),
+    tail=st.binary(min_size=1, max_size=16),
+)
+# a weight halved or doubled: a well-formed file with a wrong number in it
+@example(kind="models.hgck", how="flip", at="g2.w1", bit=4, tail=b"x")
+def test_corrupt_artifact_exits_two(ws, tmp_path_factory, capsys, kind, how, at, bit, tail):
+    path, argv = reader_argv(ws, kind, tmp_path_factory.mktemp("fuzz"))
+    path.write_bytes(corrupt(path.read_bytes(), how, at, bit, tail))
+    capsys.readouterr()
     assert main(argv) == 2
     assert_one_line_error(capsys)

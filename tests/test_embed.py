@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hiergan.autodiff import NonFiniteError, Tape, Tensor, grad_check
+from hiergan.autodiff import NonFiniteError, Tape, Tensor, grad_check, save_checkpoint
 from hiergan.embed import (
     CheConfig,
     ClassEmbeddingTable,
@@ -445,8 +445,7 @@ def test_leaf_condition_vector_layout():
         class_im=np.array([[0.1], [-0.2]]),
         rel_re=np.array([1.0]),
         rel_im=np.array([0.0]),
-        names=("root", "a"),
-        leaves=(1,),
+        hierarchy=parse_hierarchy("root\nroot/a\n"),
     )
     assert np.array_equal(leaf_condition_vector(table, 1), [0.3, -0.2])
     with pytest.raises(EmbeddingError, match="not a leaf"):
@@ -481,6 +480,21 @@ def test_table_load_checks_hierarchy_size(tmp_path, trained):
         load_table(path, small)
 
 
+def test_table_load_checks_hierarchy(tmp_path, trained):
+    path = tmp_path / "emb.ckpt"
+    save_table(path, trained)
+    renamed = parse_hierarchy(FIXTURE_TREE.replace("canine", "bird"))
+    with pytest.raises(EmbeddingError, match="different hierarchy"):
+        load_table(path, renamed)
+
+
+def test_table_load_rejects_flat_class_arrays(tmp_path, tree):
+    path = tmp_path / "flat.ckpt"
+    save_checkpoint(path, {"class_re": np.ones(9), "class_im": np.ones(9), "rel_re": np.ones(1), "rel_im": np.ones(1)})
+    with pytest.raises(EmbeddingError, match="must be"):
+        load_table(path, tree)
+
+
 def test_table_validation_rejects_zero_relation():
     with pytest.raises(EmbeddingError, match="all-zero"):
         ClassEmbeddingTable(
@@ -488,8 +502,7 @@ def test_table_validation_rejects_zero_relation():
             class_im=np.ones((2, 3)),
             rel_re=np.zeros(3),
             rel_im=np.zeros(3),
-            names=("root", "a"),
-            leaves=(1,),
+            hierarchy=parse_hierarchy("root\nroot/a\n"),
         )
 
 

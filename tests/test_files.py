@@ -88,7 +88,7 @@ def test_interrupted_checkpoint_save_keeps_the_old_checkpoint(tmp_path, fail_wri
     with pytest.raises(DiskFull):
         save_checkpoint(path, {"w": np.ones((40, 40))})
     assert path.read_bytes() == before
-    assert np.array_equal(load_checkpoint(path)["w"], np.arange(6.0).reshape(2, 3))
+    assert np.array_equal(load_checkpoint(path)[1]["w"], np.arange(6.0).reshape(2, 3))
     assert list(tmp_path.iterdir()) == [path]
 
 

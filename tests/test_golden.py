@@ -1,8 +1,11 @@
 """Golden fingerprint: sha256 of a dataset file, of a trained embedding table
-and of the artifacts of three short fixed runs.
+and of the artifacts of three short fixed runs, plus a hash of the arrays
+each loader returns from those files.
 
 `test_run_replays_exactly` only shows that a run agrees with itself; these
-hashes show that a refactor kept every number and the dataset file format. A change that alters the
+hashes show that a refactor kept every number. The file hashes also pin the
+artifact format; the contents hashes do not, so a format change re-pins only
+the file hashes and keeps `CONTENTS` as it is. A change that alters the
 numerics on purpose (a new op order, a fused op) updates the hashes here and
 says so in CHANGES.md, with criterion 8 passing on unchanged bounds.
 """
@@ -12,35 +15,49 @@ import hashlib
 import numpy as np
 import pytest
 
-from hiergan.embed import CheConfig, save_table, train_che
+from hiergan.embed import CheConfig, load_table, save_table, train_che
 from hiergan.hierarchy import FIXTURE_TREE, parse_hierarchy
-from hiergan.models import ClassifierConfig, HierClassifier, ModelConfig, train_classifier
+from hiergan.models import ClassifierConfig, HierClassifier, ModelConfig, load_models, train_classifier
 from hiergan.synthdata import default_dataset_spec, generate_dataset, load_dataset, save_dataset
 from hiergan.training import TrainConfig, run_training, save_run
 
 TREE = parse_hierarchy(FIXTURE_TREE)
 
-DATASET_SHA256 = "0942e82e53af4b72ab80acf80abb4f26760738c1dec9f1a4aaadf0a6cfbdfdd2"
+DATASET_SHA256 = "a64e7c5c0499083dbf4c365940303b5757d2f40a5a497b722b28180bf1e0daf8"
 
 # the 50-epoch table is also the frozen table of the seg run below
-CHE_SHA256 = "b852f48e00884d179112c0736144fa9f14ac0edc731373d1b40fa867aa248bb5"
+CHE_SHA256 = "2f312dafef355315f42d3ca5e7dc1980e19a52ffc31c6d78a597bbb1b9f0ede6"
 
 GOLDEN = {
     "treegan": {
         "trace.csv": "144c28f6a7d6ff8d1b6ba93763b4d4911e89ccb250a143318aa8e505a65e4431",
-        "models.hgck": "86b725513a3470c3c7fe287852630e0931261b67f2ff575c0e6b1d017f34463e",
+        "models.hgck": "c17acf8728f822338dcc046c68c9c13ea746e86f277b693701f25f95a4e42c2e",
         "metrics_step000020.json": "3f304352b6dca42c51f27f22586204db9e926663cdc038f65040c8c51d9af465",
     },
     "npc": {
         "trace.csv": "4f8cf101e5815db7f10e5d9e2ca1ae04d446525a85e40d80b367f62409840f54",
-        "models.hgck": "7274a289f552de0dc1bc55fc134c5e908f9b92109143d835467005eccfcca687",
+        "models.hgck": "ccb9b888846b38cebfa2e92c67022ce80f68d9933d42abc6c86f61b4d8e83b22",
         "metrics_step000020.json": "9b329ce6acc5081d7e9cd4b7e1d702b424aa9f314e59b354785a0d41215f7d79",
     },
     "seg": {
         "trace.csv": "f8e4aeb25b95e73c4faf3e93ae50db8dc720ece3d489008df32ee5134550f0f2",
-        "models.hgck": "8907ad8bf8a6dad2fd5e523ada936c77a683906d9c36d687063edfd736388e76",
+        "models.hgck": "707f663a094d4453e6675a645ed3344c3fcc5a1389b5ce0f9dfc8797dc8c90d9",
         "embeddings.hgck": CHE_SHA256,
     },
+}
+
+
+# sha256 over the name, dtype, shape and bytes of every array a loader returns;
+# independent of the file format, so a format change keeps these as they are
+CONTENTS = {
+    "dataset": "50dabc463b04411e7274534a6b6068a2ec4c90acaf0467c054cd863ef73b058f",
+    "che.hgck": "d42db74377fef353e501f5f070c4fff93676fec715f8e49619da9fa1bae043b0",
+    "npc/embeddings.hgck": "fbe2ed82450a743d6c1bda6031ed4b005240fb0c7264cc4f6ec36761fe8af874",
+    "npc/models.hgck": "3df972bdc66f58dd49e24f495f54bf94af08a94fc530621683a7f7b42c4ee579",
+    "seg/embeddings.hgck": "d42db74377fef353e501f5f070c4fff93676fec715f8e49619da9fa1bae043b0",
+    "seg/models.hgck": "df92991434175310b8fbe6a1cf2da3c3e6fcaecd25d59fa7abaac8b56f8bd517",
+    "treegan/embeddings.hgck": "0a016fdfa3bca2c2ba345fd4dee7cd682ba7e5cdffd3c6b4719ee2ade337ac71",
+    "treegan/models.hgck": "ace3d697c7ef13df6411f0115ec38f81e0511aa692b2fe178e3831e429a82827",
 }
 
 
@@ -60,8 +77,34 @@ def che_table():
     return train_che(TREE, CheConfig(epochs=50, seed=0))
 
 
+@pytest.fixture(scope="module")
+def runs(setup, che_table, tmp_path_factory):
+    """The three short runs, each saved once: mode -> run directory."""
+    dataset, (clf_lo, clf_hi) = setup
+    out = {}
+    for mode in sorted(GOLDEN):
+        cfg = TrainConfig(mode=mode, steps_per_stage=10, eval_every=10, eval_n_per_class=50, seed=0)
+        art = run_training(dataset, TREE, cfg, clf_lo, clf_hi, che_table if mode == "seg" else None)
+        assert not art.aborted, art.abort_reason
+        out[mode] = tmp_path_factory.mktemp(mode)
+        save_run(art, out[mode])
+    return out
+
+
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _contents(named) -> str:
+    digest = hashlib.sha256()
+    for name, arr in named:
+        digest.update(f"{name} {arr.dtype.str} {arr.shape}\n".encode())
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    return digest.hexdigest()
+
+
+def _table_arrays(table):
+    return [(name, getattr(table, name)) for name in ("class_re", "class_im", "rel_re", "rel_im")]
 
 
 def test_golden_dataset_bytes(setup, tmp_path):
@@ -78,11 +121,27 @@ def test_golden_che_table(che_table, tmp_path):
 
 
 @pytest.mark.parametrize("mode", sorted(GOLDEN))
-def test_golden_fingerprint(setup, che_table, mode, tmp_path):
-    dataset, (clf_lo, clf_hi) = setup
-    cfg = TrainConfig(mode=mode, steps_per_stage=10, eval_every=10, eval_n_per_class=50, seed=0)
-    art = run_training(dataset, TREE, cfg, clf_lo, clf_hi, che_table if mode == "seg" else None)
-    assert not art.aborted, art.abort_reason
-    save_run(art, tmp_path)
-    got = {name: _sha256(tmp_path / name) for name in GOLDEN[mode]}
+def test_golden_fingerprint(runs, mode):
+    got = {name: _sha256(runs[mode] / name) for name in GOLDEN[mode]}
     assert got == GOLDEN[mode]
+
+
+def test_golden_contents(setup, che_table, runs, tmp_path):
+    save_dataset(setup[0], tmp_path / "a.hgds")
+    dataset = load_dataset(tmp_path / "a.hgds")
+    save_table(tmp_path / "che.hgck", che_table)
+    got = {
+        "dataset": _contents(
+            (f"{split}.{field}", getattr(getattr(dataset, split), field))
+            for split in ("train", "test")
+            for field in ("hi", "lo", "leaf")
+        ),
+        "che.hgck": _contents(_table_arrays(load_table(tmp_path / "che.hgck", TREE))),
+    }
+    for mode, run in runs.items():
+        table = load_table(run / "embeddings.hgck", TREE)
+        models = load_models(run / "models.hgck", table)
+        nets = (models.g1, models.g2, models.d_lo, models.d_hi, models.clf_lo, models.clf_hi)
+        got[f"{mode}/embeddings.hgck"] = _contents(_table_arrays(table))
+        got[f"{mode}/models.hgck"] = _contents((p.name, p.data) for net in nets for p in net.params())
+    assert got == CONTENTS

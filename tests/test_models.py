@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -451,9 +453,9 @@ def test_load_rejects_shape_drift(tmp_path, tree, table):
     save_models(ms, path)
     from hiergan.autodiff import load_checkpoint, save_checkpoint
 
-    blobs = load_checkpoint(path)
+    manifest, blobs = load_checkpoint(path)
     blobs["g1.w0"] = blobs["g1.w0"][:, :5]
-    save_checkpoint(path, blobs)
+    save_checkpoint(path, blobs, manifest)
     with pytest.raises(ModelError, match="shape"):
         load_models(path, table)
 
@@ -464,8 +466,16 @@ def test_load_rejects_missing_manifest(tmp_path, tree, table):
     save_models(ms, path)
     from hiergan.autodiff import load_checkpoint, save_checkpoint
 
-    blobs = load_checkpoint(path)
-    del blobs["__manifest__"]
+    _, blobs = load_checkpoint(path)
     save_checkpoint(path, blobs)
     with pytest.raises(ModelError, match="manifest"):
         load_models(path, table)
+
+
+def test_load_rejects_table_of_another_hierarchy(tmp_path, tree, table):
+    path = tmp_path / "m3.hgck"
+    save_models(build_models(tree, table, ModelConfig(seed=18)), path)
+    renamed = parse_hierarchy(FIXTURE_TREE.replace("canine", "bird"))
+    other = dataclasses.replace(table, hierarchy=renamed)
+    with pytest.raises(ModelError, match="different hierarchy"):
+        load_models(path, other)
