@@ -20,10 +20,11 @@ from hiergan.models import (
     ClassifierConfig,
     HierClassifier,
     ModelConfig,
+    generate_set,
     train_classifier,
 )
 from hiergan.synthdata import default_dataset_spec, generate_dataset
-from hiergan.training import TrainConfig, generate_set, run_training
+from hiergan.training import TrainConfig, run_training
 
 h = parse_hierarchy(FIXTURE_TREE)
 data = generate_dataset(default_dataset_spec(h, samples_per_leaf=60, seed=0))
@@ -68,8 +69,8 @@ fox = h.leaves[0]
 real = data.test.hi[data.test.leaf == fox][0]
 cols = [ascii_image(real)]
 for mode in ("treegan", "flat"):
-    batch = generate_set(runs[mode].models, runs[mode].table, fox, 1, seed=99)
-    cols.append(ascii_image(batch.samples[0]))
+    images = generate_set(runs[mode].models, runs[mode].table, fox, 1, seed=99)
+    cols.append(ascii_image(images[0]))
 print(f"\n{'real ' + h.name_of(fox):^16s}  {'treegan':^16s}  {'flat':^16s}")
 for r in range(16):
     print("  ".join(col[r] for col in cols))

@@ -103,7 +103,7 @@ def load_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(_read_text(path))
     except json.JSONDecodeError as err:
         raise CliError(f"config {path} is not valid JSON: {err}") from err
     if not isinstance(raw, dict):
@@ -124,6 +124,9 @@ def load_config(path: str | None) -> dict:
                 f"config section {name!r} has unknown keys {sorted(bad)}; "
                 f"allowed keys are {sorted(allowed)}"
             )
+    for key, value in raw.get("hierarchy", {}).items():
+        if not isinstance(value, str):
+            raise CliError(f"config section 'hierarchy': {key} must be a string, got {value!r}")
     return raw
 
 
@@ -134,17 +137,24 @@ def _section(config: dict, name: str, seed_override: int | None) -> dict:
     return merged
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as err:
+        raise CliError(f"{path} is not UTF-8 text: {err}") from err
+
+
 def resolve_hierarchy(config: dict, hierarchy_file: str | None):
     """Explicit --hierarchy file wins; then the config section; then the
     built-in fixture tree."""
     if hierarchy_file is not None:
-        text = Path(hierarchy_file).read_text()
+        text = _read_text(hierarchy_file)
     else:
         section = config.get("hierarchy", {})
         if "text" in section and "path" in section:
             raise CliError("config section 'hierarchy' sets both 'text' and 'path'")
         if "path" in section:
-            text = Path(section["path"]).read_text()
+            text = _read_text(section["path"])
         else:
             text = section.get("text", FIXTURE_TREE)
     return parse_hierarchy(text), text
@@ -367,7 +377,7 @@ def cmd_eval(args) -> int:
     h = dataset.spec.hierarchy
     run = Path(args.run)
     table = load_table(run / "embeddings.hgck", h)
-    models = load_models(run / "models.hgck", table)
+    models = load_models(run / "models.hgck")
     out = Path(args.out)
     with output_lock(out, is_dir=False):
         report = evaluate(models, table, dataset, h, n_per_class=n_per_class, seed=seed)
@@ -392,12 +402,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_inspect_embeddings(args) -> int:
-    h, _ = resolve_hierarchy({}, args.hierarchy)
-    table = load_table(args.embeddings, h)
+    table = load_table(args.embeddings)  # rows labelled by the hierarchy stored with the table
     out = Path(args.out)
     with output_lock(out, is_dir=False):
         write_atomic(out, similarity_csv(table))
-        inputs = _checksums({"embeddings": args.embeddings, "hierarchy": args.hierarchy})
+        inputs = _checksums({"embeddings": args.embeddings})
         _write_manifest(out, False, _manifest("inspect-embeddings", {}, args, {}, inputs))
     print(f"wrote {len(table.names)}x{len(table.names)} similarity matrix to {out}")
     return 0
@@ -450,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inspect-embeddings", help="dump the class similarity matrix")
     p.set_defaults(handler=cmd_inspect_embeddings, config=None, seed=None)
     p.add_argument("--embeddings", required=True, help="embedding checkpoint")
-    p.add_argument("--hierarchy", help="hierarchy text file (default: fixture tree)")
     p.add_argument("--out", required=True, help="output CSV")
 
     return parser
@@ -468,14 +476,11 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.handler(args)
-    except CliError as err:
+    except (CliError, HierarchyError, TrainingError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except FileNotFoundError as err:
         print(f"error: input file not found: {err.filename}", file=sys.stderr)
-        return 1
-    except (HierarchyError, TrainingError) as err:
-        print(f"error: {err}", file=sys.stderr)
         return 1
     except NonFiniteError as err:
         print(f"error: non-finite loss: {err}", file=sys.stderr)
@@ -483,6 +488,9 @@ def main(argv=None) -> int:
     except (DatasetError, CheckpointError, ModelError, EmbeddingError, MetricsError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except OSError as err:  # after DatasetError and CheckpointError, which are OSErrors too
+        print(f"error: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ from .autodiff import (
     load_checkpoint,
     save_checkpoint,
 )
-from .hierarchy import ClassHierarchy
+from .hierarchy import ClassHierarchy, HierarchyError, parse_hierarchy
 
 class EmbeddingError(ValueError):
     """Invalid embedding inputs: dimension mismatch, degenerate vectors,
@@ -181,15 +181,21 @@ def save_table(path, table: ClassEmbeddingTable) -> None:
     save_checkpoint(path, named, {"hierarchy": table.hierarchy.serialize()})
 
 
-def load_table(path, h: ClassHierarchy) -> ClassEmbeddingTable:
-    """Read a table saved for hierarchy ``h``; a table trained on any other
-    hierarchy is rejected."""
+def load_table(path, h: ClassHierarchy | None = None) -> ClassEmbeddingTable:
+    """Read a saved table. Given ``h``, a table trained on any other hierarchy
+    is rejected; without it, the table keeps the hierarchy saved with it."""
     meta, arrays = load_checkpoint(path)
     missing = set(_TABLE_ARRAYS) - set(arrays)
     if missing:
         raise EmbeddingError(f"embedding checkpoint is missing {sorted(missing)}")
+    stored = meta.get("hierarchy")
+    if h is None:
+        try:
+            h = parse_hierarchy(stored if isinstance(stored, str) else "")
+        except HierarchyError as err:
+            raise EmbeddingError(f"embedding checkpoint {path} holds no valid hierarchy: {err}") from err
     table = ClassEmbeddingTable(**{name: arrays[name] for name in _TABLE_ARRAYS}, hierarchy=h)
-    if meta.get("hierarchy") != h.serialize():
+    if stored != h.serialize():
         raise EmbeddingError(f"embedding checkpoint {path} was trained for a different hierarchy")
     return table
 
@@ -256,11 +262,11 @@ class TableParams:
     rel_im: Tensor
 
     @classmethod
-    def init(cls, num_classes: int, dim: int, rng: np.random.Generator) -> "TableParams":
+    def init(cls, num_classes: int, dim: int, rng: np.random.Generator, requires_grad: bool = True) -> "TableParams":
         scale = 0.5 / np.sqrt(dim)
 
         def draw(shape, name):
-            return Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=True, name=name)
+            return Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=requires_grad, name=name)
 
         return cls(
             class_re=draw((num_classes, dim), "emb.class_re"),

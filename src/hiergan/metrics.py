@@ -21,7 +21,7 @@ import numpy as np
 
 from .embed import ClassEmbeddingTable
 from .hierarchy import ClassHierarchy
-from .models import ModelSet, classify
+from .models import ModelSet, classify, generate_set
 from .synthdata import Dataset
 
 
@@ -190,19 +190,20 @@ def evaluate(
     n_per_class: int = 500,
     seed: int = 0,
 ) -> MetricsReport:
-    """Stage-2 metrics per leaf: desk-FID against real test features, desk-IS
-    over generated leaf probabilities, and hierarchy consistency."""
-    from .training import generate_set  # deferred: training builds on metrics
-
+    """Stage-2 metrics per leaf (images from ``models.generate_set``): desk-FID
+    against real test features, desk-IS over generated leaf probabilities, and
+    hierarchy consistency. Models, table and dataset must all belong to ``h``."""
+    for what, other in (("models", models), ("embeddings", embeddings), ("dataset", dataset.spec)):
+        if other.hierarchy.serialize() != h.serialize():
+            raise MetricsError(f"{what} belong to a different hierarchy than the one evaluated")
     clf = models.clf_hi
     per_leaf: dict[str, LeafMetrics] = {}
     for y in h.leaves:
         real = dataset.test.hi[dataset.test.leaf == y]
         if len(real) < 2:
             raise MetricsError(f"leaf {h.name_of(y)!r} has {len(real)} test samples; need at least 2")
-        batch = generate_set(models, embeddings, y, n_per_class, seed=[seed, y])
         real_stats = fit_gaussian(classify(clf, real).features)
-        gen = classify(clf, batch.samples)
+        gen = classify(clf, generate_set(models, embeddings, y, n_per_class, seed=[seed, y]))
         per_leaf[h.name_of(y)] = LeafMetrics(
             desk_fid=frechet_distance(real_stats, fit_gaussian(gen.features)),
             desk_is=inception_score(gen.leaf_probs),

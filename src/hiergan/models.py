@@ -10,6 +10,10 @@ forward serves both the loss and ``classify``, the readout the metrics use. Once
 trained the classifier is frozen: its parameters stop collecting gradients,
 but gradients still flow through it to the *image*, which is the path the
 generated-image consistency penalty trains the generator through.
+
+A ``ModelSet`` holds networks only; ``generate_set`` conditions them on a
+given embedding table and is the generator's readout, as ``classify`` is the
+classifier's.
 """
 
 from __future__ import annotations
@@ -253,6 +257,13 @@ def classify(clf: HierClassifier, images) -> Readout:
     return Readout(features=feat.data, logits=logits, paths=paths, leaf_probs=_softmax(logits[-1], axis=1))
 
 
+def generate_set(models: ModelSet, table: ClassEmbeddingTable, c: int, n: int, seed) -> np.ndarray:
+    """n stage-2 images of leaf c, (n, 16, 16), from fresh seeded noise."""
+    e_c = np.tile(leaf_condition_vector(table, c), (n, 1))
+    z = np.random.default_rng(seed).standard_normal((n, models.g1.noise_dim))
+    return models.generate(Tape(), Tensor(e_c), Tensor(z)).data.reshape(n, 16, 16)
+
+
 # ----------------------------------------------------------------- training
 
 
@@ -319,20 +330,12 @@ class ModelSet:
     d_hi: Discriminator
     clf_lo: HierClassifier
     clf_hi: HierClassifier
-    table: ClassEmbeddingTable
 
     def __post_init__(self):
-        if self.table.hierarchy.serialize() != self.hierarchy.serialize():
-            raise ModelError("embedding table was trained for a different hierarchy than the models")
-        if self.table.dim != self.config.embed_dim:
-            raise ModelError(f"embedding table dim {self.table.dim} != config embed_dim {self.config.embed_dim}")
         if self.d_lo.pixels != LO_PIXELS or self.d_hi.pixels != HI_PIXELS:
             raise ModelError("discriminator resolutions are swapped")
         if self.clf_lo.pixels != LO_PIXELS or self.clf_hi.pixels != HI_PIXELS:
             raise ModelError("classifier resolutions are swapped")
-
-    def condition(self, y: int) -> np.ndarray:
-        return leaf_condition_vector(self.table, y)
 
     def generate(self, tape: Tape, e_c: Tensor, z: Tensor, stage: int = 2) -> Tensor:
         """The generator graph: stage 1's 8x8 images, or at stage 2 the 16x16
@@ -341,7 +344,7 @@ class ModelSet:
         return lo if stage == 1 else self.g2.forward(tape, e_c, lo)
 
 
-def build_models(h: ClassHierarchy, table: ClassEmbeddingTable, cfg: ModelConfig) -> ModelSet:
+def build_models(h: ClassHierarchy, cfg: ModelConfig) -> ModelSet:
     rng = np.random.default_rng(cfg.seed)
     return ModelSet(
         config=cfg,
@@ -352,7 +355,6 @@ def build_models(h: ClassHierarchy, table: ClassEmbeddingTable, cfg: ModelConfig
         d_hi=Discriminator.init(cfg, HI_PIXELS, rng),
         clf_lo=HierClassifier.init(h, LO_PIXELS, cfg, rng),
         clf_hi=HierClassifier.init(h, HI_PIXELS, cfg, rng),
-        table=table,
     )
 
 
@@ -364,8 +366,6 @@ def _load_with_manifest(path, build):
     manifest, blobs = load_checkpoint(path)
     try:
         networks, params = build(manifest)
-    except ModelError:
-        raise
     except (ValueError, KeyError, TypeError, AttributeError) as err:
         raise ModelError(f"checkpoint {path} has a malformed manifest: {err!r}") from err
     for p in params:
@@ -392,13 +392,13 @@ def save_models(ms: ModelSet, path) -> None:
     save_checkpoint(path, {p.name: p for p in _model_set_params(ms)}, manifest)
 
 
-def load_models(path, table: ClassEmbeddingTable) -> ModelSet:
+def load_models(path) -> ModelSet:
     """Rebuild a ModelSet from a checkpoint; shapes are validated against the
     manifest's architecture config. Classifiers come back frozen."""
 
     def build(manifest):
         cfg = ModelConfig(**{f.name: manifest[f.name] for f in fields(ModelConfig)})
-        ms = build_models(parse_hierarchy(manifest["hierarchy"]), table, cfg)
+        ms = build_models(parse_hierarchy(manifest["hierarchy"]), cfg)
         return ms, _model_set_params(ms)
 
     ms = _load_with_manifest(path, build)

@@ -10,6 +10,9 @@ weighted by ``lambda2`` (the prior control). Modes:
   SEG      embeddings pre-trained and frozen; lambda1 = 0
   FLAT     random frozen embeddings; lambda1 = 0
 
+In every mode the trainer's ``TableParams`` is the run's one copy of the
+class embedding; it is tracked only in the joint modes.
+
 Each step runs strict alternation: discriminator Adam step, generator Adam
 step, then (joint modes only) an embedding Adam step whose gradient is
 lambda2 * margin loss plus whatever reached the class embedding through the
@@ -40,24 +43,11 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .autodiff import AdamState, NonFiniteError, Tape, Tensor, adam_step
-from .embed import (
-    ClassEmbeddingTable,
-    TableParams,
-    leaf_condition_vector,
-    margin_loss_graph,
-    sample_negatives,
-    save_table,
-)
+from .embed import ClassEmbeddingTable, TableParams, margin_loss_graph, sample_negatives, save_table
 from .files import write_atomic
 from .hierarchy import ClassHierarchy
 from .metrics import MetricsReport, evaluate, report_csv, report_json
-from .models import (
-    HierClassifier,
-    ModelSet,
-    ModelConfig,
-    build_models,
-    save_models,
-)
+from .models import HierClassifier, ModelSet, ModelConfig, build_models, save_models
 from .synthdata import Dataset
 
 
@@ -126,13 +116,6 @@ class TrainConfig:
 
 
 @dataclass
-class GeneratedBatch:
-    samples: np.ndarray  # (n, side, side)
-    leaf: int
-    stage: int
-
-
-@dataclass
 class StepLosses:
     d_loss: float
     g_loss: float
@@ -164,19 +147,8 @@ class RunArtifacts:
     abort_reason: str = ""
 
 
-def generate_set(models: ModelSet, embeddings: ClassEmbeddingTable, c: int, n: int, seed) -> GeneratedBatch:
-    """n stage-2 images for leaf c from fresh seeded noise."""
-    e_row = leaf_condition_vector(embeddings, c)
-    if n == 0:
-        return GeneratedBatch(samples=np.zeros((0, 16, 16)), leaf=c, stage=2)
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n, models.g1.noise_dim))
-    hi = models.generate(Tape(), Tensor(np.tile(e_row, (n, 1))), Tensor(z))
-    return GeneratedBatch(samples=hi.data.reshape(n, 16, 16), leaf=c, stage=2)
-
-
 class Trainer:
-    """Owns the per-run mutable state: models, embedding parameters, Adam
+    """Owns the per-run mutable state: models, the class embedding, Adam
     states, and the step rng. One instance serves one run."""
 
     def __init__(
@@ -200,6 +172,8 @@ class Trainer:
         if cfg.mode == TrainMode.SEG:
             if embeddings is None:
                 raise TrainingError("SEG mode requires pre-trained embeddings")
+            if embeddings.hierarchy.serialize() != h.serialize():
+                raise TrainingError("embedding table was trained for a different hierarchy")
             if embeddings.dim != cfg.embed_dim:
                 raise TrainingError(f"embedding dim {embeddings.dim} != config embed_dim {cfg.embed_dim}")
         elif embeddings is not None:
@@ -210,17 +184,15 @@ class Trainer:
         self.dataset = dataset
         self.rng = np.random.default_rng([cfg.seed, 2])
 
-        if cfg.mode.joint_embeddings:
-            self.table_params = TableParams.init(len(h), cfg.embed_dim, np.random.default_rng([cfg.seed, 1]))
-            table0 = self.table_params.to_table(h)
-        else:
-            self.table_params = None
-            if cfg.mode == TrainMode.FLAT:
-                table0 = TableParams.init(len(h), cfg.embed_dim, np.random.default_rng([cfg.seed, 3])).to_table(h)
-            else:
-                table0 = embeddings
+        if cfg.mode == TrainMode.SEG:
+            e = embeddings
+            self.table_params = TableParams(Tensor(e.class_re), Tensor(e.class_im), Tensor(e.rel_re), Tensor(e.rel_im))
+        else:  # drawn at random: trained jointly, or frozen in flat mode
+            joint = cfg.mode.joint_embeddings
+            rng = np.random.default_rng([cfg.seed, 1 if joint else 3])
+            self.table_params = TableParams.init(len(h), cfg.embed_dim, rng, requires_grad=joint)
 
-        self.models = build_models(h, table0, ModelConfig(embed_dim=cfg.embed_dim, seed=cfg.seed))
+        self.models = build_models(h, ModelConfig(embed_dim=cfg.embed_dim, seed=cfg.seed))
         self.models.clf_lo = clf_lo
         self.models.clf_hi = clf_hi
 
@@ -230,9 +202,7 @@ class Trainer:
                 raise TrainingError(f"leaf {h.name_of(y)!r} has no training samples")
 
         self.pairs = np.asarray(h.parent_child_pairs())
-        self.emb_states = (
-            [AdamState.for_param(p) for p in self.table_params.params()] if self.table_params else None
-        )
+        self.emb_states = [AdamState.for_param(p) for p in self.table_params.params()]
         self.stage = 1
         self._enter_stage(1)
 
@@ -256,21 +226,17 @@ class Trainer:
         self.d_states = [AdamState.for_param(p) for p in self.d_params]
 
     def current_table(self) -> ClassEmbeddingTable:
-        if self.table_params is not None:
-            return self.table_params.to_table(self.h)
-        return self.models.table
+        return self.table_params.to_table(self.h)
 
     # -------------------------------------------------------- conditioning
 
     def _condition(self, tape: Tape, y: int, n: int) -> Tensor:
-        """Class-embedding rows for leaf y; a graph gather in joint modes so
-        gradients reach the table, a constant otherwise."""
-        if self.table_params is not None:
-            idx = np.full(n, y)
-            re = tape.slice(self.table_params.class_re, idx)
-            im = tape.slice(self.table_params.class_im, idx)
-            return tape.concat([re, im], axis=1)
-        return Tensor(np.tile(leaf_condition_vector(self.models.table, y), (n, 1)))
+        """n class-embedding rows (re || im) for leaf y, gathered on the tape:
+        gradients reach the table in joint modes, where it is tracked."""
+        idx = np.full(n, y)
+        re = tape.slice(self.table_params.class_re, idx)
+        im = tape.slice(self.table_params.class_im, idx)
+        return tape.concat([re, im], axis=1)
 
     # -------------------------------------------------------------- steps
 
@@ -326,7 +292,7 @@ class Trainer:
         # --- embedding step (joint modes): lambda2 * margin loss plus the
         # gradient that reached the class embedding through the generator
         che_loss = 0.0
-        if self.table_params is not None:
+        if cfg.mode.joint_embeddings:
             neg = np.stack(
                 [
                     np.asarray(
@@ -404,10 +370,9 @@ def run_training(
                     )
                 )
                 if stage == 2 and ((t + 1) % cfg.eval_every == 0 or t + 1 == cfg.steps_per_stage):
-                    table = trainer.current_table()
                     report = evaluate(
                         trainer.models,
-                        table,
+                        trainer.current_table(),
                         dataset,
                         h,
                         n_per_class=cfg.eval_n_per_class,
@@ -419,7 +384,6 @@ def run_training(
         art.abort_step = step + 1
         art.abort_reason = str(err)
     art.table = trainer.current_table()
-    art.models.table = art.table
     return art
 
 

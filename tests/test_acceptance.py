@@ -87,7 +87,7 @@ def test_criterion_01_gradients(dataset):
 
     # composite generator objective on a tiny configuration
     cfg = ModelConfig(embed_dim=2, gen_hidden=2, disc_hidden=2, clf_hidden=2, feature_width=2, seed=5)
-    ms = build_models(TREE, train_che(TREE, CheConfig(dim=2, seed=2, epochs=30)), cfg)
+    ms = build_models(TREE, cfg)
     ms.clf_lo.freeze()
     ms.clf_hi.freeze()
     tcfg = TrainConfig(mode="treegan", embed_dim=2, batch_size=3, steps_per_stage=1, seed=0)

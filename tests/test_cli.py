@@ -1,7 +1,9 @@
+import dataclasses
 import hashlib
 import json
 import shutil
 import struct
+import typing
 import zlib
 from pathlib import Path
 
@@ -10,8 +12,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hiergan.autodiff import load_checkpoint, save_checkpoint
-from hiergan.cli import main
-from hiergan.hierarchy import FIXTURE_TREE
+from hiergan.cli import _SECTION_KEYS, main
+from hiergan.embed import CheConfig
+from hiergan.hierarchy import FIXTURE_TREE, parse_hierarchy
+from hiergan.models import ClassifierConfig
+from hiergan.synthdata import DatasetSpec, default_dataset_spec
+from hiergan.training import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -420,6 +426,102 @@ def test_missing_input_exits_one(ws, tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen-data", "--config", "{dir}", "--out", "{out}"],
+        ["gen-data", "--config", "{binary}", "--out", "{out}"],
+        ["train-che", "--hierarchy", "{dir}", "--out", "{out}"],
+        ["train-che", "--hierarchy", "{binary}", "--out", "{out}"],
+        ["train-clf", "--data", "{dir}", "--resolution", "8", "--out", "{out}"],
+    ],
+    ids=["config-directory", "config-not-utf8", "hierarchy-directory", "hierarchy-not-utf8", "data-directory"],
+)
+def test_unreadable_input_exits_one(tmp_path, capsys, argv):
+    (tmp_path / "binary").write_bytes(b"\xff\xfe{")
+    paths = {"dir": str(tmp_path), "binary": str(tmp_path / "binary"), "out": str(tmp_path / "out")}
+    assert main([a.format(**paths) for a in argv]) == 1
+    assert_one_line_error(capsys)
+    assert not (tmp_path / "out").exists()
+
+
+def _valid_sections(tree_file) -> dict:
+    """Every key of every config section with a value of the right kind;
+    the hierarchy section names its tree by ``path`` when ``tree_file`` is
+    given, else by ``text`` (it may not set both)."""
+    spec = default_dataset_spec(parse_hierarchy(FIXTURE_TREE))
+    return {
+        "hierarchy": {"path": str(tree_file)} if tree_file else {"text": FIXTURE_TREE},
+        "dataset": {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec) if f.name != "hierarchy"},
+        "che": dataclasses.asdict(CheConfig()),
+        "classifier": dataclasses.asdict(ClassifierConfig()),
+        "gan": {f.name: getattr(TrainConfig(), f.name) for f in dataclasses.fields(TrainConfig) if f.name != "mode"},
+        "eval": {"n_per_class": 30, "seed": 7},
+    }
+
+
+# values of a JSON kind that a key of the given kind does not take
+WRONG_KIND = {
+    int: ["7", None, [7], {"v": 7}, True, 7.5],
+    float: ["0.5", None, [0.5], {"v": 0.5}, False],
+    tuple: ["0.5", None, 0.5, {"v": 0.5}, True, ["0.5"]],
+    str: [5, None, ["root"], {"v": "root"}, True],
+}
+
+
+def _kind(section: str, key: str):
+    cls = {"dataset": DatasetSpec, "che": CheConfig, "classifier": ClassifierConfig, "gan": TrainConfig}.get(section)
+    if cls is None:
+        return str if section == "hierarchy" else int
+    hint = typing.get_type_hints(cls)[key]
+    return tuple if typing.get_origin(hint) is tuple else hint
+
+
+CONFIG_KEYS = [(name, key) for name, keys in sorted(_SECTION_KEYS.items()) for key in sorted(keys)]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(target=st.sampled_from(CONFIG_KEYS), how=st.sampled_from(["drop", "rename", "retype"]), pick=st.integers(0, 5))
+@example(target=("hierarchy", "text"), how="retype", pick=0)  # {"text": 5}
+@example(target=("hierarchy", "text"), how="retype", pick=1)  # {"text": null}
+@example(target=("hierarchy", "path"), how="retype", pick=0)  # {"path": 5}
+def test_malformed_config_exits_one(ws, tmp_path_factory, capsys, target, how, pick):
+    """One key of one section made malformed: renamed to an unknown key,
+    given a value of the wrong JSON kind, or dropped together with every
+    other key name of its section, which leaves a list of the values where an
+    object belongs. (Dropping a single key leaves a valid config: every key
+    is optional.) The command that reads the section exits 1 with one line
+    naming it, and writes nothing."""
+    section, key = target
+    tmp = tmp_path_factory.mktemp("config")
+    tree_file = tmp / "tree.txt"
+    tree_file.write_text(FIXTURE_TREE)
+    config = _valid_sections(tree_file if key == "path" else None)
+    if how == "drop":
+        config[section] = list(config[section].values())
+    elif how == "rename":
+        config[section][key + "_x"] = config[section].pop(key)
+    else:
+        pool = WRONG_KIND[_kind(section, key)]
+        config[section][key] = pool[pick % len(pool)]
+    cfg = tmp / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp / "out"
+    argv = {
+        "hierarchy": ["gen-data", "--out", str(out)],
+        "dataset": ["gen-data", "--out", str(out)],
+        "che": ["train-che", "--out", str(out)],
+        "classifier": ["train-clf", "--data", str(ws["data"]), "--resolution", "8", "--out", str(out)],
+        "gan": gan_args(ws, "flat", out),
+        "eval": ["eval", "--run", str(ws["run"]), "--data", str(ws["data"]), "--out", str(out)],
+    }[section]
+    capsys.readouterr()
+    assert main(argv + ["--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and section in err, err
+    assert not out.exists()
+
+
 def test_corrupt_input_exits_two(ws, tmp_path, capsys):
     bad = tmp_path / "corrupt.hgds"
     bad.write_bytes(ws["data"].read_bytes()[:100])
@@ -545,15 +647,20 @@ OTHER_TREE = "root\nroot/a\nroot/a/x\nroot/a/y\nroot/a/z\nroot/b\nroot/b/u\nroot
 def test_embeddings_for_another_hierarchy_exit_two(ws, tmp_path, capsys):
     other = tmp_path / "other.txt"
     other.write_text(OTHER_TREE)
-    sim = tmp_path / "sim.csv"
-    code = main(["inspect-embeddings", "--embeddings", str(ws["che"]), "--hierarchy", str(other), "--out", str(sim)])
-    assert code == 2
-    assert_one_line_error(capsys)
-    assert not sim.exists()
     che = tmp_path / "other.hgck"
     assert main(["train-che", "--config", str(ws["cfg"]), "--hierarchy", str(other), "--out", str(che)]) == 0
+    # inspect-embeddings labels the rows with the hierarchy stored in the table
+    sim = tmp_path / "sim.csv"
+    assert main(["inspect-embeddings", "--embeddings", str(che), "--out", str(sim)]) == 0
+    assert sim.read_text().splitlines()[0] == "class,root,a,x,y,z,b,u,v,w"
     capsys.readouterr()
+    # the commands that pair the table with a dataset refuse it
     assert main(gan_args(ws, "seg", tmp_path / "run", embeddings=che)) == 2
+    assert_one_line_error(capsys)
+    shutil.copytree(ws["run"], tmp_path / "mixed")
+    shutil.copy(che, tmp_path / "mixed" / "embeddings.hgck")
+    argv = ["eval", "--run", str(tmp_path / "mixed"), "--data", str(ws["data"]), "--out", str(tmp_path / "m.csv")]
+    assert main(argv) == 2
     assert_one_line_error(capsys)
 
 

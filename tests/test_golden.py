@@ -1,5 +1,5 @@
 """Golden fingerprint: sha256 of a dataset file, of a trained embedding table
-and of the artifacts of three short fixed runs, plus a hash of the arrays
+and of the artifacts of four short fixed runs, plus a hash of the arrays
 each loader returns from those files.
 
 `test_run_replays_exactly` only shows that a run agrees with itself; these
@@ -29,6 +29,12 @@ DATASET_SHA256 = "a64e7c5c0499083dbf4c365940303b5757d2f40a5a497b722b28180bf1e0da
 CHE_SHA256 = "2f312dafef355315f42d3ca5e7dc1980e19a52ffc31c6d78a597bbb1b9f0ede6"
 
 GOLDEN = {
+    "flat": {
+        "trace.csv": "17a281db2f89657b171eae3a7673755e10483b2918d5cc7dff14defdcf13d9d0",
+        "models.hgck": "72b42087a8f38b1784d6716f6683453d1da530089659f907871772f55422f505",
+        "embeddings.hgck": "3c644a67d193bf149c33c0051d7a14dbc02a55e7552e25967396fbcff9decdc8",
+        "metrics_step000020.json": "6458dfac101370fa71f72fadbda436de0bff360688890d832adddb4161150a13",
+    },
     "treegan": {
         "trace.csv": "144c28f6a7d6ff8d1b6ba93763b4d4911e89ccb250a143318aa8e505a65e4431",
         "models.hgck": "c17acf8728f822338dcc046c68c9c13ea746e86f277b693701f25f95a4e42c2e",
@@ -43,6 +49,7 @@ GOLDEN = {
         "trace.csv": "f8e4aeb25b95e73c4faf3e93ae50db8dc720ece3d489008df32ee5134550f0f2",
         "models.hgck": "707f663a094d4453e6675a645ed3344c3fcc5a1389b5ce0f9dfc8797dc8c90d9",
         "embeddings.hgck": CHE_SHA256,
+        "metrics_step000020.json": "69237196e4999668d2defeb84691104cbd38b5c29d426aa8e5b888d9462cc11f",
     },
 }
 
@@ -52,6 +59,8 @@ GOLDEN = {
 CONTENTS = {
     "dataset": "50dabc463b04411e7274534a6b6068a2ec4c90acaf0467c054cd863ef73b058f",
     "che.hgck": "d42db74377fef353e501f5f070c4fff93676fec715f8e49619da9fa1bae043b0",
+    "flat/embeddings.hgck": "23f8ac16f3709d6805a09b0103ddca94918eca949399a56817142f4cda70d84c",
+    "flat/models.hgck": "53f2b1af970748d2831760a5a2e7d59c82a7d5fa67703a0edf8e28c321404af9",
     "npc/embeddings.hgck": "fbe2ed82450a743d6c1bda6031ed4b005240fb0c7264cc4f6ec36761fe8af874",
     "npc/models.hgck": "3df972bdc66f58dd49e24f495f54bf94af08a94fc530621683a7f7b42c4ee579",
     "seg/embeddings.hgck": "d42db74377fef353e501f5f070c4fff93676fec715f8e49619da9fa1bae043b0",
@@ -79,7 +88,7 @@ def che_table():
 
 @pytest.fixture(scope="module")
 def runs(setup, che_table, tmp_path_factory):
-    """The three short runs, each saved once: mode -> run directory."""
+    """The four short runs, each saved once: mode -> run directory."""
     dataset, (clf_lo, clf_hi) = setup
     out = {}
     for mode in sorted(GOLDEN):
@@ -140,7 +149,7 @@ def test_golden_contents(setup, che_table, runs, tmp_path):
     }
     for mode, run in runs.items():
         table = load_table(run / "embeddings.hgck", TREE)
-        models = load_models(run / "models.hgck", table)
+        models = load_models(run / "models.hgck")
         nets = (models.g1, models.g2, models.d_lo, models.d_hi, models.clf_lo, models.clf_hi)
         got[f"{mode}/embeddings.hgck"] = _contents(_table_arrays(table))
         got[f"{mode}/models.hgck"] = _contents((p.name, p.data) for net in nets for p in net.params())

@@ -1,8 +1,15 @@
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hiergan
 from hiergan.embed import CheConfig, train_che
 from hiergan.hierarchy import FIXTURE_TREE, parse_hierarchy
 from hiergan.metrics import (
@@ -38,8 +45,8 @@ def corpus(tree):
 
 
 @pytest.fixture(scope="module")
-def trained(tree, table, corpus):
-    ms = build_models(tree, table, ModelConfig(seed=0))
+def trained(tree, corpus):
+    ms = build_models(tree, ModelConfig(seed=0))
     train_classifier(ms.clf_lo, corpus, 8, ClassifierConfig(seed=0))
     train_classifier(ms.clf_hi, corpus, 16, ClassifierConfig(seed=0))
     return ms
@@ -283,9 +290,9 @@ def test_consistency_on_real_training_data(trained, corpus, tree):
         assert consistency_rate(classify(trained.clf_hi, imgs).paths, int(y), tree) >= 0.95
 
 
-def test_consistency_all_levels_rule(tree, table):
+def test_consistency_all_levels_rule(tree):
     # classifier forced to predict the right level-1 branch but a wrong leaf
-    ms = build_models(tree, table, ModelConfig(seed=21))
+    ms = build_models(tree, ModelConfig(seed=21))
     clf = ms.clf_lo
     for w, b in clf.trunk.layers:
         w.data = np.zeros_like(w.data)
@@ -369,6 +376,43 @@ def test_evaluate_deterministic(trained, corpus, tree, table):
     a = evaluate(trained, table, corpus, tree, n_per_class=10, seed=3)
     b = evaluate(trained, table, corpus, tree, n_per_class=10, seed=3)
     assert report_json(a) == report_json(b)
+
+
+@pytest.mark.parametrize("which", ["models", "embeddings", "dataset"])
+def test_evaluate_rejects_inputs_of_another_hierarchy(trained, corpus, tree, table, which):
+    renamed = parse_hierarchy(FIXTURE_TREE.replace("canine", "bird"))
+    args = {"models": trained, "embeddings": table, "dataset": corpus}
+    if which == "models":
+        args["models"] = dataclasses.replace(trained, hierarchy=renamed)
+    elif which == "embeddings":
+        args["embeddings"] = dataclasses.replace(table, hierarchy=renamed)
+    else:
+        args["dataset"] = dataclasses.replace(corpus, spec=dataclasses.replace(corpus.spec, hierarchy=renamed))
+    with pytest.raises(MetricsError, match=f"{which} belong to a different hierarchy"):
+        evaluate(args["models"], args["embeddings"], args["dataset"], tree, n_per_class=5, seed=0)
+
+
+EVALUATE_ALONE = """
+import sys
+from hiergan.embed import CheConfig, train_che
+from hiergan.hierarchy import FIXTURE_TREE, parse_hierarchy
+from hiergan.metrics import evaluate
+from hiergan.models import ModelConfig, build_models
+from hiergan.synthdata import default_dataset_spec, generate_dataset
+h = parse_hierarchy(FIXTURE_TREE)
+data = generate_dataset(default_dataset_spec(h, samples_per_leaf=10))
+evaluate(build_models(h, ModelConfig()), train_che(h, CheConfig(epochs=1)), data, h, n_per_class=2)
+print("hiergan.training" in sys.modules)
+"""
+
+
+def test_metrics_does_not_import_training():
+    # generate_set lives beside classify, so neither importing metrics nor
+    # running evaluate needs anything from training
+    src = str(Path(hiergan.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", EVALUATE_ALONE], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_evaluate_needs_test_samples(trained, tree, table, corpus):

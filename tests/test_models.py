@@ -1,20 +1,18 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from hiergan.autodiff import Tape, Tensor, grad_check
-from hiergan.embed import CheConfig, train_che
+from hiergan.embed import CheConfig, leaf_condition_vector, train_che
 from hiergan.hierarchy import FIXTURE_TREE, parse_hierarchy
 from hiergan.models import (
     ClassifierConfig,
     HierClassifier,
     ModelConfig,
     ModelError,
-    ModelSet,
     build_models,
     classify,
     evaluate_classifier,
+    generate_set,
     load_models,
     save_models,
     train_classifier,
@@ -33,8 +31,8 @@ def table(tree):
 
 
 @pytest.fixture(scope="module")
-def models(tree, table):
-    return build_models(tree, table, ModelConfig(seed=0))
+def models(tree):
+    return build_models(tree, ModelConfig(seed=0))
 
 
 def zeroed(net):
@@ -54,8 +52,8 @@ def generate_images(ms, e, z):
     return (lo[0], hi[0]) if np.ndim(e) == 1 else (lo, hi)
 
 
-def test_generate_shapes_and_range(models, tree):
-    e = models.condition(tree.id_of("dog"))
+def test_generate_shapes_and_range(models, tree, table):
+    e = leaf_condition_vector(table, tree.id_of("dog"))
     z = np.random.default_rng(0).standard_normal(32)
     lo, hi = generate_images(models, e, z)
     assert lo.shape == (8, 8) and hi.shape == (16, 16)
@@ -63,24 +61,24 @@ def test_generate_shapes_and_range(models, tree):
         assert np.all(img > 0.0) and np.all(img < 1.0)
 
 
-def test_generate_batched(models, tree):
+def test_generate_batched(models, tree, table):
     rng = np.random.default_rng(1)
-    e = np.stack([models.condition(y) for y in tree.leaves[:3]])
+    e = np.stack([leaf_condition_vector(table, y) for y in tree.leaves[:3]])
     z = rng.standard_normal((3, 32))
     lo, hi = generate_images(models, e, z)
     assert lo.shape == (3, 8, 8) and hi.shape == (3, 16, 16)
 
 
-def test_generate_deterministic(models, tree):
-    e = models.condition(tree.id_of("cat"))
+def test_generate_deterministic(models, tree, table):
+    e = leaf_condition_vector(table, tree.id_of("cat"))
     z = np.random.default_rng(2).standard_normal(32)
     a = generate_images(models, e, z)
     b = generate_images(models, e, z)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
-def test_generate_zero_weights_gives_half(tree, table):
-    ms = build_models(tree, table, ModelConfig(seed=3))
+def test_generate_zero_weights_gives_half(tree):
+    ms = build_models(tree, ModelConfig(seed=3))
     zeroed(ms.g1.net)
     zeroed(ms.g2.net)
     lo, hi = generate_images(ms, np.zeros(32), np.zeros(32))
@@ -96,10 +94,43 @@ def test_generate_dimension_mismatch(models):
         generate_images(models, np.zeros((2, 32)), np.zeros((3, 32)))
 
 
+# -------------------------------------------------------------- generate_set
+
+
+def test_generate_set_shapes_and_determinism(tree, table):
+    ms = build_models(tree, ModelConfig(seed=2))
+    y = int(tree.leaves[1])
+    a = generate_set(ms, table, y, 5, seed=42)
+    b = generate_set(ms, table, y, 5, seed=42)
+    assert a.shape == (5, 16, 16)
+    assert np.array_equal(a, b)
+    c = generate_set(ms, table, y, 5, seed=43)
+    assert not np.array_equal(a, c)
+
+
+def test_generate_set_empty(tree, table):
+    ms = build_models(tree, ModelConfig(seed=3))
+    assert generate_set(ms, table, int(tree.leaves[0]), 0, seed=0).shape == (0, 16, 16)
+
+
+def test_generate_set_rejects_non_leaf(tree, table):
+    ms = build_models(tree, ModelConfig(seed=4))
+    with pytest.raises(ValueError):
+        generate_set(ms, table, tree.id_of("canine"), 3, seed=0)
+
+
+def test_generator_rejects_table_of_another_dim(tree):
+    # the models are built for embed_dim 16; a table of dim 8 gives 16-wide rows
+    small = train_che(tree, CheConfig(dim=8, seed=0, epochs=1))
+    ms = build_models(tree, ModelConfig(seed=0))
+    with pytest.raises(ModelError, match="wants cond 32"):
+        generate_set(ms, small, int(tree.leaves[0]), 3, seed=0)
+
+
 def test_generator_pixel_gradcheck(tree, table):
     # gradient of a generated pixel w.r.t. generator parameters
-    ms = build_models(tree, table, ModelConfig(seed=4))
-    e = np.atleast_2d(ms.condition(tree.id_of("fox")))
+    ms = build_models(tree, ModelConfig(seed=4))
+    e = np.atleast_2d(leaf_condition_vector(table, tree.id_of("fox")))
     z = np.atleast_2d(np.random.default_rng(5).standard_normal(32))
     params = ms.g1.params() + ms.g2.params()
 
@@ -127,8 +158,8 @@ def gan_losses(d, real, fake, e):
     return d_loss.item(), g_loss.item()
 
 
-def test_adversarial_losses_at_logit_zero(tree, table):
-    ms = build_models(tree, table, ModelConfig(seed=6))
+def test_adversarial_losses_at_logit_zero(tree):
+    ms = build_models(tree, ModelConfig(seed=6))
     zeroed(ms.d_lo.net)
     rng = np.random.default_rng(0)
     real, fake = rng.uniform(size=(4, 8, 8)), rng.uniform(size=(4, 8, 8))
@@ -137,9 +168,9 @@ def test_adversarial_losses_at_logit_zero(tree, table):
     assert abs(g_loss - np.log(2)) < 1e-12
 
 
-def test_adversarial_losses_saturated_discriminator(tree, table):
+def test_adversarial_losses_saturated_discriminator(tree):
     # a biased discriminator drives d_loss toward 0 and g_loss large but finite
-    ms = build_models(tree, table, ModelConfig(seed=7))
+    ms = build_models(tree, ModelConfig(seed=7))
     zeroed(ms.d_lo.net)
     w_last, b_last = ms.d_lo.net.layers[-1]
     b_last.data = np.array([1000.0])
@@ -153,8 +184,8 @@ def test_adversarial_losses_saturated_discriminator(tree, table):
     assert np.isfinite(g_rejected) and g_rejected > 20.0  # clamped, large
 
 
-def test_adversarial_losses_match_loop_oracle(tree, table):
-    ms = build_models(tree, table, ModelConfig(seed=8))
+def test_adversarial_losses_match_loop_oracle(tree):
+    ms = build_models(tree, ModelConfig(seed=8))
     rng = np.random.default_rng(2)
     real, fake = rng.uniform(size=(5, 8, 8)), rng.uniform(size=(5, 8, 8))
     e = rng.standard_normal(32)
@@ -200,8 +231,8 @@ def test_classifier_logit_shapes(models, tree):
     assert out.features.shape == (7, 32) and out.paths.shape == (7, 2) and out.leaf_probs.shape == (7, 6)
 
 
-def test_classifier_zero_weights_uniform(tree, table):
-    ms = build_models(tree, table, ModelConfig(seed=9))
+def test_classifier_zero_weights_uniform(tree):
+    ms = build_models(tree, ModelConfig(seed=9))
     zeroed(ms.clf_lo.trunk)
     for w, b in ms.clf_lo.heads:
         w.data = np.zeros_like(w.data)
@@ -225,8 +256,8 @@ def test_trunk_features_shared_across_heads(models):
     assert f1.shape == (1, 32)
 
 
-def test_hier_loss_uniform_logits(tree, table):
-    ms = build_models(tree, table, ModelConfig(seed=10))
+def test_hier_loss_uniform_logits(tree):
+    ms = build_models(tree, ModelConfig(seed=10))
     zeroed(ms.clf_lo.trunk)
     for w, b in ms.clf_lo.heads:
         w.data = np.zeros_like(w.data)
@@ -235,9 +266,9 @@ def test_hier_loss_uniform_logits(tree, table):
     assert abs(val - (np.log(2) + np.log(6))) < 1e-12
 
 
-def test_hier_loss_saturated_correct_logits(tree, table):
+def test_hier_loss_saturated_correct_logits(tree):
     # force the correct class logits huge via head biases
-    ms = build_models(tree, table, ModelConfig(seed=11))
+    ms = build_models(tree, ModelConfig(seed=11))
     zeroed(ms.clf_lo.trunk)
     y = tree.id_of("dog")
     for k, (w, b) in enumerate(ms.clf_lo.heads, start=1):
@@ -270,9 +301,9 @@ def test_hier_loss_rejects_non_leaf(models, tree):
         loss_of(models.clf_lo, np.zeros((8, 8)), tree.id_of("canine"))
 
 
-def test_hier_loss_decreases_when_correct_logit_rises(tree, table):
+def test_hier_loss_decreases_when_correct_logit_rises(tree):
     # raising the correct-class bias at one level strictly lowers the loss
-    ms = build_models(tree, table, ModelConfig(seed=12))
+    ms = build_models(tree, ModelConfig(seed=12))
     y = tree.id_of("lion")
     img = np.random.default_rng(8).uniform(size=(8, 8))
     base = loss_of(ms.clf_lo, img, y)
@@ -294,8 +325,8 @@ def test_hier_loss_image_gradient_gradcheck(models, tree):
     assert report.passed, report
 
 
-def test_predict_path_forced_logits(tree, table):
-    ms = build_models(tree, table, ModelConfig(seed=13))
+def test_predict_path_forced_logits(tree):
+    ms = build_models(tree, ModelConfig(seed=13))
     zeroed(ms.clf_lo.trunk)
     for w, b in ms.clf_lo.heads:
         w.data = np.zeros_like(w.data)
@@ -306,8 +337,8 @@ def test_predict_path_forced_logits(tree, table):
     assert path == (tree.id_of("canine"), tree.level_classes(2)[2])
 
 
-def test_predict_path_tie_breaks_low(tree, table):
-    ms = build_models(tree, table, ModelConfig(seed=14))
+def test_predict_path_tie_breaks_low(tree):
+    ms = build_models(tree, ModelConfig(seed=14))
     zeroed(ms.clf_lo.trunk)
     for w, b in ms.clf_lo.heads:
         w.data = np.zeros_like(w.data)
@@ -325,8 +356,8 @@ def corpus(tree):
 
 
 @pytest.fixture(scope="module")
-def trained_lo(tree, table, corpus):
-    ms = build_models(tree, table, ModelConfig(seed=0))
+def trained_lo(tree, corpus):
+    ms = build_models(tree, ModelConfig(seed=0))
     return train_classifier(ms.clf_lo, corpus, 8, ClassifierConfig(seed=0))
 
 
@@ -341,9 +372,9 @@ def test_trained_classifier_path_consistency(trained_lo, corpus):
     assert stats["path_consistent"] >= 0.90
 
 
-def test_evaluate_classifier_matches_per_sample_oracle(tree, table, corpus):
+def test_evaluate_classifier_matches_per_sample_oracle(tree, corpus):
     # an untrained classifier makes mistakes and off-tree paths, so every score is exercised
-    clf = build_models(tree, table, ModelConfig(seed=5)).clf_lo
+    clf = build_models(tree, ModelConfig(seed=5)).clf_lo
     stats = evaluate_classifier(clf, corpus.test)
     paths = [tuple(int(c) for c in row) for row in classify(clf, corpus.test.lo).paths]
     true = [tree.ancestor_path(int(y)) for y in corpus.test.leaf]
@@ -366,16 +397,16 @@ def test_frozen_classifier_still_gives_image_gradient(trained_lo, tree):
     assert all(p not in grads for p in trained_lo.params())
 
 
-def test_classifier_training_deterministic(tree, table, corpus):
+def test_classifier_training_deterministic(tree, corpus):
     outs = []
     for _ in range(2):
-        ms = build_models(tree, table, ModelConfig(seed=1))
+        ms = build_models(tree, ModelConfig(seed=1))
         clf = train_classifier(ms.clf_lo, corpus, 8, ClassifierConfig(epochs=3, seed=1))
         outs.append(np.concatenate([p.data.ravel() for p in clf.params()]))
     assert np.array_equal(outs[0], outs[1])
 
 
-def test_shuffled_labels_hit_chance(tree, table, corpus):
+def test_shuffled_labels_hit_chance(tree, corpus):
     # negative control: uniformly shuffled labels leave nothing to learn
     import dataclasses
 
@@ -383,7 +414,7 @@ def test_shuffled_labels_hit_chance(tree, table, corpus):
     leaves = list(tree.leaves)
     labels = np.array([rng.choice(leaves) for _ in range(len(corpus.train))])
     shuffled = dataclasses.replace(corpus, train=dataclasses.replace(corpus.train, leaf=labels))
-    ms = build_models(tree, table, ModelConfig(seed=2))
+    ms = build_models(tree, ModelConfig(seed=2))
     clf = train_classifier(ms.clf_lo, shuffled, 8, ClassifierConfig(epochs=20, seed=2))
     stats = evaluate_classifier(clf, corpus.test)
     chance = 1.0 / tree.num_classes(tree.K)
@@ -407,32 +438,15 @@ def test_classifier_config_validation():
 # ------------------------------------------------------------- persistence
 
 
-def test_model_set_validates_table_dim(tree, table):
-    with pytest.raises(ModelError, match="embed_dim"):
-        cfg = ModelConfig(embed_dim=8)
-        ms = build_models(tree, table, ModelConfig(seed=0))
-        ModelSet(
-            config=cfg,
-            hierarchy=tree,
-            g1=ms.g1,
-            g2=ms.g2,
-            d_lo=ms.d_lo,
-            d_hi=ms.d_hi,
-            clf_lo=ms.clf_lo,
-            clf_hi=ms.clf_hi,
-            table=table,
-        )
-
-
 def test_save_load_round_trip(tmp_path, tree, table):
-    ms = build_models(tree, table, ModelConfig(seed=15))
+    ms = build_models(tree, ModelConfig(seed=15))
     path = tmp_path / "models.hgck"
     save_models(ms, path)
-    back = load_models(path, table)
+    back = load_models(path)
     for a, b in zip(_all_params(ms), _all_params(back)):
         assert a.name == b.name
         assert np.array_equal(a.data, b.data)
-    e = ms.condition(tree.id_of("tiger"))
+    e = leaf_condition_vector(table, tree.id_of("tiger"))
     z = np.random.default_rng(11).standard_normal(32)
     lo_a, hi_a = generate_images(ms, e, z)
     lo_b, hi_b = generate_images(back, e, z)
@@ -447,8 +461,8 @@ def _all_params(ms):
     return out
 
 
-def test_load_rejects_shape_drift(tmp_path, tree, table):
-    ms = build_models(tree, table, ModelConfig(seed=16))
+def test_load_rejects_shape_drift(tmp_path, tree):
+    ms = build_models(tree, ModelConfig(seed=16))
     path = tmp_path / "m.hgck"
     save_models(ms, path)
     from hiergan.autodiff import load_checkpoint, save_checkpoint
@@ -457,11 +471,11 @@ def test_load_rejects_shape_drift(tmp_path, tree, table):
     blobs["g1.w0"] = blobs["g1.w0"][:, :5]
     save_checkpoint(path, blobs, manifest)
     with pytest.raises(ModelError, match="shape"):
-        load_models(path, table)
+        load_models(path)
 
 
-def test_load_rejects_missing_manifest(tmp_path, tree, table):
-    ms = build_models(tree, table, ModelConfig(seed=17))
+def test_load_rejects_missing_manifest(tmp_path, tree):
+    ms = build_models(tree, ModelConfig(seed=17))
     path = tmp_path / "m2.hgck"
     save_models(ms, path)
     from hiergan.autodiff import load_checkpoint, save_checkpoint
@@ -469,13 +483,4 @@ def test_load_rejects_missing_manifest(tmp_path, tree, table):
     _, blobs = load_checkpoint(path)
     save_checkpoint(path, blobs)
     with pytest.raises(ModelError, match="manifest"):
-        load_models(path, table)
-
-
-def test_load_rejects_table_of_another_hierarchy(tmp_path, tree, table):
-    path = tmp_path / "m3.hgck"
-    save_models(build_models(tree, table, ModelConfig(seed=18)), path)
-    renamed = parse_hierarchy(FIXTURE_TREE.replace("canine", "bird"))
-    other = dataclasses.replace(table, hierarchy=renamed)
-    with pytest.raises(ModelError, match="different hierarchy"):
-        load_models(path, other)
+        load_models(path)

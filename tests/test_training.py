@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -14,7 +15,6 @@ from hiergan.training import (
     TrainMode,
     Trainer,
     TrainingError,
-    generate_set,
     run_training,
     save_run,
     trace_csv,
@@ -34,7 +34,7 @@ def corpus(tree):
 @pytest.fixture(scope="module")
 def frozen_clfs(tree, corpus):
     # GAN training needs frozen classifiers; accuracy is irrelevant here
-    ms = build_models(tree, train_che(tree, CheConfig(seed=0, epochs=50)), ModelConfig(seed=0))
+    ms = build_models(tree, ModelConfig(seed=0))
     ms.clf_lo.freeze()
     ms.clf_hi.freeze()
     return ms.clf_lo, ms.clf_hi
@@ -133,32 +133,6 @@ def test_penalty_rejects_bad_input(tree, frozen_clfs):
         penalty(clf_lo, np.zeros((2, 16, 16)), int(tree.leaves[0]))
 
 
-# -------------------------------------------------------------- generate_set
-
-
-def test_generate_set_shapes_and_determinism(tree, seg_table):
-    ms = build_models(tree, seg_table, ModelConfig(seed=2))
-    y = int(tree.leaves[1])
-    a = generate_set(ms, seg_table, y, 5, seed=42)
-    b = generate_set(ms, seg_table, y, 5, seed=42)
-    assert a.samples.shape == (5, 16, 16) and a.leaf == y and a.stage == 2
-    assert np.array_equal(a.samples, b.samples)
-    c = generate_set(ms, seg_table, y, 5, seed=43)
-    assert not np.array_equal(a.samples, c.samples)
-
-
-def test_generate_set_empty(tree, seg_table):
-    ms = build_models(tree, seg_table, ModelConfig(seed=3))
-    batch = generate_set(ms, seg_table, int(tree.leaves[0]), 0, seed=0)
-    assert batch.samples.shape == (0, 16, 16)
-
-
-def test_generate_set_rejects_non_leaf(tree, seg_table):
-    ms = build_models(tree, seg_table, ModelConfig(seed=4))
-    with pytest.raises(ValueError):
-        generate_set(ms, seg_table, tree.id_of("canine"), 3, seed=0)
-
-
 # ------------------------------------------------- composite objective check
 
 
@@ -166,7 +140,7 @@ def test_composite_generator_objective_gradcheck(tree, corpus):
     # tiny configuration: D=2 embeddings, 2-unit layers everywhere
     cfg = ModelConfig(embed_dim=2, gen_hidden=2, disc_hidden=2, clf_hidden=2, feature_width=2, seed=5)
     tcfg = tiny_cfg(embed_dim=2, batch_size=3, lambda1=15.0)
-    ms = build_models(tree, train_che(tree, CheConfig(dim=2, seed=2, epochs=30)), cfg)
+    ms = build_models(tree, cfg)
     ms.clf_lo.freeze()
     ms.clf_hi.freeze()
     trainer = Trainer(corpus, tree, tcfg, ms.clf_lo, ms.clf_hi)
@@ -346,8 +320,8 @@ def test_mode_embedding_requirements(tree, corpus, frozen_clfs, seg_table):
         run_training(corpus, tree, tiny_cfg(mode="treegan"), clf_lo, clf_hi, embeddings=seg_table)
 
 
-def test_rejects_unfrozen_classifier(tree, corpus, seg_table):
-    ms = build_models(tree, seg_table, ModelConfig(seed=7))
+def test_rejects_unfrozen_classifier(tree, corpus):
+    ms = build_models(tree, ModelConfig(seed=7))
     with pytest.raises(TrainingError, match="frozen"):
         run_training(corpus, tree, tiny_cfg(mode="flat"), ms.clf_lo, ms.clf_hi)
 
@@ -358,6 +332,13 @@ def test_rejects_hierarchy_mismatch(tree, corpus, frozen_clfs):
     other_corpus = generate_dataset(default_dataset_spec(other, samples_per_leaf=10, seed=0))
     with pytest.raises(TrainingError, match="different hierarchy"):
         run_training(other_corpus, tree, tiny_cfg(), clf_lo, clf_hi)
+
+
+def test_seg_rejects_table_of_another_hierarchy(tree, corpus, frozen_clfs, seg_table):
+    renamed = parse_hierarchy(FIXTURE_TREE.replace("canine", "bird"))
+    other = dataclasses.replace(seg_table, hierarchy=renamed)
+    with pytest.raises(TrainingError, match="different hierarchy"):
+        run_training(corpus, tree, tiny_cfg(mode="seg"), *frozen_clfs, embeddings=other)
 
 
 def test_trace_structure(tree, corpus, frozen_clfs):
