@@ -15,6 +15,7 @@ import numpy as np
 
 from hiergan.embed import (
     CheConfig,
+    pair_scores,
     ranking_accuracy,
     sibling_similarity_gap,
     similarity_matrix,
@@ -36,8 +37,9 @@ print(f"\nranking accuracy {ranking_accuracy(table, h, seed=0):.3f}")
 # True pairs now outscore corrupted ones decisively.
 canine = h.level_classes(1)[0]
 fox, cat = h.leaves[0], h.leaves[3]
-print(f"score({h.path_name(canine)} -> {h.name_of(fox)}) = {table.score(canine, fox):+.3f}")
-print(f"score({h.path_name(canine)} -> {h.name_of(cat)}) = {table.score(canine, cat):+.3f}")
+true_score, false_score = pair_scores(table, [(canine, fox), (canine, cat)])
+print(f"score({h.path_name(canine)} -> {h.name_of(fox)}) = {true_score:+.3f}")
+print(f"score({h.path_name(canine)} -> {h.name_of(cat)}) = {false_score:+.3f}")
 
 # Sibling structure is emergent: leaves sharing a parent cluster together.
 print(f"\nsibling similarity gap {sibling_similarity_gap(table, h):+.3f}")

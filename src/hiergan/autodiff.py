@@ -292,16 +292,6 @@ class Tape:
 
         return self._emit("reshape", (a,), a.data.reshape(shape), back)
 
-    def tile_rows(self, a: Tensor, n: int) -> Tensor:
-        """Repeat a vector (m,) as n identical rows -> (n, m)."""
-        if a.data.ndim != 1:
-            raise ValueError(f"tile_rows expects a vector, got shape {a.shape}")
-
-        def back(g):
-            return (g.sum(axis=0),)
-
-        return self._emit("tile_rows", (a,), np.tile(a.data, (n, 1)), back)
-
     def sum(self, a: Tensor) -> Tensor:
         def back(g):
             return (np.full(a.shape, float(g)),)

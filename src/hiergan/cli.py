@@ -369,8 +369,9 @@ def cmd_eval(args) -> int:
     config = load_config(args.config)
     section = _section(config, "eval", args.seed)
     for key, value in section.items():
-        if not _fits(value, int) or value < 0:
-            raise CliError(f"bad eval config: {key} must be a non-negative integer, got {value!r}")
+        least = 2 if key == "n_per_class" else 0  # a Frechet fit needs two samples per class
+        if not _fits(value, int) or value < least:
+            raise CliError(f"bad eval config: {key} must be an integer >= {least}, got {value!r}")
     n_per_class = section.get("n_per_class", 500)
     seed = section.get("seed", 0)
     dataset = load_dataset(args.data)

@@ -4,11 +4,14 @@ Every class in a hierarchy gets a complex vector, and a single shared
 relation vector represents the "is A" edge. A pair (p, c) is scored by
 rotating both class vectors with the relation (componentwise complex
 multiplication) and taking the cosine between the rotated vectors, flattened
-to real coordinates. Training minimizes a hinge ranking loss that pushes
-every true pair above sampled corruptions by a margin.
+to real coordinates. ``pair_scores`` is the one scorer: it rates a batch of
+pairs at once, with the expressions the margin loss evaluates. Training
+minimizes a hinge ranking loss that pushes every true pair above corruptions
+that ``sample_negatives`` draws for all true pairs in one call.
 
 The differentiable margin loss at the bottom is shared with the joint GAN
-objective, which keeps refining the same table while the generator trains.
+objective, which keeps refining the same table while the generator trains;
+there it sits on the generator's tape, so one backward serves both updates.
 It is one tape record (op ``che_margin``) over the four table tensors: its
 forward evaluates every pair cosine with the same numpy expressions, in the
 same order, as a graph of primitive ops would, and its backward replays that
@@ -37,54 +40,6 @@ from .hierarchy import ClassHierarchy, HierarchyError, parse_hierarchy
 class EmbeddingError(ValueError):
     """Invalid embedding inputs: dimension mismatch, degenerate vectors,
     unknown ids, or a hierarchy too small to corrupt."""
-
-
-@dataclass
-class ComplexVec:
-    """One complex vector split into real and imaginary parts."""
-
-    re: np.ndarray
-    im: np.ndarray
-
-    def __post_init__(self):
-        self.re = np.asarray(self.re, dtype=np.float64)
-        self.im = np.asarray(self.im, dtype=np.float64)
-        if self.re.ndim != 1 or self.re.shape != self.im.shape or self.re.size < 1:
-            raise EmbeddingError(
-                f"ComplexVec needs equal-length 1-D parts, got re {self.re.shape}, im {self.im.shape}"
-            )
-
-    @property
-    def dim(self) -> int:
-        return self.re.size
-
-
-def complex_transform(v: ComplexVec, rel: ComplexVec) -> ComplexVec:
-    """Componentwise complex product of a class vector with the relation."""
-    if v.dim != rel.dim:
-        raise EmbeddingError(f"dimension mismatch: {v.dim} vs {rel.dim}")
-    return ComplexVec(
-        re=v.re * rel.re - v.im * rel.im,
-        im=v.re * rel.im + v.im * rel.re,
-    )
-
-
-def _flat(v: ComplexVec) -> np.ndarray:
-    return np.concatenate([v.re, v.im])
-
-
-def pair_score(p: ComplexVec, rel: ComplexVec, c: ComplexVec) -> float:
-    """Cosine compatibility of a candidate (p, c) edge, in [-1, 1].
-
-    Both vectors are rotated by the relation first; the cosine is taken over
-    the 2D-length real flattening of the rotated vectors.
-    """
-    fp = _flat(complex_transform(p, rel))
-    fc = _flat(complex_transform(c, rel))
-    norm_p, norm_c = float(np.linalg.norm(fp)), float(np.linalg.norm(fc))
-    if norm_p == 0.0 or norm_c == 0.0:
-        raise EmbeddingError("degenerate embedding: zero-norm transformed vector")
-    return float(fp @ fc / (norm_p * norm_c))
 
 
 @dataclass
@@ -153,17 +108,6 @@ class ClassEmbeddingTable:
     def num_classes(self) -> int:
         return self.class_re.shape[0]
 
-    def vec(self, class_id: int) -> ComplexVec:
-        if not 0 <= class_id < self.num_classes:
-            raise EmbeddingError(f"unknown class id {class_id}")
-        return ComplexVec(self.class_re[class_id], self.class_im[class_id])
-
-    def relation(self) -> ComplexVec:
-        return ComplexVec(self.rel_re, self.rel_im)
-
-    def score(self, p: int, c: int) -> float:
-        return pair_score(self.vec(p), self.relation(), self.vec(c))
-
 
 def leaf_condition_vector(table: ClassEmbeddingTable, y: int) -> np.ndarray:
     """Flattened (re || im) conditioning vector for a leaf class, length 2D."""
@@ -204,49 +148,37 @@ def load_table(path, h: ClassHierarchy | None = None) -> ClassEmbeddingTable:
 
 
 def sample_negatives(
-    h: ClassHierarchy, pair: tuple[int, int], n: int, rng: np.random.Generator
-) -> list[tuple[int, int]]:
-    """Corrupt one side of a true pair, n times.
+    h: ClassHierarchy, pairs, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Corrupt one side of each true (parent, child) pair, n times; int
+    (P, n, 2) for ``pairs`` (P, 2).
 
     A corruption is valid when its two classes have no parent-child relation
     in either direction and are distinct (the score is symmetric, so a
     reversed true pair would tie with a positive and make ranking
-    unsatisfiable). Each draw picks the side uniformly, then a replacement
-    uniformly from that side's valid classes; a draw whose side admits no
-    corruption falls back to the other side.
+    unsatisfiable). Pairs are drawn in order, and each draw takes two rng
+    integers: the side, uniformly, then a replacement uniformly from that
+    side's valid classes; a draw whose side admits no corruption falls back
+    to the other side.
     """
-    p, c = pair
-    if not h.is_parent_child(p, c):
-        raise EmbeddingError(f"({p}, {c}) is not a parent-child pair")
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).tolist()
+    for p, c in pairs:
+        if not h.is_parent_child(p, c):
+            raise EmbeddingError(f"({p}, {c}) is not a parent-child pair")
     if n < 1:
         raise EmbeddingError("need n >= 1 negatives")
     if len(h) < 3:
         raise EmbeddingError(f"hierarchy with {len(h)} nodes admits no negative pairs")
-    parent_side = h.unrelated(c)
-    child_side = h.unrelated(p)
-    out: list[tuple[int, int]] = []
-    for _ in range(n):
-        side = int(rng.integers(2))
-        cands = parent_side if side == 0 else child_side
-        if not cands:
-            side = 1 - side
-            cands = parent_side if side == 0 else child_side
-        pick = cands[int(rng.integers(len(cands)))]
-        out.append((pick, c) if side == 0 else (p, pick))
-    return out
-
-
-def che_margin_loss(pos_scores, neg_scores, margin: float) -> float:
-    """Sum over (positive, paired negative) of max(0, margin + neg - pos).
-
-    ``neg_scores`` has one row of corruption scores per positive. Zero
-    exactly when every positive beats each of its negatives by the margin.
-    """
-    pos = np.asarray(pos_scores, dtype=np.float64)
-    neg = np.asarray(neg_scores, dtype=np.float64)
-    if pos.ndim != 1 or neg.ndim != 2 or neg.shape[0] != pos.shape[0]:
-        raise EmbeddingError(f"expected pos (P,) and neg (P, n), got {pos.shape} and {neg.shape}")
-    return float(np.maximum(0.0, margin + neg - pos[:, None]).sum())
+    out = []
+    for p, c in pairs:
+        sides = (h.unrelated(c), h.unrelated(p))  # replacements for p, for c
+        for _ in range(n):
+            side = int(rng.integers(2))
+            if not sides[side]:
+                side = 1 - side
+            pick = sides[side][int(rng.integers(len(sides[side])))]
+            out.append((pick, c) if side == 0 else (p, pick))
+    return np.asarray(out, dtype=np.int64).reshape(len(pairs), n, 2)
 
 
 # ------------------------------------------------------ differentiable graph
@@ -301,6 +233,22 @@ def _pair_cosines(cre, cim, rre, rim, pairs: np.ndarray, ones: np.ndarray):
     norm_c = np.sqrt((tc_re * tc_re) @ ones + (tc_im * tc_im) @ ones)
     den = norm_p * norm_c
     return dots / den, (i0, i1, rp, ip, rc, ic, tp_re, tp_im, tc_re, tc_im, dots, norm_p, norm_c, den)
+
+
+def pair_scores(table: ClassEmbeddingTable, pairs) -> np.ndarray:
+    """Cosine compatibility (B,) of candidate (p, c) edges, int (B, 2), each
+    in [-1, 1]: both class vectors are rotated by the relation, and the
+    cosine is taken over the (re || im) flattening of the rotated vectors.
+    The margin loss evaluates the same expressions."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    if pairs.size and not (0 <= pairs.min() and pairs.max() < table.num_classes):
+        raise EmbeddingError(f"unknown class id in pairs for a table of {table.num_classes} classes")
+    ones = np.ones((table.dim, 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores, saved = _pair_cosines(table.class_re, table.class_im, table.rel_re, table.rel_im, pairs, ones)
+    if np.any(saved[-1] == 0.0):
+        raise EmbeddingError("degenerate embedding: zero-norm transformed vector")
+    return scores[:, 0]
 
 
 def _acc(total, g):
@@ -360,6 +308,8 @@ def margin_loss_graph(
     the four table tensors."""
     pos_pairs = np.asarray(pos_pairs, dtype=np.int64).reshape(-1, 2)
     neg_pairs = np.asarray(neg_pairs, dtype=np.int64)
+    if neg_pairs.ndim != 3 or neg_pairs.shape[0] != len(pos_pairs) or neg_pairs.shape[2] != 2:
+        raise EmbeddingError(f"expected pos pairs (P, 2) and neg pairs (P, n, 2), got {neg_pairs.shape} negatives")
     num_pos, num_neg = neg_pairs.shape[0], neg_pairs.shape[1]
     params = tp.params()
     cre, cim, rre, rim = (t.data for t in params)
@@ -395,22 +345,10 @@ def train_che(h: ClassHierarchy, cfg: CheConfig) -> ClassEmbeddingTable:
     params = tp.params()
     states = [AdamState.for_param(p) for p in params]
     for _ in range(cfg.epochs):
-        negs = np.asarray(
-            [
-                sample_negatives(h, (int(p), int(c)), cfg.negatives_per_positive, rng)
-                for p, c in pos_pairs
-            ],
-            dtype=np.int64,
-        )
+        negs = sample_negatives(h, pos_pairs, cfg.negatives_per_positive, rng)
         tape = Tape()
-        loss = margin_loss_graph(tape, tp, pos_pairs, negs, cfg.margin)
-        grads = tape.backward(loss)
-        adam_step(
-            params,
-            [grads.get(p, np.zeros_like(p.data)) for p in params],
-            states,
-            lr=cfg.lr,
-        )
+        grads = tape.backward(margin_loss_graph(tape, tp, pos_pairs, negs, cfg.margin))
+        adam_step(params, [grads[p] for p in params], states, lr=cfg.lr)
     return tp.to_table(h)
 
 
@@ -424,14 +362,10 @@ def ranking_accuracy(
     seed: int = 0,
 ) -> float:
     """Fraction of true pairs scoring above all their sampled corruptions."""
-    rng = np.random.default_rng(seed)
     pairs = h.parent_child_pairs()
-    wins = 0
-    for p, c in pairs:
-        s_pos = table.score(p, c)
-        negs = sample_negatives(h, (p, c), negatives_per_positive, rng)
-        if all(s_pos > table.score(np_, nc) for np_, nc in negs):
-            wins += 1
+    negs = sample_negatives(h, pairs, negatives_per_positive, np.random.default_rng(seed))
+    neg = pair_scores(table, negs).reshape(negs.shape[:2])
+    wins = int(np.count_nonzero(np.all(pair_scores(table, pairs)[:, None] > neg, axis=1)))
     return wins / len(pairs)
 
 

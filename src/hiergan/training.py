@@ -13,17 +13,20 @@ weighted by ``lambda2`` (the prior control). Modes:
 In every mode the trainer's ``TableParams`` is the run's one copy of the
 class embedding; it is tracked only in the joint modes.
 
-Each step runs strict alternation: discriminator Adam step, generator Adam
-step, then (joint modes only) an embedding Adam step whose gradient is
-lambda2 * margin loss plus whatever reached the class embedding through the
-generator pathway. When lambda1 == 0 the penalty branch is skipped outright,
-which makes TREEGAN with lambda1=0 bit-identical to NPC, not merely close.
+Each step runs strict alternation: a discriminator Adam step, then one
+backward of ``g_adv + lambda1 * penalty + lambda2 * margin`` that feeds the
+generator Adam step and (joint modes only) the embedding Adam step, whose
+gradient is the margin part plus whatever reached the class embedding
+through the generator pathway. When lambda1 == 0 the penalty branch is
+skipped outright, which makes TREEGAN with lambda1=0 bit-identical to NPC,
+not merely close.
 
-The generator graph (conditioning rows and fake images) is built once per
-step, before the D step: the D step reads its values as constants, and the G
-step appends the updated discriminator to the same tape. Nothing the graph
-depends on changes in between, because the D step updates only discriminator
-weights. The G step reads those weights as constants too
+The generator graph (conditioning rows and fake images, then in joint modes
+the margin loss over freshly sampled corruptions) is built once per step,
+before the D step: the D step reads its values as constants, and the G step
+appends the updated discriminator to the same tape. Nothing the graph
+depends on changes in between, because the D step updates only
+discriminator weights. The G step reads those weights as constants too
 (``Discriminator.constant``), so its backward computes adjoints for the
 generator, the class embedding and the images, and none for D.
 
@@ -100,8 +103,10 @@ class TrainConfig:
             raise TrainingError("lambda1 and lambda2 must be non-negative")
         if min(self.gan_lr, self.emb_lr) <= 0:
             raise TrainingError("learning rates must be positive")
-        if min(self.batch_size, self.steps_per_stage, self.eval_every, self.eval_n_per_class) < 1:
-            raise TrainingError("batch_size, steps_per_stage, eval_every, eval_n_per_class must be >= 1")
+        if min(self.batch_size, self.steps_per_stage, self.eval_every) < 1:
+            raise TrainingError("batch_size, steps_per_stage, eval_every must be >= 1")
+        if self.eval_n_per_class < 2:
+            raise TrainingError("eval_n_per_class must be >= 2: a class's Frechet statistics need two samples")
         if not 0 < self.che_margin < 0.25:
             raise TrainingError("che_margin must lie in (0, 0.25)")
         if self.che_negatives < 1 or self.embed_dim < 1:
@@ -113,14 +118,6 @@ class TrainConfig:
     def effective_lambda1(self) -> float:
         # only the full mode applies the generated-image penalty
         return self.lambda1 if self.mode == TrainMode.TREEGAN else 0.0
-
-
-@dataclass
-class StepLosses:
-    d_loss: float
-    g_loss: float
-    h_penalty: float
-    che_loss: float
 
 
 @dataclass
@@ -136,7 +133,6 @@ class TraceRow:
 
 @dataclass
 class RunArtifacts:
-    mode: TrainMode
     config: TrainConfig
     models: ModelSet
     table: ClassEmbeddingTable
@@ -240,89 +236,56 @@ class Trainer:
 
     # -------------------------------------------------------------- steps
 
-    def joint_step(self, real_images: np.ndarray, y: int, z: np.ndarray) -> StepLosses:
-        """One alternating round for class y: D step, G step, embedding step."""
+    def joint_step(self, real_images: np.ndarray, y: int, z: np.ndarray) -> tuple[float, float, float, float]:
+        """One alternating round for class y: the D step, then one backward
+        for the G step and (joint modes) the embedding step. Returns
+        (d_loss, g_loss, h_penalty, che_loss)."""
         cfg = self.cfg
         n = real_images.shape[0]
         real_flat = real_images.reshape(n, -1)
+        joint = cfg.mode.joint_embeddings
+        betas = dict(beta1=cfg.beta1, beta2=cfg.beta2)
 
         # the generator graph, built once: the D step reads its values, and
-        # the G step extends it once D has moved
+        # the G step extends it once D has moved; in joint modes the margin
+        # loss joins it, since only the embedding update changes the table
         tape_g = Tape()
         e_c = self._condition(tape_g, y, n)
         fake = self.models.generate(tape_g, e_c, Tensor(z), self.stage)
+        if joint:
+            neg = sample_negatives(self.h, self.pairs, cfg.che_negatives, self.rng)
+            margin = margin_loss_graph(tape_g, self.table_params, self.pairs, neg, cfg.che_margin)
 
         # --- discriminator step (generator and embeddings held fixed)
         e_const = Tensor(e_c.data)
         tape_d = Tape()
         d_loss = self.disc.loss(tape_d, Tensor(real_flat), Tensor(fake.data), e_const)
         d_grads = tape_d.backward(d_loss)
-        adam_step(
-            self.d_params,
-            [d_grads[p] for p in self.d_params],
-            self.d_states,
-            lr=cfg.gan_lr,
-            beta1=cfg.beta1,
-            beta2=cfg.beta2,
-        )
+        adam_step(self.d_params, [d_grads[p] for p in self.d_params], self.d_states, lr=cfg.gan_lr, **betas)
 
-        # --- generator step (discriminator held fixed, so its weights enter
-        # as constants and get no adjoint)
+        # --- generator and embedding steps (discriminator held fixed, so its
+        # weights enter as constants and get no adjoint): one backward of
+        # g_adv + lambda1 * penalty + lambda2 * margin. The reverse sweep
+        # reaches the margin record before the conditioning gathers, so each
+        # table gradient is the margin part plus the generator-path part.
         g_adv = tape_g.binary_cross_entropy_with_logits(
             self.disc.constant().forward(tape_g, fake, e_c), np.ones((n, 1))
         )
+        g_obj, h_penalty, che_loss = g_adv, 0.0, 0.0
         lam1 = cfg.effective_lambda1
         if lam1 > 0:
             penalty = tape_g.scale(self.clf.loss(tape_g, fake, [y] * n), 1.0 / n)
-            g_obj = tape_g.add(g_adv, tape_g.scale(penalty, lam1))
+            g_obj = tape_g.add(g_obj, tape_g.scale(penalty, lam1))
             h_penalty = float(penalty.item())
-        else:
-            g_obj = g_adv
-            h_penalty = 0.0
-        g_grads = tape_g.backward(g_obj)
-        adam_step(
-            self.g_params,
-            [g_grads[p] for p in self.g_params],
-            self.g_states,
-            lr=cfg.gan_lr,
-            beta1=cfg.beta1,
-            beta2=cfg.beta2,
-        )
-
-        # --- embedding step (joint modes): lambda2 * margin loss plus the
-        # gradient that reached the class embedding through the generator
-        che_loss = 0.0
-        if cfg.mode.joint_embeddings:
-            neg = np.stack(
-                [
-                    np.asarray(
-                        sample_negatives(self.h, tuple(pair), cfg.che_negatives, self.rng)
-                    )
-                    for pair in self.pairs
-                ]
-            )
-            tape_e = Tape()
-            margin = margin_loss_graph(tape_e, self.table_params, self.pairs, neg, cfg.che_margin)
-            che_obj = tape_e.scale(margin, cfg.lambda2)
+        if joint:
+            g_obj = tape_g.add(g_obj, tape_g.scale(margin, cfg.lambda2))
             che_loss = float(margin.item())
-            e_grads = tape_e.backward(che_obj)
-            emb_params = self.table_params.params()
-            combined = [
-                e_grads.get(p, np.zeros_like(p.data)) + g_grads.get(p, np.zeros_like(p.data))
-                for p in emb_params
-            ]
-            adam_step(
-                emb_params,
-                combined,
-                self.emb_states,
-                lr=cfg.emb_lr,
-                beta1=cfg.beta1,
-                beta2=cfg.beta2,
-            )
-
-        return StepLosses(
-            d_loss=float(d_loss.item()), g_loss=float(g_adv.item()), h_penalty=h_penalty, che_loss=che_loss
-        )
+        grads = tape_g.backward(g_obj)
+        adam_step(self.g_params, [grads[p] for p in self.g_params], self.g_states, lr=cfg.gan_lr, **betas)
+        if joint:
+            emb = self.table_params.params()
+            adam_step(emb, [grads[p] for p in emb], self.emb_states, lr=cfg.emb_lr, **betas)
+        return float(d_loss.item()), float(g_adv.item()), h_penalty, che_loss
 
     def real_batch(self, y: int) -> np.ndarray:
         """batch_size training images of leaf y, drawn with replacement."""
@@ -345,7 +308,7 @@ def run_training(
     the config seed; a non-finite loss aborts with parameters as of the last
     completed step."""
     trainer = Trainer(dataset, h, cfg, clf_lo, clf_hi, embeddings)
-    art = RunArtifacts(mode=cfg.mode, config=cfg, models=trainer.models, table=trainer.current_table())
+    art = RunArtifacts(config=cfg, models=trainer.models, table=trainer.current_table())
     leaves = h.leaves
     step = 0
     try:
@@ -358,17 +321,7 @@ def run_training(
                 z = trainer.rng.standard_normal((cfg.batch_size, trainer.models.g1.noise_dim))
                 losses = trainer.joint_step(real, int(y), z)
                 step += 1
-                art.trace.append(
-                    TraceRow(
-                        step=step,
-                        stage=stage,
-                        class_id=int(y),
-                        d_loss=losses.d_loss,
-                        g_loss=losses.g_loss,
-                        h_penalty=losses.h_penalty,
-                        che_loss=losses.che_loss,
-                    )
-                )
+                art.trace.append(TraceRow(step, stage, int(y), *losses))
                 if stage == 2 and ((t + 1) % cfg.eval_every == 0 or t + 1 == cfg.steps_per_stage):
                     report = evaluate(
                         trainer.models,

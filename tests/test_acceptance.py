@@ -20,9 +20,8 @@ from hiergan.autodiff import Tape, Tensor, grad_check
 from hiergan.cli import main as cli_main
 from hiergan.embed import (
     CheConfig,
-    ComplexVec,
-    complex_transform,
-    pair_score,
+    ClassEmbeddingTable,
+    pair_scores,
     ranking_accuracy,
     sibling_similarity_gap,
     train_che,
@@ -168,22 +167,23 @@ def test_criterion_02_stacked_loss_oracle():
 
 def test_criterion_03_pair_score_properties():
     rng = np.random.default_rng(5)
+    three = parse_hierarchy("root\nroot/a\nroot/b\n")
     worst_sym = worst_scale = worst_ct = 0.0
     for _ in range(1000):
         d = int(rng.integers(2, 9))
-        p, rel, c = (ComplexVec(rng.normal(size=d), rng.normal(size=d)) for _ in range(3))
-        s = pair_score(p, rel, c)
-        worst_sym = max(worst_sym, abs(s - pair_score(c, rel, p)))
+        p, rel, c = (rng.normal(size=d) + 1j * rng.normal(size=d) for _ in range(3))
         alpha = float(rng.uniform(0.1, 10.0))
-        scaled = ComplexVec(alpha * p.re, alpha * p.im)
-        worst_scale = max(worst_scale, abs(s - pair_score(scaled, rel, c)))
-        got = complex_transform(p, rel)
-        want = (p.re + 1j * p.im) * (rel.re + 1j * rel.im)
-        worst_ct = max(
-            worst_ct,
-            float(np.max(np.abs(got.re - want.real))),
-            float(np.max(np.abs(got.im - want.imag))),
-        )
+        classes = np.stack([p, c, alpha * p])
+        table = ClassEmbeddingTable(classes.real, classes.imag, rel.real, rel.imag, three)
+        s, flipped, scaled = pair_scores(table, [(0, 1), (1, 0), (2, 1)])
+        worst_sym = max(worst_sym, abs(s - flipped))
+        worst_scale = max(worst_scale, abs(s - scaled))
+        # oracle: rotate and take the cosine in Python complex arithmetic
+        tp = [complex(x) * complex(r) for x, r in zip(p, rel)]
+        tc = [complex(x) * complex(r) for x, r in zip(c, rel)]
+        dot = sum((a * b.conjugate()).real for a, b in zip(tp, tc))
+        norms = np.sqrt(sum(abs(a) ** 2 for a in tp)) * np.sqrt(sum(abs(b) ** 2 for b in tc))
+        worst_ct = max(worst_ct, abs(s - dot / norms))
     ok = worst_sym < 1e-12 and worst_scale < 1e-12 and worst_ct < 1e-12
     report(
         3,

@@ -367,7 +367,6 @@ def _fd_cases(rng):
                   [mk((n, m))]),
         "reshape": (lambda t, ps: weighted(t, t.reshape(ps[0], (m, n)), w_resh),
                     [mk((n, m))]),
-        "tile_rows": (lambda t, ps: weighted(t, t.tile_rows(ps[0], n), w1), [mk((m,))]),
         "sum": (lambda t, ps: t.sum(t.mul(ps[0], ps[0])), [mk((n, m))]),
         "mean": (lambda t, ps: t.mean(t.mul(ps[0], ps[0])), [mk((n, m))]),
         # keep relu/leaky inputs away from the kink at 0

@@ -349,8 +349,11 @@ def test_bad_dataset_config_exits_one(ws, tmp_path, capsys, dataset):
         ("classifier", {"epochs": 2.5}),
         ("classifier", {"seed": -1}),
         ("gan", {"batch_size": 8.5}),
+        ("gan", {"eval_n_per_class": 1}),
         ("eval", {"seed": -1}),
         ("eval", {"n_per_class": "30"}),
+        ("eval", {"n_per_class": 1}),
+        ("eval", {"n_per_class": 0}),
     ],
     ids=[
         "dataset-float-int",
@@ -363,8 +366,11 @@ def test_bad_dataset_config_exits_one(ws, tmp_path, capsys, dataset):
         "classifier-float-int",
         "classifier-negative-seed",
         "gan-float-int",
+        "gan-one-eval-sample",
         "eval-negative-seed",
         "eval-str-int",
+        "eval-one-sample",
+        "eval-no-samples",
     ],
 )
 def test_wrong_typed_or_out_of_range_config_exits_one(ws, tmp_path, capsys, section, values):

@@ -9,15 +9,12 @@ from hiergan.autodiff import NonFiniteError, Tape, Tensor, grad_check, save_chec
 from hiergan.embed import (
     CheConfig,
     ClassEmbeddingTable,
-    ComplexVec,
     EmbeddingError,
     TableParams,
-    che_margin_loss,
-    complex_transform,
     leaf_condition_vector,
     load_table,
     margin_loss_graph,
-    pair_score,
+    pair_scores,
     ranking_accuracy,
     sample_negatives,
     save_table,
@@ -34,89 +31,122 @@ def tree():
     return parse_hierarchy(FIXTURE_TREE)
 
 
+def make_table(vectors, rel) -> ClassEmbeddingTable:
+    """A table over a star tree with one class per complex vector in
+    ``vectors`` (each a sequence of Python complex numbers) and the relation
+    ``rel``."""
+    h = parse_hierarchy("root\n" + "".join(f"root/c{k}\n" for k in range(1, len(vectors))))
+    cls = np.asarray(vectors, dtype=complex).reshape(len(vectors), -1)
+    r = np.asarray(rel, dtype=complex).reshape(-1)
+    return ClassEmbeddingTable(cls.real.copy(), cls.imag.copy(), r.real.copy(), r.imag.copy(), h)
+
+
 def rand_vec(rng, d=4, scale=1.0):
-    return ComplexVec(rng.normal(size=d) * scale, rng.normal(size=d) * scale)
+    return (rng.normal(size=d) + 1j * rng.normal(size=d)) * scale
+
+
+def complex_score(p, rel, c) -> float:
+    """The pair score in Python complex arithmetic: rotate both vectors by
+    the relation componentwise, then the cosine of the rotated vectors as
+    real 2D-length vectors, Re(sum a * conj(b)) / (|a| |b|)."""
+    a = [complex(x) * complex(r) for x, r in zip(p, rel)]
+    b = [complex(x) * complex(r) for x, r in zip(c, rel)]
+    dot = sum((x * y.conjugate()).real for x, y in zip(a, b))
+    return dot / (math.sqrt(sum(abs(x) ** 2 for x in a)) * math.sqrt(sum(abs(y) ** 2 for y in b)))
 
 
 # ------------------------------------------------------------ transform
 
 
 def test_transform_identity_relation():
+    # rotating by 1 changes nothing: the score is the plain cosine of the
+    # (re || im) rows, which similarity_matrix also computes
     rng = np.random.default_rng(0)
-    v = rand_vec(rng)
-    rel = ComplexVec(np.ones(4), np.zeros(4))
-    out = complex_transform(v, rel)
-    assert np.array_equal(out.re, v.re) and np.array_equal(out.im, v.im)
+    table = make_table([rand_vec(rng) for _ in range(5)], np.ones(4))
+    pairs = np.asarray([(i, j) for i in range(5) for j in range(5)])
+    sim = similarity_matrix(table)
+    assert np.allclose(pair_scores(table, pairs), sim[pairs[:, 0], pairs[:, 1]], rtol=0, atol=1e-12)
 
 
 def test_transform_i_times_i():
-    v = ComplexVec([0.0], [1.0])
-    out = complex_transform(v, v)
-    assert out.re[0] == -1.0 and out.im[0] == 0.0
+    # a unit-modulus relation (here i in every component) is a rotation, so
+    # every score equals its identity-relation score
+    rng = np.random.default_rng(4)
+    vectors = [rand_vec(rng) for _ in range(4)]
+    pairs = np.asarray([(i, j) for i in range(4) for j in range(4)])
+    turned = pair_scores(make_table(vectors, [1j] * 4), pairs)
+    assert np.allclose(turned, pair_scores(make_table(vectors, np.ones(4)), pairs), rtol=0, atol=1e-12)
 
 
 def test_transform_matches_complex_arithmetic():
     # oracle: python complex numbers, componentwise
     rng = np.random.default_rng(42)
     for _ in range(50):
-        a, r = rand_vec(rng), rand_vec(rng)
-        out = complex_transform(a, r)
-        for j in range(4):
-            want = complex(a.re[j], a.im[j]) * complex(r.re[j], r.im[j])
-            assert abs(out.re[j] - want.real) < 1e-12
-            assert abs(out.im[j] - want.imag) < 1e-12
+        vectors, rel = [rand_vec(rng) for _ in range(3)], rand_vec(rng)
+        pairs = np.asarray([(0, 1), (1, 2), (2, 0), (1, 1)])
+        got = pair_scores(make_table(vectors, rel), pairs)
+        for score, (p, c) in zip(got, pairs):
+            assert abs(score - complex_score(vectors[p], rel, vectors[c])) < 1e-12
 
 
 def test_transform_dimension_mismatch():
-    with pytest.raises(EmbeddingError, match="dimension mismatch"):
-        complex_transform(ComplexVec([1.0], [0.0]), ComplexVec([1.0, 2.0], [0.0, 0.0]))
+    h = parse_hierarchy("root\nroot/a\n")
+    with pytest.raises(EmbeddingError, match="inconsistent table shapes"):
+        ClassEmbeddingTable(np.ones((2, 1)), np.ones((2, 1)), np.ones(2), np.zeros(2), h)
 
 
 def test_complex_vec_validation():
-    with pytest.raises(EmbeddingError):
-        ComplexVec([1.0, 2.0], [1.0])
-    with pytest.raises(EmbeddingError):
-        ComplexVec([], [])
+    # every class vector needs equal-length re and im parts
+    h = parse_hierarchy("root\nroot/a\n")
+    with pytest.raises(EmbeddingError, match="inconsistent table shapes"):
+        ClassEmbeddingTable(np.ones((2, 2)), np.ones((2, 1)), np.ones(2), np.zeros(2), h)
+    with pytest.raises(EmbeddingError, match="must be"):
+        ClassEmbeddingTable(np.ones(2), np.ones(2), np.ones(1), np.zeros(1), h)
 
 
-# ------------------------------------------------------------ pair_score
+# ------------------------------------------------------------ pair_scores
 
 
 def test_pair_score_identical_vectors():
     rng = np.random.default_rng(1)
     for _ in range(10):
-        v, rel = rand_vec(rng), rand_vec(rng)
-        assert abs(pair_score(v, rel, v) - 1.0) < 1e-12
+        table = make_table([rand_vec(rng), rand_vec(rng)], rand_vec(rng))
+        assert np.all(np.abs(pair_scores(table, [(0, 0), (1, 1)]) - 1.0) < 1e-12)
 
 
 def test_pair_score_orthogonal_is_zero():
-    rel = ComplexVec([1.0, 1.0], [0.0, 0.0])  # identity rotation per component
-    p = ComplexVec([1.0, 0.0], [0.0, 0.0])
-    c = ComplexVec([0.0, 1.0], [0.0, 0.0])
-    assert abs(pair_score(p, rel, c)) < 1e-12
+    # identity rotation per component
+    table = make_table([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
+    assert abs(pair_scores(table, [(0, 1)])[0]) < 1e-12
 
 
 def test_pair_score_symmetric_and_scale_invariant():
     rng = np.random.default_rng(2)
     for _ in range(1000):
         p, rel, c = rand_vec(rng), rand_vec(rng), rand_vec(rng)
-        s = pair_score(p, rel, c)
-        assert abs(s - pair_score(c, rel, p)) < 1e-12
         k = float(rng.uniform(0.1, 10.0))
-        scaled = pair_score(
-            ComplexVec(p.re * k, p.im * k), rel, ComplexVec(c.re * k, c.im * k)
-        )
+        s, flipped, scaled = pair_scores(make_table([p, c, p * k, c * k], rel), [(0, 1), (1, 0), (2, 3)])
+        assert abs(s - flipped) < 1e-12
         assert abs(s - scaled) < 1e-12
         assert -1.0 - 1e-12 <= s <= 1.0 + 1e-12
 
 
 def test_pair_score_zero_norm_rejected():
-    zero = ComplexVec([0.0], [0.0])
-    good = ComplexVec([1.0], [0.0])
+    zero_class = make_table([[0.0], [1.0]], [1.0])
     with pytest.raises(EmbeddingError, match="degenerate"):
-        pair_score(zero, good, good)
+        pair_scores(zero_class, [(0, 1)])
+    # the relation is not all-zero, but it zeroes the only live component
+    zero_rotation = make_table([[0.0, 1.0], [0.0, 1j]], [1.0, 0.0])
     with pytest.raises(EmbeddingError, match="degenerate"):
-        pair_score(good, zero, good)
+        pair_scores(zero_rotation, [(1, 0)])
+
+
+def test_pair_scores_reject_unknown_ids():
+    table = make_table([[1.0], [1j]], [1.0])
+    for pair in ((0, 2), (-1, 0)):
+        with pytest.raises(EmbeddingError, match="unknown class id"):
+            pair_scores(table, [pair])
+    assert pair_scores(table, np.zeros((0, 2), dtype=np.int64)).shape == (0,)
 
 
 # ------------------------------------------------------------- negatives
@@ -128,35 +158,35 @@ def test_negatives_on_three_node_chain():
     h = parse_hierarchy("root\nroot/a\nroot/a/x\n")
     rng = np.random.default_rng(0)
     a, x = h.id_of("a"), h.id_of("x")
-    for pair in sample_negatives(h, (a, x), 50, rng):
-        assert pair == (h.id_of("root"), x)
+    negs = sample_negatives(h, [(a, x)], 50, rng)
+    assert negs.shape == (1, 50, 2) and negs.dtype == np.int64
+    assert (negs == (h.id_of("root"), x)).all()
 
 
 def test_negatives_on_fixture_tree(tree):
     rng = np.random.default_rng(3)
     true_pairs = set(tree.parent_child_pairs())
-    for pos in true_pairs:
-        negs = sample_negatives(tree, pos, 10, rng)
-        assert len(negs) == 10
-        for neg in negs:
-            assert neg not in true_pairs
-            assert (neg[1], neg[0]) not in true_pairs  # either direction
-            assert neg[0] != neg[1]
+    negs = sample_negatives(tree, tree.parent_child_pairs(), 10, rng)
+    assert negs.shape == (len(true_pairs), 10, 2)
+    for neg in map(tuple, negs.reshape(-1, 2).tolist()):
+        assert neg not in true_pairs
+        assert (neg[1], neg[0]) not in true_pairs  # either direction
+        assert neg[0] != neg[1]
 
 
 def test_negatives_deterministic_given_seed(tree):
-    pos = tree.parent_child_pairs()[0]
-    a = sample_negatives(tree, pos, 20, np.random.default_rng(7))
-    b = sample_negatives(tree, pos, 20, np.random.default_rng(7))
-    assert a == b
+    pairs = tree.parent_child_pairs()
+    a = sample_negatives(tree, pairs, 20, np.random.default_rng(7))
+    b = sample_negatives(tree, pairs, 20, np.random.default_rng(7))
+    assert np.array_equal(a, b)
 
 
 def test_negative_side_choice_uniform(tree):
     # chi-square on which side got corrupted, 10k draws, 1 dof
     rng = np.random.default_rng(11)
     p, c = tree.id_of("canine"), tree.id_of("fox")
-    negs = sample_negatives(tree, (p, c), 10_000, rng)
-    child_kept = sum(1 for q, r in negs if r == c and q != p)
+    negs = sample_negatives(tree, [(p, c)], 10_000, rng)[0]
+    child_kept = int(np.sum((negs[:, 1] == c) & (negs[:, 0] != p)))
     parent_kept = len(negs) - child_kept
     chi2 = (child_kept - 5000.0) ** 2 / 5000.0 + (parent_kept - 5000.0) ** 2 / 5000.0
     p_value = math.erfc(math.sqrt(chi2 / 2.0))
@@ -167,16 +197,17 @@ def test_negatives_star_tree_falls_back_to_parent_side():
     h = parse_hierarchy("root\nroot/a\nroot/b\nroot/c\n")
     rng = np.random.default_rng(0)
     root = h.id_of("root")
-    negs = sample_negatives(h, (root, h.id_of("a")), 100, rng)
+    negs = sample_negatives(h, [(root, h.id_of("a"))], 100, rng)[0]
     true_pairs = set(h.parent_child_pairs())
-    for neg in negs:
+    for neg in map(tuple, negs.tolist()):
         assert neg not in true_pairs and neg[0] != neg[1]
         assert neg[1] == h.id_of("a")  # every corruption replaced the parent
 
 
 def per_call_sample_negatives(h, pair, n, rng):
     """The sampler as it was before the candidate lists moved into the
-    hierarchy: both lists rebuilt from is_parent_child on every call."""
+    hierarchy: one call per true pair, both lists rebuilt from
+    is_parent_child on every call."""
     p, c = pair
 
     def unrelated(a, b):
@@ -205,52 +236,76 @@ def test_negatives_match_per_call_oracle(text):
     h = parse_hierarchy(text)
     for seed in range(3):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        for pair in h.parent_child_pairs():
-            assert sample_negatives(h, pair, 25, rng) == per_call_sample_negatives(h, pair, 25, ref_rng)
+        want = [per_call_sample_negatives(h, pair, 25, ref_rng) for pair in h.parent_child_pairs()]
+        assert sample_negatives(h, h.parent_child_pairs(), 25, rng).tolist() == [
+            [list(neg) for neg in row] for row in want
+        ]
         # the same draws were consumed, so the streams stay in step
         assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)
 
 
 def test_negatives_error_cases(tree):
     rng = np.random.default_rng(0)
+    good = tree.parent_child_pairs()[0]
     with pytest.raises(EmbeddingError, match="not a parent-child"):
-        sample_negatives(tree, (tree.id_of("canine"), tree.id_of("cat")), 1, rng)
+        sample_negatives(tree, [good, (tree.id_of("canine"), tree.id_of("cat"))], 1, rng)
     with pytest.raises(EmbeddingError, match="n >= 1"):
-        sample_negatives(tree, tree.parent_child_pairs()[0], 0, rng)
+        sample_negatives(tree, [good], 0, rng)
     two = parse_hierarchy("root\nroot/a\n")
     with pytest.raises(EmbeddingError, match="admits no negative"):
-        sample_negatives(two, (0, 1), 1, rng)
+        sample_negatives(two, [(0, 1)], 1, rng)
+    # a rejected call draws nothing
+    assert rng.integers(1 << 30) == np.random.default_rng(0).integers(1 << 30)
 
 
 # ------------------------------------------------------------ margin loss
 
 
+def margin_value(table, pos, negs, margin) -> float:
+    """margin_loss_graph's value on a table's arrays."""
+    tp = TableParams(*(Tensor(a) for a in (table.class_re, table.class_im, table.rel_re, table.rel_im)))
+    return margin_loss_graph(Tape(), tp, pos, negs, margin).item()
+
+
+# classes at score 1 (with themselves), 0 and -1 with class 0, all exact
+UNIT_TABLE = make_table([[1.0], [1j], [-1.0]], [1.0])
+
+
 def test_margin_loss_forced_values():
-    assert che_margin_loss([0.9], [[0.1]], 0.5) == 0.0
-    assert abs(che_margin_loss([0.2], [[0.4]], 0.5) - 0.7) < 1e-15
+    # pos (0, 0) scores 1 and neg (0, 1) scores 0: satisfied by 1 > 0.5
+    assert margin_value(UNIT_TABLE, [(0, 0)], [[(0, 1)]], 0.5) == 0.0
+    # pos (0, 1) scores 0 and neg (0, 0) scores 1: 0.5 + 1 - 0
+    assert abs(margin_value(UNIT_TABLE, [(0, 1)], [[(0, 0)]], 0.5) - 1.5) < 1e-15
 
 
 def test_margin_loss_matches_loop_oracle():
     rng = np.random.default_rng(5)
     for _ in range(20):
-        pos = rng.uniform(-1, 1, size=6)
-        neg = rng.uniform(-1, 1, size=(6, 4))
+        vectors, rel = [rand_vec(rng) for _ in range(5)], rand_vec(rng)
+        pos = rng.integers(0, 5, size=(6, 2))
+        negs = rng.integers(0, 5, size=(6, 4, 2))
         total = 0.0
         for i in range(6):
+            s_pos = complex_score(vectors[pos[i, 0]], rel, vectors[pos[i, 1]])
             for j in range(4):
-                total += max(0.0, 0.5 + neg[i, j] - pos[i])
-        assert abs(che_margin_loss(pos, neg, 0.5) - total) < 1e-12
-        assert che_margin_loss(pos, neg, 0.5) >= 0.0
+                s_neg = complex_score(vectors[negs[i, j, 0]], rel, vectors[negs[i, j, 1]])
+                total += max(0.0, 0.5 + s_neg - s_pos)
+        got = margin_value(make_table(vectors, rel), pos, negs, 0.5)
+        assert abs(got - total) < 1e-12
+        assert got >= 0.0
 
 
 def test_margin_loss_zero_iff_satisfied():
-    assert che_margin_loss([0.9, 0.8], [[0.3, 0.2], [0.1, 0.0]], 0.5) == 0.0
-    assert che_margin_loss([0.9, 0.8], [[0.3, 0.45], [0.1, 0.0]], 0.5) > 0.0
+    pos = [(0, 0), (2, 2)]
+    assert margin_value(UNIT_TABLE, pos, [[(0, 1), (0, 2)], [(1, 2), (0, 1)]], 0.5) == 0.0
+    assert margin_value(UNIT_TABLE, pos, [[(0, 1), (1, 1)], [(1, 2), (0, 1)]], 0.5) > 0.0
 
 
 def test_margin_loss_shape_validation():
-    with pytest.raises(EmbeddingError, match="expected pos"):
-        che_margin_loss([0.5], [0.1, 0.2], 0.5)
+    tp = TableParams.init(3, 2, np.random.default_rng(0))
+    for negs in ([(0, 1), (0, 2)], [[(0, 1)], [(0, 2)]], [[(0, 1, 2)]]):
+        with pytest.raises(EmbeddingError, match="expected pos"):
+            margin_loss_graph(Tape(), tp, [(0, 0)], negs, 0.5)
 
 
 # ------------------------------------------------------- graph equivalence
@@ -341,7 +396,7 @@ def test_margin_record_matches_primitive_graph_on_fixture_tree(tree):
     arrays = [p.data for p in tp.params()]
     pos = np.asarray(tree.parent_child_pairs())
     for margin in (0.05, 0.2):
-        negs = np.asarray([sample_negatives(tree, (int(p), int(c)), 10, rng) for p, c in pos])
+        negs = sample_negatives(tree, pos, 10, rng)
         want = scaled_loss_and_grads(reference_margin_loss_graph, arrays, pos, negs, margin, 1.0)
         assert scaled_loss_and_grads(margin_loss_graph, arrays, pos, negs, margin, 1.0) == want[:2] + (2,)
 
@@ -351,7 +406,7 @@ def test_margin_record_rejects_non_finite_scores(tree):
     tp.class_re.data[1] = 0.0
     tp.class_im.data[1] = 0.0  # a zero vector has no cosine
     pos = np.asarray(tree.parent_child_pairs())
-    negs = np.asarray([sample_negatives(tree, (int(p), int(c)), 2, np.random.default_rng(1)) for p, c in pos])
+    negs = sample_negatives(tree, pos, 2, np.random.default_rng(1))
     with np.errstate(invalid="ignore", divide="ignore"), pytest.raises(NonFiniteError, match="che_margin"):
         margin_loss_graph(Tape(), tp, pos, negs, 0.2)
 
@@ -362,8 +417,7 @@ def test_graph_scores_match_numpy_scores(tree):
     table = tp.to_table(tree)
     pairs = np.asarray(tree.parent_child_pairs())
     scores = reference_pair_scores_graph(Tape(), tp, pairs)
-    for row, (p, c) in enumerate(pairs):
-        assert abs(scores.data[row] - table.score(int(p), int(c))) < 1e-12
+    assert np.all(np.abs(scores.data - pair_scores(table, pairs)) < 1e-12)
 
 
 def test_graph_loss_matches_numpy_loss(tree):
@@ -371,18 +425,18 @@ def test_graph_loss_matches_numpy_loss(tree):
     tp = TableParams.init(len(tree), 8, rng)
     table = tp.to_table(tree)
     pos = np.asarray(tree.parent_child_pairs())
-    negs = np.asarray([sample_negatives(tree, (int(p), int(c)), 5, rng) for p, c in pos])
+    negs = sample_negatives(tree, pos, 5, rng)
     loss = margin_loss_graph(Tape(), tp, pos, negs, 0.5)
-    pos_scores = [table.score(int(p), int(c)) for p, c in pos]
-    neg_scores = [[table.score(int(p), int(c)) for p, c in row] for row in negs]
-    assert abs(loss.item() - che_margin_loss(pos_scores, neg_scores, 0.5)) < 1e-12
+    pos_scores = pair_scores(table, pos)
+    neg_scores = pair_scores(table, negs).reshape(negs.shape[:2])
+    assert abs(loss.item() - np.maximum(0.0, 0.5 + neg_scores - pos_scores[:, None]).sum()) < 1e-12
 
 
 def test_margin_loss_gradient_passes_grad_check(tree):
     rng = np.random.default_rng(12)
     tp = TableParams.init(len(tree), 4, rng)
     pos = np.asarray(tree.parent_child_pairs()[:4])
-    negs = np.asarray([sample_negatives(tree, (int(p), int(c)), 3, rng) for p, c in pos])
+    negs = sample_negatives(tree, pos, 3, rng)
 
     def f(tape, params):
         bundle = TableParams(*params)

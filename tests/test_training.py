@@ -5,8 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hiergan.autodiff import NonFiniteError, Tape, Tensor, grad_check
-from hiergan.embed import CheConfig, train_che
+from hiergan.autodiff import NonFiniteError, Tape, Tensor, adam_step, grad_check
+from hiergan.embed import CheConfig, margin_loss_graph, sample_negatives, train_che
 from hiergan.hierarchy import FIXTURE_TREE, parse_hierarchy
 from hiergan.models import GeneratorStage1, GeneratorStage2, ModelConfig, ModelError, build_models
 from hiergan.synthdata import default_dataset_spec, generate_dataset
@@ -84,6 +84,15 @@ def test_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(TrainingError):
         TrainConfig(seed=-1)
+
+
+def test_config_requires_two_eval_samples_per_class():
+    # a class's Frechet statistics need two feature rows; with fewer, a run
+    # would fail only at its first checkpoint, after every step had run
+    for n in (0, 1):
+        with pytest.raises(TrainingError, match="eval_n_per_class"):
+            TrainConfig(eval_n_per_class=n)
+    assert TrainConfig(eval_n_per_class=2).eval_n_per_class == 2
 
 
 def test_only_full_mode_applies_penalty():
@@ -216,27 +225,10 @@ def one_joint_step(trainer):
     trainer.joint_step(trainer.real_batch(y), y, z)
 
 
-def test_embedding_step_tape_holds_two_records(tree, corpus, frozen_clfs, monkeypatch):
-    import hiergan.training as training
-
-    tapes = []
-
-    def margin_loss_graph(tape, *args):
-        tapes.append(tape)
-        return original(tape, *args)
-
-    original = training.margin_loss_graph
-    monkeypatch.setattr(training, "margin_loss_graph", margin_loss_graph)
-    trainer = Trainer(corpus, tree, tiny_cfg(), *frozen_clfs)
-    for stage in (1, 2):
-        if stage == 2:
-            trainer._enter_stage(2)
-        one_joint_step(trainer)
-    # the margin loss is one che_margin record, then lambda2's scale
-    assert [len(t) for t in tapes] == [2, 2]
-
-
-def test_generator_step_computes_no_discriminator_gradients(tree, corpus, frozen_clfs, monkeypatch):
+def test_generator_step_computes_no_discriminator_gradients(tree, corpus, frozen_clfs, seg_table, monkeypatch):
+    """A joint step runs two backwards: the D step's, then one for the G and
+    embedding steps, which holds every G parameter, the four table tensors
+    exactly when the table trains jointly, and no D parameter."""
     backward = Tape.backward
     calls = []  # per backward: the gradients and the D parameters' .grad after it
 
@@ -249,15 +241,62 @@ def test_generator_step_computes_no_discriminator_gradients(tree, corpus, frozen
         return grads
 
     monkeypatch.setattr(Tape, "backward", recording)
-    trainer = Trainer(corpus, tree, tiny_cfg(), *frozen_clfs)
-    # stage 1 is the case that matters: there D's weights track gradients
-    assert all(p.requires_grad for p in trainer.d_params)
+    for mode in ("treegan", "npc", "seg", "flat"):
+        trainer = Trainer(corpus, tree, tiny_cfg(mode=mode), *frozen_clfs, seg_table if mode == "seg" else None)
+        # stage 1 is the case that matters: there D's weights track gradients
+        assert all(p.requires_grad for p in trainer.d_params)
+        calls.clear()
+        one_joint_step(trainer)
+        assert len(calls) == 2, mode
+        g_grads, d_grad_slots = calls[1]
+        table = set(trainer.table_params.params()) if mode in ("treegan", "npc") else set()
+        assert set(g_grads) == set(trainer.g_params) | table, mode
+        assert d_grad_slots == [None] * len(trainer.d_params), mode
+
+
+@pytest.mark.parametrize("mode", ["treegan", "npc"])
+def test_table_gradient_matches_two_tape_reference(tree, corpus, frozen_clfs, mode, monkeypatch):
+    """One step's generator and table gradients equal those of separate
+    backwards: the generator objective on the generator's tape and lambda2 *
+    margin on a tape of its own, the table's summed margin part first."""
+    import hiergan.training as training
+
+    seen = []  # the gradients of each Adam step: D, G, then the table
+
+    def recording(params, grads, states, **kw):
+        seen.append(grads)
+        return adam_step(params, grads, states, **kw)
+
+    monkeypatch.setattr(training, "adam_step", recording)
+    cfg = tiny_cfg(mode=mode, lambda2=0.5)  # a weight that a dropped scale would show
+    trainer, ref = (Trainer(corpus, tree, cfg, *frozen_clfs) for _ in range(2))
     one_joint_step(trainer)
-    assert len(calls) == 3
-    g_grads, d_grad_slots = calls[1]
-    assert not set(g_grads) & set(trainer.d_params)
-    assert d_grad_slots == [None] * len(trainer.d_params)
-    assert set(trainer.g_params) <= set(g_grads)
+    assert len(seen) == 3
+
+    # the same draws as one_joint_step, and the D step as the trainer takes it
+    y, n = tree.leaves[0], cfg.batch_size
+    z = ref.rng.standard_normal((n, ref.models.g1.noise_dim))
+    real = ref.real_batch(y)
+    tape_g = Tape()
+    e_c = ref._condition(tape_g, y, n)
+    fake = ref.models.generate(tape_g, e_c, Tensor(z), ref.stage)
+    tape_d = Tape()
+    d_loss = ref.disc.loss(tape_d, Tensor(real.reshape(n, -1)), Tensor(fake.data), Tensor(e_c.data))
+    d_grads = tape_d.backward(d_loss)
+    betas = dict(beta1=cfg.beta1, beta2=cfg.beta2)
+    adam_step(ref.d_params, [d_grads[p] for p in ref.d_params], ref.d_states, lr=cfg.gan_lr, **betas)
+    g_obj = tape_g.binary_cross_entropy_with_logits(ref.disc.constant().forward(tape_g, fake, e_c), np.ones((n, 1)))
+    if cfg.effective_lambda1 > 0:
+        penalty = tape_g.scale(ref.clf.loss(tape_g, fake, [y] * n), 1.0 / n)
+        g_obj = tape_g.add(g_obj, tape_g.scale(penalty, cfg.effective_lambda1))
+    g_grads = tape_g.backward(g_obj)
+    neg = sample_negatives(tree, ref.pairs, cfg.che_negatives, ref.rng)
+    tape_e = Tape()
+    margin = margin_loss_graph(tape_e, ref.table_params, ref.pairs, neg, cfg.che_margin)
+    e_grads = tape_e.backward(tape_e.scale(margin, cfg.lambda2))
+    want_table = [e_grads[p] + g_grads.get(p, np.zeros_like(p.data)) for p in ref.table_params.params()]
+    assert [g.tobytes() for g in seen[1]] == [g_grads[p].tobytes() for p in ref.g_params]
+    assert [g.tobytes() for g in seen[2]] == [g.tobytes() for g in want_table]
 
 
 def test_constant_discriminator_shares_weights_and_gradients_to_inputs(tree, corpus, frozen_clfs):
