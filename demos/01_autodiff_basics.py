@@ -18,8 +18,8 @@ rng = np.random.default_rng(0)
 x = rng.standard_normal((64, 3))
 target = np.sin(x @ rng.standard_normal((3, 1)))
 
-w1 = Tensor(0.5 * rng.standard_normal((3, 16)), requires_grad=True, name="w1")
-w2 = Tensor(0.5 * rng.standard_normal((16, 1)), requires_grad=True, name="w2")
+w1 = Tensor(0.5 * rng.standard_normal((3, 16)), name="w1")
+w2 = Tensor(0.5 * rng.standard_normal((16, 1)), name="w2")
 params = [w1, w2]
 
 
@@ -29,8 +29,9 @@ def objective(tape: Tape, ps) -> Tensor:
     return tape.mean(tape.mul(err, err))
 
 
-# One forward pass builds the tape; one reverse sweep yields every gradient.
-tape = Tape()
+# A tape names the tensors it differentiates. One forward pass records the
+# ops that depend on them; one reverse sweep yields every gradient.
+tape = Tape(params)
 loss = objective(tape, params)
 grads = tape.backward(loss)
 print(f"initial loss {loss.item():.4f}")
@@ -42,9 +43,14 @@ print(grad_check(objective, params, step=1e-5))
 # So Adam can descend with confidence. Tapes are throwaway: one per step.
 states = [AdamState.for_param(p) for p in params]
 for step in range(1, 201):
-    tape = Tape()
+    tape = Tape(params)
     loss = objective(tape, params)
     grads = tape.backward(loss)
     adam_step(params, [grads[p] for p in params], states, lr=0.01)
     if step % 50 == 0:
         print(f"step {step:3d}  loss {loss.item():.4f}")
+
+# A tape that tracks nothing records nothing: forward-only passes are free.
+tape = Tape()
+objective(tape, params)
+print(f"records on a bare tape: {len(tape)}")

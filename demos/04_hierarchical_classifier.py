@@ -56,6 +56,10 @@ wrong = clf.loss(Tape(), x, [wrong_leaf]).item()
 print(f"\nstacked loss vs {h.name_of(leaf)}: {right:.3f}")
 print(f"stacked loss vs {h.name_of(wrong_leaf)}: {wrong:.3f}")
 
-# Frozen means frozen: training it further is a contract violation.
-clf.freeze()
-print(f"\nfrozen: {all(not p.requires_grad for p in clf.params())}")
+# Frozen means no tape but its own training tracks its weights. The GAN's
+# tape tracks the image instead: the gradient flows through to the image,
+# and none reaches the classifier.
+tape = Tape([x])
+grads = tape.backward(clf.loss(tape, x, [wrong_leaf]))
+print(f"\nfrozen: image gradient norm {np.linalg.norm(grads[x]):.3f}, "
+      f"classifier gradients {sum(p in grads for p in clf.params())}")

@@ -7,9 +7,13 @@ reverse, accumulating adjoints additively, so a tensor feeding several
 consumers receives the sum of their contributions. Construction order is a
 topological order, which makes the single reverse sweep correct.
 
-Adjoints are computed only for tracked inputs: a backward rule returns None
-for an input whose ``requires_grad`` is off, so frozen classifier weights and
-constant images cost no gradient product. ``linear(x, w, b)`` is one record
+Each tape names the tensors it differentiates: ``Tape(track=params)``. An
+op's output is tracked when one of its inputs is, and only ops with a tracked
+output are recorded, so a bare ``Tape()`` records nothing: the forward-only
+passes (classification, generation) cost no bookkeeping. A backward rule
+returns None for an input the tape does not track, so classifier weights and
+real images cost no gradient product, while a tracked image still receives
+the gradient that reaches it through them. ``linear(x, w, b)`` is one record
 for ``x @ w + b``, the dense layer every network is built from; its bias
 adjoint is the column sum of the output adjoint.
 
@@ -17,11 +21,10 @@ adjoint is the column sum of the output adjoint.
 margin loss is one ``che_margin`` record whose backward replays, in plain
 numpy, the adjoints its primitive-op graph would produce.
 
-Tapes are single-writer and rebuilt per training step. Gradients are exposed
-on ``Tensor.grad`` for every tensor created with ``requires_grad=True``; that
-includes non-parameter leaves such as images fed to a frozen classifier,
-whose input gradient drives the generator. A tensor no record on the tape
-produced, including one made on another tape, is a leaf.
+Tapes are single-writer and rebuilt per training step. ``Tape.backward``
+returns the gradient of every tracked leaf the loss depends on; that dict is
+the only channel for gradients. A tensor the tape does not track, including
+one made on another tape, is a constant.
 
 ``adam_step`` updates the moment arrays of each ``AdamState`` in place and
 rebinds ``Tensor.data`` to a new array, so the forward values a tape's
@@ -52,7 +55,7 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -87,18 +90,13 @@ class CheckpointError(IOError):
 
 
 class Tensor:
-    """Dense float64 array plus a gradient slot.
+    """Dense float64 array with an optional name. Whether a gradient flows to
+    it is up to each tape: see ``Tape(track=...)``."""
 
-    ``requires_grad`` marks leaves whose gradient should be retained by
-    ``Tape.backward``; op outputs inherit the flag from their inputs.
-    """
+    __slots__ = ("data", "name")
 
-    __slots__ = ("data", "grad", "requires_grad", "name")
-
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad)
         self.name = name
 
     @property
@@ -114,7 +112,7 @@ class Tensor:
 
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
-        return f"Tensor{label}(shape={self.data.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor{label}(shape={self.data.shape})"
 
 
 @dataclass
@@ -137,10 +135,12 @@ def _sum_to_shape(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Tape:
-    """Ordered record of primitive ops; single-writer, rebuilt per step."""
+    """Ordered record of the primitive ops that depend on the tracked
+    tensors; single-writer, rebuilt per step."""
 
-    def __init__(self):
+    def __init__(self, track: Iterable[Tensor] = ()):
         self._records: list[_Record] = []
+        self._tracked: set[Tensor] = set(track)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -151,41 +151,32 @@ class Tape:
         if not np.isfinite(data).all():
             raise NonFiniteError(f"op {op!r} produced non-finite values")
         out = Tensor(data)
-        out.requires_grad = any(t.requires_grad for t in inputs)
-        if out.requires_grad:
+        if any(t in self._tracked for t in inputs):
+            self._tracked.add(out)
             self._records.append(_Record(op, inputs, out, backward))
         return out
 
+    def tracks(self, t: Tensor) -> bool:
+        return t in self._tracked
+
     def backward(self, loss: Tensor) -> dict[Tensor, np.ndarray]:
-        """Accumulate d(loss)/d(t) for every tracked tensor; return the
-        gradients of ``requires_grad`` leaves and set their ``.grad``."""
+        """Accumulate d(loss)/d(t) over the records in reverse; return the
+        gradient of every tracked leaf the loss depends on."""
         if loss.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
-        adjoints: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        tensors: dict[int, Tensor] = {id(loss): loss}
+        tracked = self._tracked
+        adjoints: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
         for rec in reversed(self._records):
-            out_g = adjoints.pop(id(rec.out), None)
+            out_g = adjoints.pop(rec.out, None)
             if out_g is None:
                 continue
-            in_grads = rec.backward(out_g)
-            for t, g in zip(rec.inputs, in_grads):
-                if g is None or not t.requires_grad:
+            for t, g in zip(rec.inputs, rec.backward(out_g)):
+                if g is None or t not in tracked:
                     continue
-                key = id(t)
-                if key in adjoints:
-                    adjoints[key] = adjoints[key] + g
-                else:
-                    adjoints[key] = g
-                    tensors[key] = t
+                adjoints[t] = adjoints[t] + g if t in adjoints else g
         # records run in construction order, so each produced tensor's adjoint
         # was complete, and popped, when its record ran: what is left is leaves
-        leaf_grads: dict[Tensor, np.ndarray] = {}
-        for key, g in adjoints.items():
-            t = tensors[key]
-            if t.requires_grad:
-                t.grad = g
-                leaf_grads[t] = g
-        return leaf_grads
+        return {t: g for t, g in adjoints.items() if t in tracked}
 
     # ------------------------------------------------------------ primitives
 
@@ -193,9 +184,11 @@ class Tape:
         if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
             raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
         ad, bd = a.data, b.data
+        # resolved here: a rule that asked the tape would keep it in a cycle
+        ta, tb = self.tracks(a), self.tracks(b)
 
         def back(g):
-            return (g @ bd.T if a.requires_grad else None, ad.T @ g if b.requires_grad else None)
+            return (g @ bd.T if ta else None, ad.T @ g if tb else None)
 
         return self._emit("matmul", (a, b), ad @ bd, back)
 
@@ -204,13 +197,10 @@ class Tape:
         if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
             raise ValueError(f"linear shape mismatch: {x.shape} @ {w.shape} + {b.shape}")
         xd, wd = x.data, w.data
+        tx, tw, tb = self.tracks(x), self.tracks(w), self.tracks(b)
 
         def back(g):
-            return (
-                g @ wd.T if x.requires_grad else None,
-                xd.T @ g if w.requires_grad else None,
-                g.sum(axis=0) if b.requires_grad else None,
-            )
+            return (g @ wd.T if tx else None, xd.T @ g if tw else None, g.sum(axis=0) if tb else None)
 
         return self._emit("linear", (x, w, b), xd @ wd + b.data, back)
 
@@ -509,7 +499,7 @@ def grad_check(
     parameter tensors ``max_per_param`` limits the sweep to that many evenly
     spaced coordinates per tensor (always including both ends).
     """
-    tape = Tape()
+    tape = Tape(params)
     loss = f(tape, params)
     grads = tape.backward(loss)
     worst = GradCheckReport(True, 0.0, -1, -1, 0.0, 0.0)

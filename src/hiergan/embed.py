@@ -194,11 +194,11 @@ class TableParams:
     rel_im: Tensor
 
     @classmethod
-    def init(cls, num_classes: int, dim: int, rng: np.random.Generator, requires_grad: bool = True) -> "TableParams":
+    def init(cls, num_classes: int, dim: int, rng: np.random.Generator) -> "TableParams":
         scale = 0.5 / np.sqrt(dim)
 
         def draw(shape, name):
-            return Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=requires_grad, name=name)
+            return Tensor(rng.uniform(-scale, scale, size=shape), name=name)
 
         return cls(
             class_re=draw((num_classes, dim), "emb.class_re"),
@@ -338,15 +338,13 @@ def train_che(h: ClassHierarchy, cfg: CheConfig) -> ClassEmbeddingTable:
     pos_pairs = np.asarray(h.parent_child_pairs(), dtype=np.int64)
     if pos_pairs.size == 0:
         raise EmbeddingError("hierarchy has no parent-child pairs to train on")
-    if len(h) < 3:
-        raise EmbeddingError("hierarchy too small to sample negative pairs")
     rng = np.random.default_rng(cfg.seed)
     tp = TableParams.init(len(h), cfg.dim, rng)
     params = tp.params()
     states = [AdamState.for_param(p) for p in params]
     for _ in range(cfg.epochs):
         negs = sample_negatives(h, pos_pairs, cfg.negatives_per_positive, rng)
-        tape = Tape()
+        tape = Tape(params)
         grads = tape.backward(margin_loss_graph(tape, tp, pos_pairs, negs, cfg.margin))
         adam_step(params, [grads[p] for p in params], states, lr=cfg.lr)
     return tp.to_table(h)

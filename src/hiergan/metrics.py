@@ -121,33 +121,23 @@ class LeafMetrics:
 @dataclass
 class MetricsReport:
     per_leaf: dict[str, LeafMetrics]  # keyed by leaf class name, id order
-    avg_desk_fid: float
-    avg_desk_is: float
-    avg_consistency_rate: float
     feature_source: str
 
     def __post_init__(self):
-        rows = list(self.per_leaf.values())
-        if not rows:
+        if not self.per_leaf:
             raise MetricsError("report needs at least one leaf row")
-        for got, rows_attr in (
-            (self.avg_desk_fid, [r.desk_fid for r in rows]),
-            (self.avg_desk_is, [r.desk_is for r in rows]),
-            (self.avg_consistency_rate, [r.consistency_rate for r in rows]),
-        ):
-            if abs(got - float(np.mean(rows_attr))) > 1e-12:
-                raise MetricsError("report averages must equal the mean of per-leaf values")
 
+    @property
+    def avg_desk_fid(self) -> float:
+        return float(np.mean([r.desk_fid for r in self.per_leaf.values()]))
 
-def build_report(per_leaf: dict[str, LeafMetrics], feature_source: str) -> MetricsReport:
-    rows = list(per_leaf.values())
-    return MetricsReport(
-        per_leaf=per_leaf,
-        avg_desk_fid=float(np.mean([r.desk_fid for r in rows])),
-        avg_desk_is=float(np.mean([r.desk_is for r in rows])),
-        avg_consistency_rate=float(np.mean([r.consistency_rate for r in rows])),
-        feature_source=feature_source,
-    )
+    @property
+    def avg_desk_is(self) -> float:
+        return float(np.mean([r.desk_is for r in self.per_leaf.values()]))
+
+    @property
+    def avg_consistency_rate(self) -> float:
+        return float(np.mean([r.consistency_rate for r in self.per_leaf.values()]))
 
 
 def report_csv(report: MetricsReport) -> str:
@@ -212,4 +202,4 @@ def evaluate(
             n_generated=n_per_class,
         )
     side = int(np.sqrt(clf.pixels))
-    return build_report(per_leaf, feature_source=f"classifier-{side}x{side}")
+    return MetricsReport(per_leaf, feature_source=f"classifier-{side}x{side}")

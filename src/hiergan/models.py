@@ -6,10 +6,11 @@ All networks are small dense MLPs over flattened pixels, sized for the
 with its own discriminator. The hierarchical classifier shares one trunk and
 puts a linear head on every level of the class tree; its loss is the sum of
 per-level softmax cross-entropies against the leaf's ancestor path. One
-forward serves both the loss and ``classify``, the readout the metrics use. Once
-trained the classifier is frozen: its parameters stop collecting gradients,
-but gradients still flow through it to the *image*, which is the path the
-generated-image consistency penalty trains the generator through.
+forward serves both the loss and ``classify``, the readout the metrics use. Only
+``train_classifier`` tracks the classifier's parameters; every other tape it
+runs on leaves them constant, while gradients still flow through it to a
+tracked *image*, which is the path the generated-image consistency penalty
+trains the generator through.
 
 A ``ModelSet`` holds networks only; ``generate_set`` conditions them on a
 given embedding table and is the generator's readout, as ``classify`` is the
@@ -18,7 +19,7 @@ classifier's.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -37,8 +38,8 @@ class ModelError(ValueError):
 
 def _init_layer(rng, fan_in: int, fan_out: int, prefix: str, idx: int):
     bound = 1.0 / np.sqrt(fan_in)
-    w = Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)), requires_grad=True, name=f"{prefix}.w{idx}")
-    b = Tensor(np.zeros(fan_out), requires_grad=True, name=f"{prefix}.b{idx}")
+    w = Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)), name=f"{prefix}.w{idx}")
+    b = Tensor(np.zeros(fan_out), name=f"{prefix}.b{idx}")
     return w, b
 
 
@@ -167,12 +168,6 @@ class Discriminator:
     def params(self) -> list[Tensor]:
         return self.net.params()
 
-    def constant(self) -> "Discriminator":
-        """This discriminator with its current weights as untracked
-        constants: a forward through it backpropagates to its inputs only."""
-        layers = [(Tensor(w.data), Tensor(b.data)) for w, b in self.net.layers]
-        return replace(self, net=replace(self.net, layers=layers))
-
 
 @dataclass
 class HierClassifier:
@@ -227,10 +222,6 @@ class HierClassifier:
     def params(self) -> list[Tensor]:
         return self.trunk.params() + [t for pair in self.heads for t in pair]
 
-    def freeze(self) -> None:
-        for p in self.params():
-            p.requires_grad = False
-
 
 @dataclass
 class Readout:
@@ -243,7 +234,8 @@ class Readout:
 
 
 def classify(clf: HierClassifier, images) -> Readout:
-    """Run a frozen classifier once over an image or an image batch."""
+    """Run a classifier once over an image or an image batch, on a tape that
+    records nothing."""
     x = np.asarray(images, dtype=np.float64)
     side = int(np.sqrt(clf.pixels))
     if x.shape == (side, side):
@@ -284,8 +276,8 @@ class ClassifierConfig:
 
 
 def train_classifier(clf: HierClassifier, dataset: Dataset, resolution: int, cfg: ClassifierConfig) -> HierClassifier:
-    """Adam on mean stacked cross-entropy over the train split; freezes and
-    returns the classifier. Deterministic for a given config."""
+    """Adam on mean stacked cross-entropy over the train split; returns the
+    classifier. Deterministic for a given config."""
     if resolution not in (8, 16):
         raise ModelError(f"resolution must be 8 or 16, got {resolution}")
     if resolution * resolution != clf.pixels:
@@ -294,12 +286,11 @@ def train_classifier(clf: HierClassifier, dataset: Dataset, resolution: int, cfg
     states = [AdamState.for_param(p) for p in params]
     for b in batch_iter(dataset.train, cfg.batch_size, seed=cfg.seed, num_epochs=cfg.epochs):
         imgs = b.lo if resolution == 8 else b.hi
-        tape = Tape()
+        tape = Tape(params)
         x = Tensor(imgs.reshape(imgs.shape[0], -1))
         loss = tape.scale(clf.loss(tape, x, b.leaf), 1.0 / imgs.shape[0])
         grads = tape.backward(loss)
         adam_step(params, [grads[p] for p in params], states, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
-    clf.freeze()
     return clf
 
 
@@ -344,7 +335,12 @@ class ModelSet:
         return lo if stage == 1 else self.g2.forward(tape, e_c, lo)
 
 
-def build_models(h: ClassHierarchy, cfg: ModelConfig) -> ModelSet:
+def build_models(
+    h: ClassHierarchy, cfg: ModelConfig, clf_lo: HierClassifier | None = None, clf_hi: HierClassifier | None = None
+) -> ModelSet:
+    """Draw the networks from ``cfg.seed``. Given classifiers are held as
+    they are; the classifiers are drawn last, so the other weights do not
+    depend on whether they were given."""
     rng = np.random.default_rng(cfg.seed)
     return ModelSet(
         config=cfg,
@@ -353,8 +349,8 @@ def build_models(h: ClassHierarchy, cfg: ModelConfig) -> ModelSet:
         g2=GeneratorStage2.init(cfg, rng),
         d_lo=Discriminator.init(cfg, LO_PIXELS, rng),
         d_hi=Discriminator.init(cfg, HI_PIXELS, rng),
-        clf_lo=HierClassifier.init(h, LO_PIXELS, cfg, rng),
-        clf_hi=HierClassifier.init(h, HI_PIXELS, cfg, rng),
+        clf_lo=clf_lo if clf_lo is not None else HierClassifier.init(h, LO_PIXELS, cfg, rng),
+        clf_hi=clf_hi if clf_hi is not None else HierClassifier.init(h, HI_PIXELS, cfg, rng),
     )
 
 
@@ -394,17 +390,14 @@ def save_models(ms: ModelSet, path) -> None:
 
 def load_models(path) -> ModelSet:
     """Rebuild a ModelSet from a checkpoint; shapes are validated against the
-    manifest's architecture config. Classifiers come back frozen."""
+    manifest's architecture config."""
 
     def build(manifest):
         cfg = ModelConfig(**{f.name: manifest[f.name] for f in fields(ModelConfig)})
         ms = build_models(parse_hierarchy(manifest["hierarchy"]), cfg)
         return ms, _model_set_params(ms)
 
-    ms = _load_with_manifest(path, build)
-    ms.clf_lo.freeze()
-    ms.clf_hi.freeze()
-    return ms
+    return _load_with_manifest(path, build)
 
 
 def save_classifier(clf: HierClassifier, path) -> None:
@@ -419,7 +412,7 @@ def save_classifier(clf: HierClassifier, path) -> None:
 
 
 def load_classifier(path) -> HierClassifier:
-    """Rebuild a frozen classifier from its checkpoint."""
+    """Rebuild a classifier from its checkpoint."""
 
     def build(manifest):
         h = parse_hierarchy(manifest["hierarchy"])
@@ -427,6 +420,4 @@ def load_classifier(path) -> HierClassifier:
         clf = HierClassifier.init(h, manifest["pixels"], cfg, np.random.default_rng(0))
         return clf, clf.params()
 
-    clf = _load_with_manifest(path, build)
-    clf.freeze()
-    return clf
+    return _load_with_manifest(path, build)

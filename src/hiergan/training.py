@@ -11,7 +11,7 @@ weighted by ``lambda2`` (the prior control). Modes:
   FLAT     random frozen embeddings; lambda1 = 0
 
 In every mode the trainer's ``TableParams`` is the run's one copy of the
-class embedding; it is tracked only in the joint modes.
+class embedding; the generator's tape tracks it only in the joint modes.
 
 Each step runs strict alternation: a discriminator Adam step, then one
 backward of ``g_adv + lambda1 * penalty + lambda2 * margin`` that feeds the
@@ -26,15 +26,16 @@ the margin loss over freshly sampled corruptions) is built once per step,
 before the D step: the D step reads its values as constants, and the G step
 appends the updated discriminator to the same tape. Nothing the graph
 depends on changes in between, because the D step updates only
-discriminator weights. The G step reads those weights as constants too
-(``Discriminator.constant``), so its backward computes adjoints for the
-generator, the class embedding and the images, and none for D.
+discriminator weights. Each tape tracks the parameters its step updates: the
+D tape the discriminator's, the G tape the generator's and, in joint modes,
+the table's. So the G step's backward computes adjoints for the generator,
+the class embedding and the images, and none for D or the classifier.
 
 Stage 1 trains the 8x8 generator against its discriminator and classifier;
-its weights then freeze while stage 2 trains the 16x16 generator. One rng
-seeded from the config drives every step in a fixed order (real-batch
-indices, then noise, then negative sampling in joint modes), so runs replay
-exactly from the seed.
+stage 2 tracks only the 16x16 generator and its discriminator, so the
+stage-1 weights stay fixed. One rng seeded from the config drives every
+step in a fixed order (real-batch indices, then noise, then negative
+sampling in joint modes), so runs replay exactly from the seed.
 """
 
 from __future__ import annotations
@@ -163,8 +164,6 @@ class Trainer:
                 raise TrainingError(f"classifier for {side}x{side} has {clf.pixels} inputs")
             if clf.hierarchy.serialize() != h.serialize():
                 raise TrainingError("classifier was trained for a different hierarchy")
-            if any(p.requires_grad for p in clf.params()):
-                raise TrainingError("classifiers must be frozen before GAN training")
         if cfg.mode == TrainMode.SEG:
             if embeddings is None:
                 raise TrainingError("SEG mode requires pre-trained embeddings")
@@ -184,13 +183,10 @@ class Trainer:
             e = embeddings
             self.table_params = TableParams(Tensor(e.class_re), Tensor(e.class_im), Tensor(e.rel_re), Tensor(e.rel_im))
         else:  # drawn at random: trained jointly, or frozen in flat mode
-            joint = cfg.mode.joint_embeddings
-            rng = np.random.default_rng([cfg.seed, 1 if joint else 3])
-            self.table_params = TableParams.init(len(h), cfg.embed_dim, rng, requires_grad=joint)
+            rng = np.random.default_rng([cfg.seed, 1 if cfg.mode.joint_embeddings else 3])
+            self.table_params = TableParams.init(len(h), cfg.embed_dim, rng)
 
-        self.models = build_models(h, ModelConfig(embed_dim=cfg.embed_dim, seed=cfg.seed))
-        self.models.clf_lo = clf_lo
-        self.models.clf_hi = clf_hi
+        self.models = build_models(h, ModelConfig(embed_dim=cfg.embed_dim, seed=cfg.seed), clf_lo, clf_hi)
 
         self.by_leaf = {y: np.flatnonzero(dataset.train.leaf == y) for y in h.leaves}
         for y, rows in self.by_leaf.items():
@@ -212,8 +208,6 @@ class Trainer:
             self.clf = self.models.clf_lo
             self.disc = self.models.d_lo
         else:
-            for p in self.models.g1.params() + self.models.d_lo.params():
-                p.requires_grad = False  # stage-1 weights freeze for stage 2
             self.g_params = self.models.g2.params()
             self.d_params = self.models.d_hi.params()
             self.clf = self.models.clf_hi
@@ -228,7 +222,7 @@ class Trainer:
 
     def _condition(self, tape: Tape, y: int, n: int) -> Tensor:
         """n class-embedding rows (re || im) for leaf y, gathered on the tape:
-        gradients reach the table in joint modes, where it is tracked."""
+        gradients reach the table where the tape tracks it."""
         idx = np.full(n, y)
         re = tape.slice(self.table_params.class_re, idx)
         im = tape.slice(self.table_params.class_im, idx)
@@ -244,32 +238,33 @@ class Trainer:
         n = real_images.shape[0]
         real_flat = real_images.reshape(n, -1)
         joint = cfg.mode.joint_embeddings
+        emb = self.table_params.params() if joint else []
         betas = dict(beta1=cfg.beta1, beta2=cfg.beta2)
 
         # the generator graph, built once: the D step reads its values, and
         # the G step extends it once D has moved; in joint modes the margin
         # loss joins it, since only the embedding update changes the table
-        tape_g = Tape()
+        tape_g = Tape(self.g_params + emb)
         e_c = self._condition(tape_g, y, n)
         fake = self.models.generate(tape_g, e_c, Tensor(z), self.stage)
         if joint:
             neg = sample_negatives(self.h, self.pairs, cfg.che_negatives, self.rng)
             margin = margin_loss_graph(tape_g, self.table_params, self.pairs, neg, cfg.che_margin)
 
-        # --- discriminator step (generator and embeddings held fixed)
-        e_const = Tensor(e_c.data)
-        tape_d = Tape()
-        d_loss = self.disc.loss(tape_d, Tensor(real_flat), Tensor(fake.data), e_const)
+        # --- discriminator step (generator and embeddings held fixed: the D
+        # tape does not track them, so it reads the G graph as constants)
+        tape_d = Tape(self.d_params)
+        d_loss = self.disc.loss(tape_d, Tensor(real_flat), fake, e_c)
         d_grads = tape_d.backward(d_loss)
         adam_step(self.d_params, [d_grads[p] for p in self.d_params], self.d_states, lr=cfg.gan_lr, **betas)
 
-        # --- generator and embedding steps (discriminator held fixed, so its
-        # weights enter as constants and get no adjoint): one backward of
+        # --- generator and embedding steps (the G tape does not track the
+        # discriminator, so its weights get no adjoint): one backward of
         # g_adv + lambda1 * penalty + lambda2 * margin. The reverse sweep
         # reaches the margin record before the conditioning gathers, so each
         # table gradient is the margin part plus the generator-path part.
         g_adv = tape_g.binary_cross_entropy_with_logits(
-            self.disc.constant().forward(tape_g, fake, e_c), np.ones((n, 1))
+            self.disc.forward(tape_g, fake, e_c), np.ones((n, 1))
         )
         g_obj, h_penalty, che_loss = g_adv, 0.0, 0.0
         lam1 = cfg.effective_lambda1
@@ -283,7 +278,6 @@ class Trainer:
         grads = tape_g.backward(g_obj)
         adam_step(self.g_params, [grads[p] for p in self.g_params], self.g_states, lr=cfg.gan_lr, **betas)
         if joint:
-            emb = self.table_params.params()
             adam_step(emb, [grads[p] for p in emb], self.emb_states, lr=cfg.emb_lr, **betas)
         return float(d_loss.item()), float(g_adv.item()), h_penalty, che_loss
 

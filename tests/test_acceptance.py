@@ -87,16 +87,12 @@ def test_criterion_01_gradients(dataset):
     # composite generator objective on a tiny configuration
     cfg = ModelConfig(embed_dim=2, gen_hidden=2, disc_hidden=2, clf_hidden=2, feature_width=2, seed=5)
     ms = build_models(TREE, cfg)
-    ms.clf_lo.freeze()
-    ms.clf_hi.freeze()
     tcfg = TrainConfig(mode="treegan", embed_dim=2, batch_size=3, steps_per_stage=1, seed=0)
     trainer = Trainer(dataset, TREE, tcfg, ms.clf_lo, ms.clf_hi)
     trainer.models.g1, trainer.models.g2 = ms.g1, ms.g2
     trainer.models.d_lo, trainer.models.d_hi = ms.d_lo, ms.d_hi
     trainer.models.clf_lo, trainer.models.clf_hi = ms.clf_lo, ms.clf_hi
     trainer._enter_stage(2)
-    for p in ms.g1.params():
-        p.requires_grad = True
     y = int(TREE.leaves[0])
     z = np.random.default_rng(6).standard_normal((3, 4))
     params = ms.g1.params() + ms.g2.params() + trainer.table_params.params()

@@ -1,5 +1,7 @@
+import gc
 import json
 import struct
+import weakref
 import zlib
 
 import numpy as np
@@ -24,7 +26,7 @@ from hiergan.autodiff import (
 
 
 def leaf(data, name=None):
-    return Tensor(np.asarray(data, dtype=np.float64), requires_grad=True, name=name)
+    return Tensor(np.asarray(data, dtype=np.float64), name=name)
 
 
 # ---------------------------------------------------------- forced examples
@@ -39,8 +41,8 @@ def test_matmul_identity():
 
 
 def test_sigmoid_gradient_at_zero_is_quarter():
-    t = Tape()
     x = leaf([0.0])
+    t = Tape([x])
     loss = t.sum(t.sigmoid(x))
     grads = t.backward(loss)
     assert abs(grads[x][0] - 0.25) < 1e-15
@@ -70,15 +72,15 @@ def test_sigmoid_matches_masked_oracle_bitwise():
 def test_sum_gradient_is_all_ones():
     rng = np.random.default_rng(0)
     for shape in [(3,), (2, 4), (5, 1), (1,)]:
-        t = Tape()
         x = leaf(rng.normal(size=shape))
+        t = Tape([x])
         grads = t.backward(t.sum(x))
         assert np.array_equal(grads[x], np.ones(shape))
 
 
 def test_mean_of_squares_gradient():
-    t = Tape()
     x = leaf([1.0, 2.0, 3.0])
+    t = Tape([x])
     loss = t.mean(t.mul(x, x))
     grads = t.backward(loss)
     assert np.allclose(grads[x], [2.0 / 3.0, 4.0 / 3.0, 2.0], atol=1e-15)
@@ -90,8 +92,8 @@ def test_softmax_cross_entropy_gradient_is_probs_minus_onehot():
         n, m = int(rng.integers(1, 6)), int(rng.integers(2, 7))
         z = rng.normal(size=(n, m)) * 3.0
         targets = rng.integers(0, m, size=n)
-        t = Tape()
         logits = leaf(z)
+        t = Tape([logits])
         loss = t.softmax_cross_entropy(logits, targets)
         grads = t.backward(loss)
         e = np.exp(z - z.max(axis=1, keepdims=True))
@@ -110,8 +112,8 @@ def test_softmax_cross_entropy_uniform_value():
 
 
 def test_softmax_cross_entropy_vector_form():
-    t = Tape()
     logits = leaf([0.5, -1.0, 2.0])
+    t = Tape([logits])
     loss = t.softmax_cross_entropy(logits, 2)
     z = logits.data
     expected = np.log(np.exp(z).sum()) - z[2]
@@ -124,8 +126,8 @@ def test_bce_matches_naive_formula():
     rng = np.random.default_rng(11)
     z = rng.normal(size=(4, 3)) * 2.0
     targets = rng.integers(0, 2, size=(4, 3)).astype(np.float64)
-    t = Tape()
     logits = leaf(z)
+    t = Tape([logits])
     loss = t.binary_cross_entropy_with_logits(logits, targets)
     sig = 1.0 / (1.0 + np.exp(-z))
     naive = -(targets * np.log(sig) + (1.0 - targets) * np.log(1.0 - sig)).mean()
@@ -135,8 +137,8 @@ def test_bce_matches_naive_formula():
 
 
 def test_bce_is_finite_at_extreme_logits():
-    t = Tape()
     logits = leaf([1000.0, -1000.0])
+    t = Tape([logits])
     loss = t.binary_cross_entropy_with_logits(logits, np.array([0.0, 1.0]))
     assert np.isfinite(loss.item())
     # both elements are maximally wrong; value saturates at the clamp level
@@ -172,8 +174,8 @@ def test_non_finite_reports_op_name():
 
 
 def test_backward_requires_scalar_loss():
-    t = Tape()
     x = leaf(np.ones((2, 2)))
+    t = Tape([x])
     y = t.scale(x, 2.0)
     with pytest.raises(ValueError, match="scalar"):
         t.backward(y)
@@ -185,18 +187,18 @@ def test_backward_requires_scalar_loss():
 def test_duplicated_consumer_doubles_gradient():
     rng = np.random.default_rng(3)
     x_data = rng.normal(size=(4,))
-    t1 = Tape()
     x1 = leaf(x_data)
+    t1 = Tape([x1])
     g_single = t1.backward(t1.sum(x1))[x1]
-    t2 = Tape()
     x2 = leaf(x_data)
+    t2 = Tape([x2])
     g_double = t2.backward(t2.sum(t2.add(x2, x2)))[x2]
     assert np.array_equal(g_double, 2.0 * g_single)
 
 
 def test_slice_with_repeated_indices_accumulates():
-    t = Tape()
     x = leaf(np.arange(6.0).reshape(3, 2))
+    t = Tape([x])
     rows = t.slice(x, np.array([0, 0, 2]))
     grads = t.backward(t.sum(rows))
     assert np.array_equal(grads[x], [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
@@ -218,9 +220,9 @@ def test_backward_bit_identical_across_reruns():
     x_data = rng.normal(size=(2, 3))
 
     def run():
-        t = Tape()
         w = leaf(w_data.copy())
         x = Tensor(x_data.copy())
+        t = Tape([w])
         h = t.tanh(t.matmul(x, w))
         loss = t.mean(t.mul(h, h))
         return t.backward(loss)[w].tobytes()
@@ -231,14 +233,12 @@ def test_backward_bit_identical_across_reruns():
 def test_frozen_network_input_gradient():
     # frozen weights, gradient requested for the input instead
     rng = np.random.default_rng(13)
-    w = Tensor(rng.normal(size=(4, 2)))  # requires_grad=False
-    t = Tape()
+    w = Tensor(rng.normal(size=(4, 2)))  # untracked
     x = leaf(rng.normal(size=(3, 4)), name="image")
+    t = Tape([x])
     loss = t.mean(t.sigmoid(t.matmul(x, w)))
     grads = t.backward(loss)
-    assert x in grads and grads[x].shape == (3, 4)
-    assert w not in grads
-    assert x.grad is not None
+    assert list(grads) == [x] and grads[x].shape == (3, 4)
 
 
 def _dense_case(seed):
@@ -248,9 +248,9 @@ def _dense_case(seed):
 
 def _dense_grads(layer, x_data, w_data, b_data, weights, tracked=(True, True, True)):
     """Value and gradients of sum(layer(x, w, b) * weights) on a fresh tape;
-    ``tracked`` says which of x, w, b require a gradient."""
-    t = Tape()
-    x, w, b = (Tensor(d.copy(), requires_grad=r) for d, r in zip((x_data, w_data, b_data), tracked))
+    ``tracked`` says which of x, w, b the tape tracks."""
+    x, w, b = (Tensor(d.copy()) for d in (x_data, w_data, b_data))
+    t = Tape(v for v, r in zip((x, w, b), tracked) if r)
     out = layer(t, x, w, b)
     grads = t.backward(t.sum(t.mul(out, Tensor(weights))))
     return out.data, [grads.get(v) for v in (x, w, b)]
@@ -288,10 +288,10 @@ def test_untracked_operand_gets_no_gradient(layer, untracked):
 
 
 def test_untracked_operand_adjoint_is_not_computed():
-    # the backward rule itself returns None for an input that needs no gradient
-    t = Tape()
+    # the backward rule itself returns None for an input the tape does not track
     x = Tensor(np.ones((2, 3)))
     w, b = leaf(np.ones((3, 4))), leaf(np.zeros(4))
+    t = Tape([w, b])
     t.linear(x, w, b)
     t.matmul(x, w)
     for rec in t._records:
@@ -305,23 +305,33 @@ def test_linear_shape_mismatch():
 
 
 def test_backward_of_a_leaf_loss():
-    t = Tape()
     x = leaf([1.5])
+    t = Tape([x])
     t.scale(x, 2.0)  # a record that does not lead to the loss
     grads = t.backward(x)
     assert list(grads) == [x] and np.array_equal(grads[x], [1.0])
-    assert np.array_equal(x.grad, [1.0])
     assert t.backward(Tensor([1.0])) == {}  # an untracked loss has no gradients
+
+
+def test_bare_tape_records_nothing_and_computes_the_same_values():
+    rng = np.random.default_rng(14)
+    x, w, b = leaf(rng.normal(size=(3, 4))), leaf(rng.normal(size=(4, 2))), leaf(rng.normal(size=2))
+    bare, tracking = Tape(), Tape([w])
+    outs = [t.softmax(t.sigmoid(t.linear(x, w, b)), axis=1) for t in (bare, tracking)]
+    assert (len(bare), len(tracking)) == (0, 3)
+    assert outs[0].data.tobytes() == outs[1].data.tobytes()
+    assert not bare.tracks(outs[0]) and tracking.tracks(outs[1])
 
 
 def test_tensor_from_another_tape_is_a_leaf():
     x = leaf([1.0, -2.0])
-    y = Tape().scale(x, 3.0)  # tracked, but produced on another tape
+    y = Tape([x]).scale(x, 3.0)  # tracked, but produced on another tape
     t = Tape()
+    assert t.backward(t.sum(t.mul(y, y))) == {} and len(t) == 0  # a constant here
+    t = Tape([y])
     grads = t.backward(t.sum(t.mul(y, y)))
     assert set(grads) == {y}
     assert np.array_equal(grads[y], 2.0 * y.data)
-    assert x.grad is None
 
 
 # -------------------------------------------------- finite-difference sweep
@@ -400,11 +410,26 @@ def test_every_primitive_matches_finite_differences():
     assert not failures, "\n".join(failures)
 
 
+def test_tapes_are_freed_without_the_cycle_collector():
+    # a backward rule that held its tape would make a cycle, so every step's
+    # tape and the arrays it saved would wait for the cycle collector
+    gc.disable()
+    try:
+        for name, (fn, params) in _fd_cases(np.random.default_rng(1)).items():
+            t = Tape(params)
+            t.backward(fn(t, params))
+            ref = weakref.ref(t)
+            del t
+            assert ref() is None, name
+    finally:
+        gc.enable()
+
+
 def test_grad_check_trivial_dot():
     p = leaf([1.0, -2.0])
     report = grad_check(lambda t, ps: t.sum(t.mul(ps[0], ps[0])), [p], tol=1e-6)
     assert report.passed
-    t = Tape()
+    t = Tape([p])
     grads = t.backward(t.sum(t.mul(p, p)))
     assert np.allclose(grads[p], [2.0, -4.0], atol=1e-12)
 

@@ -356,8 +356,8 @@ def reference_margin_loss_graph(tape, tp, pos_pairs, neg_pairs, margin) -> Tenso
 def scaled_loss_and_grads(loss_graph, arrays, pos, negs, margin, lam):
     """(loss bytes, gradient bytes per table tensor, tape length) of
     lam * loss, as the joint step's embedding update builds it."""
-    tp = TableParams(*[Tensor(a.copy(), requires_grad=True) for a in arrays])
-    tape = Tape()
+    tp = TableParams(*[Tensor(a.copy()) for a in arrays])
+    tape = Tape(tp.params())
     loss = loss_graph(tape, tp, pos, negs, margin)
     grads = tape.backward(tape.scale(loss, lam))
     return loss.data.tobytes(), [grads[p].tobytes() for p in tp.params()], len(tape)
@@ -477,7 +477,7 @@ def test_training_rejects_degenerate_hierarchies():
     with pytest.raises(EmbeddingError, match="no parent-child pairs"):
         train_che(single, CheConfig())
     two = parse_hierarchy("root\nroot/a\n")
-    with pytest.raises(EmbeddingError, match="too small"):
+    with pytest.raises(EmbeddingError, match="admits no negative pairs"):
         train_che(two, CheConfig())
 
 

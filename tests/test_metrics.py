@@ -16,7 +16,7 @@ from hiergan.metrics import (
     GaussianStats,
     LeafMetrics,
     MetricsError,
-    build_report,
+    MetricsReport,
     consistency_rate,
     evaluate,
     fit_gaussian,
@@ -328,7 +328,7 @@ def test_report_averages_and_serialization():
         "a": LeafMetrics(desk_fid=1.0, desk_is=1.5, consistency_rate=0.5, n_real=10, n_generated=20),
         "b": LeafMetrics(desk_fid=3.0, desk_is=2.5, consistency_rate=1.0, n_real=10, n_generated=20),
     }
-    report = build_report(per_leaf, feature_source="classifier-16x16")
+    report = MetricsReport(per_leaf, feature_source="classifier-16x16")
     assert report.avg_desk_fid == pytest.approx(2.0, abs=1e-12)
     assert report.avg_desk_is == pytest.approx(2.0, abs=1e-12)
     assert report.avg_consistency_rate == pytest.approx(0.75, abs=1e-12)
@@ -343,19 +343,8 @@ def test_report_averages_and_serialization():
     payload = json.loads(js)
     assert payload["average"]["desk_fid"] == pytest.approx(2.0)
     assert set(payload["per_leaf"]) == {"a", "b"}
-
-
-def test_report_rejects_wrong_average():
-    from hiergan.metrics import MetricsReport
-
-    with pytest.raises(MetricsError, match="averages"):
-        MetricsReport(
-            per_leaf={"a": LeafMetrics(1.0, 1.0, 1.0, 5, 5)},
-            avg_desk_fid=2.0,
-            avg_desk_is=1.0,
-            avg_consistency_rate=1.0,
-            feature_source="x",
-        )
+    with pytest.raises(MetricsError, match="at least one leaf"):
+        MetricsReport({}, feature_source="classifier-16x16")
 
 
 # ---------------------------------------------------------------- evaluate

@@ -315,7 +315,7 @@ def test_hier_loss_decreases_when_correct_logit_rises(tree):
 
 def test_hier_loss_image_gradient_gradcheck(models, tree):
     # the input-gradient path that trains the generator through the frozen net
-    img = Tensor(np.random.default_rng(9).uniform(size=(1, 64)), requires_grad=True, name="img")
+    img = Tensor(np.random.default_rng(9).uniform(size=(1, 64)), name="img")
     y = tree.id_of("wolf")
 
     def f(tape, ps):
@@ -384,13 +384,22 @@ def test_evaluate_classifier_matches_per_sample_oracle(tree, corpus):
     assert stats["path_consistent"] == consistent
 
 
-def test_trained_classifier_is_frozen(trained_lo):
-    assert all(not p.requires_grad for p in trained_lo.params())
+def test_trained_classifier_is_frozen(trained_lo, tree):
+    # the G step's tape tracks the image, not the classifier: it returns no
+    # classifier gradient, and the image gradient a tape that also tracks the
+    # classifier would compute
+    img = Tensor(np.random.default_rng(4).uniform(size=(6, 64)))
+    results = []
+    for weights in (trained_lo.params(), []):
+        tape = Tape([img] + weights)
+        results.append(tape.backward(trained_lo.loss(tape, img, tree.leaves)))
+    assert set(results[0]) == {img, *trained_lo.params()} and list(results[1]) == [img]
+    assert results[1][img].tobytes() == results[0][img].tobytes()
 
 
 def test_frozen_classifier_still_gives_image_gradient(trained_lo, tree):
-    tape = Tape()
-    img = Tensor(np.random.default_rng(10).uniform(size=(1, 64)), requires_grad=True)
+    img = Tensor(np.random.default_rng(10).uniform(size=(1, 64)))
+    tape = Tape([img])
     loss = trained_lo.loss(tape, img, [tree.leaves[0]])
     grads = tape.backward(loss)
     assert img in grads and np.any(grads[img] != 0.0)
@@ -438,6 +447,17 @@ def test_classifier_config_validation():
 # ------------------------------------------------------------- persistence
 
 
+def test_build_models_holds_given_classifiers(tree):
+    # the classifiers are drawn last, so holding given ones changes no other weight
+    drawn = build_models(tree, ModelConfig(seed=3))
+    given = build_models(tree, ModelConfig(seed=4))
+    held = build_models(tree, ModelConfig(seed=3), given.clf_lo, given.clf_hi)
+    assert held.clf_lo is given.clf_lo and held.clf_hi is given.clf_hi
+    for net in ("g1", "g2", "d_lo", "d_hi"):
+        for a, b in zip(getattr(drawn, net).params(), getattr(held, net).params()):
+            assert a.data.tobytes() == b.data.tobytes()
+
+
 def test_save_load_round_trip(tmp_path, tree, table):
     ms = build_models(tree, ModelConfig(seed=15))
     path = tmp_path / "models.hgck"
@@ -451,7 +471,12 @@ def test_save_load_round_trip(tmp_path, tree, table):
     lo_a, hi_a = generate_images(ms, e, z)
     lo_b, hi_b = generate_images(back, e, z)
     assert np.array_equal(lo_a, lo_b) and np.array_equal(hi_a, hi_b)
-    assert all(not p.requires_grad for p in back.clf_lo.params())
+    # a generator tape through the loaded D and classifier differentiates the generator only
+    tape = Tape(back.g1.params())
+    cond = Tensor(e[None])
+    fake = back.generate(tape, cond, Tensor(z[None]), stage=1)
+    loss = tape.add(tape.sum(back.d_lo.forward(tape, fake, cond)), back.clf_lo.loss(tape, fake, [tree.id_of("tiger")]))
+    assert set(tape.backward(loss)) == set(back.g1.params())
 
 
 def _all_params(ms):

@@ -8,7 +8,18 @@ import pytest
 from hiergan.autodiff import NonFiniteError, Tape, Tensor, adam_step, grad_check
 from hiergan.embed import CheConfig, margin_loss_graph, sample_negatives, train_che
 from hiergan.hierarchy import FIXTURE_TREE, parse_hierarchy
-from hiergan.models import GeneratorStage1, GeneratorStage2, ModelConfig, ModelError, build_models
+from hiergan.metrics import evaluate
+from hiergan.models import (
+    GeneratorStage1,
+    GeneratorStage2,
+    ModelConfig,
+    ModelError,
+    build_models,
+    classify,
+    generate_set,
+    load_models,
+    save_models,
+)
 from hiergan.synthdata import default_dataset_spec, generate_dataset
 from hiergan.training import (
     TrainConfig,
@@ -33,10 +44,8 @@ def corpus(tree):
 
 @pytest.fixture(scope="module")
 def frozen_clfs(tree, corpus):
-    # GAN training needs frozen classifiers; accuracy is irrelevant here
+    # GAN training never trains its classifiers; accuracy is irrelevant here
     ms = build_models(tree, ModelConfig(seed=0))
-    ms.clf_lo.freeze()
-    ms.clf_hi.freeze()
     return ms.clf_lo, ms.clf_hi
 
 
@@ -150,8 +159,6 @@ def test_composite_generator_objective_gradcheck(tree, corpus):
     cfg = ModelConfig(embed_dim=2, gen_hidden=2, disc_hidden=2, clf_hidden=2, feature_width=2, seed=5)
     tcfg = tiny_cfg(embed_dim=2, batch_size=3, lambda1=15.0)
     ms = build_models(tree, cfg)
-    ms.clf_lo.freeze()
-    ms.clf_hi.freeze()
     trainer = Trainer(corpus, tree, tcfg, ms.clf_lo, ms.clf_hi)
     # swap the trainer's models for the tiny set so every layer is 2 units
     trainer.models.g1 = ms.g1
@@ -164,8 +171,6 @@ def test_composite_generator_objective_gradcheck(tree, corpus):
     y = int(tree.leaves[0])
     z = np.random.default_rng(6).standard_normal((3, 4))
     params = ms.g1.params() + ms.g2.params() + trainer.table_params.params()
-    for p in ms.g1.params():
-        p.requires_grad = True  # stage switch froze them; re-enable for the check
 
     def objective(tape, ps):
         e_c = trainer._condition(tape, y, 3)
@@ -226,32 +231,31 @@ def one_joint_step(trainer):
 
 
 def test_generator_step_computes_no_discriminator_gradients(tree, corpus, frozen_clfs, seg_table, monkeypatch):
-    """A joint step runs two backwards: the D step's, then one for the G and
-    embedding steps, which holds every G parameter, the four table tensors
-    exactly when the table trains jointly, and no D parameter."""
+    """A joint step runs two backwards: the D step's, which holds exactly the
+    D parameters, then one for the G and embedding steps, which holds every G
+    parameter, the four table tensors exactly when the table trains jointly,
+    and no D or classifier parameter."""
     backward = Tape.backward
-    calls = []  # per backward: the gradients and the D parameters' .grad after it
+    calls = []  # the gradients of each backward
 
     def recording(tape, loss):
-        if len(calls) == 1:  # the D step's backward runs first, the G step's second
-            for p in trainer.d_params:
-                p.grad = None
         grads = backward(tape, loss)
-        calls.append((grads, [p.grad for p in trainer.d_params]))
+        calls.append(grads)
         return grads
 
     monkeypatch.setattr(Tape, "backward", recording)
     for mode in ("treegan", "npc", "seg", "flat"):
         trainer = Trainer(corpus, tree, tiny_cfg(mode=mode), *frozen_clfs, seg_table if mode == "seg" else None)
-        # stage 1 is the case that matters: there D's weights track gradients
-        assert all(p.requires_grad for p in trainer.d_params)
-        calls.clear()
-        one_joint_step(trainer)
-        assert len(calls) == 2, mode
-        g_grads, d_grad_slots = calls[1]
-        table = set(trainer.table_params.params()) if mode in ("treegan", "npc") else set()
-        assert set(g_grads) == set(trainer.g_params) | table, mode
-        assert d_grad_slots == [None] * len(trainer.d_params), mode
+        for stage in (1, 2):
+            if stage == 2:
+                trainer._enter_stage(2)
+            calls.clear()
+            one_joint_step(trainer)
+            assert len(calls) == 2, (mode, stage)
+            d_grads, g_grads = calls
+            table = set(trainer.table_params.params()) if mode in ("treegan", "npc") else set()
+            assert set(d_grads) == set(trainer.d_params), (mode, stage)
+            assert set(g_grads) == set(trainer.g_params) | table, (mode, stage)
 
 
 @pytest.mark.parametrize("mode", ["treegan", "npc"])
@@ -277,21 +281,21 @@ def test_table_gradient_matches_two_tape_reference(tree, corpus, frozen_clfs, mo
     y, n = tree.leaves[0], cfg.batch_size
     z = ref.rng.standard_normal((n, ref.models.g1.noise_dim))
     real = ref.real_batch(y)
-    tape_g = Tape()
+    tape_g = Tape(ref.g_params + ref.table_params.params())
     e_c = ref._condition(tape_g, y, n)
     fake = ref.models.generate(tape_g, e_c, Tensor(z), ref.stage)
-    tape_d = Tape()
+    tape_d = Tape(ref.d_params)
     d_loss = ref.disc.loss(tape_d, Tensor(real.reshape(n, -1)), Tensor(fake.data), Tensor(e_c.data))
     d_grads = tape_d.backward(d_loss)
     betas = dict(beta1=cfg.beta1, beta2=cfg.beta2)
     adam_step(ref.d_params, [d_grads[p] for p in ref.d_params], ref.d_states, lr=cfg.gan_lr, **betas)
-    g_obj = tape_g.binary_cross_entropy_with_logits(ref.disc.constant().forward(tape_g, fake, e_c), np.ones((n, 1)))
+    g_obj = tape_g.binary_cross_entropy_with_logits(ref.disc.forward(tape_g, fake, e_c), np.ones((n, 1)))
     if cfg.effective_lambda1 > 0:
         penalty = tape_g.scale(ref.clf.loss(tape_g, fake, [y] * n), 1.0 / n)
         g_obj = tape_g.add(g_obj, tape_g.scale(penalty, cfg.effective_lambda1))
     g_grads = tape_g.backward(g_obj)
     neg = sample_negatives(tree, ref.pairs, cfg.che_negatives, ref.rng)
-    tape_e = Tape()
+    tape_e = Tape(ref.table_params.params())
     margin = margin_loss_graph(tape_e, ref.table_params, ref.pairs, neg, cfg.che_margin)
     e_grads = tape_e.backward(tape_e.scale(margin, cfg.lambda2))
     want_table = [e_grads[p] + g_grads.get(p, np.zeros_like(p.data)) for p in ref.table_params.params()]
@@ -299,20 +303,49 @@ def test_table_gradient_matches_two_tape_reference(tree, corpus, frozen_clfs, mo
     assert [g.tobytes() for g in seen[2]] == [g.tobytes() for g in want_table]
 
 
-def test_constant_discriminator_shares_weights_and_gradients_to_inputs(tree, corpus, frozen_clfs):
+def test_untracked_discriminator_passes_gradients_to_inputs(tree, corpus, frozen_clfs):
+    # the G step's tape does not track D: its inputs get the same gradients
+    # as on a tape that also tracks D's weights, and D itself gets none
     trainer = Trainer(corpus, tree, tiny_cfg(), *frozen_clfs)
     disc = trainer.disc
     rng = np.random.default_rng(3)
-    x = Tensor(rng.uniform(size=(5, disc.pixels)), requires_grad=True)
-    e_c = Tensor(rng.normal(size=(5, disc.cond_dim)), requires_grad=True)
+    x = Tensor(rng.uniform(size=(5, disc.pixels)))
+    e_c = Tensor(rng.normal(size=(5, disc.cond_dim)))
     results = []
-    for d in (disc, disc.constant()):
-        tape = Tape()
-        grads = tape.backward(tape.sum(d.forward(tape, x, e_c)))
+    for weights in (disc.params(), []):
+        tape = Tape([x, e_c] + weights)
+        grads = tape.backward(tape.sum(disc.forward(tape, x, e_c)))
         results.append((grads[x].tobytes(), grads[e_c].tobytes(), set(grads) & set(disc.params())))
     assert results[1][:2] == results[0][:2]
     assert results[0][2] == set(disc.params()) and results[1][2] == set()
-    assert all(c.data is p.data for c, p in zip(disc.constant().params(), disc.params()))
+
+
+def test_forward_only_passes_record_nothing(tree, corpus, frozen_clfs, tmp_path, monkeypatch):
+    """classify, generate_set and evaluate run their ops on tapes that track
+    nothing, so they record nothing, on a trained set and on a reloaded one."""
+    art = run_training(corpus, tree, tiny_cfg(), *frozen_clfs)
+    save_models(art.models, tmp_path / "models.hgck")
+    emit = Tape._emit
+    counts = {"ops": 0, "records": 0}
+
+    def counting(tape, *args):
+        before = len(tape)
+        out = emit(tape, *args)
+        counts["ops"] += 1
+        counts["records"] += len(tape) - before
+        return out
+
+    monkeypatch.setattr(Tape, "_emit", counting)
+    y = tree.leaves[0]
+    for ms in (art.models, load_models(tmp_path / "models.hgck")):
+        for run in (
+            lambda: classify(ms.clf_hi, corpus.test.hi[:5]),
+            lambda: generate_set(ms, art.table, y, 4, seed=0),
+            lambda: evaluate(ms, art.table, corpus, tree, n_per_class=4, seed=0),
+        ):
+            counts.update(ops=0, records=0)
+            run()
+            assert counts["ops"] > 0 and counts["records"] == 0
 
 
 def test_lambda_zero_matches_npc_bitwise(tree, corpus, frozen_clfs):
@@ -357,12 +390,6 @@ def test_mode_embedding_requirements(tree, corpus, frozen_clfs, seg_table):
         run_training(corpus, tree, tiny_cfg(mode="flat"), clf_lo, clf_hi, embeddings=seg_table)
     with pytest.raises(TrainingError, match="does not accept"):
         run_training(corpus, tree, tiny_cfg(mode="treegan"), clf_lo, clf_hi, embeddings=seg_table)
-
-
-def test_rejects_unfrozen_classifier(tree, corpus):
-    ms = build_models(tree, ModelConfig(seed=7))
-    with pytest.raises(TrainingError, match="frozen"):
-        run_training(corpus, tree, tiny_cfg(mode="flat"), ms.clf_lo, ms.clf_hi)
 
 
 def test_rejects_hierarchy_mismatch(tree, corpus, frozen_clfs):
