@@ -3,9 +3,10 @@ A tape in five minutes
 ======================
 
 Everything in this package differentiates through one reverse-mode tape
-over dense float64 arrays. This walkthrough fits a tiny two-layer network
-to a fixed regression target with Adam, and cross-checks the analytic
-gradients against central finite differences along the way.
+over dense float64 arrays. This walkthrough fits a tiny two-layer classifier,
+built from the ops the networks use, to the sign of a random projection with
+Adam, and cross-checks the analytic gradients against central finite
+differences along the way.
 """
 
 import numpy as np
@@ -14,19 +15,23 @@ from hiergan.autodiff import AdamState, Tape, Tensor, adam_step, grad_check
 
 rng = np.random.default_rng(0)
 
-# A fixed regression problem: predict the sine of a random projection.
-x = rng.standard_normal((64, 3))
-target = np.sin(x @ rng.standard_normal((3, 1)))
+# A fixed classification problem: the sign of a random projection.
+x = Tensor(rng.standard_normal((64, 3)))
+labels = (x.data @ rng.standard_normal((3, 1)) > 0).astype(np.float64)
 
 w1 = Tensor(0.5 * rng.standard_normal((3, 16)), name="w1")
+b1 = Tensor(np.zeros(16), name="b1")
 w2 = Tensor(0.5 * rng.standard_normal((16, 1)), name="w2")
-params = [w1, w2]
+b2 = Tensor(np.zeros(1), name="b2")
+params = [w1, b1, w2, b2]
+
+
+def logits(tape: Tape, ps) -> Tensor:
+    return tape.linear(tape.leaky_relu(tape.linear(x, ps[0], ps[1])), ps[2], ps[3])
 
 
 def objective(tape: Tape, ps) -> Tensor:
-    hidden = tape.tanh(tape.matmul(Tensor(x), ps[0]))
-    err = tape.sub(tape.matmul(hidden, ps[1]), Tensor(target))
-    return tape.mean(tape.mul(err, err))
+    return tape.binary_cross_entropy_with_logits(logits(tape, ps), labels)
 
 
 # A tape names the tensors it differentiates. One forward pass records the
@@ -35,7 +40,7 @@ tape = Tape(params)
 loss = objective(tape, params)
 grads = tape.backward(loss)
 print(f"initial loss {loss.item():.4f}")
-print(f"dL/dw1 shape {grads[w1].shape}, dL/dw2 shape {grads[w2].shape}")
+print(f"dL/dw1 shape {grads[w1].shape}, dL/db2 shape {grads[b2].shape}")
 
 # Finite differences agree coordinate by coordinate.
 print(grad_check(objective, params, step=1e-5))
@@ -52,5 +57,6 @@ for step in range(1, 201):
 
 # A tape that tracks nothing records nothing: forward-only passes are free.
 tape = Tape()
-objective(tape, params)
+probs = tape.sigmoid(logits(tape, params))
+print(f"accuracy {np.mean((probs.data > 0.5) == labels):.2f}")
 print(f"records on a bare tape: {len(tape)}")

@@ -1,11 +1,14 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-Design: define-by-run Wengert list. A ``Tape`` owns primitive ops as methods;
-each call computes the forward value with numpy and appends one record
-(inputs, output, backward rule). ``Tape.backward`` walks the records once in
-reverse, accumulating adjoints additively, so a tensor feeding several
-consumers receives the sum of their contributions. Construction order is a
-topological order, which makes the single reverse sweep correct.
+Design: define-by-run Wengert list. A ``Tape`` owns, as methods, the ten ops
+the networks run: ``linear``, ``add``, ``scale``, ``concat``, ``slice``,
+``relu``, ``leaky_relu``, ``sigmoid``, ``binary_cross_entropy_with_logits``
+and ``softmax_cross_entropy``; each call computes the forward value with
+numpy and appends one record (inputs, output, backward rule).
+``Tape.backward`` walks the records once in reverse, accumulating adjoints
+additively, so a tensor feeding several consumers receives the sum of their
+contributions. Construction order is a topological order, which makes the
+single reverse sweep correct.
 
 Each tape names the tensors it differentiates: ``Tape(track=params)``. An
 op's output is tracked when one of its inputs is, and only ops with a tracked
@@ -17,9 +20,10 @@ the gradient that reaches it through them. ``linear(x, w, b)`` is one record
 for ``x @ w + b``, the dense layer every network is built from; its bias
 adjoint is the column sum of the output adjoint.
 
-``Tape._emit`` is also how another module adds a fused record: the embedding
-margin loss is one ``che_margin`` record whose backward replays, in plain
-numpy, the adjoints its primitive-op graph would produce.
+``Tape._emit`` is also how other code adds a record: the embedding margin
+loss is one fused ``che_margin`` record whose backward replays, in plain
+numpy, the adjoints its primitive-op graph would produce; test oracles emit
+their op-by-op graphs the same way.
 
 Tapes are single-writer and rebuilt per training step. ``Tape.backward``
 returns the gradient of every tracked leaf the loss depends on; that dict is
@@ -103,10 +107,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
@@ -117,21 +117,10 @@ class Tensor:
 
 @dataclass
 class _Record:
-    op: str
     inputs: tuple[Tensor, ...]
     out: Tensor
     # maps the output adjoint to one adjoint per input (None for untracked inputs)
     backward: Callable[[np.ndarray], tuple[np.ndarray | None, ...]]
-
-
-def _sum_to_shape(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Reduce a broadcasted gradient back to the original operand shape."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g
 
 
 class Tape:
@@ -153,7 +142,7 @@ class Tape:
         out = Tensor(data)
         if any(t in self._tracked for t in inputs):
             self._tracked.add(out)
-            self._records.append(_Record(op, inputs, out, backward))
+            self._records.append(_Record(inputs, out, backward))
         return out
 
     def tracks(self, t: Tensor) -> bool:
@@ -162,7 +151,7 @@ class Tape:
     def backward(self, loss: Tensor) -> dict[Tensor, np.ndarray]:
         """Accumulate d(loss)/d(t) over the records in reverse; return the
         gradient of every tracked leaf the loss depends on."""
-        if loss.size != 1:
+        if loss.data.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
         tracked = self._tracked
         adjoints: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
@@ -180,23 +169,12 @@ class Tape:
 
     # ------------------------------------------------------------ primitives
 
-    def matmul(self, a: Tensor, b: Tensor) -> Tensor:
-        if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-            raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-        ad, bd = a.data, b.data
-        # resolved here: a rule that asked the tape would keep it in a cycle
-        ta, tb = self.tracks(a), self.tracks(b)
-
-        def back(g):
-            return (g @ bd.T if ta else None, ad.T @ g if tb else None)
-
-        return self._emit("matmul", (a, b), ad @ bd, back)
-
     def linear(self, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         """Dense layer ``x @ w + b`` for x (n, k), w (k, m) and b (m,)."""
         if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
             raise ValueError(f"linear shape mismatch: {x.shape} @ {w.shape} + {b.shape}")
         xd, wd = x.data, w.data
+        # resolved here: a rule that asked the tape would keep it in a cycle
         tx, tw, tb = self.tracks(x), self.tracks(w), self.tracks(b)
 
         def back(g):
@@ -205,36 +183,13 @@ class Tape:
         return self._emit("linear", (x, w, b), xd @ wd + b.data, back)
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
-        data = a.data + b.data
+        if a.shape != b.shape:
+            raise ValueError(f"add shape mismatch: {a.shape} + {b.shape}")
 
         def back(g):
-            return _sum_to_shape(g, a.shape), _sum_to_shape(g, b.shape)
+            return g, g
 
-        return self._emit("add", (a, b), data, back)
-
-    def sub(self, a: Tensor, b: Tensor) -> Tensor:
-        data = a.data - b.data
-
-        def back(g):
-            return _sum_to_shape(g, a.shape), _sum_to_shape(-g, b.shape)
-
-        return self._emit("sub", (a, b), data, back)
-
-    def mul(self, a: Tensor, b: Tensor) -> Tensor:
-        ad, bd = a.data, b.data
-
-        def back(g):
-            return _sum_to_shape(g * bd, a.shape), _sum_to_shape(g * ad, b.shape)
-
-        return self._emit("mul", (a, b), ad * bd, back)
-
-    def div(self, a: Tensor, b: Tensor) -> Tensor:
-        ad, bd = a.data, b.data
-
-        def back(g):
-            return _sum_to_shape(g / bd, a.shape), _sum_to_shape(-g * ad / (bd * bd), b.shape)
-
-        return self._emit("div", (a, b), ad / bd, back)
+        return self._emit("add", (a, b), a.data + b.data, back)
 
     def scale(self, a: Tensor, s: float) -> Tensor:
         s = float(s)
@@ -243,12 +198,6 @@ class Tape:
             return (g * s,)
 
         return self._emit("scale", (a,), a.data * s, back)
-
-    def add_const(self, a: Tensor, c: float) -> Tensor:
-        def back(g):
-            return (g,)
-
-        return self._emit("add_const", (a,), a.data + float(c), back)
 
     def concat(self, tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         parts = tuple(tensors)
@@ -274,28 +223,6 @@ class Tape:
 
         return self._emit("slice", (a,), data, back)
 
-    def reshape(self, a: Tensor, shape: tuple[int, ...]) -> Tensor:
-        old = a.shape
-
-        def back(g):
-            return (g.reshape(old),)
-
-        return self._emit("reshape", (a,), a.data.reshape(shape), back)
-
-    def sum(self, a: Tensor) -> Tensor:
-        def back(g):
-            return (np.full(a.shape, float(g)),)
-
-        return self._emit("sum", (a,), np.asarray(a.data.sum()), back)
-
-    def mean(self, a: Tensor) -> Tensor:
-        inv = 1.0 / a.size
-
-        def back(g):
-            return (np.full(a.shape, float(g) * inv),)
-
-        return self._emit("mean", (a,), np.asarray(a.data.mean()), back)
-
     def relu(self, a: Tensor) -> Tensor:
         mask = a.data > 0
 
@@ -312,14 +239,6 @@ class Tape:
 
         return self._emit("leaky_relu", (a,), np.where(mask, a.data, a.data * alpha), back)
 
-    def tanh(self, a: Tensor) -> Tensor:
-        data = np.tanh(a.data)
-
-        def back(g):
-            return (g * (1.0 - data * data),)
-
-        return self._emit("tanh", (a,), data, back)
-
     def sigmoid(self, a: Tensor) -> Tensor:
         data = _sigmoid(a.data)
 
@@ -327,37 +246,6 @@ class Tape:
             return (g * data * (1.0 - data),)
 
         return self._emit("sigmoid", (a,), data, back)
-
-    def sqrt(self, a: Tensor) -> Tensor:
-        data = np.sqrt(a.data)
-
-        def back(g):
-            return (g * 0.5 / data,)
-
-        return self._emit("sqrt", (a,), data, back)
-
-    def log(self, a: Tensor) -> Tensor:
-        def back(g):
-            return (g / a.data,)
-
-        return self._emit("log", (a,), np.log(a.data), back)
-
-    def exp(self, a: Tensor) -> Tensor:
-        data = np.exp(a.data)
-
-        def back(g):
-            return (g * data,)
-
-        return self._emit("exp", (a,), data, back)
-
-    def softmax(self, a: Tensor, axis: int = -1) -> Tensor:
-        data = _softmax(a.data, axis)
-
-        def back(g):
-            dot = (g * data).sum(axis=axis, keepdims=True)
-            return (data * (g - dot),)
-
-        return self._emit("softmax", (a,), data, back)
 
     def binary_cross_entropy_with_logits(self, logits: Tensor, target) -> Tensor:
         """Mean BCE over all elements in the overflow-free form

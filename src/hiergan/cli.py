@@ -221,9 +221,7 @@ def output_lock(target: Path, is_dir: bool):
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
-        raise CliError(
-            f"output {target} is locked by another run (remove stale {lock} if no run is active)"
-        ) from None
+        raise CliError(_locked_message(target, lock)) from None
     try:
         os.write(fd, f"{os.getpid()}\n".encode())
         os.close(fd)
@@ -231,6 +229,21 @@ def output_lock(target: Path, is_dir: bool):
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(lock)
+
+
+def _locked_message(target: Path, lock: Path) -> str:
+    """Why ``lock`` blocks the run; it is never removed here."""
+    pid = None
+    try:
+        pid = int(lock.read_text())
+        if pid > 0:  # 0 and negative PIDs name process groups
+            os.kill(pid, 0)
+    except ProcessLookupError:
+        return f"output {target} is locked by process {pid}, which is no longer running; remove {lock}"
+    except (OSError, ValueError, OverflowError):
+        pass  # unreadable, not a number, or alive under another user
+    owner = "" if pid is None else f", pid {pid}"
+    return f"output {target} is locked by another run{owner} (remove stale {lock} if no run is active)"
 
 
 def _write_manifest(out: Path, is_dir: bool, payload: dict) -> None:

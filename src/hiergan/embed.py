@@ -30,7 +30,6 @@ from .autodiff import (
     NonFiniteError,
     Tape,
     Tensor,
-    _sum_to_shape,
     adam_step,
     load_checkpoint,
     save_checkpoint,
@@ -324,7 +323,7 @@ def margin_loss_graph(
 
     def back(g):
         g_hinge = np.full(hinge.shape, float(g)) * mask
-        g_pos = _sum_to_shape(-g_hinge, (num_pos, 1))
+        g_pos = (-g_hinge).sum(axis=1, keepdims=True)
         grads = [None, None, None, None]
         _cosine_adjoints(g_hinge.reshape(-1, 1), neg_saved, rre, rim, ones, cre.shape, grads)
         _cosine_adjoints(g_pos, pos_saved, rre, rim, ones, cre.shape, grads)

@@ -1,8 +1,11 @@
 import dataclasses
 import hashlib
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
 import typing
 import zlib
 from pathlib import Path
@@ -548,6 +551,27 @@ def test_locked_output_rejected(ws, tmp_path, capsys):
     (tmp_path / "d.hgds.lock").write_text("12345\n")
     assert main(["gen-data", "--config", str(ws["cfg"]), "--out", str(out)]) == 1
     assert "lock" in capsys.readouterr().err
+
+
+def test_lock_of_an_exited_process_names_it(ws, tmp_path, capsys):
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    lock = tmp_path / "d.hgds.lock"
+    lock.write_text(f"{child.pid}\n")
+    assert main(["gen-data", "--config", str(ws["cfg"]), "--out", str(tmp_path / "d.hgds")]) == 1
+    assert f"process {child.pid}, which is no longer running; remove {lock}" in capsys.readouterr().err
+    assert lock.exists()  # never removed automatically
+
+
+def test_lock_of_a_live_or_unprobed_pid_keeps_the_message(ws, tmp_path, capsys, monkeypatch):
+    lock = tmp_path / "d.hgds.lock"
+    for pid in (os.getpid(), 0, -1):
+        if pid <= 0:  # 0 and negative PIDs name process groups: never probed
+            monkeypatch.setattr(os, "kill", lambda *a: pytest.fail(f"probed {a}"))
+        lock.write_text(f"{pid}\n")
+        assert main(["gen-data", "--config", str(ws["cfg"]), "--out", str(tmp_path / "d.hgds")]) == 1
+        assert f"locked by another run, pid {pid}" in capsys.readouterr().err
+    assert lock.exists()
 
 
 def test_lock_released_after_run(ws, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_ops as ref
 from hiergan.autodiff import NonFiniteError, Tape, Tensor, grad_check, save_checkpoint
 from hiergan.embed import (
     CheConfig,
@@ -323,23 +324,24 @@ def reference_pair_scores_graph(tape: Tape, tp: TableParams, pairs: np.ndarray) 
     ic = tape.slice(tp.class_im, pairs[:, 1])
 
     def rotate(re, im):
-        rot_re = tape.sub(tape.mul(re, tp.rel_re), tape.mul(im, tp.rel_im))
-        rot_im = tape.add(tape.mul(re, tp.rel_im), tape.mul(im, tp.rel_re))
+        rot_re = ref.sub(tape, ref.mul(tape, re, tp.rel_re), ref.mul(tape, im, tp.rel_im))
+        rot_im = ref.add(tape, ref.mul(tape, re, tp.rel_im), ref.mul(tape, im, tp.rel_re))
         return rot_re, rot_im
 
     def row_dot(a_re, a_im, b_re, b_im):
-        return tape.add(
-            tape.matmul(tape.mul(a_re, b_re), ones),
-            tape.matmul(tape.mul(a_im, b_im), ones),
+        return ref.add(
+            tape,
+            ref.matmul(tape, ref.mul(tape, a_re, b_re), ones),
+            ref.matmul(tape, ref.mul(tape, a_im, b_im), ones),
         )
 
     tp_re, tp_im = rotate(rp, ip)
     tc_re, tc_im = rotate(rc, ic)
     dots = row_dot(tp_re, tp_im, tc_re, tc_im)  # (B, 1)
-    norm_p = tape.sqrt(row_dot(tp_re, tp_im, tp_re, tp_im))
-    norm_c = tape.sqrt(row_dot(tc_re, tc_im, tc_re, tc_im))
-    scores = tape.div(dots, tape.mul(norm_p, norm_c))
-    return tape.reshape(scores, (pairs.shape[0],))
+    norm_p = ref.sqrt(tape, row_dot(tp_re, tp_im, tp_re, tp_im))
+    norm_c = ref.sqrt(tape, row_dot(tc_re, tc_im, tc_re, tc_im))
+    scores = ref.div(tape, dots, ref.mul(tape, norm_p, norm_c))
+    return ref.reshape(tape, scores, (pairs.shape[0],))
 
 
 def reference_margin_loss_graph(tape, tp, pos_pairs, neg_pairs, margin) -> Tensor:
@@ -347,10 +349,10 @@ def reference_margin_loss_graph(tape, tp, pos_pairs, neg_pairs, margin) -> Tenso
     pos_pairs = np.asarray(pos_pairs, dtype=np.int64)
     neg_pairs = np.asarray(neg_pairs, dtype=np.int64)
     num_pos, num_neg = neg_pairs.shape[0], neg_pairs.shape[1]
-    pos = tape.reshape(reference_pair_scores_graph(tape, tp, pos_pairs), (num_pos, 1))
-    neg = tape.reshape(reference_pair_scores_graph(tape, tp, neg_pairs.reshape(-1, 2)), (num_pos, num_neg))
-    hinge = tape.relu(tape.add_const(tape.sub(neg, pos), margin))
-    return tape.sum(hinge)
+    pos = ref.reshape(tape, reference_pair_scores_graph(tape, tp, pos_pairs), (num_pos, 1))
+    neg = ref.reshape(tape, reference_pair_scores_graph(tape, tp, neg_pairs.reshape(-1, 2)), (num_pos, num_neg))
+    hinge = tape.relu(ref.add_const(tape, ref.sub(tape, neg, pos), margin))
+    return ref.sum(tape, hinge)
 
 
 def scaled_loss_and_grads(loss_graph, arrays, pos, negs, margin, lam):
