@@ -246,9 +246,8 @@ def _locked_message(target: Path, lock: Path) -> str:
     return f"output {target} is locked by another run{owner} (remove stale {lock} if no run is active)"
 
 
-def _write_manifest(out: Path, is_dir: bool, payload: dict) -> None:
-    dest = out / "manifest.json" if is_dir else Path(str(out) + ".manifest.json")
-    write_atomic(dest, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _write_manifest(out: Path, payload: dict) -> None:
+    write_atomic(Path(str(out) + ".manifest.json"), json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _manifest(command: str, config: dict, args, effective: dict, inputs: dict) -> dict:
@@ -283,7 +282,6 @@ def cmd_gen_data(args) -> int:
         }
         _write_manifest(
             out,
-            False,
             _manifest("gen-data", config, args, effective, {})
             | {"output_sha256": digest},
         )
@@ -306,7 +304,6 @@ def cmd_train_che(args) -> int:
         inputs = _checksums({"hierarchy": args.hierarchy})
         _write_manifest(
             out,
-            False,
             _manifest("train-che", config, args, effective, inputs)
             | {"ranking_accuracy": acc, "sibling_similarity_gap": gap, "output_sha256": _sha256(out)},
         )
@@ -331,7 +328,6 @@ def cmd_train_clf(args) -> int:
         effective = dataclasses.asdict(cfg) | {"resolution": args.resolution}
         _write_manifest(
             out,
-            False,
             _manifest("train-clf", config, args, effective, _checksums({"data": args.data}))
             | {"held_out": scores, "output_sha256": _sha256(out)},
         )
@@ -405,9 +401,7 @@ def cmd_eval(args) -> int:
             }
         )
         effective = {"n_per_class": n_per_class, "seed": seed}
-        _write_manifest(
-            out, False, _manifest("eval", config, args, effective, inputs)
-        )
+        _write_manifest(out, _manifest("eval", config, args, effective, inputs))
     print(
         f"desk_fid {report.avg_desk_fid:.4f} desk_is {report.avg_desk_is:.4f} "
         f"consistency {report.avg_consistency_rate:.4f}"
@@ -421,7 +415,7 @@ def cmd_inspect_embeddings(args) -> int:
     with output_lock(out, is_dir=False):
         write_atomic(out, similarity_csv(table))
         inputs = _checksums({"embeddings": args.embeddings})
-        _write_manifest(out, False, _manifest("inspect-embeddings", {}, args, {}, inputs))
+        _write_manifest(out, _manifest("inspect-embeddings", {}, args, {}, inputs))
     print(f"wrote {len(table.names)}x{len(table.names)} similarity matrix to {out}")
     return 0
 

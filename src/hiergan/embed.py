@@ -56,8 +56,10 @@ class CheConfig:
     def __post_init__(self):
         if self.dim < 1 or self.negatives_per_positive < 1 or self.epochs < 1:
             raise EmbeddingError("dim, negatives_per_positive, and epochs must be positive")
-        if self.margin <= 0 or self.lr <= 0:
-            raise EmbeddingError("margin and lr must be positive")
+        if not 0 < self.margin < 0.25:
+            raise EmbeddingError("margin must lie in (0, 0.25)")
+        if self.lr <= 0:
+            raise EmbeddingError("lr must be positive")
         if self.seed < 0:
             raise EmbeddingError("seed must be non-negative")
 

@@ -3,14 +3,17 @@
 All networks are small dense MLPs over flattened pixels, sized for the
 16x16/8x8 desk resolutions. The generator runs in two conditional stages
 (class embedding + noise -> 8x8, then class embedding + 8x8 -> 16x16), each
-with its own discriminator. The hierarchical classifier shares one trunk and
-puts a linear head on every level of the class tree; its loss is the sum of
-per-level softmax cross-entropies against the leaf's ancestor path. One
-forward serves both the loss and ``classify``, the readout the metrics use. Only
-``train_classifier`` tracks the classifier's parameters; every other tape it
-runs on leaves them constant, while gradients still flow through it to a
-tracked *image*, which is the path the generated-image consistency penalty
-trains the generator through.
+with its own discriminator that judges an image joined to its class
+embedding. Each of these four is a plain ``Mlp``: ``Mlp.forward`` joins its
+input parts column by column and runs its layers, and
+``discriminator_loss`` is the D step's objective. The hierarchical classifier
+shares one trunk and puts a linear head on every level of the class tree; its
+loss is the sum of per-level softmax cross-entropies against the leaf's
+ancestor path. One forward serves both the loss and ``classify``, the readout
+the metrics use. Only ``train_classifier`` tracks the classifier's
+parameters; every other tape it runs on leaves them constant, while gradients
+still flow through it to a tracked *image*, which is the path the
+generated-image consistency penalty trains the generator through.
 
 A ``ModelSet`` holds networks only; ``generate_set`` conditions them on a
 given embedding table and is the generator's readout, as ``classify`` is the
@@ -58,10 +61,15 @@ class Mlp:
     def in_dim(self) -> int:
         return self.layers[0][0].shape[0]
 
-    def forward(self, tape: Tape, x: Tensor) -> Tensor:
-        if x.data.ndim != 2 or x.shape[1] != self.in_dim:
-            raise ModelError(f"expected input (n, {self.in_dim}), got {x.shape}")
-        h = x
+    def forward(self, tape: Tape, *parts: Tensor) -> Tensor:
+        """Join the input parts column by column (one ``concat`` record, none
+        for a single part), then run the layers."""
+        shapes = [p.shape for p in parts]
+        if any(p.data.ndim != 2 for p in parts) or sum(p.shape[1] for p in parts) != self.in_dim:
+            raise ModelError(f"expected inputs (n, k) whose widths add up to {self.in_dim}, got {shapes}")
+        if len({p.shape[0] for p in parts}) > 1:
+            raise ModelError(f"batch mismatch: input parts {shapes} differ in rows")
+        h = parts[0] if len(parts) == 1 else tape.concat(list(parts), axis=1)
         for i, (w, b) in enumerate(self.layers):
             h = tape.linear(h, w, b)
             if i < len(self.layers) - 1:
@@ -93,80 +101,17 @@ class ModelConfig:
         return 2 * self.embed_dim
 
 
-@dataclass
-class GeneratorStage1:
-    net: Mlp
-    cond_dim: int
-    noise_dim: int
-
-    @classmethod
-    def init(cls, cfg: ModelConfig, rng) -> "GeneratorStage1":
-        sizes = [cfg.cond_dim + cfg.noise_dim, cfg.gen_hidden, cfg.gen_hidden, LO_PIXELS]
-        return cls(net=Mlp.init(sizes, rng, "g1", "leaky_relu", "sigmoid"), cond_dim=cfg.cond_dim, noise_dim=cfg.noise_dim)
-
-    def forward(self, tape: Tape, e_c: Tensor, z: Tensor) -> Tensor:
-        if e_c.shape[1] != self.cond_dim or z.shape[1] != self.noise_dim:
-            raise ModelError(
-                f"stage-1 generator wants cond {self.cond_dim} and noise {self.noise_dim}, got {e_c.shape} and {z.shape}"
-            )
-        if e_c.shape[0] != z.shape[0]:
-            raise ModelError(f"batch mismatch: {e_c.shape[0]} embeddings vs {z.shape[0]} noise rows")
-        return self.net.forward(tape, tape.concat([e_c, z], axis=1))
-
-    def params(self) -> list[Tensor]:
-        return self.net.params()
-
-
-@dataclass
-class GeneratorStage2:
-    net: Mlp
-    cond_dim: int
-
-    @classmethod
-    def init(cls, cfg: ModelConfig, rng) -> "GeneratorStage2":
-        sizes = [cfg.cond_dim + LO_PIXELS, cfg.gen_hidden, cfg.gen_hidden, HI_PIXELS]
-        return cls(net=Mlp.init(sizes, rng, "g2", "leaky_relu", "sigmoid"), cond_dim=cfg.cond_dim)
-
-    def forward(self, tape: Tape, e_c: Tensor, lo: Tensor) -> Tensor:
-        if e_c.shape[1] != self.cond_dim or lo.shape[1] != LO_PIXELS:
-            raise ModelError(f"stage-2 generator wants cond {self.cond_dim} and lo {LO_PIXELS}, got {e_c.shape} and {lo.shape}")
-        return self.net.forward(tape, tape.concat([e_c, lo], axis=1))
-
-    def params(self) -> list[Tensor]:
-        return self.net.params()
-
-
-@dataclass
-class Discriminator:
-    net: Mlp
-    pixels: int
-    cond_dim: int
-
-    @classmethod
-    def init(cls, cfg: ModelConfig, pixels: int, rng) -> "Discriminator":
-        prefix = "d_lo" if pixels == LO_PIXELS else "d_hi"
-        sizes = [pixels + cfg.cond_dim, cfg.disc_hidden, cfg.disc_hidden, 1]
-        return cls(net=Mlp.init(sizes, rng, prefix, "leaky_relu", "linear"), pixels=pixels, cond_dim=cfg.cond_dim)
-
-    def forward(self, tape: Tape, x: Tensor, e_c: Tensor) -> Tensor:
-        if x.shape[1] != self.pixels:
-            raise ModelError(f"discriminator expects {self.pixels} pixels, got {x.shape}")
-        return self.net.forward(tape, tape.concat([x, e_c], axis=1))
-
-    def loss(self, tape: Tape, real: Tensor, fake: Tensor, e_c: Tensor) -> Tensor:
-        """Non-saturating GAN loss of the discriminator:
-        BCE(D(real), 1) + BCE(D(fake), 0)."""
-        if real.shape != fake.shape:
-            raise ModelError(f"real and fake batches differ in shape: {real.shape} vs {fake.shape}")
-        real_logit = self.forward(tape, real, e_c)
-        fake_logit = self.forward(tape, fake, e_c)
-        return tape.add(
-            tape.binary_cross_entropy_with_logits(real_logit, np.ones(real_logit.shape)),
-            tape.binary_cross_entropy_with_logits(fake_logit, np.zeros(fake_logit.shape)),
-        )
-
-    def params(self) -> list[Tensor]:
-        return self.net.params()
+def discriminator_loss(tape: Tape, d: Mlp, real: Tensor, fake: Tensor, e_c: Tensor) -> Tensor:
+    """Non-saturating GAN loss of the discriminator d:
+    BCE(D(real), 1) + BCE(D(fake), 0)."""
+    if real.shape != fake.shape:
+        raise ModelError(f"real and fake batches differ in shape: {real.shape} vs {fake.shape}")
+    real_logit = d.forward(tape, real, e_c)
+    fake_logit = d.forward(tape, fake, e_c)
+    return tape.add(
+        tape.binary_cross_entropy_with_logits(real_logit, np.ones(real_logit.shape)),
+        tape.binary_cross_entropy_with_logits(fake_logit, np.zeros(fake_logit.shape)),
+    )
 
 
 @dataclass
@@ -251,8 +196,10 @@ def classify(clf: HierClassifier, images) -> Readout:
 
 def generate_set(models: ModelSet, table: ClassEmbeddingTable, c: int, n: int, seed) -> np.ndarray:
     """n stage-2 images of leaf c, (n, 16, 16), from fresh seeded noise."""
+    if table.dim != models.config.embed_dim:
+        raise ModelError(f"embedding table has dim {table.dim} but the models were built for dim {models.config.embed_dim}")
     e_c = np.tile(leaf_condition_vector(table, c), (n, 1))
-    z = np.random.default_rng(seed).standard_normal((n, models.g1.noise_dim))
+    z = np.random.default_rng(seed).standard_normal((n, models.config.noise_dim))
     return models.generate(Tape(), Tensor(e_c), Tensor(z)).data.reshape(n, 16, 16)
 
 
@@ -315,18 +262,12 @@ def evaluate_classifier(clf: HierClassifier, images: Images) -> dict:
 class ModelSet:
     config: ModelConfig
     hierarchy: ClassHierarchy
-    g1: GeneratorStage1
-    g2: GeneratorStage2
-    d_lo: Discriminator
-    d_hi: Discriminator
+    g1: Mlp  # (cond, noise) -> 8x8
+    g2: Mlp  # (cond, 8x8) -> 16x16
+    d_lo: Mlp  # (8x8, cond) -> logit
+    d_hi: Mlp  # (16x16, cond) -> logit
     clf_lo: HierClassifier
     clf_hi: HierClassifier
-
-    def __post_init__(self):
-        if self.d_lo.pixels != LO_PIXELS or self.d_hi.pixels != HI_PIXELS:
-            raise ModelError("discriminator resolutions are swapped")
-        if self.clf_lo.pixels != LO_PIXELS or self.clf_hi.pixels != HI_PIXELS:
-            raise ModelError("classifier resolutions are swapped")
 
     def generate(self, tape: Tape, e_c: Tensor, z: Tensor, stage: int = 2) -> Tensor:
         """The generator graph: stage 1's 8x8 images, or at stage 2 the 16x16
@@ -342,13 +283,14 @@ def build_models(
     they are; the classifiers are drawn last, so the other weights do not
     depend on whether they were given."""
     rng = np.random.default_rng(cfg.seed)
+    cond, gen, disc = cfg.cond_dim, cfg.gen_hidden, cfg.disc_hidden
     return ModelSet(
         config=cfg,
         hierarchy=h,
-        g1=GeneratorStage1.init(cfg, rng),
-        g2=GeneratorStage2.init(cfg, rng),
-        d_lo=Discriminator.init(cfg, LO_PIXELS, rng),
-        d_hi=Discriminator.init(cfg, HI_PIXELS, rng),
+        g1=Mlp.init([cond + cfg.noise_dim, gen, gen, LO_PIXELS], rng, "g1", "leaky_relu", "sigmoid"),
+        g2=Mlp.init([cond + LO_PIXELS, gen, gen, HI_PIXELS], rng, "g2", "leaky_relu", "sigmoid"),
+        d_lo=Mlp.init([LO_PIXELS + cond, disc, disc, 1], rng, "d_lo", "leaky_relu", "linear"),
+        d_hi=Mlp.init([HI_PIXELS + cond, disc, disc, 1], rng, "d_hi", "leaky_relu", "linear"),
         clf_lo=clf_lo if clf_lo is not None else HierClassifier.init(h, LO_PIXELS, cfg, rng),
         clf_hi=clf_hi if clf_hi is not None else HierClassifier.init(h, HI_PIXELS, cfg, rng),
     )

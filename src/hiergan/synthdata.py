@@ -135,7 +135,10 @@ def node_prototypes(spec: DatasetSpec) -> dict[int, np.ndarray]:
     Nodes perturb in id order, so the stream of gaussian draws (and hence
     every prototype) is a pure function of the spec.
     """
-    rng = np.random.default_rng(spec.seed)
+    return _draw_prototypes(spec, np.random.default_rng(spec.seed))
+
+
+def _draw_prototypes(spec: DatasetSpec, rng) -> dict[int, np.ndarray]:
     protos: dict[int, np.ndarray] = {}
     for node in spec.hierarchy.nodes:
         drift = spec.level_noise[node.level] * FIELD_SCALES * rng.standard_normal(len(PARAM_FIELDS))
@@ -171,9 +174,7 @@ def generate_dataset(spec: DatasetSpec) -> Dataset:
     if spec.hierarchy.K < 1:
         raise DatasetError("dataset generation needs a hierarchy with K >= 1")
     rng = np.random.default_rng(spec.seed)
-    for node in spec.hierarchy.nodes:  # replay the prototype draws
-        rng.standard_normal(len(PARAM_FIELDS))
-    protos = node_prototypes(spec)
+    protos = _draw_prototypes(spec, rng)
     n = spec.samples_per_leaf
     leaves = spec.hierarchy.leaves
     leaf = np.repeat(np.asarray(leaves, dtype=np.int64), n)

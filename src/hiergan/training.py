@@ -51,7 +51,7 @@ from .embed import ClassEmbeddingTable, TableParams, margin_loss_graph, sample_n
 from .files import write_atomic
 from .hierarchy import ClassHierarchy
 from .metrics import MetricsReport, evaluate, report_csv, report_json
-from .models import HierClassifier, ModelSet, ModelConfig, build_models, save_models
+from .models import HierClassifier, ModelSet, ModelConfig, build_models, discriminator_loss, save_models
 from .synthdata import Dataset
 
 
@@ -254,7 +254,7 @@ class Trainer:
         # --- discriminator step (generator and embeddings held fixed: the D
         # tape does not track them, so it reads the G graph as constants)
         tape_d = Tape(self.d_params)
-        d_loss = self.disc.loss(tape_d, Tensor(real_flat), fake, e_c)
+        d_loss = discriminator_loss(tape_d, self.disc, Tensor(real_flat), fake, e_c)
         d_grads = tape_d.backward(d_loss)
         adam_step(self.d_params, [d_grads[p] for p in self.d_params], self.d_states, lr=cfg.gan_lr, **betas)
 
@@ -312,7 +312,7 @@ def run_training(
             for t in range(cfg.steps_per_stage):
                 y = leaves[t % len(leaves)]
                 real = trainer.real_batch(y)
-                z = trainer.rng.standard_normal((cfg.batch_size, trainer.models.g1.noise_dim))
+                z = trainer.rng.standard_normal((cfg.batch_size, trainer.models.config.noise_dim))
                 losses = trainer.joint_step(real, int(y), z)
                 step += 1
                 art.trace.append(TraceRow(step, stage, int(y), *losses))

@@ -349,6 +349,7 @@ def test_bad_dataset_config_exits_one(ws, tmp_path, capsys, dataset):
         ("che", {"epochs": True}),
         ("che", {"seed": -1}),
         ("che", {"lr": "0.01"}),
+        ("che", {"margin": 0.3}),
         ("classifier", {"epochs": 2.5}),
         ("classifier", {"seed": -1}),
         ("gan", {"batch_size": 8.5}),
@@ -366,6 +367,7 @@ def test_bad_dataset_config_exits_one(ws, tmp_path, capsys, dataset):
         "che-bool-int",
         "che-negative-seed",
         "che-str-float",
+        "che-margin-beyond-bound",
         "classifier-float-int",
         "classifier-negative-seed",
         "gan-float-int",
@@ -692,6 +694,20 @@ def test_embeddings_for_another_hierarchy_exit_two(ws, tmp_path, capsys):
     argv = ["eval", "--run", str(tmp_path / "mixed"), "--data", str(ws["data"]), "--out", str(tmp_path / "m.csv")]
     assert main(argv) == 2
     assert_one_line_error(capsys)
+
+
+def test_embeddings_of_another_dim_exit_two(ws, tmp_path, capsys):
+    cfg = tmp_path / "dim8.json"
+    cfg.write_text('{"che": {"dim": 8, "epochs": 1}}')
+    run = tmp_path / "run"
+    shutil.copytree(ws["run"], run)
+    assert main(["train-che", "--config", str(cfg), "--out", str(run / "embeddings.hgck")]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--run", str(run), "--data", str(ws["data"]), "--out", str(tmp_path / "m.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "dim 8" in err and "dim 16" in err, err
+    assert not (tmp_path / "m.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -490,6 +490,8 @@ def test_config_validation():
         CheConfig(margin=-0.5)
     with pytest.raises(EmbeddingError):
         CheConfig(lr=0.0)
+    with pytest.raises(EmbeddingError, match="margin"):
+        CheConfig(margin=0.25)  # no table satisfies it (see CheConfig)
 
 
 # ------------------------------------------------------------ conditioning

@@ -12,6 +12,7 @@ from hiergan.models import (
     ModelError,
     build_models,
     classify,
+    discriminator_loss,
     evaluate_classifier,
     generate_set,
     load_models,
@@ -80,8 +81,8 @@ def test_generate_deterministic(models, tree, table):
 
 def test_generate_zero_weights_gives_half(tree):
     ms = build_models(tree, ModelConfig(seed=3))
-    zeroed(ms.g1.net)
-    zeroed(ms.g2.net)
+    zeroed(ms.g1)
+    zeroed(ms.g2)
     lo, hi = generate_images(ms, np.zeros(32), np.zeros(32))
     assert np.all(lo == 0.5) and np.all(hi == 0.5)
 
@@ -93,6 +94,19 @@ def test_generate_dimension_mismatch(models):
         generate_images(models, np.zeros(32), np.zeros(7))
     with pytest.raises(ModelError, match="batch mismatch"):
         generate_images(models, np.zeros((2, 32)), np.zeros((3, 32)))
+
+
+def test_mlp_joins_parts_in_one_concat_record(models):
+    rng = np.random.default_rng(4)
+    x, e = Tensor(rng.uniform(size=(3, 64))), Tensor(rng.normal(size=(3, 32)))
+    joined = Tensor(np.concatenate([x.data, e.data], axis=1))
+    parts_tape, joined_tape = Tape([x, e]), Tape([joined])
+    a = models.d_lo.forward(parts_tape, x, e)
+    b = models.d_lo.forward(joined_tape, joined)
+    assert a.data.tobytes() == b.data.tobytes()
+    assert len(parts_tape) == len(joined_tape) + 1
+    with pytest.raises(ModelError):
+        models.d_lo.forward(Tape(), Tensor(np.zeros(96)))
 
 
 # -------------------------------------------------------------- generate_set
@@ -121,10 +135,10 @@ def test_generate_set_rejects_non_leaf(tree, table):
 
 
 def test_generator_rejects_table_of_another_dim(tree):
-    # the models are built for embed_dim 16; a table of dim 8 gives 16-wide rows
+    # the models are built for embed_dim 16
     small = train_che(tree, CheConfig(dim=8, seed=0, epochs=1))
     ms = build_models(tree, ModelConfig(seed=0))
-    with pytest.raises(ModelError, match="wants cond 32"):
+    with pytest.raises(ModelError, match="dim 8 but the models were built for dim 16"):
         generate_set(ms, small, int(tree.leaves[0]), 3, seed=0)
 
 
@@ -154,14 +168,14 @@ def gan_losses(d, real, fake, e):
     e_c = Tensor(np.tile(e, (n, 1)))
     real_t, fake_t = Tensor(real.reshape(n, -1)), Tensor(fake.reshape(fake.shape[0], -1))
     tape = Tape()
-    d_loss = d.loss(tape, real_t, fake_t, e_c)
+    d_loss = discriminator_loss(tape, d, real_t, fake_t, e_c)
     g_loss = tape.binary_cross_entropy_with_logits(d.forward(tape, fake_t, e_c), np.ones((n, 1)))
     return d_loss.item(), g_loss.item()
 
 
 def test_adversarial_losses_at_logit_zero(tree):
     ms = build_models(tree, ModelConfig(seed=6))
-    zeroed(ms.d_lo.net)
+    zeroed(ms.d_lo)
     rng = np.random.default_rng(0)
     real, fake = rng.uniform(size=(4, 8, 8)), rng.uniform(size=(4, 8, 8))
     d_loss, g_loss = gan_losses(ms.d_lo, real, fake, np.zeros(32))
@@ -172,8 +186,8 @@ def test_adversarial_losses_at_logit_zero(tree):
 def test_adversarial_losses_saturated_discriminator(tree):
     # a biased discriminator drives d_loss toward 0 and g_loss large but finite
     ms = build_models(tree, ModelConfig(seed=7))
-    zeroed(ms.d_lo.net)
-    w_last, b_last = ms.d_lo.net.layers[-1]
+    zeroed(ms.d_lo)
+    w_last, b_last = ms.d_lo.layers[-1]
     b_last.data = np.array([1000.0])
     rng = np.random.default_rng(1)
     real, fake = rng.uniform(size=(2, 8, 8)), rng.uniform(size=(2, 8, 8))
@@ -195,7 +209,7 @@ def test_adversarial_losses_match_loop_oracle(tree):
     def logit(img):
         tape = Tape()
         x = np.concatenate([img.ravel(), e])[None, :]
-        return float(ms.d_lo.net.forward(tape, Tensor(x)).item())
+        return float(ms.d_lo.forward(tape, Tensor(x)).item())
 
     def bce(z, t):
         s = 1.0 / (1.0 + np.exp(-z))
@@ -211,7 +225,7 @@ def test_adversarial_losses_shape_mismatch(models):
     rng = np.random.default_rng(3)
     e_c = Tensor(np.zeros((4, 32)))
     with pytest.raises(ModelError):
-        models.d_lo.loss(Tape(), Tensor(rng.uniform(size=(4, 64))), Tensor(rng.uniform(size=(3, 64))), e_c)
+        discriminator_loss(Tape(), models.d_lo, Tensor(rng.uniform(size=(4, 64))), Tensor(rng.uniform(size=(3, 64))), e_c)
 
 
 # --------------------------------------------------------------- classifier

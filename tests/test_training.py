@@ -11,12 +11,12 @@ from hiergan.embed import CheConfig, margin_loss_graph, sample_negatives, train_
 from hiergan.hierarchy import FIXTURE_TREE, parse_hierarchy
 from hiergan.metrics import evaluate
 from hiergan.models import (
-    GeneratorStage1,
-    GeneratorStage2,
+    Mlp,
     ModelConfig,
     ModelError,
     build_models,
     classify,
+    discriminator_loss,
     generate_set,
     load_models,
     save_models,
@@ -200,34 +200,30 @@ def test_run_replays_exactly(tree, corpus, frozen_clfs):
 @pytest.mark.parametrize("mode", ["treegan", "seg"])
 def test_one_generator_forward_per_joint_step(tree, corpus, frozen_clfs, seg_table, mode, monkeypatch):
     calls = {1: 0, 2: 0}
-
-    def counted(cls, stage):
-        original = cls.forward
-
-        def forward(self, *args):
-            calls[stage] += 1
-            return original(self, *args)
-
-        monkeypatch.setattr(cls, "forward", forward)
-
-    counted(GeneratorStage1, 1)
-    counted(GeneratorStage2, 2)
     cfg = tiny_cfg(mode=mode)
     trainer = Trainer(corpus, tree, cfg, *frozen_clfs, seg_table if mode == "seg" else None)
+    original = Mlp.forward
+
+    def forward(self, *args):
+        calls[1] += self is trainer.models.g1
+        calls[2] += self is trainer.models.g2
+        return original(self, *args)
+
+    monkeypatch.setattr(Mlp, "forward", forward)
     for stage, expected in ((1, {1: 1, 2: 0}), (2, {1: 1, 2: 1})):
         if stage == 2:
             trainer._enter_stage(2)
         for _ in range(2):
             calls.update({1: 0, 2: 0})
             y = tree.leaves[0]
-            z = trainer.rng.standard_normal((cfg.batch_size, trainer.models.g1.noise_dim))
+            z = trainer.rng.standard_normal((cfg.batch_size, trainer.models.config.noise_dim))
             trainer.joint_step(trainer.real_batch(y), y, z)
             assert calls == expected, f"stage {stage}"
 
 
 def one_joint_step(trainer):
     y = trainer.h.leaves[0]
-    z = trainer.rng.standard_normal((trainer.cfg.batch_size, trainer.models.g1.noise_dim))
+    z = trainer.rng.standard_normal((trainer.cfg.batch_size, trainer.models.config.noise_dim))
     trainer.joint_step(trainer.real_batch(y), y, z)
 
 
@@ -280,13 +276,13 @@ def test_table_gradient_matches_two_tape_reference(tree, corpus, frozen_clfs, mo
 
     # the same draws as one_joint_step, and the D step as the trainer takes it
     y, n = tree.leaves[0], cfg.batch_size
-    z = ref.rng.standard_normal((n, ref.models.g1.noise_dim))
+    z = ref.rng.standard_normal((n, ref.models.config.noise_dim))
     real = ref.real_batch(y)
     tape_g = Tape(ref.g_params + ref.table_params.params())
     e_c = ref._condition(tape_g, y, n)
     fake = ref.models.generate(tape_g, e_c, Tensor(z), ref.stage)
     tape_d = Tape(ref.d_params)
-    d_loss = ref.disc.loss(tape_d, Tensor(real.reshape(n, -1)), Tensor(fake.data), Tensor(e_c.data))
+    d_loss = discriminator_loss(tape_d, ref.disc, Tensor(real.reshape(n, -1)), Tensor(fake.data), Tensor(e_c.data))
     d_grads = tape_d.backward(d_loss)
     betas = dict(beta1=cfg.beta1, beta2=cfg.beta2)
     adam_step(ref.d_params, [d_grads[p] for p in ref.d_params], ref.d_states, lr=cfg.gan_lr, **betas)
@@ -310,8 +306,8 @@ def test_untracked_discriminator_passes_gradients_to_inputs(tree, corpus, frozen
     trainer = Trainer(corpus, tree, tiny_cfg(), *frozen_clfs)
     disc = trainer.disc
     rng = np.random.default_rng(3)
-    x = Tensor(rng.uniform(size=(5, disc.pixels)))
-    e_c = Tensor(rng.normal(size=(5, disc.cond_dim)))
+    x = Tensor(rng.uniform(size=(5, 64)))
+    e_c = Tensor(rng.normal(size=(5, disc.in_dim - 64)))
     results = []
     for weights in (disc.params(), []):
         tape = Tape([x, e_c] + weights)
