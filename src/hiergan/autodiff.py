@@ -20,6 +20,13 @@ the gradient that reaches it through them. ``linear(x, w, b)`` is one record
 for ``x @ w + b``, the dense layer every network is built from; its bias
 adjoint is the column sum of the output adjoint.
 
+The elementwise forward kernels are branch-free: ``relu`` and ``leaky_relu``
+take a maximum, and ``sigmoid`` picks its numerator with one ``where``; each
+equals its masked two-branch form bit for bit (the test oracles keep those
+forms). The sign masks the activations' adjoints need are built by their
+backward rules, so a forward on a bare tape builds none. A NaN reaching
+``relu`` stays NaN and raises ``NonFiniteError``.
+
 ``Tape._emit`` is also how other code adds a record: the embedding margin
 loss is one fused ``che_margin`` record whose backward replays, in plain
 numpy, the adjoints its primitive-op graph would produce; test oracles emit
@@ -83,6 +90,9 @@ __all__ = [
 # loss saturates, and the gradient (sigmoid - target) is within 1e-13 of its
 # limit, so clipping bounds the loss without stopping learning
 BCE_LOGIT_CLAMP = 30.0
+
+# negative-side slope of leaky_relu, the one every network uses
+_LEAKY_SLOPE = 0.2
 
 
 class NonFiniteError(ArithmeticError):
@@ -180,7 +190,9 @@ class Tape:
         def back(g):
             return (g @ wd.T if tx else None, xd.T @ g if tw else None, g.sum(axis=0) if tb else None)
 
-        return self._emit("linear", (x, w, b), xd @ wd + b.data, back)
+        out = xd @ wd
+        out += b.data
+        return self._emit("linear", (x, w, b), out, back)
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
         if a.shape != b.shape:
@@ -224,20 +236,27 @@ class Tape:
         return self._emit("slice", (a,), data, back)
 
     def relu(self, a: Tensor) -> Tensor:
-        mask = a.data > 0
+        ad = a.data
 
         def back(g):
-            return (g * mask,)
+            return (g * (ad > 0),)
 
-        return self._emit("relu", (a,), np.where(mask, a.data, 0.0), back)
+        out = np.maximum(ad, 0.0)
+        # numpy's maximum(-0.0, 0.0) may return either zero; adding +0.0 makes
+        # it the +0.0 of the masked form
+        out += 0.0
+        return self._emit("relu", (a,), out, back)
 
-    def leaky_relu(self, a: Tensor, alpha: float = 0.2) -> Tensor:
-        mask = a.data > 0
+    def leaky_relu(self, a: Tensor) -> Tensor:
+        ad = a.data
 
         def back(g):
-            return (np.where(mask, g, g * alpha),)
+            return (np.where(ad > 0, g, g * _LEAKY_SLOPE),)
 
-        return self._emit("leaky_relu", (a,), np.where(mask, a.data, a.data * alpha), back)
+        # for a slope in [0, 1], max(a, slope * a) is the masked form bit for bit
+        out = ad * _LEAKY_SLOPE
+        np.maximum(ad, out, out=out)
+        return self._emit("leaky_relu", (a,), out, back)
 
     def sigmoid(self, a: Tensor) -> Tensor:
         data = _sigmoid(a.data)
@@ -298,9 +317,15 @@ class Tape:
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, with e = e^-|x|
-    # never overflowing; one pass, no masked gathers
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    # never overflowing; the numerator is picked by sign, and e and the
+    # denominator are computed in place in one buffer
+    e = np.abs(x, out=np.empty(x.shape))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
+    return out
 
 
 def _softmax(x: np.ndarray, axis: int) -> np.ndarray:

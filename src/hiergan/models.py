@@ -40,8 +40,13 @@ class ModelError(ValueError):
 
 
 def _init_layer(rng, fan_in: int, fan_out: int, prefix: str, idx: int):
-    bound = 1.0 / np.sqrt(fan_in)
-    w = Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)), name=f"{prefix}.w{idx}")
+    """Weights uniform in +-1/sqrt(fan_in) drawn from rng, or zeros when rng
+    is None (a network about to be loaded), and a zero bias."""
+    if rng is None:
+        w = Tensor(np.zeros((fan_in, fan_out)), name=f"{prefix}.w{idx}")
+    else:
+        bound = 1.0 / np.sqrt(fan_in)
+        w = Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)), name=f"{prefix}.w{idx}")
     b = Tensor(np.zeros(fan_out), name=f"{prefix}.b{idx}")
     return w, b
 
@@ -282,7 +287,12 @@ def build_models(
     """Draw the networks from ``cfg.seed``. Given classifiers are held as
     they are; the classifiers are drawn last, so the other weights do not
     depend on whether they were given."""
-    rng = np.random.default_rng(cfg.seed)
+    return _model_set(h, cfg, np.random.default_rng(cfg.seed), clf_lo, clf_hi)
+
+
+def _model_set(h: ClassHierarchy, cfg: ModelConfig, rng, clf_lo=None, clf_hi=None) -> ModelSet:
+    """The networks of ``cfg``'s shapes with weights drawn from rng in a
+    fixed order, or zero-filled when rng is None."""
     cond, gen, disc = cfg.cond_dim, cfg.gen_hidden, cfg.disc_hidden
     return ModelSet(
         config=cfg,
@@ -332,11 +342,12 @@ def save_models(ms: ModelSet, path) -> None:
 
 def load_models(path) -> ModelSet:
     """Rebuild a ModelSet from a checkpoint; shapes are validated against the
-    manifest's architecture config."""
+    manifest's architecture config. The networks are built zero-filled, so
+    no weights are drawn only to be overwritten."""
 
     def build(manifest):
         cfg = ModelConfig(**{f.name: manifest[f.name] for f in fields(ModelConfig)})
-        ms = build_models(parse_hierarchy(manifest["hierarchy"]), cfg)
+        ms = _model_set(parse_hierarchy(manifest["hierarchy"]), cfg, None)
         return ms, _model_set_params(ms)
 
     return _load_with_manifest(path, build)
@@ -354,12 +365,12 @@ def save_classifier(clf: HierClassifier, path) -> None:
 
 
 def load_classifier(path) -> HierClassifier:
-    """Rebuild a classifier from its checkpoint."""
+    """Rebuild a classifier from its checkpoint, into zero-filled weights."""
 
     def build(manifest):
         h = parse_hierarchy(manifest["hierarchy"])
         cfg = ModelConfig(clf_hidden=manifest["clf_hidden"], feature_width=manifest["feature_width"])
-        clf = HierClassifier.init(h, manifest["pixels"], cfg, np.random.default_rng(0))
+        clf = HierClassifier.init(h, manifest["pixels"], cfg, None)
         return clf, clf.params()
 
     return _load_with_manifest(path, build)

@@ -4,6 +4,10 @@ Each emits one record through ``Tape._emit``, as the fused ``che_margin``
 record does, so it runs on any tape, including those ``grad_check`` builds.
 ``add``, ``sub``, ``mul`` and ``div`` broadcast and reduce each adjoint back
 to its operand's shape. No backward rule holds the tape: that would be a cycle.
+
+The ``masked_*`` array functions are the activations' two-branch forms by a
+sign mask, forward and adjoint: the bitwise oracles for the tape's
+branch-free kernels.
 """
 
 import numpy as np
@@ -67,3 +71,19 @@ def sum(t: Tape, a: Tensor) -> Tensor:
 def sqrt(t: Tape, a: Tensor) -> Tensor:
     data = np.sqrt(a.data)
     return t._emit("sqrt", (a,), data, lambda g: (g * 0.5 / data,))
+
+
+def masked_relu(a: np.ndarray) -> np.ndarray:
+    return np.where(a > 0, a, 0.0)
+
+
+def masked_relu_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return g * (a > 0)
+
+
+def masked_leaky_relu(a: np.ndarray) -> np.ndarray:
+    return np.where(a > 0, a, a * 0.2)
+
+
+def masked_leaky_relu_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return np.where(a > 0, g, g * 0.2)

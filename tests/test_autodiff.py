@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import reference_ops as ref
 from hiergan.autodiff import (
@@ -71,6 +72,67 @@ def test_sigmoid_matches_masked_oracle_bitwise():
             want = masked_sigmoid(x)
         assert _sigmoid(x).tobytes() == want.tobytes()
         assert _sigmoid(x).shape == x.shape
+
+
+# signed zeros, the smallest subnormals, tiny and huge normals
+EDGE_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e308, -1e308])
+ACTIVATION_ORACLES = {
+    "relu": (ref.masked_relu, ref.masked_relu_grad),
+    "leaky_relu": (ref.masked_leaky_relu, ref.masked_leaky_relu_grad),
+}
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _check_activation_bitwise(op, x):
+    forward, grad = ACTIVATION_ORACLES[op]
+    a = leaf(x)
+    t = Tape([a])
+    out = getattr(t, op)(a)
+    assert out.data.shape == x.shape and out.data.tobytes() == forward(x).tobytes()
+    g = np.roll(x, 1)  # an adjoint with the same edge values, in other places
+    assert t._records[0].backward(g)[0].tobytes() == grad(x, g).tobytes()
+
+
+@pytest.mark.parametrize("op", ACTIVATION_ORACLES)
+def test_activation_matches_masked_oracle_bitwise(op):
+    rng = np.random.default_rng(5)
+    for x in [EDGE_VALUES, EDGE_VALUES.reshape(2, 4)] + [rng.normal(size=(50, 7)) * s for s in (1e-310, 1.0, 1e300)]:
+        _check_activation_bitwise(op, x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=arrays(np.float64, array_shapes(max_dims=2, max_side=9), elements=FINITE),
+       op=st.sampled_from(sorted(ACTIVATION_ORACLES)))
+def test_activation_matches_masked_oracle_on_any_finite_array(x, op):
+    _check_activation_bitwise(op, x)
+
+
+def _check_linear_bitwise(x, w, b):
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = x @ w + b
+        if not np.isfinite(want).all():
+            with pytest.raises(NonFiniteError, match="linear"):
+                Tape().linear(leaf(x), leaf(w), leaf(b))
+            return
+    assert Tape().linear(leaf(x), leaf(w), leaf(b)).data.tobytes() == want.tobytes()
+
+
+def test_linear_matches_matmul_plus_bias_bitwise():
+    rng = np.random.default_rng(6)
+    edges = EDGE_VALUES.reshape(2, 4)
+    _check_linear_bitwise(rng.normal(size=(5, 4)), rng.normal(size=(4, 3)), rng.normal(size=3))
+    _check_linear_bitwise(edges, rng.normal(size=(4, 3)), EDGE_VALUES[:3])
+    _check_linear_bitwise(rng.normal(size=(3, 2)), edges, EDGE_VALUES[4:])
+    _check_linear_bitwise(edges, edges.T * 1e-300, EDGE_VALUES[2:4])
+    _check_linear_bitwise(edges, edges.T, EDGE_VALUES[:2])  # overflows: raises, as x @ w + b is not finite
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_linear_matches_matmul_plus_bias_on_any_finite_arrays(data):
+    n, k, m = (data.draw(st.integers(1, 6)) for _ in range(3))
+    x, w, b = (data.draw(arrays(np.float64, shape, elements=FINITE)) for shape in ((n, k), (k, m), (m,)))
+    _check_linear_bitwise(x, w, b)
 
 
 def test_sum_gradient_is_all_ones():
@@ -159,6 +221,9 @@ def test_non_finite_reports_op_name():
     with np.errstate(over="ignore"):
         with pytest.raises(NonFiniteError, match="scale"):
             t.scale(leaf([1e308]), 10.0)
+    # a NaN reaching relu stays NaN; the masked form returned 0.0 and hid it
+    with pytest.raises(NonFiniteError, match="relu"):
+        t.relu(leaf([np.nan, 1.0]))
 
 
 def test_backward_requires_scalar_loss():
@@ -371,7 +436,7 @@ def _fd_cases(rng):
         "slice": (lambda t, ps: weighted(t, t.slice(ps[0], (slice(0, 1), slice(None))), w_slice),
                   [mk((n, m))]),
         "relu": (lambda t, ps: weighted(t, t.relu(ps[0]), w1), [kinkless((n, m))]),
-        "leaky_relu": (lambda t, ps: weighted(t, t.leaky_relu(ps[0], 0.2), w1), [kinkless((n, m))]),
+        "leaky_relu": (lambda t, ps: weighted(t, t.leaky_relu(ps[0]), w1), [kinkless((n, m))]),
         "sigmoid": (lambda t, ps: weighted(t, t.sigmoid(ps[0]), w1), [mk((n, m))]),
         "bce_with_logits": (lambda t, ps: t.binary_cross_entropy_with_logits(ps[0], bce_t), [mk((n, m), -4.0, 4.0)]),
         "softmax_cross_entropy": (lambda t, ps: t.softmax_cross_entropy(ps[0], targets), [mk((n, m), -3.0, 3.0)]),

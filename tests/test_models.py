@@ -15,7 +15,9 @@ from hiergan.models import (
     discriminator_loss,
     evaluate_classifier,
     generate_set,
+    load_classifier,
     load_models,
+    save_classifier,
     save_models,
     train_classifier,
 )
@@ -492,6 +494,22 @@ def test_save_load_round_trip(tmp_path, tree, table):
     fake = back.generate(tape, cond, Tensor(z[None]), stage=1)
     loss = tape.add(ref.sum(tape, back.d_lo.forward(tape, fake, cond)), back.clf_lo.loss(tape, fake, [tree.id_of("tiger")]))
     assert set(tape.backward(loss)) == set(back.g1.params())
+
+
+def test_loads_draw_no_weights(tmp_path, tree, monkeypatch):
+    # numpy's Generator type is immutable, so its uniform cannot be patched;
+    # a load that cannot make a generator at all draws nothing
+    ms = build_models(tree, ModelConfig(seed=18))
+    save_models(ms, tmp_path / "models.hgck")
+    save_classifier(ms.clf_hi, tmp_path / "clf.hgck")
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("a load drew weights from an rng")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    back, clf = load_models(tmp_path / "models.hgck"), load_classifier(tmp_path / "clf.hgck")
+    for a, b in zip(_all_params(ms) + ms.clf_hi.params(), _all_params(back) + clf.params(), strict=True):
+        assert a.name == b.name and a.data.tobytes() == b.data.tobytes()
 
 
 def _all_params(ms):
