@@ -40,51 +40,14 @@ one made on another tape, is a constant.
 ``adam_step`` updates the moment arrays of each ``AdamState`` in place and
 rebinds ``Tensor.data`` to a new array, so the forward values a tape's
 closures captured never change under them.
-
-Checkpoint file layout, the one container every artifact uses (datasets,
-embedding tables, classifiers, model sets); little-endian throughout:
-
-    magic    4 bytes  b"HGCK"
-    version  uint32   currently 2
-    meta_len uint32, meta utf-8 JSON object with sorted keys
-    count    uint32   number of tensors
-    per tensor:
-        name_len uint32, name utf-8 bytes,
-        rank uint32, dims uint32 * rank,
-        data float64 * prod(dims), row-major
-    crc32    uint32   zlib CRC32 of every byte before it
-
-``load_checkpoint`` checks the magic, then the version, then the checksum,
-then the layout. Version-1 files (no metadata, no checksum) are rejected with
-the version error; every artifact can be regenerated from its seed.
 """
 
 from __future__ import annotations
 
-import json
-import math
-import struct
-import zlib
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-
-from .files import write_atomic
-
-__all__ = [
-    "Tensor",
-    "Tape",
-    "AdamState",
-    "adam_step",
-    "grad_check",
-    "GradCheckReport",
-    "NonFiniteError",
-    "CheckpointError",
-    "save_checkpoint",
-    "load_checkpoint",
-    "BCE_LOGIT_CLAMP",
-]
 
 # bound on the logit magnitude used for the BCE *value*; past this point the
 # loss saturates, and the gradient (sigmoid - target) is within 1e-13 of its
@@ -97,10 +60,6 @@ _LEAKY_SLOPE = 0.2
 
 class NonFiniteError(ArithmeticError):
     """An op produced a NaN or infinity; the message names the op."""
-
-
-class CheckpointError(IOError):
-    """Checkpoint file is malformed, truncated, or version-incompatible."""
 
 
 class Tensor:
@@ -213,13 +172,11 @@ class Tape:
 
     def concat(self, tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         parts = tuple(tensors)
-        sizes = [t.shape[axis] for t in parts]
-        offsets = np.cumsum([0] + sizes)
+        cuts = np.cumsum([t.shape[axis] for t in parts])[:-1]
 
         def back(g):
-            return tuple(
-                np.take(g, range(offsets[i], offsets[i + 1]), axis=axis) for i in range(len(parts))
-            )
+            # views of g; backward accumulates out of place, so none is written through
+            return tuple(np.split(g, cuts, axis=axis))
 
         return self._emit("concat", parts, np.concatenate([t.data for t in parts], axis=axis), back)
 
@@ -439,76 +396,3 @@ def grad_check(
                 worst = GradCheckReport(rel <= tol, rel, pi, i, a, numeric)
     return worst
 
-
-# --------------------------------------------------------------- checkpoints
-
-_MAGIC = b"HGCK"
-_VERSION = 2
-
-
-def save_checkpoint(path, named: dict[str, Tensor | np.ndarray], meta: dict | None = None) -> None:
-    """Write named tensors and a JSON metadata object in the documented
-    layout. Array chunks are views and the CRC runs over the chunks, so the
-    file's bytes are copied once, by the final join."""
-    blob = json.dumps(meta or {}, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    chunks = [_MAGIC, struct.pack("<II", _VERSION, len(blob)), blob, struct.pack("<I", len(named))]
-    for name, value in named.items():
-        arr = np.asarray(value.data if isinstance(value, Tensor) else value, dtype="<f8", order="C")
-        encoded = name.encode("utf-8")
-        chunks.append(struct.pack(f"<I{len(encoded)}sI{arr.ndim}I", len(encoded), encoded, arr.ndim, *arr.shape))
-        chunks.append(arr.data)
-    crc = 0
-    for chunk in chunks:
-        crc = zlib.crc32(chunk, crc)
-    chunks.append(struct.pack("<I", crc))
-    write_atomic(path, b"".join(chunks))
-
-
-def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a checkpoint back into its metadata and an ordered name -> array
-    mapping."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _MAGIC:
-        raise CheckpointError(f"{path} is not a checkpoint (bad magic)")
-    if len(blob) < 12:
-        raise CheckpointError(f"truncated checkpoint {path}")
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != _VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint version {version} in {path} (expected {_VERSION}; regenerate the file)"
-        )
-    body = memoryview(blob)[:-4]
-    if zlib.crc32(body) != struct.unpack_from("<I", blob, len(body))[0]:
-        raise CheckpointError(f"checkpoint checksum mismatch in {path}")
-    pos = 8
-
-    def take(n: int) -> memoryview:
-        nonlocal pos
-        if pos + n > len(body):
-            raise CheckpointError(f"truncated checkpoint {path}")
-        chunk = body[pos : pos + n]
-        pos += n
-        return chunk
-
-    (meta_len,) = struct.unpack("<I", take(4))
-    try:
-        meta = json.loads(bytes(take(meta_len)).decode("utf-8"))
-    except (ValueError, RecursionError) as err:
-        raise CheckpointError(f"checkpoint {path} has malformed metadata: {err!r}") from err
-    if not isinstance(meta, dict):
-        raise CheckpointError(f"checkpoint {path} metadata is not a JSON object")
-    (count,) = struct.unpack("<I", take(4))
-    out: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<I", take(4))
-        try:
-            name = bytes(take(name_len)).decode("utf-8")
-        except UnicodeDecodeError as err:
-            raise CheckpointError(f"checkpoint {path} has a malformed tensor name: {err!r}") from err
-        (rank,) = struct.unpack("<I", take(4))
-        dims = struct.unpack(f"<{rank}I", take(4 * rank))
-        out[name] = np.frombuffer(take(8 * math.prod(dims)), dtype="<f8").reshape(dims).copy()
-    if pos != len(body):
-        raise CheckpointError(f"{path} has {len(body) - pos} trailing bytes")
-    return meta, out

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import CheckpointError, NonFiniteError
+from .autodiff import NonFiniteError
 from .embed import (
     CheConfig,
     EmbeddingError,
@@ -44,7 +44,7 @@ from .embed import (
     similarity_csv,
     train_che,
 )
-from .files import write_atomic
+from .files import CheckpointError, write_atomic
 from .hierarchy import FIXTURE_TREE, HierarchyError, parse_hierarchy
 from .metrics import MetricsError, evaluate, report_csv, report_json
 from .models import (

@@ -25,16 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (
-    AdamState,
-    NonFiniteError,
-    Tape,
-    Tensor,
-    adam_step,
-    load_checkpoint,
-    save_checkpoint,
-)
-from .hierarchy import ClassHierarchy, HierarchyError, parse_hierarchy
+from .autodiff import AdamState, NonFiniteError, Tape, Tensor, adam_step
+from .files import load_artifact, save_checkpoint
+from .hierarchy import ClassHierarchy
 
 class EmbeddingError(ValueError):
     """Invalid embedding inputs: dimension mismatch, degenerate vectors,
@@ -128,19 +121,11 @@ def save_table(path, table: ClassEmbeddingTable) -> None:
 
 def load_table(path, h: ClassHierarchy | None = None) -> ClassEmbeddingTable:
     """Read a saved table. Given ``h``, a table trained on any other hierarchy
-    is rejected; without it, the table keeps the hierarchy saved with it."""
-    meta, arrays = load_checkpoint(path)
-    missing = set(_TABLE_ARRAYS) - set(arrays)
-    if missing:
-        raise EmbeddingError(f"embedding checkpoint is missing {sorted(missing)}")
-    stored = meta.get("hierarchy")
-    if h is None:
-        try:
-            h = parse_hierarchy(stored if isinstance(stored, str) else "")
-        except HierarchyError as err:
-            raise EmbeddingError(f"embedding checkpoint {path} holds no valid hierarchy: {err}") from err
-    table = ClassEmbeddingTable(**{name: arrays[name] for name in _TABLE_ARRAYS}, hierarchy=h)
-    if stored != h.serialize():
+    is rejected; without it, the table keeps the hierarchy saved with it.
+    The table checks its own shapes: the metadata does not fix its dim."""
+    _, stored, arrays = load_artifact(path, "embedding table", lambda _meta, _h: (None, dict.fromkeys(_TABLE_ARRAYS)))
+    table = ClassEmbeddingTable(**arrays, hierarchy=stored if h is None else h)
+    if table.hierarchy != stored:
         raise EmbeddingError(f"embedding checkpoint {path} was trained for a different hierarchy")
     return table
 

@@ -76,6 +76,10 @@ class ClassHierarchy:
     def __len__(self) -> int:
         return len(self.nodes)
 
+    def __eq__(self, other) -> bool:
+        """Equal canonical serializations; unhashable, as nothing keys on one."""
+        return isinstance(other, ClassHierarchy) and self.serialize() == other.serialize()
+
     def name_of(self, node_id: int) -> str:
         return self.nodes[node_id].name
 

@@ -184,7 +184,7 @@ def evaluate(
     against real test features, desk-IS over generated leaf probabilities, and
     hierarchy consistency. Models, table and dataset must all belong to ``h``."""
     for what, other in (("models", models), ("embeddings", embeddings), ("dataset", dataset.spec)):
-        if other.hierarchy.serialize() != h.serialize():
+        if other.hierarchy != h:
             raise MetricsError(f"{what} belong to a different hierarchy than the one evaluated")
     clf = models.clf_hi
     per_leaf: dict[str, LeafMetrics] = {}

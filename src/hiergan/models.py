@@ -26,9 +26,10 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .autodiff import AdamState, Tape, Tensor, _softmax, adam_step, load_checkpoint, save_checkpoint
+from .autodiff import AdamState, Tape, Tensor, _softmax, adam_step
 from .embed import ClassEmbeddingTable, leaf_condition_vector
-from .hierarchy import ClassHierarchy, parse_hierarchy
+from .files import load_artifact, save_checkpoint
+from .hierarchy import ClassHierarchy
 from .synthdata import Dataset, Images, batch_iter
 
 LO_PIXELS = 64
@@ -39,16 +40,31 @@ class ModelError(ValueError):
     """Shape or resolution mismatch in a model forward pass."""
 
 
-def _init_layer(rng, fan_in: int, fan_out: int, prefix: str, idx: int):
-    """Weights uniform in +-1/sqrt(fan_in) drawn from rng, or zeros when rng
-    is None (a network about to be loaded), and a zero bias."""
-    if rng is None:
-        w = Tensor(np.zeros((fan_in, fan_out)), name=f"{prefix}.w{idx}")
-    else:
-        bound = 1.0 / np.sqrt(fan_in)
-        w = Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)), name=f"{prefix}.w{idx}")
-    b = Tensor(np.zeros(fan_out), name=f"{prefix}.b{idx}")
-    return w, b
+def _shapes(nets: dict[str, list[int]]) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter of ``nets`` (network prefix -> dense
+    layer sizes), in parameter order."""
+    return {
+        f"{prefix}.{kind}{i}": shape
+        for prefix, sizes in nets.items()
+        for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:]))
+        for kind, shape in (("w", (fan_in, fan_out)), ("b", (fan_out,)))
+    }
+
+
+def _draw(nets: dict[str, list[int]], rng) -> dict[str, np.ndarray]:
+    """The parameters of ``nets`` in parameter order: weights uniform in
+    +-1/sqrt(fan_in) drawn from rng, zero biases."""
+    out = {}
+    for name, shape in _shapes(nets).items():
+        bound = 1.0 / np.sqrt(shape[0])
+        out[name] = rng.uniform(-bound, bound, size=shape) if len(shape) == 2 else np.zeros(shape)
+    return out
+
+
+def _layers(arrays: dict[str, np.ndarray], prefix: str, sizes: list[int]) -> list[tuple[Tensor, Tensor]]:
+    """The dense layers of network ``prefix`` as named tensors over arrays."""
+    names = [(f"{prefix}.w{i}", f"{prefix}.b{i}") for i in range(len(sizes) - 1)]
+    return [(Tensor(arrays[w], name=w), Tensor(arrays[b], name=b)) for w, b in names]
 
 
 @dataclass
@@ -56,11 +72,6 @@ class Mlp:
     layers: list[tuple[Tensor, Tensor]]
     hidden: str  # "leaky_relu" | "relu"
     out: str  # "sigmoid" | "linear"
-
-    @classmethod
-    def init(cls, sizes: list[int], rng, prefix: str, hidden: str, out: str) -> "Mlp":
-        layers = [_init_layer(rng, sizes[i], sizes[i + 1], prefix, i) for i in range(len(sizes) - 1)]
-        return cls(layers=layers, hidden=hidden, out=out)
 
     @property
     def in_dim(self) -> int:
@@ -119,6 +130,15 @@ def discriminator_loss(tape: Tape, d: Mlp, real: Tensor, fake: Tensor, e_c: Tens
     )
 
 
+def _classifier_nets(h: ClassHierarchy, pixels: int, cfg: ModelConfig) -> dict[str, list[int]]:
+    """Layer sizes of a classifier's trunk, then of each level's head."""
+    prefix = "clf_lo" if pixels == LO_PIXELS else "clf_hi"
+    width = cfg.feature_width
+    return {prefix: [pixels, cfg.clf_hidden, cfg.clf_hidden, width]} | {
+        f"{prefix}.head{k}": [width, h.num_classes(k)] for k in range(1, h.K + 1)
+    }
+
+
 @dataclass
 class HierClassifier:
     hierarchy: ClassHierarchy
@@ -130,18 +150,20 @@ class HierClassifier:
 
     @classmethod
     def init(cls, h: ClassHierarchy, pixels: int, cfg: ModelConfig, rng) -> "HierClassifier":
+        return cls._around(h, pixels, cfg, _draw(_classifier_nets(h, pixels, cfg), rng))
+
+    @classmethod
+    def _around(cls, h: ClassHierarchy, pixels: int, cfg: ModelConfig, arrays) -> "HierClassifier":
+        """The classifier over the arrays ``_classifier_nets`` names."""
         if h.K < 1:
             raise ModelError("classifier needs a hierarchy with at least one level")
-        prefix = "clf_lo" if pixels == LO_PIXELS else "clf_hi"
-        trunk = Mlp.init([pixels, cfg.clf_hidden, cfg.clf_hidden, cfg.feature_width], rng, prefix, "relu", "linear")
-        heads = [
-            _init_layer(rng, cfg.feature_width, h.num_classes(k), f"{prefix}.head{k}", 0)
-            for k in range(1, h.K + 1)
-        ]
+        (prefix, sizes), *heads = _classifier_nets(h, pixels, cfg).items()
         targets = {
             y: tuple(h.level_classes(k).index(h.ancestor(y, k)) for k in range(1, h.K + 1))
             for y in h.leaves
         }
+        trunk = Mlp(_layers(arrays, prefix, sizes), "relu", "linear")
+        heads = [_layers(arrays, *head)[0] for head in heads]
         return cls(hierarchy=h, pixels=pixels, trunk=trunk, heads=heads, targets=targets)
 
     def features(self, tape: Tape, x: Tensor) -> Tensor:
@@ -287,70 +309,52 @@ def build_models(
     """Draw the networks from ``cfg.seed``. Given classifiers are held as
     they are; the classifiers are drawn last, so the other weights do not
     depend on whether they were given."""
-    return _model_set(h, cfg, np.random.default_rng(cfg.seed), clf_lo, clf_hi)
+    rng = np.random.default_rng(cfg.seed)
+    arrays = _draw(_gan_nets(cfg), rng)
+    clf_lo = clf_lo if clf_lo is not None else HierClassifier.init(h, LO_PIXELS, cfg, rng)
+    clf_hi = clf_hi if clf_hi is not None else HierClassifier.init(h, HI_PIXELS, cfg, rng)
+    return _model_set(h, cfg, arrays, clf_lo, clf_hi)
 
 
-def _model_set(h: ClassHierarchy, cfg: ModelConfig, rng, clf_lo=None, clf_hi=None) -> ModelSet:
-    """The networks of ``cfg``'s shapes with weights drawn from rng in a
-    fixed order, or zero-filled when rng is None."""
+def _gan_nets(cfg: ModelConfig) -> dict[str, list[int]]:
+    """Layer sizes of the GAN networks ``ModelSet`` describes, in draw order."""
     cond, gen, disc = cfg.cond_dim, cfg.gen_hidden, cfg.disc_hidden
-    return ModelSet(
-        config=cfg,
-        hierarchy=h,
-        g1=Mlp.init([cond + cfg.noise_dim, gen, gen, LO_PIXELS], rng, "g1", "leaky_relu", "sigmoid"),
-        g2=Mlp.init([cond + LO_PIXELS, gen, gen, HI_PIXELS], rng, "g2", "leaky_relu", "sigmoid"),
-        d_lo=Mlp.init([LO_PIXELS + cond, disc, disc, 1], rng, "d_lo", "leaky_relu", "linear"),
-        d_hi=Mlp.init([HI_PIXELS + cond, disc, disc, 1], rng, "d_hi", "leaky_relu", "linear"),
-        clf_lo=clf_lo if clf_lo is not None else HierClassifier.init(h, LO_PIXELS, cfg, rng),
-        clf_hi=clf_hi if clf_hi is not None else HierClassifier.init(h, HI_PIXELS, cfg, rng),
-    )
+    return {
+        "g1": [cond + cfg.noise_dim, gen, gen, LO_PIXELS],
+        "g2": [cond + LO_PIXELS, gen, gen, HI_PIXELS],
+        "d_lo": [LO_PIXELS + cond, disc, disc, 1],
+        "d_hi": [HI_PIXELS + cond, disc, disc, 1],
+    }
 
 
-def _load_with_manifest(path, build):
-    """Read a checkpoint, rebuild its networks with ``build(manifest) ->
-    (networks, params)`` from its metadata and copy in the stored values,
-    which must match the rebuilt parameters in name and shape, none missing
-    and none extra."""
-    manifest, blobs = load_checkpoint(path)
-    try:
-        networks, params = build(manifest)
-    except (ValueError, KeyError, TypeError, AttributeError) as err:
-        raise ModelError(f"checkpoint {path} has a malformed manifest: {err!r}") from err
-    for p in params:
-        if p.name not in blobs:
-            raise ModelError(f"checkpoint {path} is missing parameter {p.name!r}")
-        if blobs[p.name].shape != p.data.shape:
-            raise ModelError(
-                f"checkpoint {path}: parameter {p.name!r} has shape {blobs[p.name].shape}, expected {p.data.shape}"
-            )
-        p.data = blobs[p.name]
-    extras = set(blobs) - {p.name for p in params}
-    if extras:
-        raise ModelError(f"checkpoint {path} has unknown parameters {sorted(extras)}")
-    return networks
-
-
-def _model_set_params(ms: ModelSet) -> list[Tensor]:
-    return [p for net in (ms.g1, ms.g2, ms.d_lo, ms.d_hi, ms.clf_lo, ms.clf_hi) for p in net.params()]
+def _model_set(h: ClassHierarchy, cfg: ModelConfig, arrays, clf_lo: HierClassifier, clf_hi: HierClassifier) -> ModelSet:
+    """The GAN networks of ``cfg``'s shapes over arrays, generators ending
+    in a sigmoid and discriminators in a logit, with the classifiers."""
+    gan = {
+        name: Mlp(_layers(arrays, name, sizes), "leaky_relu", "sigmoid" if name[0] == "g" else "linear")
+        for name, sizes in _gan_nets(cfg).items()
+    }
+    return ModelSet(config=cfg, hierarchy=h, **gan, clf_lo=clf_lo, clf_hi=clf_hi)
 
 
 def save_models(ms: ModelSet, path) -> None:
     """Checkpoint all network parameters with the architecture config."""
     manifest = asdict(ms.config) | {"hierarchy": ms.hierarchy.serialize()}
-    save_checkpoint(path, {p.name: p for p in _model_set_params(ms)}, manifest)
+    nets = (ms.g1, ms.g2, ms.d_lo, ms.d_hi, ms.clf_lo, ms.clf_hi)
+    save_checkpoint(path, {p.name: p for net in nets for p in net.params()}, manifest)
 
 
 def load_models(path) -> ModelSet:
-    """Rebuild a ModelSet from a checkpoint; shapes are validated against the
-    manifest's architecture config. The networks are built zero-filled, so
-    no weights are drawn only to be overwritten."""
+    """Rebuild a ModelSet around a checkpoint's arrays, whose names and
+    shapes the manifest's architecture config fixes."""
 
-    def build(manifest):
+    def layout(manifest, h):
         cfg = ModelConfig(**{f.name: manifest[f.name] for f in fields(ModelConfig)})
-        ms = _model_set(parse_hierarchy(manifest["hierarchy"]), cfg, None)
-        return ms, _model_set_params(ms)
+        return cfg, _shapes(_gan_nets(cfg) | _classifier_nets(h, LO_PIXELS, cfg) | _classifier_nets(h, HI_PIXELS, cfg))
 
-    return _load_with_manifest(path, build)
+    cfg, h, arrays = load_artifact(path, "model set", layout)
+    clf_lo, clf_hi = (HierClassifier._around(h, pixels, cfg, arrays) for pixels in (LO_PIXELS, HI_PIXELS))
+    return _model_set(h, cfg, arrays, clf_lo, clf_hi)
 
 
 def save_classifier(clf: HierClassifier, path) -> None:
@@ -365,12 +369,12 @@ def save_classifier(clf: HierClassifier, path) -> None:
 
 
 def load_classifier(path) -> HierClassifier:
-    """Rebuild a classifier from its checkpoint, into zero-filled weights."""
+    """Rebuild a classifier around its checkpoint's arrays."""
 
-    def build(manifest):
-        h = parse_hierarchy(manifest["hierarchy"])
+    def layout(manifest, h):
+        pixels = manifest["pixels"]
         cfg = ModelConfig(clf_hidden=manifest["clf_hidden"], feature_width=manifest["feature_width"])
-        clf = HierClassifier.init(h, manifest["pixels"], cfg, None)
-        return clf, clf.params()
+        return (pixels, cfg), _shapes(_classifier_nets(h, pixels, cfg))
 
-    return _load_with_manifest(path, build)
+    (pixels, cfg), h, arrays = load_artifact(path, "classifier", layout)
+    return HierClassifier._around(h, pixels, cfg, arrays)

@@ -21,9 +21,9 @@ A split is one ``Images`` value: parallel arrays ``hi`` (n, 16, 16), ``lo``
 (n, 8, 8) and ``leaf`` (n,) int64, where row i is one sample. Rows run
 leaf-major, then in sample order. Indexing an ``Images`` with rows gives an
 ``Images``; ``batch_iter`` yields such slices, so a batch and a split are the
-same type. On disk a dataset is one ``autodiff`` checkpoint: the spec as its
+same type. On disk a dataset is one ``files`` checkpoint: the spec as its
 metadata and the arrays ``train.leaf``, ``train.hi``, ``test.leaf`` and
-``test.hi``; ``lo`` is recomputed on load.
+``test.hi``, whose row counts the spec fixes; ``lo`` is recomputed on load.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .autodiff import CheckpointError, load_checkpoint, save_checkpoint
-from .hierarchy import ClassHierarchy, parse_hierarchy
+from .files import load_artifact, save_checkpoint
+from .hierarchy import ClassHierarchy
 
 HI_SIZE = 16
 LO_SIZE = 8
@@ -198,25 +198,20 @@ def save_dataset(d: Dataset, path) -> None:
     save_checkpoint(path, named, meta)
 
 
+def _layout(meta: dict, h: ClassHierarchy):
+    """The spec a dataset file stores and the shapes of its arrays."""
+    spec = DatasetSpec(**{f.name: meta[f.name] for f in fields(DatasetSpec)} | {"hierarchy": h})
+    n = spec.samples_per_leaf
+    rows = {"train": len(h.leaves) * (n - n // 5), "test": len(h.leaves) * (n // 5)}
+    return spec, {f"{s}.leaf": (m,) for s, m in rows.items()} | {f"{s}.hi": (m, HI_SIZE, HI_SIZE) for s, m in rows.items()}
+
+
 def load_dataset(path) -> Dataset:
-    try:
-        meta, arrays = load_checkpoint(path)
-    except CheckpointError as err:
-        raise DatasetError(str(err)) from err
-    try:
-        kwargs = {f.name: meta[f.name] for f in fields(DatasetSpec)}
-        spec = DatasetSpec(**kwargs | {"hierarchy": parse_hierarchy(meta["hierarchy"])})
-    except (ValueError, KeyError, TypeError, AttributeError) as err:
-        raise DatasetError(f"dataset {path} has a malformed spec: {err!r}") from err
-    expected = {f"{split}.{field}" for split in _SPLITS for field in ("leaf", "hi")}
-    if set(arrays) != expected:
-        raise DatasetError(f"dataset {path} holds arrays {sorted(arrays)}, expected {sorted(expected)}")
+    spec, h, arrays = load_artifact(path, "dataset", _layout)
     splits = []
     for split in _SPLITS:
         leaf, hi = arrays[f"{split}.leaf"], arrays[f"{split}.hi"]
-        if leaf.ndim != 1 or hi.shape != (len(leaf), HI_SIZE, HI_SIZE):
-            raise DatasetError(f"dataset {path}: {split} arrays have shapes {leaf.shape} and {hi.shape}")
-        not_leaf = leaf[~np.isin(leaf, spec.hierarchy.leaves)]
+        not_leaf = leaf[~np.isin(leaf, h.leaves)]
         if len(not_leaf):
             raise DatasetError(f"dataset {path} labels a sample {not_leaf[0]:g}, which is not a leaf class")
         splits.append(Images(hi=hi, lo=downsample(hi), leaf=leaf.astype(np.int64)))

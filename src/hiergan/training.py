@@ -157,17 +157,17 @@ class Trainer:
         clf_hi: HierClassifier,
         embeddings: ClassEmbeddingTable | None = None,
     ):
-        if dataset.spec.hierarchy.serialize() != h.serialize():
+        if dataset.spec.hierarchy != h:
             raise TrainingError("dataset was generated for a different hierarchy")
         for clf, side in ((clf_lo, 8), (clf_hi, 16)):
             if clf.pixels != side * side:
                 raise TrainingError(f"classifier for {side}x{side} has {clf.pixels} inputs")
-            if clf.hierarchy.serialize() != h.serialize():
+            if clf.hierarchy != h:
                 raise TrainingError("classifier was trained for a different hierarchy")
         if cfg.mode == TrainMode.SEG:
             if embeddings is None:
                 raise TrainingError("SEG mode requires pre-trained embeddings")
-            if embeddings.hierarchy.serialize() != h.serialize():
+            if embeddings.hierarchy != h:
                 raise TrainingError("embedding table was trained for a different hierarchy")
             if embeddings.dim != cfg.embed_dim:
                 raise TrainingError(f"embedding dim {embeddings.dim} != config embed_dim {cfg.embed_dim}")

@@ -17,17 +17,15 @@ import reference_ops as ref
 from hiergan.autodiff import (
     BCE_LOGIT_CLAMP,
     AdamState,
-    CheckpointError,
     GradCheckReport,
     NonFiniteError,
     Tape,
     Tensor,
     adam_step,
     grad_check,
-    load_checkpoint,
     _sigmoid,
-    save_checkpoint,
 )
+from hiergan.files import CheckpointError, load_checkpoint, save_checkpoint
 
 
 def leaf(data, name=None):

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from hiergan.autodiff import load_checkpoint, save_checkpoint
 from hiergan.cli import _SECTION_KEYS, main
 from hiergan.embed import CheConfig
+from hiergan.files import load_checkpoint, save_checkpoint
 from hiergan.hierarchy import FIXTURE_TREE, parse_hierarchy
 from hiergan.models import ClassifierConfig
 from hiergan.synthdata import DatasetSpec, default_dataset_spec
@@ -632,6 +632,28 @@ def test_classifier_manifest_missing_key_exits_two(ws, tmp_path, capsys):
     argv = gan_args(ws, "treegan", tmp_path / "run")
     argv[argv.index("--clf8") + 1] = str(bad)
     assert main(argv) == 2
+    assert_one_line_error(capsys)
+
+
+def test_classifier_manifest_huge_width_exits_two(ws, tmp_path, capsys):
+    # the manifest's widths are checked against the stored shapes before any
+    # network is built, so a CRC-valid 10**6 width allocates nothing
+    bad = tmp_path / "clf8.hgck"
+    rewrite_manifest(ws["clf8"], bad, json.dumps(load_checkpoint(ws["clf8"])[0] | {"clf_hidden": 10**6}).encode())
+    argv = gan_args(ws, "treegan", tmp_path / "run")
+    argv[argv.index("--clf8") + 1] = str(bad)
+    assert main(argv) == 2
+    assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("key", ["gen_hidden", "disc_hidden"])
+def test_models_manifest_huge_width_exits_two(ws, tmp_path, capsys, key):
+    run = tmp_path / "run"
+    shutil.copytree(ws["run"], run)
+    models = run / "models.hgck"
+    rewrite_manifest(models, models, json.dumps(load_checkpoint(models)[0] | {key: 10**6}).encode())
+    code = main(["eval", "--run", str(run), "--data", str(ws["data"]), "--out", str(tmp_path / "m.csv")])
+    assert code == 2
     assert_one_line_error(capsys)
 
 

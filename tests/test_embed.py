@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_ops as ref
-from hiergan.autodiff import NonFiniteError, Tape, Tensor, grad_check, save_checkpoint
+from hiergan.autodiff import NonFiniteError, Tape, Tensor, grad_check
 from hiergan.embed import (
     CheConfig,
     ClassEmbeddingTable,
@@ -24,6 +24,7 @@ from hiergan.embed import (
     similarity_matrix,
     train_che,
 )
+from hiergan.files import save_checkpoint
 from hiergan.hierarchy import FIXTURE_TREE, parse_hierarchy
 
 
@@ -548,7 +549,8 @@ def test_table_load_checks_hierarchy(tmp_path, trained):
 
 def test_table_load_rejects_flat_class_arrays(tmp_path, tree):
     path = tmp_path / "flat.ckpt"
-    save_checkpoint(path, {"class_re": np.ones(9), "class_im": np.ones(9), "rel_re": np.ones(1), "rel_im": np.ones(1)})
+    flat = {"class_re": np.ones(9), "class_im": np.ones(9), "rel_re": np.ones(1), "rel_im": np.ones(1)}
+    save_checkpoint(path, flat, {"hierarchy": tree.serialize()})
     with pytest.raises(EmbeddingError, match="must be"):
         load_table(path, tree)
 

@@ -1,11 +1,17 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import hiergan.files as files
-from hiergan.autodiff import load_checkpoint, save_checkpoint
-from hiergan.files import write_atomic
+from hiergan.embed import CheConfig, load_table, save_table, train_che
+from hiergan.files import CheckpointError, load_checkpoint, save_checkpoint, write_atomic
 from hiergan.hierarchy import FIXTURE_TREE, parse_hierarchy
-from hiergan.synthdata import default_dataset_spec, generate_dataset, save_dataset
+from hiergan.models import HierClassifier, ModelConfig, build_models, load_classifier, load_models, save_classifier, save_models
+from hiergan.synthdata import default_dataset_spec, generate_dataset, load_dataset, save_dataset
+
+TREE = parse_hierarchy(FIXTURE_TREE)
 
 
 class DiskFull(OSError):
@@ -98,3 +104,65 @@ def test_interrupted_dataset_save_leaves_nothing(tmp_path, fail_writes):
     with pytest.raises(DiskFull):
         save_dataset(generate_dataset(spec), tmp_path / "d.hgds")
     assert list(tmp_path.iterdir()) == []
+
+
+# every artifact kind: how to save a small one, and its loader
+KINDS = {
+    "dataset": (lambda p: save_dataset(generate_dataset(default_dataset_spec(TREE, samples_per_leaf=5)), p), load_dataset),
+    "table": (lambda p: save_table(p, train_che(TREE, CheConfig(epochs=1))), load_table),
+    "classifier": (
+        lambda p: save_classifier(HierClassifier.init(TREE, 64, ModelConfig(), np.random.default_rng(0)), p),
+        load_classifier,
+    ),
+    "models": (lambda p: save_models(build_models(TREE, ModelConfig()), p), load_models),
+}
+
+
+@pytest.mark.parametrize("edit", ["extra", "missing"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_loader_requires_exactly_its_arrays(tmp_path, kind, edit):
+    save, load = KINDS[kind]
+    path = tmp_path / "artifact.hgck"
+    save(path)
+    load(path)
+    meta, arrays = load_checkpoint(path)
+    if edit == "extra":
+        arrays["stray"] = np.ones(2)
+    else:
+        del arrays[next(iter(arrays))]
+    save_checkpoint(path, arrays, meta)
+    with pytest.raises(CheckpointError, match="holds arrays") as err:
+        load(path)
+    assert str(path) in str(err.value)
+
+
+def test_a_float_width_equal_to_the_stored_one_is_rejected(tmp_path):
+    # 16.0 == 16, but a float embed_dim would reach numpy as a shape later
+    path = tmp_path / "models.hgck"
+    save_models(build_models(TREE, ModelConfig()), path)
+    meta, arrays = load_checkpoint(path)
+    save_checkpoint(path, arrays, meta | {"embed_dim": 16.0})
+    with pytest.raises(CheckpointError, match="shape"):
+        load_models(path)
+
+
+def _calls_load_checkpoint(node) -> bool:
+    return isinstance(node, ast.Call) and "load_checkpoint" in (
+        getattr(node.func, "id", None),
+        getattr(node.func, "attr", None),
+    )
+
+
+def test_load_checkpoint_has_one_caller_in_src():
+    # every loader reads through load_artifact; another caller would be a
+    # second reader with its own metadata and layout checks
+    calls, owners = 0, []
+    for path in (Path(__file__).resolve().parent.parent / "src").rglob("*.py"):
+        module = ast.parse(path.read_text())
+        calls += sum(map(_calls_load_checkpoint, ast.walk(module)))
+        owners += [
+            f"{path.name}:{fn.name}"
+            for fn in ast.walk(module)
+            if isinstance(fn, ast.FunctionDef) and any(map(_calls_load_checkpoint, ast.walk(fn)))
+        ]
+    assert calls == 1 and owners == ["files.py:load_artifact"]

@@ -113,6 +113,12 @@ def test_parent_child_pairs(tree):
     assert [c for _, c in pairs] == sorted(c for _, c in pairs)
 
 
+def test_equality_is_equal_serialization(tree):
+    again = parse_hierarchy(tree.serialize())
+    assert again is not tree and again == tree
+    assert parse_hierarchy(FIXTURE_TREE.replace("canine", "bird")) != tree
+
+
 def test_serialize_round_trip(tree):
     text = tree.serialize()
     again = parse_hierarchy(text)

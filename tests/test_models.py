@@ -4,6 +4,7 @@ import pytest
 import reference_ops as ref
 from hiergan.autodiff import Tape, Tensor, grad_check
 from hiergan.embed import CheConfig, leaf_condition_vector, train_che
+from hiergan.files import CheckpointError, load_checkpoint, save_checkpoint
 from hiergan.hierarchy import FIXTURE_TREE, parse_hierarchy
 from hiergan.models import (
     ClassifierConfig,
@@ -523,12 +524,10 @@ def test_load_rejects_shape_drift(tmp_path, tree):
     ms = build_models(tree, ModelConfig(seed=16))
     path = tmp_path / "m.hgck"
     save_models(ms, path)
-    from hiergan.autodiff import load_checkpoint, save_checkpoint
-
     manifest, blobs = load_checkpoint(path)
     blobs["g1.w0"] = blobs["g1.w0"][:, :5]
     save_checkpoint(path, blobs, manifest)
-    with pytest.raises(ModelError, match="shape"):
+    with pytest.raises(CheckpointError, match="shape"):
         load_models(path)
 
 
@@ -536,9 +535,7 @@ def test_load_rejects_missing_manifest(tmp_path, tree):
     ms = build_models(tree, ModelConfig(seed=17))
     path = tmp_path / "m2.hgck"
     save_models(ms, path)
-    from hiergan.autodiff import load_checkpoint, save_checkpoint
-
     _, blobs = load_checkpoint(path)
     save_checkpoint(path, blobs)
-    with pytest.raises(ModelError, match="manifest"):
+    with pytest.raises(CheckpointError, match="manifest"):
         load_models(path)

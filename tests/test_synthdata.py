@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hiergan.autodiff import load_checkpoint, save_checkpoint
+from hiergan.files import CheckpointError, load_checkpoint, save_checkpoint
 from hiergan.hierarchy import FIXTURE_TREE, parse_hierarchy
 from hiergan.synthdata import (
     DatasetError,
@@ -321,7 +321,7 @@ def test_load_rejects_bad_magic(tmp_path, small):
     import zlib
 
     path.write_bytes(body + np.uint32(zlib.crc32(body)).tobytes())
-    with pytest.raises(DatasetError, match="magic"):
+    with pytest.raises(CheckpointError, match="magic"):
         load_dataset(path)
 
 
@@ -334,7 +334,7 @@ def test_load_rejects_wrong_version(tmp_path, small):
     import zlib
 
     path.write_bytes(body + np.uint32(zlib.crc32(body)).tobytes())
-    with pytest.raises(DatasetError, match="version"):
+    with pytest.raises(CheckpointError, match="version"):
         load_dataset(path)
 
 
@@ -344,7 +344,7 @@ def test_load_rejects_corruption(tmp_path, small):
     blob = bytearray(path.read_bytes())
     blob[len(blob) // 2] ^= 0xFF
     path.write_bytes(bytes(blob))
-    with pytest.raises(DatasetError, match="checksum"):
+    with pytest.raises(CheckpointError, match="checksum"):
         load_dataset(path)
 
 
@@ -353,7 +353,7 @@ def test_load_rejects_truncation(tmp_path, small):
     save_dataset(small, path)
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) // 2])
-    with pytest.raises(DatasetError):
+    with pytest.raises(CheckpointError):
         load_dataset(path)
 
 
@@ -365,7 +365,7 @@ def test_load_rejects_trailing_bytes(tmp_path, small):
     import zlib
 
     path.write_bytes(body + np.uint32(zlib.crc32(body)).tobytes())
-    with pytest.raises(DatasetError, match="trailing"):
+    with pytest.raises(CheckpointError, match="trailing"):
         load_dataset(path)
 
 
@@ -385,7 +385,7 @@ def test_load_rejects_mismatched_arrays(tmp_path, small, edit):
     save_dataset(small, path)
     meta, arrays = load_checkpoint(path)
     save_checkpoint(path, edit(arrays), meta)
-    with pytest.raises(DatasetError, match="dataset"):
+    with pytest.raises(CheckpointError, match="dataset"):
         load_dataset(path)
 
 
@@ -393,7 +393,7 @@ def test_load_wraps_checkpoint_errors(tmp_path, small):
     path = tmp_path / "cut.hgds"
     save_dataset(small, path)
     path.write_bytes(path.read_bytes()[:-9])
-    with pytest.raises(DatasetError, match="checksum"):
+    with pytest.raises(CheckpointError, match="checksum"):
         load_dataset(path)
 
 
@@ -437,7 +437,7 @@ def test_save_load_round_trip_property(
     assert (tmp / "b.hgds").read_bytes() == blob
     # an array count that disagrees with the body length
     (tmp / "c.hgds").write_bytes(with_count_shift(blob, count_shift))
-    with pytest.raises(DatasetError, match="truncated|trailing"):
+    with pytest.raises(CheckpointError, match="truncated|trailing"):
         load_dataset(tmp / "c.hgds")
 
 
