@@ -209,15 +209,12 @@ def _checksums(paths: dict[str, str | None]) -> dict:
 
 
 @contextlib.contextmanager
-def output_lock(target: Path, is_dir: bool):
-    """Exclusive lock file next to (or inside) the output for the run's
-    duration; a live lock means another run targets the same path."""
-    if is_dir:
-        target.mkdir(parents=True, exist_ok=True)
-        lock = target / ".lock"
-    else:
-        target.parent.mkdir(parents=True, exist_ok=True)
-        lock = Path(str(target) + ".lock")
+def output_lock(target: Path):
+    """Exclusive lock file ``<target>.lock`` beside the output, file or run
+    directory, for the run's duration; a live lock means another run targets
+    the same path."""
+    target.parent.mkdir(parents=True, exist_ok=True)
+    lock = Path(str(target) + ".lock")
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
@@ -269,7 +266,7 @@ def cmd_gen_data(args) -> int:
     section = _section(config, "dataset", args.seed)
     spec = _build(DatasetSpec, section, "dataset", base=default_dataset_spec(h))
     out = Path(args.out)
-    with output_lock(out, is_dir=False):
+    with output_lock(out):
         dataset = generate_dataset(spec)
         save_dataset(dataset, out)
         digest = _sha256(out)
@@ -295,7 +292,7 @@ def cmd_train_che(args) -> int:
     h, h_text = resolve_hierarchy(config, args.hierarchy)
     cfg = _build(CheConfig, _section(config, "che", args.seed), "che")
     out = Path(args.out)
-    with output_lock(out, is_dir=False):
+    with output_lock(out):
         table = train_che(h, cfg)
         save_table(out, table)
         acc = ranking_accuracy(table, h, cfg.negatives_per_positive, seed=cfg.seed)
@@ -318,7 +315,7 @@ def cmd_train_clf(args) -> int:
     dataset = load_dataset(args.data)
     h = dataset.spec.hierarchy
     out = Path(args.out)
-    with output_lock(out, is_dir=False):
+    with output_lock(out):
         clf = HierClassifier.init(
             h, args.resolution * args.resolution, ModelConfig(), np.random.default_rng(cfg.seed)
         )
@@ -352,7 +349,7 @@ def cmd_train_gan(args) -> int:
     clf_hi = load_classifier(args.clf16)
     embeddings = load_table(args.embeddings, h) if args.embeddings else None
     out = Path(args.out)
-    with output_lock(out, is_dir=True):
+    with output_lock(out):
         art = run_training(dataset, h, cfg, clf_lo, clf_hi, embeddings)
         inputs = _checksums(
             {"data": args.data, "clf8": args.clf8, "clf16": args.clf16, "embeddings": args.embeddings}
@@ -389,7 +386,7 @@ def cmd_eval(args) -> int:
     table = load_table(run / "embeddings.hgck", h)
     models = load_models(run / "models.hgck")
     out = Path(args.out)
-    with output_lock(out, is_dir=False):
+    with output_lock(out):
         report = evaluate(models, table, dataset, h, n_per_class=n_per_class, seed=seed)
         write_atomic(out, report_csv(report))
         write_atomic(out.with_suffix(".json"), report_json(report))
@@ -412,7 +409,7 @@ def cmd_eval(args) -> int:
 def cmd_inspect_embeddings(args) -> int:
     table = load_table(args.embeddings)  # rows labelled by the hierarchy stored with the table
     out = Path(args.out)
-    with output_lock(out, is_dir=False):
+    with output_lock(out):
         write_atomic(out, similarity_csv(table))
         inputs = _checksums({"embeddings": args.embeddings})
         _write_manifest(out, _manifest("inspect-embeddings", {}, args, {}, inputs))

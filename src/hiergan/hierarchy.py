@@ -30,62 +30,50 @@ class ClassNode:
 
 
 class ClassHierarchy:
-    """Immutable rooted tree of named classes.
+    """Immutable rooted tree of named classes, built and checked by
+    ``parse_hierarchy``; the constructor only indexes nodes that are already
+    valid (``paths[i]`` is node i's full path, ``by_name`` maps names to ids).
 
     Safe for concurrent reads; every accessor is deterministic and ordered
-    by node id.
+    by node id. The candidate tuples of ``unrelated`` are filled on first
+    use; the fill is idempotent, so a race between readers stores equal
+    tuples.
     """
 
-    def __init__(self, nodes: list[ClassNode]):
+    def __init__(self, nodes: list[ClassNode], paths: list[str], by_name: dict[str, int]):
         self.nodes: tuple[ClassNode, ...] = tuple(nodes)
-        roots = [n for n in self.nodes if n.parent is None]
-        if len(roots) != 1:
-            raise HierarchyError(f"expected exactly one root, found {len(roots)}")
-        self.root: ClassNode = roots[0]
-        self._by_name = {n.name: n for n in self.nodes}
-        if len(self._by_name) != len(self.nodes):
-            raise HierarchyError("node names are not unique")
+        self.root: ClassNode = self.nodes[0]
+        self._paths = tuple(paths)
+        self._by_name = by_name
         self._children: dict[int, list[int]] = {n.id: [] for n in self.nodes}
+        levels: dict[int, list[int]] = {}
         for n in self.nodes:
             if n.parent is not None:
-                if n.parent not in self._children:
-                    raise HierarchyError(f"node {n.name!r} references unknown parent id {n.parent}")
                 self._children[n.parent].append(n.id)
-        for n in self.nodes:
-            if n.parent is not None and n.level != self.nodes[n.parent].level + 1:
-                raise HierarchyError(f"node {n.name!r} has level {n.level}, parent has {self.nodes[n.parent].level}")
-        leaf_nodes = [n for n in self.nodes if not self._children[n.id]]
-        depths = {n.level for n in leaf_nodes}
-        if len(depths) != 1:
-            raise HierarchyError(f"leaves are not all at the same depth (found depths {sorted(depths)})")
-        # a root-only tree is valid with K=0 (no classification levels)
-        self.K: int = leaf_nodes[0].level
-        self.leaves: tuple[int, ...] = tuple(sorted(n.id for n in leaf_nodes))
+            levels.setdefault(n.level, []).append(n.id)
+        self._levels = {k: tuple(ids) for k, ids in levels.items()}
+        self.leaves: tuple[int, ...] = tuple(n.id for n in self.nodes if not self._children[n.id])
         self._leaf_set = frozenset(self.leaves)
-        self._levels: dict[int, tuple[int, ...]] = {
-            k: tuple(sorted(n.id for n in self.nodes if n.level == k)) for k in range(1, self.K + 1)
-        }
-        self._pc_pairs = tuple((n.parent, n.id) for n in self.nodes if n.parent is not None)
+        # a root-only tree is valid with K=0 (no classification levels)
+        self.K: int = self.nodes[self.leaves[0]].level
+        self._pc_pairs = tuple((n.parent, n.id) for n in self.nodes[1:])
         self._pc_set = frozenset(self._pc_pairs)
-        ids = range(len(self.nodes))
-        self._unrelated: tuple[tuple[int, ...], ...] = tuple(
-            tuple(q for q in ids if q != a and (a, q) not in self._pc_set and (q, a) not in self._pc_set)
-            for a in ids
-        )
+        self._unrelated: list[tuple[int, ...] | None] = [None] * len(self.nodes)
 
     def __len__(self) -> int:
         return len(self.nodes)
 
     def __eq__(self, other) -> bool:
-        """Equal canonical serializations; unhashable, as nothing keys on one."""
-        return isinstance(other, ClassHierarchy) and self.serialize() == other.serialize()
+        """Equal node tuples, which fix the canonical serialization;
+        unhashable, as nothing keys on one."""
+        return isinstance(other, ClassHierarchy) and self.nodes == other.nodes
 
     def name_of(self, node_id: int) -> str:
         return self.nodes[node_id].name
 
     def id_of(self, name: str) -> int:
         try:
-            return self._by_name[name].id
+            return self._by_name[name]
         except KeyError:
             raise HierarchyError(f"unknown class name {name!r}") from None
 
@@ -130,32 +118,31 @@ class ClassHierarchy:
     def unrelated(self, node_id: int) -> tuple[int, ...]:
         """Ids with no parent-child edge to node_id in either direction,
         node_id itself excluded, ordered by id."""
-        return self._unrelated[node_id]
+        found = self._unrelated[node_id]
+        if found is None:
+            related = {node_id, self.nodes[node_id].parent, *self._children[node_id]}
+            found = self._unrelated[node_id] = tuple(q for q in range(len(self.nodes)) if q not in related)
+        return found
 
     def path_name(self, node_id: int) -> str:
-        parts = []
-        node = self.nodes[node_id]
-        while True:
-            parts.append(node.name)
-            if node.parent is None:
-                break
-            node = self.nodes[node.parent]
-        return "/".join(reversed(parts))
+        return self._paths[node_id]
 
     def serialize(self) -> str:
         """Emit the hierarchy file representation, nodes in id order."""
-        return "\n".join(self.path_name(n.id) for n in self.nodes) + "\n"
+        return "\n".join(self._paths) + "\n"
 
 
 def parse_hierarchy(text: str) -> ClassHierarchy:
-    """Parse the line-per-node hierarchy format into a validated ClassHierarchy.
+    """Parse the line-per-node hierarchy format into a validated ClassHierarchy,
+    in one pass over the lines.
 
     Raises HierarchyError naming the offending line for duplicate names,
     orphan parent references, multiple roots, and unbalanced leaf depths.
     """
     nodes: list[ClassNode] = []
+    paths: list[str] = []
+    lines: list[int] = []
     by_name: dict[str, int] = {}
-    line_of: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -169,48 +156,36 @@ def parse_hierarchy(text: str) -> ClassHierarchy:
         if len(parts) == 1:
             if nodes:
                 raise HierarchyError(f"line {lineno}: second root {name!r} (root must be unique)")
-            parent = None
+            parent, level = None, 0
         else:
             parent_name = parts[-2]
             if parent_name not in by_name:
                 raise HierarchyError(f"line {lineno}: parent {parent_name!r} not declared before {name!r}")
             parent = by_name[parent_name]
-            declared_path = parts[:-1]
-            actual_path = _path_names(nodes, parent)
-            if declared_path != actual_path:
+            declared = "/".join(parts[:-1])
+            if declared != paths[parent]:
                 raise HierarchyError(
-                    f"line {lineno}: path {'/'.join(declared_path)!r} does not match "
-                    f"{parent_name!r}'s actual path {'/'.join(actual_path)!r}"
+                    f"line {lineno}: path {declared!r} does not match "
+                    f"{parent_name!r}'s actual path {paths[parent]!r}"
                 )
-        level = 0 if parent is None else nodes[parent].level + 1
-        node_id = len(nodes)
-        nodes.append(ClassNode(id=node_id, name=name, parent=parent, level=level))
-        by_name[name] = node_id
-        line_of[name] = lineno
+            level = nodes[parent].level + 1
+        by_name[name] = len(nodes)
+        nodes.append(ClassNode(id=len(nodes), name=name, parent=parent, level=level))
+        paths.append("/".join(parts))
+        lines.append(lineno)
     if not nodes:
         raise HierarchyError("empty hierarchy file")
-    interior = {n.parent for n in nodes if n.parent is not None}
-    leaf_nodes = [n for n in nodes if n.id not in interior]
+    h = ClassHierarchy(nodes, paths, by_name)
+    leaf_nodes = [nodes[y] for y in h.leaves]
     shallow = min(leaf_nodes, key=lambda n: n.level)
     deep = max(leaf_nodes, key=lambda n: n.level)
     if shallow.level != deep.level:
         raise HierarchyError(
-            f"line {line_of[deep.name]}: leaf {deep.name!r} is at level {deep.level} "
-            f"but leaf {shallow.name!r} (line {line_of[shallow.name]}) is at level "
+            f"line {lines[deep.id]}: leaf {deep.name!r} is at level {deep.level} "
+            f"but leaf {shallow.name!r} (line {lines[shallow.id]}) is at level "
             f"{shallow.level}; all leaves must share one depth"
         )
-    try:
-        return ClassHierarchy(nodes)
-    except HierarchyError as e:
-        raise HierarchyError(f"invalid hierarchy: {e}") from None
-
-
-def _path_names(nodes: list[ClassNode], node_id: int) -> list[str]:
-    parts = []
-    while node_id is not None:
-        parts.append(nodes[node_id].name)
-        node_id = nodes[node_id].parent
-    return list(reversed(parts))
+    return h
 
 
 #: Two-branch, six-leaf tree used throughout tests and demos. Leaf names come

@@ -22,7 +22,7 @@ classifier's.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -145,8 +145,9 @@ class HierClassifier:
     pixels: int
     trunk: Mlp
     heads: list[tuple[Tensor, Tensor]]
-    # position of a_k(y) within level_classes(k), per leaf, precomputed
-    targets: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    # (N, K): row y holds the position of a_k(y) within level_classes(k)
+    # for a leaf y, and -1 for every other node id
+    targets: np.ndarray
 
     @classmethod
     def init(cls, h: ClassHierarchy, pixels: int, cfg: ModelConfig, rng) -> "HierClassifier":
@@ -158,10 +159,10 @@ class HierClassifier:
         if h.K < 1:
             raise ModelError("classifier needs a hierarchy with at least one level")
         (prefix, sizes), *heads = _classifier_nets(h, pixels, cfg).items()
-        targets = {
-            y: tuple(h.level_classes(k).index(h.ancestor(y, k)) for k in range(1, h.K + 1))
-            for y in h.leaves
-        }
+        position = {c: i for k in range(1, h.K + 1) for i, c in enumerate(h.level_classes(k))}
+        targets = np.full((len(h), h.K), -1, dtype=np.int64)
+        for y in h.leaves:
+            targets[y] = [position[a] for a in h.ancestor_path(y)]
         trunk = Mlp(_layers(arrays, prefix, sizes), "relu", "linear")
         heads = [_layers(arrays, *head)[0] for head in heads]
         return cls(hierarchy=h, pixels=pixels, trunk=trunk, heads=heads, targets=targets)
@@ -180,10 +181,11 @@ class HierClassifier:
     def loss(self, tape: Tape, x: Tensor, leaves) -> Tensor:
         """Sum over the batch of the per-level cross-entropy stack."""
         leaves = np.atleast_1d(np.asarray(leaves, dtype=np.int64))
-        for y in leaves:
-            if int(y) not in self.targets:
-                raise ModelError(f"node id {int(y)} is not a leaf of the classifier's hierarchy")
-        per_level = np.array([self.targets[int(y)] for y in leaves])  # (n, K)
+        known = (leaves >= 0) & (leaves < len(self.targets))
+        per_level = self.targets[np.where(known, leaves, 0)]  # (n, K); the root's row is -1
+        bad = per_level[:, 0] < 0
+        if bad.any():
+            raise ModelError(f"node id {int(leaves[bad.argmax()])} is not a leaf of the classifier's hierarchy")
         _, logits = self.forward(tape, x)
         total = None
         for k, head_logits in enumerate(logits):

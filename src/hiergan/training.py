@@ -51,7 +51,7 @@ from .embed import ClassEmbeddingTable, TableParams, margin_loss_graph, sample_n
 from .files import write_atomic
 from .hierarchy import ClassHierarchy
 from .metrics import MetricsReport, evaluate, report_csv, report_json
-from .models import HierClassifier, ModelSet, ModelConfig, build_models, discriminator_loss, save_models
+from .models import HierClassifier, ModelError, ModelSet, ModelConfig, build_models, discriminator_loss, save_models
 from .synthdata import Dataset
 
 
@@ -161,9 +161,9 @@ class Trainer:
             raise TrainingError("dataset was generated for a different hierarchy")
         for clf, side in ((clf_lo, 8), (clf_hi, 16)):
             if clf.pixels != side * side:
-                raise TrainingError(f"classifier for {side}x{side} has {clf.pixels} inputs")
+                raise ModelError(f"classifier for {side}x{side} has {clf.pixels} inputs")
             if clf.hierarchy != h:
-                raise TrainingError("classifier was trained for a different hierarchy")
+                raise ModelError("classifier was trained for a different hierarchy")
         if cfg.mode == TrainMode.SEG:
             if embeddings is None:
                 raise TrainingError("SEG mode requires pre-trained embeddings")

@@ -732,15 +732,40 @@ def test_embeddings_of_another_dim_exit_two(ws, tmp_path, capsys):
     assert not (tmp_path / "m.csv").exists()
 
 
+def clf8_of_another_tree(ws, dest):
+    """The 8x8 classifier relabelled with OTHER_TREE, whose level widths match."""
+    meta, _ = load_checkpoint(ws["clf8"])
+    blob = json.dumps(meta | {"hierarchy": OTHER_TREE}, sort_keys=True, separators=(",", ":")).encode()
+    rewrite_manifest(ws["clf8"], dest, blob)
+    return dest
+
+
 @pytest.mark.parametrize(
     "flag, kind",
-    [("--data", "clf8"), ("--clf8", "data"), ("--clf16", "che"), ("--embeddings", "clf16")],
+    [
+        ("--data", "clf8"),
+        ("--clf8", "data"),
+        ("--clf16", "che"),
+        ("--embeddings", "clf16"),
+        ("--clf8", "clf16"),  # a classifier of the other resolution
+        ("--clf8", "clf8 of another tree"),
+    ],
 )
 def test_wrong_kind_artifact_exits_two(ws, tmp_path, capsys, flag, kind):
     argv = gan_args(ws, "seg", tmp_path / "run", embeddings=ws["che"])
-    argv[argv.index(flag) + 1] = str(ws[kind])
+    path = ws[kind] if kind in ws else clf8_of_another_tree(ws, tmp_path / "other_clf8.hgck")
+    argv[argv.index(flag) + 1] = str(path)
     assert main(argv) == 2
     assert_one_line_error(capsys)
+
+
+def test_failed_train_gan_leaves_no_run_directory_and_no_lock(ws, tmp_path, capsys):
+    # the classifiers are swapped, so the trainer refuses them under the lock
+    argv = gan_args(ws, "treegan", tmp_path / "run")
+    argv[argv.index("--clf8") + 1], argv[argv.index("--clf16") + 1] = str(ws["clf16"]), str(ws["clf8"])
+    assert main(argv) == 2
+    assert "classifier for 8x8 has 256 inputs" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
 
 
 def corrupt(blob: bytes, how: str, at, bit: int, tail: bytes) -> bytes:

@@ -1,3 +1,7 @@
+import ast
+import tracemalloc
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,7 +9,6 @@ from hypothesis import strategies as st
 from hiergan.hierarchy import (
     FIXTURE_TREE,
     ClassHierarchy,
-    ClassNode,
     HierarchyError,
     parse_hierarchy,
 )
@@ -175,16 +178,38 @@ def test_empty_path_component_rejected():
         parse_hierarchy("root\nroot//x\n")
 
 
-def test_constructor_validates_directly():
-    nodes = [
-        ClassNode(id=0, name="root", parent=None, level=0),
-        ClassNode(id=1, name="a", parent=0, level=2),  # level skips 1
-    ]
-    with pytest.raises(HierarchyError):
-        ClassHierarchy(nodes)
-    with pytest.raises(HierarchyError, match="exactly one root"):
-        ClassHierarchy([ClassNode(id=0, name="a", parent=None, level=0),
-                        ClassNode(id=1, name="b", parent=None, level=0)])
+def test_parse_memory_is_linear_in_the_tree():
+    # a table of every node's unrelated ids, built up front, peaks near 79 MB here
+    text = "root\n" + "".join(f"root/c{i}\n" for i in range(1500))
+    tracemalloc.start()
+    try:
+        h = parse_hierarchy(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(h.leaves) == 1500
+    assert peak < 8e6, f"parsing 1,500 leaves peaked at {peak / 1e6:.1f} MB"
+
+
+def test_only_parse_hierarchy_builds_a_hierarchy():
+    # the constructor trusts its nodes; any other builder would skip the checks
+    calls, owners = 0, []
+    for path in (Path(__file__).resolve().parent.parent / "src").rglob("*.py"):
+        module = ast.parse(path.read_text())
+        calls += sum(map(_calls_class_hierarchy, ast.walk(module)))
+        owners += [
+            f"{path.name}:{fn.name}"
+            for fn in ast.walk(module)
+            if isinstance(fn, ast.FunctionDef) and any(map(_calls_class_hierarchy, ast.walk(fn)))
+        ]
+    assert calls == 1 and owners == ["hierarchy.py:parse_hierarchy"]
+
+
+def _calls_class_hierarchy(node) -> bool:
+    return isinstance(node, ast.Call) and "ClassHierarchy" in (
+        getattr(node.func, "id", None),
+        getattr(node.func, "attr", None),
+    )
 
 
 # ------------------------------------------------------------- unrelated ids

@@ -319,6 +319,15 @@ def test_hier_loss_rejects_non_leaf(models, tree):
         loss_of(models.clf_lo, np.zeros((8, 8)), tree.id_of("canine"))
 
 
+@pytest.mark.parametrize("bad", ["canine", "past the last id", "negative"])
+def test_hier_loss_names_the_first_id_that_is_no_leaf(models, tree, bad):
+    # -1 must not wrap around to the last node, which is a leaf
+    y = {"canine": tree.id_of("canine"), "past the last id": len(tree), "negative": -1}[bad]
+    x = Tensor(np.zeros((3, 64)))
+    with pytest.raises(ModelError, match=rf"^node id {y} is not a leaf of the classifier's hierarchy$"):
+        models.clf_lo.loss(Tape(), x, [tree.leaves[0], y, tree.id_of("feline")])
+
+
 def test_hier_loss_decreases_when_correct_logit_rises(tree):
     # raising the correct-class bias at one level strictly lowers the loss
     ms = build_models(tree, ModelConfig(seed=12))
