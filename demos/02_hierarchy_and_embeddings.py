@@ -52,8 +52,11 @@ for y, name in zip(h.leaves, leaf_names):
     print(f"{name:>7s} {row}")
 
 # The conditioning vector handed to the generator is just the leaf's
-# complex embedding flattened to real||imag.
-from hiergan.embed import leaf_condition_vector
+# complex embedding flattened to real||imag. `condition` gathers one such
+# row per sample from the table's arrays held as tape tensors; a bare tape
+# records nothing, which is how generation runs it.
+from hiergan.autodiff import Tape, Tensor
+from hiergan.embed import condition
 
-vec = leaf_condition_vector(table, fox)
+vec = condition(Tape(), [Tensor(a) for a in table.arrays], fox, 1).data[0]
 print(f"\ncondition vector for {h.name_of(fox)}: shape {vec.shape}, norm {np.linalg.norm(vec):.3f}")

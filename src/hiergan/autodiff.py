@@ -244,30 +244,26 @@ class Tape:
         return self._emit("bce_with_logits", (logits,), np.asarray(per.mean()), back)
 
     def softmax_cross_entropy(self, logits: Tensor, targets) -> Tensor:
-        """Sum over rows of -log softmax(logits)[target].
-
-        ``logits`` is (M,) with an int target or (n, M) with n int targets;
-        the logits gradient is softmax minus one-hot, row for row.
-        """
+        """Sum over rows of -log softmax(logits)[target] for logits (n, M)
+        and n int targets; the logits gradient is softmax minus one-hot,
+        row for row."""
         z = logits.data
-        squeeze = z.ndim == 1
-        z2 = z.reshape(1, -1) if squeeze else z
-        idx = np.atleast_1d(np.asarray(targets, dtype=np.int64))
-        if z2.ndim != 2 or idx.shape != (z2.shape[0],):
+        idx = np.asarray(targets, dtype=np.int64)
+        if z.ndim != 2 or idx.shape != (z.shape[0],):
             raise ValueError(f"softmax_cross_entropy shape mismatch: logits {z.shape}, targets {idx.shape}")
-        if idx.min() < 0 or idx.max() >= z2.shape[1]:
-            raise ValueError(f"softmax_cross_entropy target out of range 0..{z2.shape[1] - 1}")
-        shifted = z2 - z2.max(axis=1, keepdims=True)
+        if idx.min() < 0 or idx.max() >= z.shape[1]:
+            raise ValueError(f"softmax_cross_entropy target out of range 0..{z.shape[1] - 1}")
+        shifted = z - z.max(axis=1, keepdims=True)
         logsumexp = np.log(np.exp(shifted).sum(axis=1))
-        rows = np.arange(z2.shape[0])
+        rows = np.arange(z.shape[0])
         losses = logsumexp - shifted[rows, idx]
-        probs = _softmax(z2, axis=1)
+        probs = _softmax(z, axis=1)
 
         def back(g):
             gz = probs.copy()
             gz[rows, idx] -= 1.0
             gz *= float(g)
-            return (gz.reshape(z.shape) if squeeze else gz,)
+            return (gz,)
 
         return self._emit("softmax_cross_entropy", (logits,), np.asarray(losses.sum()), back)
 

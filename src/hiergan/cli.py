@@ -69,6 +69,7 @@ from .synthdata import (
 from .training import (
     TrainConfig,
     TrainingError,
+    check_run_target,
     run_training,
     save_run,
 )
@@ -337,6 +338,7 @@ def cmd_train_clf(args) -> int:
 
 
 def cmd_train_gan(args) -> int:
+    check_run_target(args.out)  # before any work: save_run would refuse it only at the end
     config = load_config(args.config)
     if args.mode == "seg" and args.embeddings is None:
         raise CliError("--embeddings is required for seg mode (a pre-trained table to freeze)")
@@ -347,7 +349,7 @@ def cmd_train_gan(args) -> int:
     h = dataset.spec.hierarchy
     clf_lo = load_classifier(args.clf8)
     clf_hi = load_classifier(args.clf16)
-    embeddings = load_table(args.embeddings, h) if args.embeddings else None
+    embeddings = load_table(args.embeddings) if args.embeddings else None
     out = Path(args.out)
     with output_lock(out):
         art = run_training(dataset, h, cfg, clf_lo, clf_hi, embeddings)
@@ -383,7 +385,7 @@ def cmd_eval(args) -> int:
     dataset = load_dataset(args.data)
     h = dataset.spec.hierarchy
     run = Path(args.run)
-    table = load_table(run / "embeddings.hgck", h)
+    table = load_table(run / "embeddings.hgck")
     models = load_models(run / "models.hgck")
     out = Path(args.out)
     with output_lock(out):

@@ -59,11 +59,10 @@ class CheConfig:
 
 @dataclass
 class ClassEmbeddingTable:
-    """Finished embeddings: one complex vector per class plus the relation.
-
-    The table keeps the hierarchy it was trained on, so it is self-describing
-    for export and conditioning and a saved table can be checked against the
-    hierarchy it is loaded for.
+    """The class embedding, from training to generation: one complex vector
+    per class plus the relation. A trainer holds its ``arrays`` as tape
+    tensors. The table keeps the hierarchy it was trained on, so whatever
+    pairs it with models or data can check that it belongs to theirs.
     """
 
     class_re: np.ndarray  # (N, D)
@@ -80,7 +79,7 @@ class ClassEmbeddingTable:
             raise EmbeddingError("inconsistent table shapes")
         if len(self.hierarchy) != n:
             raise EmbeddingError(f"{len(self.hierarchy)} hierarchy nodes for {n} classes")
-        for arr in (self.class_re, self.class_im, self.rel_re, self.rel_im):
+        for arr in self.arrays:
             if not np.all(np.isfinite(arr)):
                 raise EmbeddingError("table contains non-finite values")
         if not (np.any(self.rel_re != 0.0) or np.any(self.rel_im != 0.0)):
@@ -102,12 +101,24 @@ class ClassEmbeddingTable:
     def num_classes(self) -> int:
         return self.class_re.shape[0]
 
+    @property
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """The order of ``init_table``'s draws and of every list of table tensors."""
+        return (self.class_re, self.class_im, self.rel_re, self.rel_im)
 
-def leaf_condition_vector(table: ClassEmbeddingTable, y: int) -> np.ndarray:
-    """Flattened (re || im) conditioning vector for a leaf class, length 2D."""
-    if y not in table.leaves:
-        raise EmbeddingError(f"id {y} is not a leaf of this table's hierarchy")
-    return np.concatenate([table.class_re[y], table.class_im[y]])
+
+def init_table(h: ClassHierarchy, dim: int, rng: np.random.Generator) -> ClassEmbeddingTable:
+    """A table of uniform draws in +-0.5/sqrt(dim), in ``arrays`` order."""
+    scale = 0.5 / np.sqrt(dim)
+    shapes = ((len(h), dim), (len(h), dim), (dim,), (dim,))
+    return ClassEmbeddingTable(*(rng.uniform(-scale, scale, size=shape) for shape in shapes), hierarchy=h)
+
+
+def condition(tape: Tape, tensors: list[Tensor], y: int, n: int) -> Tensor:
+    """n conditioning rows (re || im) of class y, gathered on ``tape`` from
+    the table tensors: the one gather, in training and generation."""
+    idx = np.full(n, y)
+    return tape.concat([tape.slice(tensors[0], idx), tape.slice(tensors[1], idx)], axis=1)
 
 
 _TABLE_ARRAYS = ("class_re", "class_im", "rel_re", "rel_im")
@@ -115,19 +126,15 @@ _TABLE_ARRAYS = ("class_re", "class_im", "rel_re", "rel_im")
 
 def save_table(path, table: ClassEmbeddingTable) -> None:
     """Checkpoint the table arrays, with its hierarchy as metadata."""
-    named = {name: getattr(table, name) for name in _TABLE_ARRAYS}
-    save_checkpoint(path, named, {"hierarchy": table.hierarchy.serialize()})
+    save_checkpoint(path, dict(zip(_TABLE_ARRAYS, table.arrays)), {"hierarchy": table.hierarchy.serialize()})
 
 
-def load_table(path, h: ClassHierarchy | None = None) -> ClassEmbeddingTable:
-    """Read a saved table. Given ``h``, a table trained on any other hierarchy
-    is rejected; without it, the table keeps the hierarchy saved with it.
-    The table checks its own shapes: the metadata does not fix its dim."""
+def load_table(path) -> ClassEmbeddingTable:
+    """Read a saved table with the hierarchy stored beside it; whoever pairs
+    it with models or data checks that hierarchy. The table checks its own
+    shapes: the metadata does not fix its dim."""
     _, stored, arrays = load_artifact(path, "embedding table", lambda _meta, _h: (None, dict.fromkeys(_TABLE_ARRAYS)))
-    table = ClassEmbeddingTable(**arrays, hierarchy=stored if h is None else h)
-    if table.hierarchy != stored:
-        raise EmbeddingError(f"embedding checkpoint {path} was trained for a different hierarchy")
-    return table
+    return ClassEmbeddingTable(**arrays, hierarchy=stored)
 
 
 # ----------------------------------------------------------------- sampling
@@ -168,42 +175,6 @@ def sample_negatives(
 
 
 # ------------------------------------------------------ differentiable graph
-
-
-@dataclass
-class TableParams:
-    """The four trainable tensors behind a ClassEmbeddingTable."""
-
-    class_re: Tensor
-    class_im: Tensor
-    rel_re: Tensor
-    rel_im: Tensor
-
-    @classmethod
-    def init(cls, num_classes: int, dim: int, rng: np.random.Generator) -> "TableParams":
-        scale = 0.5 / np.sqrt(dim)
-
-        def draw(shape, name):
-            return Tensor(rng.uniform(-scale, scale, size=shape), name=name)
-
-        return cls(
-            class_re=draw((num_classes, dim), "emb.class_re"),
-            class_im=draw((num_classes, dim), "emb.class_im"),
-            rel_re=draw((dim,), "emb.rel_re"),
-            rel_im=draw((dim,), "emb.rel_im"),
-        )
-
-    def params(self) -> list[Tensor]:
-        return [self.class_re, self.class_im, self.rel_re, self.rel_im]
-
-    def to_table(self, h: ClassHierarchy) -> ClassEmbeddingTable:
-        return ClassEmbeddingTable(
-            class_re=self.class_re.data.copy(),
-            class_im=self.class_im.data.copy(),
-            rel_re=self.rel_re.data.copy(),
-            rel_im=self.rel_im.data.copy(),
-            hierarchy=h,
-        )
 
 
 def _pair_cosines(cre, cim, rre, rim, pairs: np.ndarray, ones: np.ndarray):
@@ -287,17 +258,17 @@ def _cosine_adjoints(g, saved, rre, rim, ones, shape, grads: list) -> None:
 
 
 def margin_loss_graph(
-    tape: Tape, tp: TableParams, pos_pairs: np.ndarray, neg_pairs: np.ndarray, margin: float
+    tape: Tape, tensors: list[Tensor], pos_pairs: np.ndarray, neg_pairs: np.ndarray, margin: float
 ) -> Tensor:
     """Differentiable hinge ranking loss, sum of max(0, margin + neg - pos);
     ``neg_pairs`` is int (P, n, 2). One tape record, op ``che_margin``, over
-    the four table tensors."""
+    the four table tensors, in ``ClassEmbeddingTable.arrays`` order."""
     pos_pairs = np.asarray(pos_pairs, dtype=np.int64).reshape(-1, 2)
     neg_pairs = np.asarray(neg_pairs, dtype=np.int64)
     if neg_pairs.ndim != 3 or neg_pairs.shape[0] != len(pos_pairs) or neg_pairs.shape[2] != 2:
         raise EmbeddingError(f"expected pos pairs (P, 2) and neg pairs (P, n, 2), got {neg_pairs.shape} negatives")
     num_pos, num_neg = neg_pairs.shape[0], neg_pairs.shape[1]
-    params = tp.params()
+    params = tuple(tensors)
     cre, cim, rre, rim = (t.data for t in params)
     ones = np.ones((rre.shape[0], 1))
     pos, pos_saved = _pair_cosines(cre, cim, rre, rim, pos_pairs, ones)
@@ -316,7 +287,7 @@ def margin_loss_graph(
         _cosine_adjoints(g_pos, pos_saved, rre, rim, ones, cre.shape, grads)
         return tuple(grads)
 
-    return tape._emit("che_margin", tuple(params), np.asarray(hinge.sum()), back)
+    return tape._emit("che_margin", params, np.asarray(hinge.sum()), back)
 
 
 def train_che(h: ClassHierarchy, cfg: CheConfig) -> ClassEmbeddingTable:
@@ -325,15 +296,14 @@ def train_che(h: ClassHierarchy, cfg: CheConfig) -> ClassEmbeddingTable:
     if pos_pairs.size == 0:
         raise EmbeddingError("hierarchy has no parent-child pairs to train on")
     rng = np.random.default_rng(cfg.seed)
-    tp = TableParams.init(len(h), cfg.dim, rng)
-    params = tp.params()
+    params = [Tensor(a) for a in init_table(h, cfg.dim, rng).arrays]
     states = [AdamState.for_param(p) for p in params]
     for _ in range(cfg.epochs):
         negs = sample_negatives(h, pos_pairs, cfg.negatives_per_positive, rng)
         tape = Tape(params)
-        grads = tape.backward(margin_loss_graph(tape, tp, pos_pairs, negs, cfg.margin))
+        grads = tape.backward(margin_loss_graph(tape, params, pos_pairs, negs, cfg.margin))
         adam_step(params, [grads[p] for p in params], states, lr=cfg.lr)
-    return tp.to_table(h)
+    return ClassEmbeddingTable(*(p.data for p in params), hierarchy=h)
 
 
 # ----------------------------------------------------------------- analysis

@@ -4,8 +4,10 @@ Every artifact the package writes (checkpoints, datasets, traces, metric
 reports, manifests) goes through ``write_atomic``: the bytes land in a fresh
 temporary file next to the target, which then replaces the target in one
 ``os.replace``. A process that dies or a write that fails midway leaves the
-previous file intact and no temporary file behind. Files are not fsynced, so
-this guards against interrupted processes, not against power loss.
+previous file intact and no temporary file behind; ``replace_dir`` swaps a
+run directory in whole, a promise it keeps for errors only (see there).
+Files are not fsynced, so this guards against interrupted processes, not
+against power loss.
 
 Datasets, embedding tables, classifiers and model sets are all one checkpoint
 file; little-endian throughout:
@@ -30,9 +32,11 @@ from it already checked against the names and shapes its metadata fixes.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
+import shutil
 import struct
 import zlib
 from pathlib import Path
@@ -62,6 +66,36 @@ def write_atomic(path, data: bytes | str) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+@contextlib.contextmanager
+def replace_dir(path):
+    """Yield a fresh staging directory beside ``path`` to fill; once the block
+    ends without an error, it is renamed to ``path``. A directory already at
+    ``path``, which the caller must be free to delete, is renamed aside first
+    and deleted after. An error leaves ``path`` as it was and no staging
+    directory. The swap is two renames, not one: a process killed between
+    them leaves nothing at ``path``, only the hidden ``.old`` directory, and
+    one killed while staging leaves its ``.tmp`` directory; nothing cleans
+    either up."""
+    path = Path(os.path.abspath(path))  # so that "." has a name to stage beside
+    stage, old = (path.with_name(f".{path.name}.{os.urandom(8).hex()}.{kind}") for kind in ("tmp", "old"))
+    stage.mkdir()
+    try:
+        yield stage
+        if path.exists():
+            os.rename(path, old)
+        try:
+            os.rename(stage, path)
+        except BaseException:
+            if old.exists():
+                os.rename(old, path)
+            raise
+    except BaseException:
+        shutil.rmtree(stage, ignore_errors=True)
+        raise
+    if old.exists():
+        shutil.rmtree(old)
 
 
 def save_checkpoint(path, named: dict[str, Tensor | np.ndarray], meta: dict | None = None) -> None:

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .autodiff import AdamState, Tape, Tensor, _softmax, adam_step
-from .embed import ClassEmbeddingTable, leaf_condition_vector
+from .embed import ClassEmbeddingTable, EmbeddingError, condition
 from .files import load_artifact, save_checkpoint
 from .hierarchy import ClassHierarchy
 from .synthdata import Dataset, Images, batch_iter
@@ -227,9 +227,11 @@ def generate_set(models: ModelSet, table: ClassEmbeddingTable, c: int, n: int, s
     """n stage-2 images of leaf c, (n, 16, 16), from fresh seeded noise."""
     if table.dim != models.config.embed_dim:
         raise ModelError(f"embedding table has dim {table.dim} but the models were built for dim {models.config.embed_dim}")
-    e_c = np.tile(leaf_condition_vector(table, c), (n, 1))
+    if c not in table.leaves:
+        raise EmbeddingError(f"id {c} is not a leaf of this table's hierarchy")
+    e_c = condition(Tape(), [Tensor(a) for a in table.arrays], c, n)
     z = np.random.default_rng(seed).standard_normal((n, models.config.noise_dim))
-    return models.generate(Tape(), Tensor(e_c), Tensor(z)).data.reshape(n, 16, 16)
+    return models.generate(Tape(), e_c, Tensor(z)).data.reshape(n, 16, 16)
 
 
 # ----------------------------------------------------------------- training

@@ -183,7 +183,7 @@ def generate_dataset(spec: DatasetSpec) -> Dataset:
         noise = spec.observation_noise * FIELD_SCALES * rng.standard_normal(len(PARAM_FIELDS))
         hi[row] = render_params(protos[y] + noise)
     images = Images(hi=hi, lo=downsample(hi), leaf=leaf)
-    is_test = np.tile(np.arange(n) >= n - n // 5, len(leaves))
+    is_test = np.arange(len(leaf)) % n >= n - n // 5
     return Dataset(spec=spec, train=images[~is_test], test=images[is_test])
 
 

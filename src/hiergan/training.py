@@ -10,8 +10,9 @@ weighted by ``lambda2`` (the prior control). Modes:
   SEG      embeddings pre-trained and frozen; lambda1 = 0
   FLAT     random frozen embeddings; lambda1 = 0
 
-In every mode the trainer's ``TableParams`` is the run's one copy of the
-class embedding; the generator's tape tracks it only in the joint modes.
+In every mode the trainer's table tensors ``emb`` are the run's one copy of
+the class embedding; ``embed.condition`` gathers the generator's rows from
+them, and the generator's tape tracks them only in the joint modes.
 
 Each step runs strict alternation: a discriminator Adam step, then one
 backward of ``g_adv + lambda1 * penalty + lambda2 * margin`` that feeds the
@@ -40,15 +41,17 @@ sampling in joint modes), so runs replay exactly from the seed.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import json
 from dataclasses import dataclass, field, asdict
+from pathlib import Path
 
 import numpy as np
 
 from .autodiff import AdamState, NonFiniteError, Tape, Tensor, adam_step
-from .embed import ClassEmbeddingTable, TableParams, margin_loss_graph, sample_negatives, save_table
-from .files import write_atomic
+from .embed import ClassEmbeddingTable, EmbeddingError, condition, init_table, margin_loss_graph, sample_negatives, save_table
+from .files import replace_dir, write_atomic
 from .hierarchy import ClassHierarchy
 from .metrics import MetricsReport, evaluate, report_csv, report_json
 from .models import HierClassifier, ModelError, ModelSet, ModelConfig, build_models, discriminator_loss, save_models
@@ -168,7 +171,7 @@ class Trainer:
             if embeddings is None:
                 raise TrainingError("SEG mode requires pre-trained embeddings")
             if embeddings.hierarchy != h:
-                raise TrainingError("embedding table was trained for a different hierarchy")
+                raise EmbeddingError("embedding table was trained for a different hierarchy")
             if embeddings.dim != cfg.embed_dim:
                 raise TrainingError(f"embedding dim {embeddings.dim} != config embed_dim {cfg.embed_dim}")
         elif embeddings is not None:
@@ -179,12 +182,10 @@ class Trainer:
         self.dataset = dataset
         self.rng = np.random.default_rng([cfg.seed, 2])
 
-        if cfg.mode == TrainMode.SEG:
-            e = embeddings
-            self.table_params = TableParams(Tensor(e.class_re), Tensor(e.class_im), Tensor(e.rel_re), Tensor(e.rel_im))
-        else:  # drawn at random: trained jointly, or frozen in flat mode
+        if embeddings is None:  # drawn at random: trained jointly, or frozen in flat mode
             rng = np.random.default_rng([cfg.seed, 1 if cfg.mode.joint_embeddings else 3])
-            self.table_params = TableParams.init(len(h), cfg.embed_dim, rng)
+            embeddings = init_table(h, cfg.embed_dim, rng)
+        self.emb = [Tensor(a) for a in embeddings.arrays]
 
         self.models = build_models(h, ModelConfig(embed_dim=cfg.embed_dim, seed=cfg.seed), clf_lo, clf_hi)
 
@@ -194,39 +195,21 @@ class Trainer:
                 raise TrainingError(f"leaf {h.name_of(y)!r} has no training samples")
 
         self.pairs = np.asarray(h.parent_child_pairs())
-        self.emb_states = [AdamState.for_param(p) for p in self.table_params.params()]
-        self.stage = 1
+        self.emb_states = [AdamState.for_param(p) for p in self.emb]
         self._enter_stage(1)
 
     # ------------------------------------------------------------- stages
 
     def _enter_stage(self, stage: int) -> None:
+        m = self.models
         self.stage = stage
-        if stage == 1:
-            self.g_params = self.models.g1.params()
-            self.d_params = self.models.d_lo.params()
-            self.clf = self.models.clf_lo
-            self.disc = self.models.d_lo
-        else:
-            self.g_params = self.models.g2.params()
-            self.d_params = self.models.d_hi.params()
-            self.clf = self.models.clf_hi
-            self.disc = self.models.d_hi
+        gen, self.disc, self.clf = (m.g1, m.d_lo, m.clf_lo) if stage == 1 else (m.g2, m.d_hi, m.clf_hi)
+        self.g_params, self.d_params = gen.params(), self.disc.params()
         self.g_states = [AdamState.for_param(p) for p in self.g_params]
         self.d_states = [AdamState.for_param(p) for p in self.d_params]
 
     def current_table(self) -> ClassEmbeddingTable:
-        return self.table_params.to_table(self.h)
-
-    # -------------------------------------------------------- conditioning
-
-    def _condition(self, tape: Tape, y: int, n: int) -> Tensor:
-        """n class-embedding rows (re || im) for leaf y, gathered on the tape:
-        gradients reach the table where the tape tracks it."""
-        idx = np.full(n, y)
-        re = tape.slice(self.table_params.class_re, idx)
-        im = tape.slice(self.table_params.class_im, idx)
-        return tape.concat([re, im], axis=1)
+        return ClassEmbeddingTable(*(p.data.copy() for p in self.emb), hierarchy=self.h)
 
     # -------------------------------------------------------------- steps
 
@@ -238,18 +221,18 @@ class Trainer:
         n = real_images.shape[0]
         real_flat = real_images.reshape(n, -1)
         joint = cfg.mode.joint_embeddings
-        emb = self.table_params.params() if joint else []
+        emb = self.emb if joint else []
         betas = dict(beta1=cfg.beta1, beta2=cfg.beta2)
 
         # the generator graph, built once: the D step reads its values, and
         # the G step extends it once D has moved; in joint modes the margin
         # loss joins it, since only the embedding update changes the table
         tape_g = Tape(self.g_params + emb)
-        e_c = self._condition(tape_g, y, n)
+        e_c = condition(tape_g, self.emb, y, n)
         fake = self.models.generate(tape_g, e_c, Tensor(z), self.stage)
         if joint:
             neg = sample_negatives(self.h, self.pairs, cfg.che_negatives, self.rng)
-            margin = margin_loss_graph(tape_g, self.table_params, self.pairs, neg, cfg.che_margin)
+            margin = margin_loss_graph(tape_g, self.emb, self.pairs, neg, cfg.che_margin)
 
         # --- discriminator step (generator and embeddings held fixed: the D
         # tape does not track them, so it reads the G graph as constants)
@@ -346,19 +329,33 @@ def trace_csv(rows: list[TraceRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def check_run_target(out_dir) -> None:
+    """Refuse an ``out_dir`` that ``save_run`` may not replace, since the swap
+    deletes what it replaces: anything but an empty directory or a run (every
+    entry a regular file its ``manifest.json`` names), and any directory that
+    holds the working directory."""
+    out = Path(out_dir)
+    names = set()
+    with contextlib.suppress(OSError, ValueError, KeyError, TypeError):  # no run manifest: no run files
+        steps = json.loads((out / "manifest.json").read_text())["checkpoints"]
+        names = {"models.hgck", "embeddings.hgck", "trace.csv", "manifest.json"}
+        names |= {f"metrics_step{step:06d}.{ext}" for step in steps for ext in ("csv", "json")}
+    if out.is_symlink() or out.exists() and (
+        not out.is_dir()
+        or Path.cwd().is_relative_to(out.resolve())
+        or any(p.name not in names or p.is_symlink() or not p.is_file() for p in out.iterdir())
+    ):
+        raise TrainingError(f"output {out} exists and is not an empty directory or a run; not replacing it")
+
+
 def save_run(art: RunArtifacts, out_dir, extra_manifest: dict | None = None) -> None:
     """Write checkpoints, loss trace, per-checkpoint metric reports, and a
-    manifest sufficient to replay the run."""
-    from pathlib import Path
-
+    manifest sufficient to replay the run. The directory is written whole
+    (``files.replace_dir``): no file of a previous run there outlives it, and
+    a failed write leaves that run as it was."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_models(art.models, out / "models.hgck")
-    save_table(out / "embeddings.hgck", art.table)
-    write_atomic(out / "trace.csv", trace_csv(art.trace))
-    for step, report in art.reports:
-        write_atomic(out / f"metrics_step{step:06d}.csv", report_csv(report))
-        write_atomic(out / f"metrics_step{step:06d}.json", report_json(report))
+    check_run_target(out)
+    out.parent.mkdir(parents=True, exist_ok=True)
     cfg_dict = asdict(art.config)
     cfg_dict["mode"] = art.config.mode.value
     manifest = {
@@ -372,4 +369,11 @@ def save_run(art: RunArtifacts, out_dir, extra_manifest: dict | None = None) -> 
     }
     if extra_manifest:
         manifest.update(extra_manifest)
-    write_atomic(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    with replace_dir(out) as stage:
+        save_models(art.models, stage / "models.hgck")
+        save_table(stage / "embeddings.hgck", art.table)
+        write_atomic(stage / "trace.csv", trace_csv(art.trace))
+        for step, report in art.reports:
+            write_atomic(stage / f"metrics_step{step:06d}.csv", report_csv(report))
+            write_atomic(stage / f"metrics_step{step:06d}.json", report_json(report))
+        write_atomic(stage / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")

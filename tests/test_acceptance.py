@@ -21,6 +21,7 @@ from hiergan.cli import main as cli_main
 from hiergan.embed import (
     CheConfig,
     ClassEmbeddingTable,
+    condition,
     pair_scores,
     ranking_accuracy,
     sibling_similarity_gap,
@@ -95,10 +96,10 @@ def test_criterion_01_gradients(dataset):
     trainer._enter_stage(2)
     y = int(TREE.leaves[0])
     z = np.random.default_rng(6).standard_normal((3, 4))
-    params = ms.g1.params() + ms.g2.params() + trainer.table_params.params()
+    params = ms.g1.params() + ms.g2.params() + trainer.emb
 
     def composite(tape, ps):
-        e_c = trainer._condition(tape, y, 3)
+        e_c = condition(tape, trainer.emb, y, 3)
         fake = trainer.models.generate(tape, e_c, Tensor(z), trainer.stage)
         g_adv = tape.binary_cross_entropy_with_logits(
             trainer.disc.forward(tape, fake, e_c), np.ones((3, 1))

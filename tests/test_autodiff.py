@@ -167,17 +167,6 @@ def test_softmax_cross_entropy_uniform_value():
     assert abs(loss.item() - 2.0 * np.log(4.0)) < 1e-12
 
 
-def test_softmax_cross_entropy_vector_form():
-    logits = leaf([0.5, -1.0, 2.0])
-    t = Tape([logits])
-    loss = t.softmax_cross_entropy(logits, 2)
-    z = logits.data
-    expected = np.log(np.exp(z).sum()) - z[2]
-    assert abs(loss.item() - expected) < 1e-12
-    grads = t.backward(loss)
-    assert grads[logits].shape == (3,)
-
-
 def test_bce_matches_naive_formula():
     rng = np.random.default_rng(11)
     z = rng.normal(size=(4, 3)) * 2.0

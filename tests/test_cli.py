@@ -816,3 +816,68 @@ def test_corrupt_artifact_exits_two(ws, tmp_path_factory, capsys, kind, how, at,
     capsys.readouterr()
     assert main(argv) == 2
     assert_one_line_error(capsys)
+
+
+def test_rerun_into_a_run_directory_leaves_only_its_files(ws, tmp_path):
+    # the second run has fewer checkpoints; none of the first run's files outlive it
+    run = tmp_path / "run"
+    for eval_every in (2, 4):
+        cfg = tmp_path / f"every{eval_every}.json"
+        gan = {"steps_per_stage": 8, "eval_every": eval_every, "eval_n_per_class": 4, "batch_size": 8, "seed": 0}
+        cfg.write_text(json.dumps({"gan": gan}))
+        argv = gan_args(ws, "flat", run)
+        argv[argv.index("--config") + 1] = str(cfg)
+        assert main(argv) == 0
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert manifest["checkpoints"] == [12, 16]
+    metrics = {f"metrics_step{step:06d}.{ext}" for step in (12, 16) for ext in ("csv", "json")}
+    assert {p.name for p in run.iterdir()} == {"models.hgck", "embeddings.hgck", "trace.csv", "manifest.json"} | metrics
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["every2.json", "every4.json", "run"]
+
+
+@pytest.mark.parametrize(
+    "what",
+    [
+        "file",
+        "directory without a run",
+        "symlink",
+        "run with a foreign file",
+        "run with a metrics file it does not name",
+        "run beside the inputs",
+        "working directory",
+    ],
+)
+def test_train_gan_refuses_an_out_it_may_not_replace_before_any_work(ws, tmp_path, capsys, monkeypatch, what):
+    import hiergan.cli as cli
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("train-gan trained before refusing its --out")
+
+    monkeypatch.setattr(cli, "run_training", no_training)
+    out = tmp_path / "out"
+    argv_ws = ws
+    if what == "file":
+        out.write_bytes(b"not a run\n")
+    elif what == "directory without a run":
+        out.mkdir()
+        (out / "notes.txt").write_bytes(b"keep me\n")
+    elif what == "symlink":  # even to a run: the swap would put a directory in the link's place
+        shutil.copytree(ws["run"], tmp_path / "linked")
+        out.symlink_to(tmp_path / "linked")
+    elif what == "run with a foreign file":
+        shutil.copytree(ws["run"], out)
+        (out / "notes.txt").write_bytes(b"keep me\n")
+    elif what == "run with a metrics file it does not name":
+        shutil.copytree(ws["run"], out)
+        (out / "metrics_step999999.csv").write_bytes(b"not this run's\n")
+    elif what == "run beside the inputs":  # as left by an earlier `train-gan --out .`
+        shutil.copytree(ws["run"], out)
+        argv_ws = {key: shutil.copy(ws[key], out) for key in ("cfg", "data", "clf8", "clf16")}
+    else:  # an empty working directory: the swap would delete it from under the process
+        out.mkdir()
+        monkeypatch.chdir(out)
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    assert main(gan_args(argv_ws, "flat", "." if what == "working directory" else out)) == 1
+    assert_one_line_error(capsys)
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["linked", "out"] if what == "symlink" else ["out"])

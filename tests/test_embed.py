@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +13,8 @@ from hiergan.embed import (
     CheConfig,
     ClassEmbeddingTable,
     EmbeddingError,
-    TableParams,
-    leaf_condition_vector,
+    condition,
+    init_table,
     load_table,
     margin_loss_graph,
     pair_scores,
@@ -26,6 +28,7 @@ from hiergan.embed import (
 )
 from hiergan.files import save_checkpoint
 from hiergan.hierarchy import FIXTURE_TREE, parse_hierarchy
+from hiergan.models import ModelConfig, build_models, generate_set
 
 
 @pytest.fixture(scope="module")
@@ -263,10 +266,14 @@ def test_negatives_error_cases(tree):
 # ------------------------------------------------------------ margin loss
 
 
+def tensors(table) -> list[Tensor]:
+    """The table's four arrays as tape tensors, as a trainer holds them."""
+    return [Tensor(a) for a in table.arrays]
+
+
 def margin_value(table, pos, negs, margin) -> float:
     """margin_loss_graph's value on a table's arrays."""
-    tp = TableParams(*(Tensor(a) for a in (table.class_re, table.class_im, table.rel_re, table.rel_im)))
-    return margin_loss_graph(Tape(), tp, pos, negs, margin).item()
+    return margin_loss_graph(Tape(), tensors(table), pos, negs, margin).item()
 
 
 # classes at score 1 (with themselves), 0 and -1 with class 0, all exact
@@ -304,29 +311,31 @@ def test_margin_loss_zero_iff_satisfied():
 
 
 def test_margin_loss_shape_validation():
-    tp = TableParams.init(3, 2, np.random.default_rng(0))
+    ts = tensors(init_table(parse_hierarchy("root\nroot/a\nroot/b\n"), 2, np.random.default_rng(0)))
     for negs in ([(0, 1), (0, 2)], [[(0, 1)], [(0, 2)]], [[(0, 1, 2)]]):
         with pytest.raises(EmbeddingError, match="expected pos"):
-            margin_loss_graph(Tape(), tp, [(0, 0)], negs, 0.5)
+            margin_loss_graph(Tape(), ts, [(0, 0)], negs, 0.5)
 
 
 # ------------------------------------------------------- graph equivalence
 
 
-def reference_pair_scores_graph(tape: Tape, tp: TableParams, pairs: np.ndarray) -> Tensor:
-    """Pair scores as a graph of primitive tape ops; ``pairs`` is int (B, 2)
-    -> (B,). The margin loss's single record must reproduce it bit for bit."""
+def reference_pair_scores_graph(tape: Tape, ts: list[Tensor], pairs: np.ndarray) -> Tensor:
+    """Pair scores as a graph of primitive tape ops over the four table
+    tensors; ``pairs`` is int (B, 2) -> (B,). The margin loss's single record
+    must reproduce it bit for bit."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    dim = tp.rel_re.shape[0]
+    class_re, class_im, rel_re, rel_im = ts
+    dim = rel_re.shape[0]
     ones = Tensor(np.ones((dim, 1)))
-    rp = tape.slice(tp.class_re, pairs[:, 0])
-    ip = tape.slice(tp.class_im, pairs[:, 0])
-    rc = tape.slice(tp.class_re, pairs[:, 1])
-    ic = tape.slice(tp.class_im, pairs[:, 1])
+    rp = tape.slice(class_re, pairs[:, 0])
+    ip = tape.slice(class_im, pairs[:, 0])
+    rc = tape.slice(class_re, pairs[:, 1])
+    ic = tape.slice(class_im, pairs[:, 1])
 
     def rotate(re, im):
-        rot_re = ref.sub(tape, ref.mul(tape, re, tp.rel_re), ref.mul(tape, im, tp.rel_im))
-        rot_im = ref.add(tape, ref.mul(tape, re, tp.rel_im), ref.mul(tape, im, tp.rel_re))
+        rot_re = ref.sub(tape, ref.mul(tape, re, rel_re), ref.mul(tape, im, rel_im))
+        rot_im = ref.add(tape, ref.mul(tape, re, rel_im), ref.mul(tape, im, rel_re))
         return rot_re, rot_im
 
     def row_dot(a_re, a_im, b_re, b_im):
@@ -345,13 +354,13 @@ def reference_pair_scores_graph(tape: Tape, tp: TableParams, pairs: np.ndarray) 
     return ref.reshape(tape, scores, (pairs.shape[0],))
 
 
-def reference_margin_loss_graph(tape, tp, pos_pairs, neg_pairs, margin) -> Tensor:
+def reference_margin_loss_graph(tape, ts, pos_pairs, neg_pairs, margin) -> Tensor:
     """The hinge ranking loss as 78 primitive records."""
     pos_pairs = np.asarray(pos_pairs, dtype=np.int64)
     neg_pairs = np.asarray(neg_pairs, dtype=np.int64)
     num_pos, num_neg = neg_pairs.shape[0], neg_pairs.shape[1]
-    pos = ref.reshape(tape, reference_pair_scores_graph(tape, tp, pos_pairs), (num_pos, 1))
-    neg = ref.reshape(tape, reference_pair_scores_graph(tape, tp, neg_pairs.reshape(-1, 2)), (num_pos, num_neg))
+    pos = ref.reshape(tape, reference_pair_scores_graph(tape, ts, pos_pairs), (num_pos, 1))
+    neg = ref.reshape(tape, reference_pair_scores_graph(tape, ts, neg_pairs.reshape(-1, 2)), (num_pos, num_neg))
     hinge = tape.relu(ref.add_const(tape, ref.sub(tape, neg, pos), margin))
     return ref.sum(tape, hinge)
 
@@ -359,11 +368,11 @@ def reference_margin_loss_graph(tape, tp, pos_pairs, neg_pairs, margin) -> Tenso
 def scaled_loss_and_grads(loss_graph, arrays, pos, negs, margin, lam):
     """(loss bytes, gradient bytes per table tensor, tape length) of
     lam * loss, as the joint step's embedding update builds it."""
-    tp = TableParams(*[Tensor(a.copy()) for a in arrays])
-    tape = Tape(tp.params())
-    loss = loss_graph(tape, tp, pos, negs, margin)
+    ts = [Tensor(a.copy()) for a in arrays]
+    tape = Tape(ts)
+    loss = loss_graph(tape, ts, pos, negs, margin)
     grads = tape.backward(tape.scale(loss, lam))
-    return loss.data.tobytes(), [grads[p].tobytes() for p in tp.params()], len(tape)
+    return loss.data.tobytes(), [grads[p].tobytes() for p in ts], len(tape)
 
 
 @settings(max_examples=60, deadline=None)
@@ -395,8 +404,7 @@ def test_margin_record_matches_primitive_graph_bitwise(seed, dim, num_classes, n
 
 def test_margin_record_matches_primitive_graph_on_fixture_tree(tree):
     rng = np.random.default_rng(11)
-    tp = TableParams.init(len(tree), 16, rng)
-    arrays = [p.data for p in tp.params()]
+    arrays = init_table(tree, 16, rng).arrays
     pos = np.asarray(tree.parent_child_pairs())
     for margin in (0.05, 0.2):
         negs = sample_negatives(tree, pos, 10, rng)
@@ -405,31 +413,29 @@ def test_margin_record_matches_primitive_graph_on_fixture_tree(tree):
 
 
 def test_margin_record_rejects_non_finite_scores(tree):
-    tp = TableParams.init(len(tree), 4, np.random.default_rng(0))
-    tp.class_re.data[1] = 0.0
-    tp.class_im.data[1] = 0.0  # a zero vector has no cosine
+    ts = tensors(init_table(tree, 4, np.random.default_rng(0)))
+    ts[0].data[1] = 0.0
+    ts[1].data[1] = 0.0  # a zero vector has no cosine
     pos = np.asarray(tree.parent_child_pairs())
     negs = sample_negatives(tree, pos, 2, np.random.default_rng(1))
     with np.errstate(invalid="ignore", divide="ignore"), pytest.raises(NonFiniteError, match="che_margin"):
-        margin_loss_graph(Tape(), tp, pos, negs, 0.2)
+        margin_loss_graph(Tape(), ts, pos, negs, 0.2)
 
 
 def test_graph_scores_match_numpy_scores(tree):
     rng = np.random.default_rng(9)
-    tp = TableParams.init(len(tree), 8, rng)
-    table = tp.to_table(tree)
+    table = init_table(tree, 8, rng)
     pairs = np.asarray(tree.parent_child_pairs())
-    scores = reference_pair_scores_graph(Tape(), tp, pairs)
+    scores = reference_pair_scores_graph(Tape(), tensors(table), pairs)
     assert np.all(np.abs(scores.data - pair_scores(table, pairs)) < 1e-12)
 
 
 def test_graph_loss_matches_numpy_loss(tree):
     rng = np.random.default_rng(10)
-    tp = TableParams.init(len(tree), 8, rng)
-    table = tp.to_table(tree)
+    table = init_table(tree, 8, rng)
     pos = np.asarray(tree.parent_child_pairs())
     negs = sample_negatives(tree, pos, 5, rng)
-    loss = margin_loss_graph(Tape(), tp, pos, negs, 0.5)
+    loss = margin_loss_graph(Tape(), tensors(table), pos, negs, 0.5)
     pos_scores = pair_scores(table, pos)
     neg_scores = pair_scores(table, negs).reshape(negs.shape[:2])
     assert abs(loss.item() - np.maximum(0.0, 0.5 + neg_scores - pos_scores[:, None]).sum()) < 1e-12
@@ -437,15 +443,14 @@ def test_graph_loss_matches_numpy_loss(tree):
 
 def test_margin_loss_gradient_passes_grad_check(tree):
     rng = np.random.default_rng(12)
-    tp = TableParams.init(len(tree), 4, rng)
+    ts = tensors(init_table(tree, 4, rng))
     pos = np.asarray(tree.parent_child_pairs()[:4])
     negs = sample_negatives(tree, pos, 3, rng)
 
     def f(tape, params):
-        bundle = TableParams(*params)
-        return margin_loss_graph(tape, bundle, pos, negs, 0.5)
+        return margin_loss_graph(tape, params, pos, negs, 0.5)
 
-    report = grad_check(f, tp.params(), step=1e-5, tol=1e-4)
+    report = grad_check(f, ts, step=1e-5, tol=1e-4)
     assert report.passed, str(report)
 
 
@@ -506,45 +511,56 @@ def test_leaf_condition_vector_layout():
         rel_im=np.array([0.0]),
         hierarchy=parse_hierarchy("root\nroot/a\n"),
     )
-    assert np.array_equal(leaf_condition_vector(table, 1), [0.3, -0.2])
+    assert np.array_equal(condition(Tape(), tensors(table), 1, 2).data, [[0.3, -0.2], [0.3, -0.2]])
+    # generation conditions on leaves only
+    models = build_models(table.hierarchy, ModelConfig(embed_dim=1))
     with pytest.raises(EmbeddingError, match="not a leaf"):
-        leaf_condition_vector(table, 0)
+        generate_set(models, table, 0, 2, seed=0)
     with pytest.raises(EmbeddingError, match="not a leaf"):
-        leaf_condition_vector(table, 99)
+        generate_set(models, table, 99, 2, seed=0)
 
 
 def test_condition_vector_length(tree, trained):
     for y in tree.leaves:
-        assert leaf_condition_vector(trained, y).shape == (2 * trained.dim,)
+        assert condition(Tape(), tensors(trained), y, 3).shape == (3, 2 * trained.dim)
+
+
+def _calls(path, attr, receiver=None):
+    """``file:function`` for every ``<receiver>.<attr>(...)`` call in ``path``
+    (any receiver when ``receiver`` is None)."""
+    return [
+        f"{path.name}:{fn.name}"
+        for fn in ast.walk(ast.parse(path.read_text()))
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == attr
+        and receiver in (None, getattr(node.func.value, "id", None))
+    ]
+
+
+def test_condition_is_the_one_gather_of_conditioning_rows_in_src():
+    # training and generation both gather through condition: another caller
+    # of Tape.slice, or an np.tile of a row where the models are conditioned,
+    # would be a second path
+    src = Path(__file__).resolve().parent.parent / "src" / "hiergan"
+    assert [c for path in sorted(src.glob("*.py")) for c in _calls(path, "slice")] == ["embed.py:condition"] * 2
+    assert _calls(src / "models.py", "tile", "np") + _calls(src / "training.py", "tile", "np") == []
 
 
 def test_table_save_load_round_trip(tmp_path, tree, trained):
     path = tmp_path / "emb.ckpt"
     save_table(path, trained)
-    loaded = load_table(path, tree)
+    loaded = load_table(path)
+    assert loaded.hierarchy == tree
     assert np.array_equal(loaded.class_re, trained.class_re)
     assert np.array_equal(loaded.class_im, trained.class_im)
     assert np.array_equal(loaded.rel_re, trained.rel_re)
     assert np.array_equal(loaded.rel_im, trained.rel_im)
     assert loaded.names == trained.names and loaded.leaves == trained.leaves
     for y in tree.leaves:
-        assert np.array_equal(leaf_condition_vector(loaded, y), leaf_condition_vector(trained, y))
-
-
-def test_table_load_checks_hierarchy_size(tmp_path, trained):
-    path = tmp_path / "emb.ckpt"
-    save_table(path, trained)
-    small = parse_hierarchy("root\nroot/a\nroot/b\n")
-    with pytest.raises(EmbeddingError, match="classes"):
-        load_table(path, small)
-
-
-def test_table_load_checks_hierarchy(tmp_path, trained):
-    path = tmp_path / "emb.ckpt"
-    save_table(path, trained)
-    renamed = parse_hierarchy(FIXTURE_TREE.replace("canine", "bird"))
-    with pytest.raises(EmbeddingError, match="different hierarchy"):
-        load_table(path, renamed)
+        want = condition(Tape(), tensors(trained), y, 1).data
+        assert np.array_equal(condition(Tape(), tensors(loaded), y, 1).data, want)
 
 
 def test_table_load_rejects_flat_class_arrays(tmp_path, tree):
@@ -552,7 +568,7 @@ def test_table_load_rejects_flat_class_arrays(tmp_path, tree):
     flat = {"class_re": np.ones(9), "class_im": np.ones(9), "rel_re": np.ones(1), "rel_im": np.ones(1)}
     save_checkpoint(path, flat, {"hierarchy": tree.serialize()})
     with pytest.raises(EmbeddingError, match="must be"):
-        load_table(path, tree)
+        load_table(path)
 
 
 def test_table_validation_rejects_zero_relation():

@@ -6,10 +6,11 @@ import pytest
 
 import hiergan.files as files
 from hiergan.embed import CheConfig, load_table, save_table, train_che
-from hiergan.files import CheckpointError, load_checkpoint, save_checkpoint, write_atomic
+from hiergan.files import CheckpointError, load_checkpoint, replace_dir, save_checkpoint, write_atomic
 from hiergan.hierarchy import FIXTURE_TREE, parse_hierarchy
 from hiergan.models import HierClassifier, ModelConfig, build_models, load_classifier, load_models, save_classifier, save_models
 from hiergan.synthdata import default_dataset_spec, generate_dataset, load_dataset, save_dataset
+from hiergan.training import TrainConfig, run_training, save_run
 
 TREE = parse_hierarchy(FIXTURE_TREE)
 
@@ -166,3 +167,72 @@ def test_load_checkpoint_has_one_caller_in_src():
             if isinstance(fn, ast.FunctionDef) and any(map(_calls_load_checkpoint, ast.walk(fn)))
         ]
     assert calls == 1 and owners == ["files.py:load_artifact"]
+
+
+# ---------------------------------------------------------- run directories
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_replace_dir_swaps_a_directory_whole(tmp_path):
+    target = tmp_path / "out"
+    with replace_dir(target) as stage:
+        (stage / "a.txt").write_text("first\n")
+    with replace_dir(target) as stage:
+        (stage / "b.txt").write_text("second\n")
+    assert _tree(target) == {"b.txt": b"second\n"}
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+def test_replace_dir_keeps_the_old_directory_on_error(tmp_path):
+    target = tmp_path / "out"
+    with replace_dir(target) as stage:
+        (stage / "a.txt").write_text("first\n")
+    with pytest.raises(DiskFull), replace_dir(target) as stage:
+        (stage / "b.txt").write_text("second\n")
+        raise DiskFull("no space left on device")
+    assert _tree(target) == {"a.txt": b"first\n"}
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+def test_replace_dir_failed_swap_puts_the_old_directory_back(tmp_path, monkeypatch):
+    target = tmp_path / "out"
+    with replace_dir(target) as stage:
+        (stage / "a.txt").write_text("first\n")
+    rename = files.os.rename
+
+    def fail_on_the_staged_directory(src, dst):
+        if Path(src).name.endswith(".tmp"):
+            raise DiskFull("rename failed")
+        rename(src, dst)
+
+    monkeypatch.setattr(files.os, "rename", fail_on_the_staged_directory)
+    with pytest.raises(DiskFull), replace_dir(target) as stage:
+        (stage / "b.txt").write_text("second\n")
+    assert _tree(target) == {"a.txt": b"first\n"}
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+def test_failed_run_save_keeps_the_previous_run(tmp_path, fail_writes, monkeypatch):
+    import hiergan.training as training
+
+    dataset = generate_dataset(default_dataset_spec(TREE, samples_per_leaf=10, seed=0))
+    ms = build_models(TREE, ModelConfig(seed=0))
+    cfgs = [TrainConfig(steps_per_stage=4, eval_every=2, eval_n_per_class=2, batch_size=4, seed=seed) for seed in (0, 1)]
+    arts = [run_training(dataset, TREE, cfg, ms.clf_lo, ms.clf_hi) for cfg in cfgs]
+    run = tmp_path / "run"
+    save_run(arts[0], run)
+    before = _tree(run)
+    trace_csv = training.trace_csv
+
+    def fail_from_the_trace_on(rows):
+        fail_writes()  # both checkpoints have landed in the staging directory
+        return trace_csv(rows)
+
+    monkeypatch.setattr(training, "trace_csv", fail_from_the_trace_on)
+    with pytest.raises(DiskFull):
+        save_run(arts[1], run)
+    assert _tree(run) == before
+    assert [p.name for p in tmp_path.iterdir()] == ["run"]

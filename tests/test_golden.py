@@ -139,16 +139,18 @@ def test_golden_contents(setup, che_table, runs, tmp_path):
     save_dataset(setup[0], tmp_path / "a.hgds")
     dataset = load_dataset(tmp_path / "a.hgds")
     save_table(tmp_path / "che.hgck", che_table)
+    assert load_table(tmp_path / "che.hgck").hierarchy == TREE
     got = {
         "dataset": _contents(
             (f"{split}.{field}", getattr(getattr(dataset, split), field))
             for split in ("train", "test")
             for field in ("hi", "lo", "leaf")
         ),
-        "che.hgck": _contents(_table_arrays(load_table(tmp_path / "che.hgck", TREE))),
+        "che.hgck": _contents(_table_arrays(load_table(tmp_path / "che.hgck"))),
     }
     for mode, run in runs.items():
-        table = load_table(run / "embeddings.hgck", TREE)
+        table = load_table(run / "embeddings.hgck")
+        assert table.hierarchy == TREE
         models = load_models(run / "models.hgck")
         nets = (models.g1, models.g2, models.d_lo, models.d_hi, models.clf_lo, models.clf_hi)
         got[f"{mode}/embeddings.hgck"] = _contents(_table_arrays(table))

@@ -3,7 +3,7 @@ import pytest
 
 import reference_ops as ref
 from hiergan.autodiff import Tape, Tensor, grad_check
-from hiergan.embed import CheConfig, leaf_condition_vector, train_che
+from hiergan.embed import CheConfig, condition, train_che
 from hiergan.files import CheckpointError, load_checkpoint, save_checkpoint
 from hiergan.hierarchy import FIXTURE_TREE, parse_hierarchy
 from hiergan.models import (
@@ -49,6 +49,11 @@ def zeroed(net):
 # ---------------------------------------------------------------- generator
 
 
+def leaf_row(table, y):
+    """Leaf y's conditioning row (re || im), as ``condition`` gathers it."""
+    return condition(Tape(), [Tensor(a) for a in table.arrays], y, 1).data[0]
+
+
 def generate_images(ms, e, z):
     """Both stages for one condition/noise row or a batch of them, as images."""
     e2, z2 = Tensor(np.atleast_2d(e)), Tensor(np.atleast_2d(z))
@@ -58,7 +63,7 @@ def generate_images(ms, e, z):
 
 
 def test_generate_shapes_and_range(models, tree, table):
-    e = leaf_condition_vector(table, tree.id_of("dog"))
+    e = leaf_row(table, tree.id_of("dog"))
     z = np.random.default_rng(0).standard_normal(32)
     lo, hi = generate_images(models, e, z)
     assert lo.shape == (8, 8) and hi.shape == (16, 16)
@@ -68,14 +73,14 @@ def test_generate_shapes_and_range(models, tree, table):
 
 def test_generate_batched(models, tree, table):
     rng = np.random.default_rng(1)
-    e = np.stack([leaf_condition_vector(table, y) for y in tree.leaves[:3]])
+    e = np.stack([leaf_row(table, y) for y in tree.leaves[:3]])
     z = rng.standard_normal((3, 32))
     lo, hi = generate_images(models, e, z)
     assert lo.shape == (3, 8, 8) and hi.shape == (3, 16, 16)
 
 
 def test_generate_deterministic(models, tree, table):
-    e = leaf_condition_vector(table, tree.id_of("cat"))
+    e = leaf_row(table, tree.id_of("cat"))
     z = np.random.default_rng(2).standard_normal(32)
     a = generate_images(models, e, z)
     b = generate_images(models, e, z)
@@ -148,7 +153,7 @@ def test_generator_rejects_table_of_another_dim(tree):
 def test_generator_pixel_gradcheck(tree, table):
     # gradient of a generated pixel w.r.t. generator parameters
     ms = build_models(tree, ModelConfig(seed=4))
-    e = np.atleast_2d(leaf_condition_vector(table, tree.id_of("fox")))
+    e = np.atleast_2d(leaf_row(table, tree.id_of("fox")))
     z = np.atleast_2d(np.random.default_rng(5).standard_normal(32))
     params = ms.g1.params() + ms.g2.params()
 
@@ -493,7 +498,7 @@ def test_save_load_round_trip(tmp_path, tree, table):
     for a, b in zip(_all_params(ms), _all_params(back)):
         assert a.name == b.name
         assert np.array_equal(a.data, b.data)
-    e = leaf_condition_vector(table, tree.id_of("tiger"))
+    e = leaf_row(table, tree.id_of("tiger"))
     z = np.random.default_rng(11).standard_normal(32)
     lo_a, hi_a = generate_images(ms, e, z)
     lo_b, hi_b = generate_images(back, e, z)

@@ -7,7 +7,7 @@ import pytest
 
 import reference_ops as ref
 from hiergan.autodiff import NonFiniteError, Tape, Tensor, adam_step, grad_check
-from hiergan.embed import CheConfig, margin_loss_graph, sample_negatives, train_che
+from hiergan.embed import CheConfig, EmbeddingError, condition, margin_loss_graph, sample_negatives, train_che
 from hiergan.hierarchy import FIXTURE_TREE, parse_hierarchy
 from hiergan.metrics import evaluate
 from hiergan.models import (
@@ -171,10 +171,10 @@ def test_composite_generator_objective_gradcheck(tree, corpus):
     trainer._enter_stage(2)
     y = int(tree.leaves[0])
     z = np.random.default_rng(6).standard_normal((3, 4))
-    params = ms.g1.params() + ms.g2.params() + trainer.table_params.params()
+    params = ms.g1.params() + ms.g2.params() + trainer.emb
 
     def objective(tape, ps):
-        e_c = trainer._condition(tape, y, 3)
+        e_c = condition(tape, trainer.emb, y, 3)
         fake = trainer.models.generate(tape, e_c, Tensor(z), trainer.stage)
         g_adv = tape.binary_cross_entropy_with_logits(
             trainer.disc.forward(tape, fake, e_c), np.ones((3, 1))
@@ -250,7 +250,7 @@ def test_generator_step_computes_no_discriminator_gradients(tree, corpus, frozen
             one_joint_step(trainer)
             assert len(calls) == 2, (mode, stage)
             d_grads, g_grads = calls
-            table = set(trainer.table_params.params()) if mode in ("treegan", "npc") else set()
+            table = set(trainer.emb) if mode in ("treegan", "npc") else set()
             assert set(d_grads) == set(trainer.d_params), (mode, stage)
             assert set(g_grads) == set(trainer.g_params) | table, (mode, stage)
 
@@ -278,8 +278,8 @@ def test_table_gradient_matches_two_tape_reference(tree, corpus, frozen_clfs, mo
     y, n = tree.leaves[0], cfg.batch_size
     z = ref.rng.standard_normal((n, ref.models.config.noise_dim))
     real = ref.real_batch(y)
-    tape_g = Tape(ref.g_params + ref.table_params.params())
-    e_c = ref._condition(tape_g, y, n)
+    tape_g = Tape(ref.g_params + ref.emb)
+    e_c = condition(tape_g, ref.emb, y, n)
     fake = ref.models.generate(tape_g, e_c, Tensor(z), ref.stage)
     tape_d = Tape(ref.d_params)
     d_loss = discriminator_loss(tape_d, ref.disc, Tensor(real.reshape(n, -1)), Tensor(fake.data), Tensor(e_c.data))
@@ -292,10 +292,10 @@ def test_table_gradient_matches_two_tape_reference(tree, corpus, frozen_clfs, mo
         g_obj = tape_g.add(g_obj, tape_g.scale(penalty, cfg.effective_lambda1))
     g_grads = tape_g.backward(g_obj)
     neg = sample_negatives(tree, ref.pairs, cfg.che_negatives, ref.rng)
-    tape_e = Tape(ref.table_params.params())
-    margin = margin_loss_graph(tape_e, ref.table_params, ref.pairs, neg, cfg.che_margin)
+    tape_e = Tape(ref.emb)
+    margin = margin_loss_graph(tape_e, ref.emb, ref.pairs, neg, cfg.che_margin)
     e_grads = tape_e.backward(tape_e.scale(margin, cfg.lambda2))
-    want_table = [e_grads[p] + g_grads.get(p, np.zeros_like(p.data)) for p in ref.table_params.params()]
+    want_table = [e_grads[p] + g_grads.get(p, np.zeros_like(p.data)) for p in ref.emb]
     assert [g.tobytes() for g in seen[1]] == [g_grads[p].tobytes() for p in ref.g_params]
     assert [g.tobytes() for g in seen[2]] == [g.tobytes() for g in want_table]
 
@@ -400,7 +400,7 @@ def test_rejects_hierarchy_mismatch(tree, corpus, frozen_clfs):
 def test_seg_rejects_table_of_another_hierarchy(tree, corpus, frozen_clfs, seg_table):
     renamed = parse_hierarchy(FIXTURE_TREE.replace("canine", "bird"))
     other = dataclasses.replace(seg_table, hierarchy=renamed)
-    with pytest.raises(TrainingError, match="different hierarchy"):
+    with pytest.raises(EmbeddingError, match="different hierarchy"):
         run_training(corpus, tree, tiny_cfg(mode="seg"), *frozen_clfs, embeddings=other)
 
 
