@@ -11,7 +11,7 @@ differences along the way.
 
 import numpy as np
 
-from hiergan.autodiff import AdamState, Tape, Tensor, adam_step, grad_check
+from hiergan.autodiff import Adam, Tape, Tensor, grad_check
 
 rng = np.random.default_rng(0)
 
@@ -45,13 +45,14 @@ print(f"dL/dw1 shape {grads[w1].shape}, dL/db2 shape {grads[b2].shape}")
 # Finite differences agree coordinate by coordinate.
 print(grad_check(objective, params, step=1e-5))
 
-# So Adam can descend with confidence. Tapes are throwaway: one per step.
-states = [AdamState.for_param(p) for p in params]
+# So Adam can descend with confidence. Tapes are throwaway, one per step; the
+# optimizer keeps its moment estimates across steps and takes backward's dict.
+opt = Adam(params, lr=0.01)
 for step in range(1, 201):
     tape = Tape(params)
     loss = objective(tape, params)
     grads = tape.backward(loss)
-    adam_step(params, [grads[p] for p in params], states, lr=0.01)
+    opt.step(grads)
     if step % 50 == 0:
         print(f"step {step:3d}  loss {loss.item():.4f}")
 

@@ -37,9 +37,10 @@ returns the gradient of every tracked leaf the loss depends on; that dict is
 the only channel for gradients. A tensor the tape does not track, including
 one made on another tape, is a constant.
 
-``adam_step`` updates the moment arrays of each ``AdamState`` in place and
-rebinds ``Tensor.data`` to a new array, so the forward values a tape's
-closures captured never change under them.
+``Adam`` holds one parameter group's moment arrays; ``Adam.step`` takes the
+dict ``Tape.backward`` returns, updates them in place and rebinds
+``Tensor.data`` to a new array, so the forward values a tape's closures
+captured never change under them.
 """
 
 from __future__ import annotations
@@ -289,44 +290,40 @@ def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------- adam
 
-
-@dataclass
-class AdamState:
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
-
-    @classmethod
-    def for_param(cls, p: Tensor) -> "AdamState":
-        return cls(m=np.zeros_like(p.data), v=np.zeros_like(p.data))
+# fixed for every parameter group: 0.5 is the DCGAN decay rate (Radford et
+# al. 2016), the second rate and eps are those of Kingma & Ba (2015)
+ADAM_BETA1 = 0.5
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
-def adam_step(
-    params: Sequence[Tensor],
-    grads: Sequence[np.ndarray],
-    states: Sequence[AdamState],
-    lr: float,
-    beta1: float = 0.5,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
-    """One bias-corrected Adam update: the states' moment arrays change in
-    place, each ``p.data`` is rebound to the updated values. Defaults
-    beta1=0.5, beta2=0.999 match the GAN training configuration."""
-    if lr <= 0:
-        raise ValueError("lr must be positive")
-    for p, g, st in zip(params, grads, states, strict=True):
-        g = np.asarray(g, dtype=np.float64)
-        if g.shape != p.data.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match parameter shape {p.data.shape}")
-        st.t += 1
-        st.m *= beta1
-        st.m += (1.0 - beta1) * g
-        st.v *= beta2
-        st.v += (1.0 - beta2) * (g * g)
-        m_hat = st.m / (1.0 - beta1**st.t)
-        v_hat = st.v / (1.0 - beta2**st.t)
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+class Adam:
+    """Bias-corrected Adam over one parameter group, with its moments and step count."""
+
+    def __init__(self, params: Sequence[Tensor], lr: float):
+        if lr <= 0:
+            raise ValueError("lr must be positive")
+        self.params = list(params)
+        self.lr = lr
+        self.t = 0
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+
+    def step(self, grads: dict[Tensor, np.ndarray]) -> None:
+        """One update from the gradients ``Tape.backward`` returns: the moments
+        change in place, each ``p.data`` is rebound to the updated values."""
+        self.t += 1
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = np.asarray(grads[p], dtype=np.float64)
+            if g.shape != p.data.shape:
+                raise ValueError(f"gradient shape {g.shape} does not match parameter shape {p.data.shape}")
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            m_hat = m / (1.0 - ADAM_BETA1**self.t)
+            v_hat = v / (1.0 - ADAM_BETA2**self.t)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # ----------------------------------------------------------------- gradcheck

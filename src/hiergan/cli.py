@@ -8,9 +8,11 @@ a weight name fails loudly instead of silently training the wrong thing.
 --seed overrides the relevant section's seed.
 
 Each output location is guarded by a lock file for the duration of the run,
-so concurrent invocations must target disjoint output paths. Alongside every
-output a manifest records the verbatim config, the effective settings, and
-sha256 checksums of all inputs; no timestamps, so reruns are byte-identical.
+so concurrent invocations must target disjoint output paths, and a command
+whose outputs resolve to one of its inputs or to each other is refused
+before any work. Alongside every output a manifest records the verbatim
+config, the effective settings, and sha256 checksums of all inputs; no
+timestamps, so reruns are byte-identical.
 
 Exit codes: 0 success, 1 usage or config error, 2 runtime failure.
 HIERGAN_LOG={debug,info,warning,error} controls log verbosity (default
@@ -190,7 +192,7 @@ def _build(cls, kwargs: dict, what: str, base=None):
             raise CliError(f"bad {what} config: {key} has the wrong type or is not finite: {value!r}")
     try:
         return cls(**kwargs) if base is None else dataclasses.replace(base, **kwargs)
-    except (ValueError, DatasetError) as err:
+    except ValueError as err:
         raise CliError(f"bad {what} config: {err}") from err
 
 
@@ -203,10 +205,6 @@ def _sha256(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def _checksums(paths: dict[str, str | None]) -> dict:
-    return {name: {"path": str(p), "sha256": _sha256(p)} for name, p in paths.items() if p}
 
 
 @contextlib.contextmanager
@@ -244,17 +242,49 @@ def _locked_message(target: Path, lock: Path) -> str:
     return f"output {target} is locked by another run{owner} (remove stale {lock} if no run is active)"
 
 
-def _write_manifest(out: Path, payload: dict) -> None:
-    write_atomic(Path(str(out) + ".manifest.json"), json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _manifest_path(out: Path) -> Path:
+    return Path(str(out) + ".manifest.json")
 
 
-def _manifest(command: str, config: dict, args, effective: dict, inputs: dict) -> dict:
+def _write_manifest(config: dict, args, effective: dict, **extra) -> None:
+    """Write ``_manifest`` plus ``extra`` beside the single-file output."""
+    payload = _manifest(config, args, effective) | extra
+    write_atomic(_manifest_path(Path(args.out)), json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _inputs(args) -> dict:
+    """The files a command reads, by the names its manifest records them
+    under (``--config`` is echoed there instead)."""
+    if args.command == "eval":
+        run = Path(args.run)
+        return {"data": args.data, "models": run / "models.hgck", "embeddings": run / "embeddings.hgck"}
+    named = {name: getattr(args, name, None) for name in ("hierarchy", "data", "clf8", "clf16", "embeddings")}
+    return {name: path for name, path in named.items() if path}
+
+
+def _check_outputs(args) -> None:
+    """Refuse, before any work, outputs (``--out``, eval's JSON twin, the
+    manifest beside a single-file output) that resolve to one file, or to an
+    input or (a run directory) around one."""
+    out = Path(args.out)
+    outputs = [out] if args.command == "train-gan" else [out, _manifest_path(out)]
+    if args.command == "eval":
+        outputs.append(out.with_suffix(".json"))
+    resolved = {p.resolve() for p in outputs}
+    if len(resolved) < len(outputs):
+        raise CliError(f"--out {out}: two of its outputs would be the same file")
+    for path in filter(None, [args.config, *_inputs(args).values()]):
+        if resolved & {Path(path).resolve(), *Path(path).resolve().parents}:
+            raise CliError(f"--out {out} would overwrite the input {path}")
+
+
+def _manifest(config: dict, args, effective: dict) -> dict:
     return {
-        "command": command,
+        "command": args.command,
         "config_file": config,  # verbatim echo of the parsed JSON
         "seed_override": args.seed,
         "effective": effective,
-        "inputs": inputs,
+        "inputs": {name: {"path": str(p), "sha256": _sha256(p)} for name, p in _inputs(args).items()},
     }
 
 
@@ -278,11 +308,7 @@ def cmd_gen_data(args) -> int:
             "seed": spec.seed,
             "hierarchy_text": h_text,
         }
-        _write_manifest(
-            out,
-            _manifest("gen-data", config, args, effective, {})
-            | {"output_sha256": digest},
-        )
+        _write_manifest(config, args, effective, output_sha256=digest)
     print(f"{digest}  {out}")
     log.info("dataset: %d train / %d test samples", len(dataset.train), len(dataset.test))
     return 0
@@ -299,11 +325,8 @@ def cmd_train_che(args) -> int:
         acc = ranking_accuracy(table, h, cfg.negatives_per_positive, seed=cfg.seed)
         gap = sibling_similarity_gap(table, h)
         effective = dataclasses.asdict(cfg) | {"hierarchy_text": h_text}
-        inputs = _checksums({"hierarchy": args.hierarchy})
         _write_manifest(
-            out,
-            _manifest("train-che", config, args, effective, inputs)
-            | {"ranking_accuracy": acc, "sibling_similarity_gap": gap, "output_sha256": _sha256(out)},
+            config, args, effective, ranking_accuracy=acc, sibling_similarity_gap=gap, output_sha256=_sha256(out)
         )
     print(f"ranking_accuracy {acc:.4f}")
     print(f"sibling_similarity_gap {gap:.4f}")
@@ -324,11 +347,7 @@ def cmd_train_clf(args) -> int:
         save_classifier(clf, out)
         scores = evaluate_classifier(clf, dataset.test)
         effective = dataclasses.asdict(cfg) | {"resolution": args.resolution}
-        _write_manifest(
-            out,
-            _manifest("train-clf", config, args, effective, _checksums({"data": args.data}))
-            | {"held_out": scores, "output_sha256": _sha256(out)},
-        )
+        _write_manifest(config, args, effective, held_out=scores, output_sha256=_sha256(out))
     print("level,accuracy")
     for k, acc in enumerate(scores["levels"], start=1):
         print(f"{k},{acc:.4f}")
@@ -353,11 +372,8 @@ def cmd_train_gan(args) -> int:
     out = Path(args.out)
     with output_lock(out):
         art = run_training(dataset, h, cfg, clf_lo, clf_hi, embeddings)
-        inputs = _checksums(
-            {"data": args.data, "clf8": args.clf8, "clf16": args.clf16, "embeddings": args.embeddings}
-        )
         # save_run's own manifest fields already record the effective config
-        save_run(art, out, extra_manifest=_manifest("train-gan", config, args, {}, inputs))
+        save_run(art, out, extra_manifest=_manifest(config, args, {}))
     if art.aborted:
         print(
             f"error: run aborted at step {art.abort_step}: {art.abort_reason} "
@@ -382,25 +398,19 @@ def cmd_eval(args) -> int:
             raise CliError(f"bad eval config: {key} must be an integer >= {least}, got {value!r}")
     n_per_class = section.get("n_per_class", 500)
     seed = section.get("seed", 0)
-    dataset = load_dataset(args.data)
+    paths = _inputs(args)
+    dataset = load_dataset(paths["data"])
     h = dataset.spec.hierarchy
-    run = Path(args.run)
-    table = load_table(run / "embeddings.hgck")
-    models = load_models(run / "models.hgck")
+    table = load_table(paths["embeddings"])
+    models = load_models(paths["models"])
     out = Path(args.out)
     with output_lock(out):
         report = evaluate(models, table, dataset, h, n_per_class=n_per_class, seed=seed)
+        # an old manifest must not vouch for a report that is only half written
+        _manifest_path(out).unlink(missing_ok=True)
         write_atomic(out, report_csv(report))
         write_atomic(out.with_suffix(".json"), report_json(report))
-        inputs = _checksums(
-            {
-                "data": args.data,
-                "models": run / "models.hgck",
-                "embeddings": run / "embeddings.hgck",
-            }
-        )
-        effective = {"n_per_class": n_per_class, "seed": seed}
-        _write_manifest(out, _manifest("eval", config, args, effective, inputs))
+        _write_manifest(config, args, {"n_per_class": n_per_class, "seed": seed})
     print(
         f"desk_fid {report.avg_desk_fid:.4f} desk_is {report.avg_desk_is:.4f} "
         f"consistency {report.avg_consistency_rate:.4f}"
@@ -413,8 +423,7 @@ def cmd_inspect_embeddings(args) -> int:
     out = Path(args.out)
     with output_lock(out):
         write_atomic(out, similarity_csv(table))
-        inputs = _checksums({"embeddings": args.embeddings})
-        _write_manifest(out, _manifest("inspect-embeddings", {}, args, {}, inputs))
+        _write_manifest({}, args, {})
     print(f"wrote {len(table.names)}x{len(table.names)} similarity matrix to {out}")
     return 0
 
@@ -482,6 +491,7 @@ def main(argv=None) -> int:
     _configure_logging()
     try:
         args = build_parser().parse_args(argv)
+        _check_outputs(args)
         return args.handler(args)
     except (CliError, HierarchyError, TrainingError) as err:
         print(f"error: {err}", file=sys.stderr)
@@ -495,7 +505,7 @@ def main(argv=None) -> int:
     except (DatasetError, CheckpointError, ModelError, EmbeddingError, MetricsError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except OSError as err:  # after DatasetError and CheckpointError, which are OSErrors too
+    except OSError as err:  # after CheckpointError, which is an OSError too
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import AdamState, NonFiniteError, Tape, Tensor, adam_step
+from .autodiff import Adam, NonFiniteError, Tape, Tensor
 from .files import load_artifact, save_checkpoint
 from .hierarchy import ClassHierarchy
 
@@ -296,14 +296,12 @@ def train_che(h: ClassHierarchy, cfg: CheConfig) -> ClassEmbeddingTable:
     if pos_pairs.size == 0:
         raise EmbeddingError("hierarchy has no parent-child pairs to train on")
     rng = np.random.default_rng(cfg.seed)
-    params = [Tensor(a) for a in init_table(h, cfg.dim, rng).arrays]
-    states = [AdamState.for_param(p) for p in params]
+    opt = Adam([Tensor(a) for a in init_table(h, cfg.dim, rng).arrays], cfg.lr)
     for _ in range(cfg.epochs):
         negs = sample_negatives(h, pos_pairs, cfg.negatives_per_positive, rng)
-        tape = Tape(params)
-        grads = tape.backward(margin_loss_graph(tape, params, pos_pairs, negs, cfg.margin))
-        adam_step(params, [grads[p] for p in params], states, lr=cfg.lr)
-    return ClassEmbeddingTable(*(p.data for p in params), hierarchy=h)
+        tape = Tape(opt.params)
+        opt.step(tape.backward(margin_loss_graph(tape, opt.params, pos_pairs, negs, cfg.margin)))
+    return ClassEmbeddingTable(*(p.data for p in opt.params), hierarchy=h)
 
 
 # ----------------------------------------------------------------- analysis

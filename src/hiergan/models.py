@@ -22,11 +22,11 @@ classifier's.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .autodiff import AdamState, Tape, Tensor, _softmax, adam_step
+from .autodiff import Adam, Tape, Tensor, _softmax
 from .embed import ClassEmbeddingTable, EmbeddingError, condition
 from .files import load_artifact, save_checkpoint
 from .hierarchy import ClassHierarchy
@@ -196,6 +196,11 @@ class HierClassifier:
     def params(self) -> list[Tensor]:
         return self.trunk.params() + [t for pair in self.heads for t in pair]
 
+    @property
+    def widths(self) -> dict[str, int]:
+        """The ``ModelConfig`` widths it was built at, read from its arrays."""
+        return {"clf_hidden": self.trunk.layers[0][0].shape[1], "feature_width": self.trunk.layers[-1][0].shape[1]}
+
 
 @dataclass
 class Readout:
@@ -242,8 +247,6 @@ class ClassifierConfig:
     epochs: int = 80
     batch_size: int = 64
     lr: float = 0.003
-    beta1: float = 0.5
-    beta2: float = 0.999
     seed: int = 0
 
     def __post_init__(self):
@@ -260,15 +263,12 @@ def train_classifier(clf: HierClassifier, dataset: Dataset, resolution: int, cfg
         raise ModelError(f"resolution must be 8 or 16, got {resolution}")
     if resolution * resolution != clf.pixels:
         raise ModelError(f"classifier expects {clf.pixels} pixels but resolution {resolution} was requested")
-    params = clf.params()
-    states = [AdamState.for_param(p) for p in params]
+    opt = Adam(clf.params(), cfg.lr)
     for b in batch_iter(dataset.train, cfg.batch_size, seed=cfg.seed, num_epochs=cfg.epochs):
         imgs = b.lo if resolution == 8 else b.hi
-        tape = Tape(params)
+        tape = Tape(opt.params)
         x = Tensor(imgs.reshape(imgs.shape[0], -1))
-        loss = tape.scale(clf.loss(tape, x, b.leaf), 1.0 / imgs.shape[0])
-        grads = tape.backward(loss)
-        adam_step(params, [grads[p] for p in params], states, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
+        opt.step(tape.backward(tape.scale(clf.loss(tape, x, b.leaf), 1.0 / imgs.shape[0])))
     return clf
 
 
@@ -310,9 +310,14 @@ class ModelSet:
 def build_models(
     h: ClassHierarchy, cfg: ModelConfig, clf_lo: HierClassifier | None = None, clf_hi: HierClassifier | None = None
 ) -> ModelSet:
-    """Draw the networks from ``cfg.seed``. Given classifiers are held as
-    they are; the classifiers are drawn last, so the other weights do not
-    depend on whether they were given."""
+    """Draw the networks from ``cfg.seed``; given classifiers are held as
+    they are, widths included. Classifiers are drawn last, so the other
+    weights do not depend on whether they were given."""
+    given = [clf.widths for clf in (clf_lo, clf_hi) if clf is not None]
+    if given:
+        if any(w != given[0] for w in given):
+            raise ModelError(f"the 8x8 and 16x16 classifiers differ in widths: {given[0]} vs {given[1]}")
+        cfg = replace(cfg, **given[0])
     rng = np.random.default_rng(cfg.seed)
     arrays = _draw(_gan_nets(cfg), rng)
     clf_lo = clf_lo if clf_lo is not None else HierClassifier.init(h, LO_PIXELS, cfg, rng)
@@ -363,12 +368,7 @@ def load_models(path) -> ModelSet:
 
 def save_classifier(clf: HierClassifier, path) -> None:
     """Checkpoint a single classifier with enough manifest to rebuild it."""
-    manifest = {
-        "pixels": clf.pixels,
-        "clf_hidden": clf.trunk.layers[0][0].shape[1],
-        "feature_width": clf.trunk.layers[-1][0].shape[1],
-        "hierarchy": clf.hierarchy.serialize(),
-    }
+    manifest = {"pixels": clf.pixels, "hierarchy": clf.hierarchy.serialize()} | clf.widths
     save_checkpoint(path, {p.name: p for p in clf.params()}, manifest)
 
 

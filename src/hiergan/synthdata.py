@@ -45,7 +45,7 @@ PARAM_LOW = np.array([0.20, 0.20, 0.07, 0.45, -np.inf, 0.25])
 PARAM_HIGH = np.array([0.80, 0.80, 0.40, 2.20, np.inf, 1.00])
 
 
-class DatasetError(IOError):
+class DatasetError(ValueError):
     """Malformed dataset files or invalid dataset requests."""
 
 

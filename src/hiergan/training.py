@@ -49,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import AdamState, NonFiniteError, Tape, Tensor, adam_step
+from .autodiff import Adam, NonFiniteError, Tape, Tensor
 from .embed import ClassEmbeddingTable, EmbeddingError, condition, init_table, margin_loss_graph, sample_negatives, save_table
 from .files import replace_dir, write_atomic
 from .hierarchy import ClassHierarchy
@@ -90,8 +90,6 @@ class TrainConfig:
     batch_size: int = 64
     gan_lr: float = 0.0002
     emb_lr: float = 0.01
-    beta1: float = 0.5
-    beta2: float = 0.999
     steps_per_stage: int = 3000
     eval_every: int = 500
     eval_n_per_class: int = 500
@@ -148,8 +146,8 @@ class RunArtifacts:
 
 
 class Trainer:
-    """Owns the per-run mutable state: models, the class embedding, Adam
-    states, and the step rng. One instance serves one run."""
+    """Owns the per-run mutable state: models, the class embedding, one
+    ``Adam`` per parameter group, and the step rng. One instance, one run."""
 
     def __init__(
         self,
@@ -186,6 +184,7 @@ class Trainer:
             rng = np.random.default_rng([cfg.seed, 1 if cfg.mode.joint_embeddings else 3])
             embeddings = init_table(h, cfg.embed_dim, rng)
         self.emb = [Tensor(a) for a in embeddings.arrays]
+        self.emb_opt = Adam(self.emb, cfg.emb_lr)  # stepped in the joint modes only
 
         self.models = build_models(h, ModelConfig(embed_dim=cfg.embed_dim, seed=cfg.seed), clf_lo, clf_hi)
 
@@ -195,7 +194,6 @@ class Trainer:
                 raise TrainingError(f"leaf {h.name_of(y)!r} has no training samples")
 
         self.pairs = np.asarray(h.parent_child_pairs())
-        self.emb_states = [AdamState.for_param(p) for p in self.emb]
         self._enter_stage(1)
 
     # ------------------------------------------------------------- stages
@@ -204,9 +202,7 @@ class Trainer:
         m = self.models
         self.stage = stage
         gen, self.disc, self.clf = (m.g1, m.d_lo, m.clf_lo) if stage == 1 else (m.g2, m.d_hi, m.clf_hi)
-        self.g_params, self.d_params = gen.params(), self.disc.params()
-        self.g_states = [AdamState.for_param(p) for p in self.g_params]
-        self.d_states = [AdamState.for_param(p) for p in self.d_params]
+        self.g_opt, self.d_opt = Adam(gen.params(), self.cfg.gan_lr), Adam(self.disc.params(), self.cfg.gan_lr)
 
     def current_table(self) -> ClassEmbeddingTable:
         return ClassEmbeddingTable(*(p.data.copy() for p in self.emb), hierarchy=self.h)
@@ -222,12 +218,11 @@ class Trainer:
         real_flat = real_images.reshape(n, -1)
         joint = cfg.mode.joint_embeddings
         emb = self.emb if joint else []
-        betas = dict(beta1=cfg.beta1, beta2=cfg.beta2)
 
         # the generator graph, built once: the D step reads its values, and
         # the G step extends it once D has moved; in joint modes the margin
         # loss joins it, since only the embedding update changes the table
-        tape_g = Tape(self.g_params + emb)
+        tape_g = Tape(self.g_opt.params + emb)
         e_c = condition(tape_g, self.emb, y, n)
         fake = self.models.generate(tape_g, e_c, Tensor(z), self.stage)
         if joint:
@@ -236,10 +231,9 @@ class Trainer:
 
         # --- discriminator step (generator and embeddings held fixed: the D
         # tape does not track them, so it reads the G graph as constants)
-        tape_d = Tape(self.d_params)
+        tape_d = Tape(self.d_opt.params)
         d_loss = discriminator_loss(tape_d, self.disc, Tensor(real_flat), fake, e_c)
-        d_grads = tape_d.backward(d_loss)
-        adam_step(self.d_params, [d_grads[p] for p in self.d_params], self.d_states, lr=cfg.gan_lr, **betas)
+        self.d_opt.step(tape_d.backward(d_loss))
 
         # --- generator and embedding steps (the G tape does not track the
         # discriminator, so its weights get no adjoint): one backward of
@@ -259,9 +253,9 @@ class Trainer:
             g_obj = tape_g.add(g_obj, tape_g.scale(margin, cfg.lambda2))
             che_loss = float(margin.item())
         grads = tape_g.backward(g_obj)
-        adam_step(self.g_params, [grads[p] for p in self.g_params], self.g_states, lr=cfg.gan_lr, **betas)
+        self.g_opt.step(grads)
         if joint:
-            adam_step(emb, [grads[p] for p in emb], self.emb_states, lr=cfg.emb_lr, **betas)
+            self.emb_opt.step(grads)
         return float(d_loss.item()), float(g_adv.item()), h_penalty, che_loss
 
     def real_batch(self, y: int) -> np.ndarray:

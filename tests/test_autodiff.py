@@ -16,12 +16,11 @@ from hypothesis.extra.numpy import array_shapes, arrays
 import reference_ops as ref
 from hiergan.autodiff import (
     BCE_LOGIT_CLAMP,
-    AdamState,
+    Adam,
     GradCheckReport,
     NonFiniteError,
     Tape,
     Tensor,
-    adam_step,
     grad_check,
     _sigmoid,
 )
@@ -501,24 +500,21 @@ def test_grad_check_catches_corrupted_backward(monkeypatch):
 
 def test_adam_zero_gradient_keeps_params():
     p = leaf([1.0, 2.0])
-    st = AdamState.for_param(p)
-    adam_step([p], [np.zeros(2)], [st], lr=0.1)
+    Adam([p], lr=0.1).step({p: np.zeros(2)})
     assert np.array_equal(p.data, [1.0, 2.0])
 
 
 def test_adam_first_step_moves_by_lr():
     p = leaf([0.0])
-    st = AdamState.for_param(p)
-    adam_step([p], [np.ones(1)], [st], lr=0.1)
+    Adam([p], lr=0.1).step({p: np.ones(1)})
     assert abs(p.data[0] + 0.1) < 1e-8
 
 
 def test_adam_converges_on_quadratic():
     p = leaf([0.0])
-    st = AdamState.for_param(p)
+    opt = Adam([p], lr=0.3)
     for _ in range(100):
-        g = 2.0 * (p.data - 3.0)
-        adam_step([p], [g], [st], lr=0.3)
+        opt.step({p: 2.0 * (p.data - 3.0)})
     assert abs(p.data[0] - 3.0) < 1e-2
 
 
@@ -533,25 +529,24 @@ def test_adam_matches_out_of_place_formula_bit_for_bit():
     rng = np.random.default_rng(17)
     shapes = [(4, 3), (3,)]
     params = [leaf(rng.normal(size=s)) for s in shapes]
-    states = [AdamState.for_param(p) for p in params]
+    opt = Adam(params, lr=0.01)
     ref = [(p.data.copy(), np.zeros(p.shape), np.zeros(p.shape)) for p in params]
     for step in range(1, 6):
         grads = [rng.normal(size=s) for s in shapes]
-        adam_step(params, grads, states, lr=0.01, beta1=0.5, beta2=0.999)
+        opt.step(dict(zip(params, grads)))
         ref = [reference_step(*r, g, step, 0.01, 0.5, 0.999) for r, g in zip(ref, grads)]
-        for p, st, (rp, rm, rv) in zip(params, states, ref):
-            assert st.t == step
+        assert opt.t == step
+        for p, m, v, (rp, rm, rv) in zip(params, opt.m, opt.v, ref):
             assert p.data.tobytes() == rp.tobytes()
-            assert st.m.tobytes() == rm.tobytes() and st.v.tobytes() == rv.tobytes()
+            assert m.tobytes() == rm.tobytes() and v.tobytes() == rv.tobytes()
 
 
 def test_adam_rejects_bad_shapes_and_lr():
     p = leaf([0.0])
-    st = AdamState.for_param(p)
     with pytest.raises(ValueError, match="shape"):
-        adam_step([p], [np.ones(2)], [st], lr=0.1)
+        Adam([p], lr=0.1).step({p: np.ones(2)})
     with pytest.raises(ValueError, match="lr"):
-        adam_step([p], [np.ones(1)], [st], lr=0.0)
+        Adam([p], lr=0.0)
 
 
 # -------------------------------------------------------------- checkpoints

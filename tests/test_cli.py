@@ -352,8 +352,12 @@ def test_bad_dataset_config_exits_one(ws, tmp_path, capsys, dataset):
         ("che", {"margin": 0.3}),
         ("classifier", {"epochs": 2.5}),
         ("classifier", {"seed": -1}),
+        ("classifier", {"beta1": 1.0}),  # Adam's decay rates are fixed: no config key sets them
+        ("classifier", {"beta2": 0.9}),
         ("gan", {"batch_size": 8.5}),
         ("gan", {"eval_n_per_class": 1}),
+        ("gan", {"beta1": -3}),
+        ("gan", {"beta2": 1.5}),
         ("eval", {"seed": -1}),
         ("eval", {"n_per_class": "30"}),
         ("eval", {"n_per_class": 1}),
@@ -370,8 +374,12 @@ def test_bad_dataset_config_exits_one(ws, tmp_path, capsys, dataset):
         "che-margin-beyond-bound",
         "classifier-float-int",
         "classifier-negative-seed",
+        "classifier-beta1",
+        "classifier-beta2",
         "gan-float-int",
         "gan-one-eval-sample",
+        "gan-beta1",
+        "gan-beta2",
         "eval-negative-seed",
         "eval-str-int",
         "eval-one-sample",
@@ -881,3 +889,52 @@ def test_train_gan_refuses_an_out_it_may_not_replace_before_any_work(ws, tmp_pat
     assert_one_line_error(capsys)
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
     assert sorted(p.name for p in tmp_path.iterdir()) == (["linked", "out"] if what == "symlink" else ["out"])
+
+
+def _overwriting_argv(ws, tmp: Path, case: str) -> list[str]:
+    """A command line whose output resolves to one of its inputs, or to
+    another of its outputs; the inputs are copies under ``tmp``."""
+    cfg = shutil.copy(ws["cfg"], tmp)
+    data = shutil.copy(ws["data"], tmp)
+    if case == "gen-data":
+        return ["gen-data", "--config", cfg, "--out", cfg]
+    if case == "train-che":
+        tree = tmp / "tree.txt"
+        tree.write_text(FIXTURE_TREE)
+        return ["train-che", "--config", cfg, "--hierarchy", str(tree), "--out", str(tree)]
+    if case == "train-clf":
+        return ["train-clf", "--config", cfg, "--data", data, "--resolution", "8", "--out", data]
+    if case == "inspect-embeddings":
+        che = shutil.copy(ws["che"], tmp)
+        return ["inspect-embeddings", "--embeddings", che, "--out", che]
+    run = shutil.copytree(ws["run"], tmp / "run")
+    if case == "train-gan":  # a seg run that would replace the directory it reads its table from
+        argv = gan_args(ws | {"cfg": cfg, "data": data}, "seg", run, embeddings=run / "embeddings.hgck")
+        return [str(a) for a in argv]
+    out = run / "models.hgck" if case == "eval" else tmp / "m.json"  # "eval twin": the CSV is its own JSON twin
+    return ["eval", "--config", cfg, "--run", str(run), "--data", data, "--out", str(out)]
+
+
+@pytest.mark.parametrize(
+    "case", ["gen-data", "train-che", "train-clf", "train-gan", "eval", "eval twin", "inspect-embeddings"]
+)
+def test_command_refuses_an_output_that_is_an_input(ws, tmp_path, capsys, case):
+    argv = _overwriting_argv(ws, tmp_path, case)
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    assert main(argv) == 1
+    assert_one_line_error(capsys)
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+def test_failed_eval_leaves_no_manifest_beside_a_new_report(ws, tmp_path, capsys):
+    out = tmp_path / "metrics.csv"
+    argv = ["eval", "--config", str(ws["cfg"]), "--run", str(ws["run"]), "--data", str(ws["data"]), "--out", str(out)]
+    assert main(argv) == 0
+    old_csv = out.read_bytes()
+    # a later eval whose JSON write fails, after its CSV is written
+    (tmp_path / "metrics.json").unlink()
+    (tmp_path / "metrics.json").mkdir()
+    assert main(argv + ["--seed", "8"]) == 1
+    assert_one_line_error(capsys)
+    assert out.read_bytes() != old_csv  # the new report
+    assert not (tmp_path / "metrics.csv.manifest.json").exists()

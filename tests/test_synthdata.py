@@ -42,6 +42,12 @@ def small(tree):
 # ------------------------------------------------------------------- spec
 
 
+def test_dataset_errors_are_value_errors():
+    # a bad request or a bad dataset is a value problem, like ModelError and
+    # EmbeddingError; only the container's CheckpointError concerns files
+    assert issubclass(DatasetError, ValueError) and not issubclass(DatasetError, OSError)
+
+
 def test_spec_level_noise_length(tree):
     with pytest.raises(DatasetError, match="K\\+1"):
         DatasetSpec(hierarchy=tree, level_noise=(1.0, 0.5))

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 import reference_ops as ref
-from hiergan.autodiff import NonFiniteError, Tape, Tensor, adam_step, grad_check
+from hiergan.autodiff import Adam, NonFiniteError, Tape, Tensor, grad_check
 from hiergan.embed import CheConfig, EmbeddingError, condition, margin_loss_graph, sample_negatives, train_che
 from hiergan.hierarchy import FIXTURE_TREE, parse_hierarchy
 from hiergan.metrics import evaluate
 from hiergan.models import (
+    HierClassifier,
     Mlp,
     ModelConfig,
     ModelError,
@@ -251,8 +252,8 @@ def test_generator_step_computes_no_discriminator_gradients(tree, corpus, frozen
             assert len(calls) == 2, (mode, stage)
             d_grads, g_grads = calls
             table = set(trainer.emb) if mode in ("treegan", "npc") else set()
-            assert set(d_grads) == set(trainer.d_params), (mode, stage)
-            assert set(g_grads) == set(trainer.g_params) | table, (mode, stage)
+            assert set(d_grads) == set(trainer.d_opt.params), (mode, stage)
+            assert set(g_grads) == set(trainer.g_opt.params) | table, (mode, stage)
 
 
 @pytest.mark.parametrize("mode", ["treegan", "npc"])
@@ -260,15 +261,14 @@ def test_table_gradient_matches_two_tape_reference(tree, corpus, frozen_clfs, mo
     """One step's generator and table gradients equal those of separate
     backwards: the generator objective on the generator's tape and lambda2 *
     margin on a tape of its own, the table's summed margin part first."""
-    import hiergan.training as training
+    seen = []  # the gradients of each Adam step, in its group's order: D, G, then the table
+    step = Adam.step
 
-    seen = []  # the gradients of each Adam step: D, G, then the table
+    def recording(opt, grads):
+        seen.append([grads[p] for p in opt.params])
+        return step(opt, grads)
 
-    def recording(params, grads, states, **kw):
-        seen.append(grads)
-        return adam_step(params, grads, states, **kw)
-
-    monkeypatch.setattr(training, "adam_step", recording)
+    monkeypatch.setattr(Adam, "step", recording)
     cfg = tiny_cfg(mode=mode, lambda2=0.5)  # a weight that a dropped scale would show
     trainer, ref = (Trainer(corpus, tree, cfg, *frozen_clfs) for _ in range(2))
     one_joint_step(trainer)
@@ -278,14 +278,12 @@ def test_table_gradient_matches_two_tape_reference(tree, corpus, frozen_clfs, mo
     y, n = tree.leaves[0], cfg.batch_size
     z = ref.rng.standard_normal((n, ref.models.config.noise_dim))
     real = ref.real_batch(y)
-    tape_g = Tape(ref.g_params + ref.emb)
+    tape_g = Tape(ref.g_opt.params + ref.emb)
     e_c = condition(tape_g, ref.emb, y, n)
     fake = ref.models.generate(tape_g, e_c, Tensor(z), ref.stage)
-    tape_d = Tape(ref.d_params)
+    tape_d = Tape(ref.d_opt.params)
     d_loss = discriminator_loss(tape_d, ref.disc, Tensor(real.reshape(n, -1)), Tensor(fake.data), Tensor(e_c.data))
-    d_grads = tape_d.backward(d_loss)
-    betas = dict(beta1=cfg.beta1, beta2=cfg.beta2)
-    adam_step(ref.d_params, [d_grads[p] for p in ref.d_params], ref.d_states, lr=cfg.gan_lr, **betas)
+    step(ref.d_opt, tape_d.backward(d_loss))
     g_obj = tape_g.binary_cross_entropy_with_logits(ref.disc.forward(tape_g, fake, e_c), np.ones((n, 1)))
     if cfg.effective_lambda1 > 0:
         penalty = tape_g.scale(ref.clf.loss(tape_g, fake, [y] * n), 1.0 / n)
@@ -296,7 +294,7 @@ def test_table_gradient_matches_two_tape_reference(tree, corpus, frozen_clfs, mo
     margin = margin_loss_graph(tape_e, ref.emb, ref.pairs, neg, cfg.che_margin)
     e_grads = tape_e.backward(tape_e.scale(margin, cfg.lambda2))
     want_table = [e_grads[p] + g_grads.get(p, np.zeros_like(p.data)) for p in ref.emb]
-    assert [g.tobytes() for g in seen[1]] == [g_grads[p].tobytes() for p in ref.g_params]
+    assert [g.tobytes() for g in seen[1]] == [g_grads[p].tobytes() for p in ref.g_opt.params]
     assert [g.tobytes() for g in seen[2]] == [g.tobytes() for g in want_table]
 
 
@@ -478,6 +476,29 @@ def test_save_run_writes_everything(tree, corpus, frozen_clfs, tmp_path):
     assert manifest["config"]["lambda1"] == 15.0
     assert manifest["checkpoints"] == [9, 12]
     assert (out / "trace.csv").read_text() == trace_csv(art.trace)
+
+
+def test_run_of_narrow_classifiers_reloads(tree, corpus, tmp_path):
+    """A run's models.hgck records the widths of the classifiers it holds,
+    so a run of classifiers built at other than the default widths reloads
+    with them bit for bit."""
+    narrow = ModelConfig(clf_hidden=8, feature_width=4)
+    rng = np.random.default_rng(0)
+    clf_lo, clf_hi = (HierClassifier.init(tree, pixels, narrow, rng) for pixels in (64, 256))
+    art = run_training(corpus, tree, tiny_cfg(), clf_lo, clf_hi)
+    save_run(art, tmp_path / "run")
+    loaded = load_models(tmp_path / "run" / "models.hgck")
+    assert (loaded.config.clf_hidden, loaded.config.feature_width) == (8, 4)
+    for got, want in ((loaded.clf_lo, clf_lo), (loaded.clf_hi, clf_hi)):
+        assert [p.data.tobytes() for p in got.params()] == [p.data.tobytes() for p in want.params()]
+
+
+def test_build_models_rejects_classifiers_of_different_widths(tree):
+    rng = np.random.default_rng(0)
+    clf_lo = HierClassifier.init(tree, 64, ModelConfig(clf_hidden=8, feature_width=4), rng)
+    clf_hi = HierClassifier.init(tree, 256, ModelConfig(), rng)
+    with pytest.raises(ModelError, match="differ in widths"):
+        build_models(tree, ModelConfig(), clf_lo, clf_hi)
 
 
 def test_save_run_renames_every_file_into_place(tree, corpus, frozen_clfs, tmp_path, monkeypatch):
