@@ -252,21 +252,33 @@ def _write_manifest(config: dict, args, effective: dict, **extra) -> None:
     write_atomic(_manifest_path(Path(args.out)), json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _drop_manifest(out: Path) -> None:
+    """Remove the manifest beside ``out`` before ``out`` is replaced: an old
+    manifest must not vouch for an output that is only half written."""
+    _manifest_path(out).unlink(missing_ok=True)
+
+
 def _inputs(args) -> dict:
     """The files a command reads, by the names its manifest records them
-    under (``--config`` is echoed there instead)."""
+    under (``--config`` is echoed there instead); a tree file that the
+    config's ``hierarchy.path`` names counts as ``hierarchy``."""
     if args.command == "eval":
         run = Path(args.run)
         return {"data": args.data, "models": run / "models.hgck", "embeddings": run / "embeddings.hgck"}
     named = {name: getattr(args, name, None) for name in ("hierarchy", "data", "clf8", "clf16", "embeddings")}
+    if args.command in ("gen-data", "train-che") and not named["hierarchy"]:
+        named["hierarchy"] = load_config(args.config).get("hierarchy", {}).get("path")
     return {name: path for name, path in named.items() if path}
 
 
 def _check_outputs(args) -> None:
-    """Refuse, before any work, outputs (``--out``, eval's JSON twin, the
+    """Refuse, before any work, an ``--out`` that names no file (``.``,
+    ``/``, ``..``, empty), and outputs (``--out``, eval's JSON twin, the
     manifest beside a single-file output) that resolve to one file, or to an
     input or (a run directory) around one."""
     out = Path(args.out)
+    if out.name in ("", ".."):
+        raise CliError(f"--out {args.out!r} names no file")
     outputs = [out] if args.command == "train-gan" else [out, _manifest_path(out)]
     if args.command == "eval":
         outputs.append(out.with_suffix(".json"))
@@ -299,6 +311,7 @@ def cmd_gen_data(args) -> int:
     out = Path(args.out)
     with output_lock(out):
         dataset = generate_dataset(spec)
+        _drop_manifest(out)
         save_dataset(dataset, out)
         digest = _sha256(out)
         effective = {
@@ -321,6 +334,7 @@ def cmd_train_che(args) -> int:
     out = Path(args.out)
     with output_lock(out):
         table = train_che(h, cfg)
+        _drop_manifest(out)
         save_table(out, table)
         acc = ranking_accuracy(table, h, cfg.negatives_per_positive, seed=cfg.seed)
         gap = sibling_similarity_gap(table, h)
@@ -344,6 +358,7 @@ def cmd_train_clf(args) -> int:
             h, args.resolution * args.resolution, ModelConfig(), np.random.default_rng(cfg.seed)
         )
         train_classifier(clf, dataset, args.resolution, cfg)
+        _drop_manifest(out)
         save_classifier(clf, out)
         scores = evaluate_classifier(clf, dataset.test)
         effective = dataclasses.asdict(cfg) | {"resolution": args.resolution}
@@ -406,8 +421,7 @@ def cmd_eval(args) -> int:
     out = Path(args.out)
     with output_lock(out):
         report = evaluate(models, table, dataset, h, n_per_class=n_per_class, seed=seed)
-        # an old manifest must not vouch for a report that is only half written
-        _manifest_path(out).unlink(missing_ok=True)
+        _drop_manifest(out)
         write_atomic(out, report_csv(report))
         write_atomic(out.with_suffix(".json"), report_json(report))
         _write_manifest(config, args, {"n_per_class": n_per_class, "seed": seed})
@@ -422,6 +436,7 @@ def cmd_inspect_embeddings(args) -> int:
     table = load_table(args.embeddings)  # rows labelled by the hierarchy stored with the table
     out = Path(args.out)
     with output_lock(out):
+        _drop_manifest(out)
         write_atomic(out, similarity_csv(table))
         _write_manifest({}, args, {})
     print(f"wrote {len(table.names)}x{len(table.names)} similarity matrix to {out}")

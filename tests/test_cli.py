@@ -938,3 +938,63 @@ def test_failed_eval_leaves_no_manifest_beside_a_new_report(ws, tmp_path, capsys
     assert_one_line_error(capsys)
     assert out.read_bytes() != old_csv  # the new report
     assert not (tmp_path / "metrics.csv.manifest.json").exists()
+
+
+def _argv_to(ws, command: str, out) -> list[str]:
+    cfg, data = str(ws["cfg"]), str(ws["data"])
+    head = {
+        "gen-data": ["gen-data", "--config", cfg],
+        "train-che": ["train-che", "--config", cfg],
+        "train-clf": ["train-clf", "--config", cfg, "--data", data, "--resolution", "8"],
+        "train-gan": gan_args(ws, "flat", out)[:-2],
+        "eval": ["eval", "--config", cfg, "--run", str(ws["run"]), "--data", data],
+        "inspect-embeddings": ["inspect-embeddings", "--embeddings", str(ws["che"])],
+    }[command]
+    return [*head, "--out", str(out)]
+
+
+@pytest.mark.parametrize("out", [".", "/", "", ".."])
+@pytest.mark.parametrize("command", ["gen-data", "train-che", "train-clf", "train-gan", "eval", "inspect-embeddings"])
+def test_out_that_names_no_file_exits_one_before_any_work(ws, tmp_path, capsys, monkeypatch, command, out):
+    (tmp_path / "work").mkdir()
+    monkeypatch.chdir(tmp_path / "work")
+    assert main(_argv_to(ws, command, out)) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --out {out!r} names no file\n"
+    assert [p.name for p in tmp_path.rglob("*")] == ["work"]
+
+
+def test_config_hierarchy_path_is_an_input(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("tree.txt").write_text(FIXTURE_TREE)
+    config = {"hierarchy": {"path": "tree.txt"}, "dataset": {"samples_per_leaf": 5}, "che": {"epochs": 2}}
+    Path("c2.json").write_text(json.dumps(config))
+    for command in ("gen-data", "train-che"):
+        assert main([command, "--config", "c2.json", "--out", "tree.txt"]) == 1
+        assert capsys.readouterr().err == "error: --out tree.txt would overwrite the input tree.txt\n"
+    assert Path("tree.txt").read_text() == FIXTURE_TREE
+    assert main(["gen-data", "--config", "c2.json", "--out", "d.hgds"]) == 0
+    inputs = json.loads(Path("d.hgds.manifest.json").read_text())["inputs"]
+    assert inputs == {"hierarchy": {"path": "tree.txt", "sha256": hashlib.sha256(FIXTURE_TREE.encode()).hexdigest()}}
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train-che", "train-clf", "inspect-embeddings"])
+def test_failed_manifest_write_leaves_no_old_manifest_beside_a_new_output(ws, tmp_path, capsys, monkeypatch, command):
+    import hiergan.cli as cli
+
+    out = tmp_path / "out.bin"
+    manifest = tmp_path / "out.bin.manifest.json"
+    argv = _argv_to(ws, command, out)
+    assert main(argv) == 0 and manifest.exists()
+    old = out.read_bytes()
+
+    def disk_full(*args, **kwargs):
+        raise OSError("no space left for the manifest")
+
+    monkeypatch.setattr(cli, "_write_manifest", disk_full)
+    rerun = argv if command == "inspect-embeddings" else argv + ["--seed", "5"]
+    assert main(rerun) == 1
+    assert_one_line_error(capsys)
+    assert not manifest.exists()
+    if command != "inspect-embeddings":
+        assert out.read_bytes() != old  # the new output is in place

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hiergan
+import hiergan.metrics as metrics
 from hiergan.embed import CheConfig, train_che
 from hiergan.hierarchy import FIXTURE_TREE, parse_hierarchy
 from hiergan.metrics import (
@@ -411,3 +413,137 @@ def test_evaluate_needs_test_samples(trained, tree, table, corpus):
     starved.test = corpus.test[:1]
     with pytest.raises(MetricsError, match="test samples"):
         evaluate(trained, table, starved, tree, n_per_class=5, seed=0)
+
+
+# ------------------------------------------------------- leaf shares
+
+
+def _shares(monkeypatch, k: int) -> None:
+    """Make ``evaluate`` split its leaves into ``k`` shares, through the BLAS
+    variables, on a host that seems to have ``k`` usable CPUs."""
+    monkeypatch.setattr(metrics, "_usable_cpus", lambda: k)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    if k == 1:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert metrics._share_count(6) == k
+
+
+def test_evaluate_report_is_byte_identical_for_any_share_count(trained, corpus, tree, table, monkeypatch):
+    reports = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads switch often; more shares than CPUs here
+    try:
+        for k in (1, 2, 6):
+            _shares(monkeypatch, k)
+            reports[k] = [report_json(evaluate(trained, table, corpus, tree, n_per_class=25, seed=s)) for s in range(4)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert reports[2] == reports[1]
+    assert reports[6] == reports[1]
+    assert len(set(reports[1])) == 4
+
+
+@pytest.mark.parametrize(
+    "env, leaves, want",
+    [
+        ({}, 6, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 6, 4),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 3, 3),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 6, 2),
+        ({"OPENBLAS_NUM_THREADS": "8"}, 6, 1),
+        ({"OMP_NUM_THREADS": "1"}, 6, 4),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 6, 2),
+        ({"OPENBLAS_NUM_THREADS": "many", "OMP_NUM_THREADS": "2"}, 6, 2),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 6, 4),
+        ({"OPENBLAS_NUM_THREADS": "1.5"}, 6, 1),
+        ({"OMP_NUM_THREADS": ""}, 6, 1),
+    ],
+)
+def test_share_count_rule(monkeypatch, env, leaves, want):
+    monkeypatch.setattr(metrics, "_usable_cpus", lambda: 4)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert metrics._share_count(leaves) == want
+
+
+def test_usable_cpus_counts_the_affinity_mask():
+    assert metrics._usable_cpus() == len(os.sched_getaffinity(0))
+
+
+def test_one_share_starts_no_thread(trained, corpus, tree, table, monkeypatch):
+    _shares(monkeypatch, 1)
+    monkeypatch.setattr(metrics, "_shared_pool", None)
+    before = set(threading.enumerate())
+    evaluate(trained, table, corpus, tree, n_per_class=5, seed=0)
+    assert metrics._shared_pool is None
+    assert set(threading.enumerate()) == before
+
+
+def _one_leaf_starved(corpus, leaf: int):
+    """The corpus with one test sample left for ``leaf``."""
+    import copy
+
+    keep = np.flatnonzero(corpus.test.leaf != leaf).tolist() + [int(np.flatnonzero(corpus.test.leaf == leaf)[0])]
+    starved = copy.copy(corpus)
+    starved.test = corpus.test[np.sort(keep)]
+    return starved
+
+
+def test_starved_leaf_raises_the_same_message_for_any_share_count(trained, corpus, tree, table, monkeypatch):
+    starved = _one_leaf_starved(corpus, tree.leaves[3])
+    messages = []
+    for k in (1, 2):
+        _shares(monkeypatch, k)
+        with pytest.raises(MetricsError, match="1 test samples") as err:
+            evaluate(trained, table, starved, tree, n_per_class=5, seed=0)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+def test_first_failing_leaf_in_id_order_aborts_training_for_any_share_count(trained, corpus, tree, monkeypatch):
+    from hiergan.autodiff import NonFiniteError
+    from hiergan.training import TrainConfig, run_training
+
+    real_generate_set = metrics.generate_set
+    # leaf 1 falls in share 1 and leaf 2 in share 0, whose earlier leaf 0 succeeds
+    failing = {tree.leaves[1], tree.leaves[2]}
+
+    def generate_set(models, table, c, n, seed):
+        if c in failing:
+            raise NonFiniteError(f"op 'linear' produced non-finite values for leaf {c}")
+        return real_generate_set(models, table, c, n, seed)
+
+    monkeypatch.setattr(metrics, "generate_set", generate_set)
+    cfg = TrainConfig(mode="treegan", steps_per_stage=2, eval_every=2, eval_n_per_class=4, seed=0)
+    reasons = []
+    for k in (1, 2):
+        _shares(monkeypatch, k)
+        art = run_training(corpus, tree, cfg, trained.clf_lo, trained.clf_hi)
+        assert art.aborted and art.abort_step == 5
+        reasons.append(art.abort_reason)
+    assert reasons == [f"op 'linear' produced non-finite values for leaf {tree.leaves[1]}"] * 2
+
+
+def test_forked_child_evaluates_after_its_parent_did(trained, corpus, tree, table, monkeypatch):
+    import multiprocessing
+
+    _shares(monkeypatch, 2)
+    want = report_json(evaluate(trained, table, corpus, tree, n_per_class=10, seed=5))
+    assert metrics._shared_pool[0] == os.getpid()
+
+    def child():
+        same = report_json(evaluate(trained, table, corpus, tree, n_per_class=10, seed=5)) == want
+        os._exit(0 if same else 3)
+
+    proc = multiprocessing.get_context("fork").Process(target=child)
+    proc.start()
+    proc.join(timeout=60)
+    if proc.is_alive():
+        proc.kill()
+        proc.join()
+        pytest.fail("the forked child hung in evaluate")
+    assert proc.exitcode == 0
