@@ -7,12 +7,13 @@ gan / eval; all fields are optional and unknown keys are rejected so a typo in
 a weight name fails loudly instead of silently training the wrong thing.
 --seed overrides the relevant section's seed.
 
-Each output location is guarded by a lock file for the duration of the run,
-so concurrent invocations must target disjoint output paths, and a command
-whose outputs resolve to one of its inputs or to each other is refused
-before any work. Alongside every output a manifest records the verbatim
-config, the effective settings, and sha256 checksums of all inputs; no
-timestamps, so reruns are byte-identical.
+Every command goes through one runner, ``run``, in this order: parse the
+config; work out the files the command reads and writes; refuse, before any
+work, a write whose name is bad or that would replace an input; take the
+output's lock; run the handler; drop the old manifest, write the output, and
+write the manifest last; print. The manifest records the verbatim config, the
+effective settings and the sha256 of every input, with no timestamps, so
+reruns are byte-identical.
 
 Exit codes: 0 success, 1 usage or config error, 2 runtime failure.
 HIERGAN_LOG={debug,info,warning,error} controls log verbosity (default
@@ -196,7 +197,7 @@ def _build(cls, kwargs: dict, what: str, base=None):
         raise CliError(f"bad {what} config: {err}") from err
 
 
-# ---------------------------------------------------------------- artifacts
+# ------------------------------------------------------------------- runner
 
 
 def _sha256(path) -> str:
@@ -246,166 +247,162 @@ def _manifest_path(out: Path) -> Path:
     return Path(str(out) + ".manifest.json")
 
 
-def _write_manifest(config: dict, args, effective: dict, **extra) -> None:
-    """Write ``_manifest`` plus ``extra`` beside the single-file output."""
-    payload = _manifest(config, args, effective) | extra
-    write_atomic(_manifest_path(Path(args.out)), json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _write_manifest(out: Path, manifest: dict) -> None:
+    write_atomic(_manifest_path(out), json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _drop_manifest(out: Path) -> None:
-    """Remove the manifest beside ``out`` before ``out`` is replaced: an old
-    manifest must not vouch for an output that is only half written."""
-    _manifest_path(out).unlink(missing_ok=True)
-
-
-def _inputs(args) -> dict:
+def _reads(args, config: dict) -> dict:
     """The files a command reads, by the names its manifest records them
     under (``--config`` is echoed there instead); a tree file that the
     config's ``hierarchy.path`` names counts as ``hierarchy``."""
     if args.command == "eval":
-        run = Path(args.run)
-        return {"data": args.data, "models": run / "models.hgck", "embeddings": run / "embeddings.hgck"}
+        run_dir = Path(args.run)
+        if not run_dir.is_dir():
+            raise CliError(f"--run {args.run} is not a run directory")
+        return {"data": args.data, "models": run_dir / "models.hgck", "embeddings": run_dir / "embeddings.hgck"}
     named = {name: getattr(args, name, None) for name in ("hierarchy", "data", "clf8", "clf16", "embeddings")}
     if args.command in ("gen-data", "train-che") and not named["hierarchy"]:
-        named["hierarchy"] = load_config(args.config).get("hierarchy", {}).get("path")
+        named["hierarchy"] = config.get("hierarchy", {}).get("path")
     return {name: path for name, path in named.items() if path}
 
 
-def _check_outputs(args) -> None:
-    """Refuse, before any work, an ``--out`` that names no file (``.``,
-    ``/``, ``..``, empty), and outputs (``--out``, eval's JSON twin, the
-    manifest beside a single-file output) that resolve to one file, or to an
+def _writes(args, reads: dict) -> list[Path]:
+    """The paths a command writes, ``--out`` first: a run directory, or a
+    single file with (eval) its JSON twin and its manifest. Refused before
+    any work: an ``--out`` that names no file (``.``, ``/``, ``..``, empty);
+    an output named like the CLI's own ``.lock`` and ``.manifest.json``
+    files; a directory where a file goes, or a run directory that
+    ``check_run_target`` refuses; outputs that resolve to one file, or to an
     input or (a run directory) around one."""
     out = Path(args.out)
     if out.name in ("", ".."):
         raise CliError(f"--out {args.out!r} names no file")
-    outputs = [out] if args.command == "train-gan" else [out, _manifest_path(out)]
-    if args.command == "eval":
-        outputs.append(out.with_suffix(".json"))
-    resolved = {p.resolve() for p in outputs}
-    if len(resolved) < len(outputs):
+    writes = [out, out.with_suffix(".json")] if args.command == "eval" else [out]
+    for path in writes:
+        if path.name.endswith((".lock", ".manifest.json")):
+            raise CliError(f"--out {args.out}: {path.name} is named like the CLI's own .lock or .manifest.json files")
+    if args.command == "train-gan":
+        check_run_target(out)
+    else:
+        writes.append(_manifest_path(out))
+        for path in writes:
+            if path.is_dir():
+                raise CliError(f"--out {args.out}: {path} is a directory")
+    resolved = {p.resolve() for p in writes}
+    if len(resolved) < len(writes):
         raise CliError(f"--out {out}: two of its outputs would be the same file")
-    for path in filter(None, [args.config, *_inputs(args).values()]):
+    for path in filter(None, [args.config, *reads.values()]):
         if resolved & {Path(path).resolve(), *Path(path).resolve().parents}:
             raise CliError(f"--out {out} would overwrite the input {path}")
+    return writes
 
 
-def _manifest(config: dict, args, effective: dict) -> dict:
-    return {
-        "command": args.command,
-        "config_file": config,  # verbatim echo of the parsed JSON
-        "seed_override": args.seed,
-        "effective": effective,
-        "inputs": {name: {"path": str(p), "sha256": _sha256(p)} for name, p in _inputs(args).items()},
-    }
+class Outcome(typing.NamedTuple):
+    """What a handler hands the runner once its work is done."""
+
+    write: typing.Callable  # puts the result at --out: write(out), or write(out, manifest) for a run directory
+    fields: dict  # manifest fields beyond the ones every manifest has
+    lines: list[str] | typing.Callable[[str], list[str]]  # printed; a function of output_sha256 if it prints that
+    hashed: bool = False  # the manifest records the output's sha256 as output_sha256
+    code: int = 0  # nonzero (an aborted train-gan): the lines are errors, for stderr
+
+
+def run(args) -> int:
+    """Run one command in the order the module docstring gives; return its
+    exit code."""
+    config = load_config(args.config)
+    reads = _reads(args, config)
+    out = _writes(args, reads)[0]
+    with output_lock(out):
+        outcome = args.handler(args, config)
+        manifest = {
+            "command": args.command,
+            "config_file": config,  # verbatim echo of the parsed JSON
+            "seed_override": args.seed,
+            "effective": {},
+            "inputs": {name: {"path": str(p), "sha256": _sha256(p)} for name, p in reads.items()},
+        } | outcome.fields
+        if args.command == "train-gan":  # the run directory holds its manifest, beside save_run's own fields
+            outcome.write(out, manifest)
+        else:
+            # an old manifest must not vouch for an output that is only half written
+            _manifest_path(out).unlink(missing_ok=True)
+            outcome.write(out)
+            if outcome.hashed:
+                manifest["output_sha256"] = _sha256(out)
+            _write_manifest(out, manifest)
+    lines = outcome.lines(manifest.get("output_sha256")) if callable(outcome.lines) else outcome.lines
+    print(*lines, sep="\n", file=sys.stderr if outcome.code else sys.stdout)
+    return outcome.code
 
 
 # ------------------------------------------------------------------ handlers
 
 
-def cmd_gen_data(args) -> int:
-    config = load_config(args.config)
+def cmd_gen_data(args, config: dict) -> Outcome:
     h, h_text = resolve_hierarchy(config, None)
-    section = _section(config, "dataset", args.seed)
-    spec = _build(DatasetSpec, section, "dataset", base=default_dataset_spec(h))
-    out = Path(args.out)
-    with output_lock(out):
-        dataset = generate_dataset(spec)
-        _drop_manifest(out)
-        save_dataset(dataset, out)
-        digest = _sha256(out)
-        effective = {
-            "samples_per_leaf": spec.samples_per_leaf,
-            "level_noise": list(spec.level_noise),
-            "observation_noise": spec.observation_noise,
-            "seed": spec.seed,
-            "hierarchy_text": h_text,
-        }
-        _write_manifest(config, args, effective, output_sha256=digest)
-    print(f"{digest}  {out}")
+    spec = _build(DatasetSpec, _section(config, "dataset", args.seed), "dataset", base=default_dataset_spec(h))
+    dataset = generate_dataset(spec)
     log.info("dataset: %d train / %d test samples", len(dataset.train), len(dataset.test))
-    return 0
+    effective = {key: getattr(spec, key) for key in _SECTION_KEYS["dataset"]} | {"hierarchy_text": h_text}
+    return Outcome(
+        lambda out: save_dataset(dataset, out),
+        {"effective": effective},
+        lambda digest: [f"{digest}  {Path(args.out)}"],
+        hashed=True,
+    )
 
 
-def cmd_train_che(args) -> int:
-    config = load_config(args.config)
+def cmd_train_che(args, config: dict) -> Outcome:
     h, h_text = resolve_hierarchy(config, args.hierarchy)
     cfg = _build(CheConfig, _section(config, "che", args.seed), "che")
-    out = Path(args.out)
-    with output_lock(out):
-        table = train_che(h, cfg)
-        _drop_manifest(out)
-        save_table(out, table)
-        acc = ranking_accuracy(table, h, cfg.negatives_per_positive, seed=cfg.seed)
-        gap = sibling_similarity_gap(table, h)
-        effective = dataclasses.asdict(cfg) | {"hierarchy_text": h_text}
-        _write_manifest(
-            config, args, effective, ranking_accuracy=acc, sibling_similarity_gap=gap, output_sha256=_sha256(out)
-        )
-    print(f"ranking_accuracy {acc:.4f}")
-    print(f"sibling_similarity_gap {gap:.4f}")
-    return 0
+    table = train_che(h, cfg)
+    acc = ranking_accuracy(table, h, cfg.negatives_per_positive, seed=cfg.seed)
+    gap = sibling_similarity_gap(table, h)
+    effective = dataclasses.asdict(cfg) | {"hierarchy_text": h_text}
+    fields = {"effective": effective, "ranking_accuracy": acc, "sibling_similarity_gap": gap}
+    lines = [f"ranking_accuracy {acc:.4f}", f"sibling_similarity_gap {gap:.4f}"]
+    return Outcome(lambda out: save_table(out, table), fields, lines, hashed=True)
 
 
-def cmd_train_clf(args) -> int:
-    config = load_config(args.config)
+def cmd_train_clf(args, config: dict) -> Outcome:
     cfg = _build(ClassifierConfig, _section(config, "classifier", args.seed), "classifier")
     dataset = load_dataset(args.data)
-    h = dataset.spec.hierarchy
-    out = Path(args.out)
-    with output_lock(out):
-        clf = HierClassifier.init(
-            h, args.resolution * args.resolution, ModelConfig(), np.random.default_rng(cfg.seed)
-        )
-        train_classifier(clf, dataset, args.resolution, cfg)
-        _drop_manifest(out)
-        save_classifier(clf, out)
-        scores = evaluate_classifier(clf, dataset.test)
-        effective = dataclasses.asdict(cfg) | {"resolution": args.resolution}
-        _write_manifest(config, args, effective, held_out=scores, output_sha256=_sha256(out))
-    print("level,accuracy")
-    for k, acc in enumerate(scores["levels"], start=1):
-        print(f"{k},{acc:.4f}")
-    print(f"leaf,{scores['leaf']:.4f}")
-    print(f"path_consistent,{scores['path_consistent']:.4f}")
-    return 0
+    pixels = args.resolution * args.resolution
+    clf = HierClassifier.init(dataset.spec.hierarchy, pixels, ModelConfig(), np.random.default_rng(cfg.seed))
+    train_classifier(clf, dataset, args.resolution, cfg)
+    scores = evaluate_classifier(clf, dataset.test)
+    fields = {"effective": dataclasses.asdict(cfg) | {"resolution": args.resolution}, "held_out": scores}
+    lines = ["level,accuracy", *(f"{k},{acc:.4f}" for k, acc in enumerate(scores["levels"], start=1))]
+    lines += [f"leaf,{scores['leaf']:.4f}", f"path_consistent,{scores['path_consistent']:.4f}"]
+    return Outcome(lambda out: save_classifier(clf, out), fields, lines, hashed=True)
 
 
-def cmd_train_gan(args) -> int:
-    check_run_target(args.out)  # before any work: save_run would refuse it only at the end
-    config = load_config(args.config)
+def cmd_train_gan(args, config: dict) -> Outcome:
     if args.mode == "seg" and args.embeddings is None:
         raise CliError("--embeddings is required for seg mode (a pre-trained table to freeze)")
     if args.mode != "seg" and args.embeddings is not None:
         raise CliError(f"--embeddings is only valid with seg mode, not {args.mode}")
     cfg = _build(TrainConfig, _section(config, "gan", args.seed) | {"mode": args.mode}, "gan")
     dataset = load_dataset(args.data)
-    h = dataset.spec.hierarchy
-    clf_lo = load_classifier(args.clf8)
-    clf_hi = load_classifier(args.clf16)
+    clf_lo, clf_hi = load_classifier(args.clf8), load_classifier(args.clf16)
     embeddings = load_table(args.embeddings) if args.embeddings else None
-    out = Path(args.out)
-    with output_lock(out):
-        art = run_training(dataset, h, cfg, clf_lo, clf_hi, embeddings)
-        # save_run's own manifest fields already record the effective config
-        save_run(art, out, extra_manifest=_manifest(config, args, {}))
+    art = run_training(dataset, dataset.spec.hierarchy, cfg, clf_lo, clf_hi, embeddings)
     if art.aborted:
-        print(
+        code, line = 2, (
             f"error: run aborted at step {art.abort_step}: {art.abort_reason} "
-            f"(artifacts as of the last completed step are in {out})",
-            file=sys.stderr,
+            f"(artifacts as of the last completed step are in {Path(args.out)})"
         )
-        return 2
-    final_step, final = art.reports[-1]
-    print(
-        f"final step {final_step}: desk_fid {final.avg_desk_fid:.4f} "
-        f"desk_is {final.avg_desk_is:.4f} consistency {final.avg_consistency_rate:.4f}"
-    )
-    return 0
+    else:
+        final_step, final = art.reports[-1]
+        code, line = 0, (
+            f"final step {final_step}: desk_fid {final.avg_desk_fid:.4f} "
+            f"desk_is {final.avg_desk_is:.4f} consistency {final.avg_consistency_rate:.4f}"
+        )
+    return Outcome(lambda out, manifest: save_run(art, out, extra_manifest=manifest), {}, [line], code=code)
 
 
-def cmd_eval(args) -> int:
-    config = load_config(args.config)
+def cmd_eval(args, config: dict) -> Outcome:
     section = _section(config, "eval", args.seed)
     for key, value in section.items():
         least = 2 if key == "n_per_class" else 0  # a Frechet fit needs two samples per class
@@ -413,34 +410,28 @@ def cmd_eval(args) -> int:
             raise CliError(f"bad eval config: {key} must be an integer >= {least}, got {value!r}")
     n_per_class = section.get("n_per_class", 500)
     seed = section.get("seed", 0)
-    paths = _inputs(args)
+    paths = _reads(args, config)
     dataset = load_dataset(paths["data"])
-    h = dataset.spec.hierarchy
     table = load_table(paths["embeddings"])
     models = load_models(paths["models"])
-    out = Path(args.out)
-    with output_lock(out):
-        report = evaluate(models, table, dataset, h, n_per_class=n_per_class, seed=seed)
-        _drop_manifest(out)
+    report = evaluate(models, table, dataset, dataset.spec.hierarchy, n_per_class=n_per_class, seed=seed)
+
+    def write(out):
         write_atomic(out, report_csv(report))
         write_atomic(out.with_suffix(".json"), report_json(report))
-        _write_manifest(config, args, {"n_per_class": n_per_class, "seed": seed})
-    print(
+
+    line = (
         f"desk_fid {report.avg_desk_fid:.4f} desk_is {report.avg_desk_is:.4f} "
         f"consistency {report.avg_consistency_rate:.4f}"
     )
-    return 0
+    return Outcome(write, {"effective": {"n_per_class": n_per_class, "seed": seed}}, [line])
 
 
-def cmd_inspect_embeddings(args) -> int:
+def cmd_inspect_embeddings(args, config: dict) -> Outcome:
     table = load_table(args.embeddings)  # rows labelled by the hierarchy stored with the table
-    out = Path(args.out)
-    with output_lock(out):
-        _drop_manifest(out)
-        write_atomic(out, similarity_csv(table))
-        _write_manifest({}, args, {})
-    print(f"wrote {len(table.names)}x{len(table.names)} similarity matrix to {out}")
-    return 0
+    n = len(table.names)
+    line = f"wrote {n}x{n} similarity matrix to {Path(args.out)}"
+    return Outcome(lambda out: write_atomic(out, similarity_csv(table)), {}, [line])
 
 
 # --------------------------------------------------------------------- main
@@ -505,9 +496,7 @@ def _configure_logging() -> None:
 def main(argv=None) -> int:
     _configure_logging()
     try:
-        args = build_parser().parse_args(argv)
-        _check_outputs(args)
-        return args.handler(args)
+        return run(build_parser().parse_args(argv))
     except (CliError, HierarchyError, TrainingError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -453,8 +453,16 @@ def test_missing_input_exits_one(ws, tmp_path, capsys):
         ["train-che", "--hierarchy", "{dir}", "--out", "{out}"],
         ["train-che", "--hierarchy", "{binary}", "--out", "{out}"],
         ["train-clf", "--data", "{dir}", "--resolution", "8", "--out", "{out}"],
+        ["eval", "--run", "{binary}", "--data", "{binary}", "--out", "{out}"],
     ],
-    ids=["config-directory", "config-not-utf8", "hierarchy-directory", "hierarchy-not-utf8", "data-directory"],
+    ids=[
+        "config-directory",
+        "config-not-utf8",
+        "hierarchy-directory",
+        "hierarchy-not-utf8",
+        "data-directory",
+        "run-not-a-directory",
+    ],
 )
 def test_unreadable_input_exits_one(tmp_path, capsys, argv):
     (tmp_path / "binary").write_bytes(b"\xff\xfe{")
@@ -891,11 +899,37 @@ def test_train_gan_refuses_an_out_it_may_not_replace_before_any_work(ws, tmp_pat
     assert sorted(p.name for p in tmp_path.iterdir()) == (["linked", "out"] if what == "symlink" else ["out"])
 
 
+# the function each command does its work in; a test that expects a refusal
+# before any work makes it fail
+WORK = {
+    "gen-data": "generate_dataset",
+    "train-che": "train_che",
+    "train-clf": "train_classifier",
+    "train-gan": "run_training",
+    "eval": "evaluate",
+    "inspect-embeddings": "load_table",
+}
+
+
+def _forbid_work(monkeypatch, command: str) -> None:
+    import hiergan.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{command} worked before refusing its outputs")
+
+    monkeypatch.setattr(cli, WORK[command], no_work)
+
+
 def _overwriting_argv(ws, tmp: Path, case: str) -> list[str]:
     """A command line whose output resolves to one of its inputs, or to
     another of its outputs; the inputs are copies under ``tmp``."""
     cfg = shutil.copy(ws["cfg"], tmp)
     data = shutil.copy(ws["data"], tmp)
+    if case.endswith("config-named tree"):
+        tree = tmp / "tree.txt"
+        tree.write_text(FIXTURE_TREE)
+        (tmp / "named.json").write_text(json.dumps({"hierarchy": {"path": str(tree)}}))
+        return [case.split()[0], "--config", str(tmp / "named.json"), "--out", str(tree)]
     if case == "gen-data":
         return ["gen-data", "--config", cfg, "--out", cfg]
     if case == "train-che":
@@ -916,24 +950,51 @@ def _overwriting_argv(ws, tmp: Path, case: str) -> list[str]:
 
 
 @pytest.mark.parametrize(
-    "case", ["gen-data", "train-che", "train-clf", "train-gan", "eval", "eval twin", "inspect-embeddings"]
+    "case",
+    [
+        "gen-data",
+        "train-che",
+        "train-clf",
+        "train-gan",
+        "eval",
+        "eval twin",
+        "inspect-embeddings",
+        "gen-data config-named tree",
+        "train-che config-named tree",
+    ],
 )
-def test_command_refuses_an_output_that_is_an_input(ws, tmp_path, capsys, case):
+def test_command_refuses_an_output_that_is_an_input(ws, tmp_path, capsys, monkeypatch, case):
     argv = _overwriting_argv(ws, tmp_path, case)
+    _forbid_work(monkeypatch, argv[0])
     before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
     assert main(argv) == 1
     assert_one_line_error(capsys)
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
-def test_failed_eval_leaves_no_manifest_beside_a_new_report(ws, tmp_path, capsys):
+def test_failed_eval_leaves_no_manifest_beside_a_new_report(ws, tmp_path, capsys, monkeypatch):
+    import hiergan.cli as cli
+
     out = tmp_path / "metrics.csv"
     argv = ["eval", "--config", str(ws["cfg"]), "--run", str(ws["run"]), "--data", str(ws["data"]), "--out", str(out)]
     assert main(argv) == 0
     old_csv = out.read_bytes()
-    # a later eval whose JSON write fails, after its CSV is written
+    # a JSON twin that is a directory is refused before any work
     (tmp_path / "metrics.json").unlink()
     (tmp_path / "metrics.json").mkdir()
+    assert main(argv + ["--seed", "8"]) == 1
+    assert capsys.readouterr().err == f"error: --out {out}: {tmp_path / 'metrics.json'} is a directory\n"
+    assert out.read_bytes() == old_csv
+    (tmp_path / "metrics.json").rmdir()
+    # a later eval whose JSON write fails, after its CSV is written
+    write_atomic = cli.write_atomic
+
+    def json_disk_full(path, data):
+        if Path(path).suffix == ".json":
+            raise OSError("no space left for the JSON report")
+        write_atomic(path, data)
+
+    monkeypatch.setattr(cli, "write_atomic", json_disk_full)
     assert main(argv + ["--seed", "8"]) == 1
     assert_one_line_error(capsys)
     assert out.read_bytes() != old_csv  # the new report
@@ -953,15 +1014,42 @@ def _argv_to(ws, command: str, out) -> list[str]:
     return [*head, "--out", str(out)]
 
 
-@pytest.mark.parametrize("out", [".", "/", "", ".."])
+def _ws_bytes(ws) -> dict:
+    files = [ws[key] for key in ("cfg", "data", "che", "clf8", "clf16")] + sorted(ws["run"].iterdir())
+    return {p: p.read_bytes() for p in files}
+
+
+@pytest.mark.parametrize("out", [".", "/", "", "..", "adir", "x.lock", "x.manifest.json", "x/", "new/x"])
 @pytest.mark.parametrize("command", ["gen-data", "train-che", "train-clf", "train-gan", "eval", "inspect-embeddings"])
 def test_out_that_names_no_file_exits_one_before_any_work(ws, tmp_path, capsys, monkeypatch, command, out):
-    (tmp_path / "work").mkdir()
-    monkeypatch.chdir(tmp_path / "work")
-    assert main(_argv_to(ws, command, out)) == 1
+    """Every command against each shape of --out. One that names no file,
+    an existing directory (here not empty, so no run directory either), or a
+    name ending like the CLI's own .lock and .manifest.json files is refused
+    with exit 1 and one line, before any work and before any file is made.
+    A trailing slash writes the name without it; a missing parent directory
+    is created."""
+    work = tmp_path / "work"
+    (work / "adir").mkdir(parents=True)
+    (work / "adir" / "keep.txt").write_bytes(b"keep me\n")
+    monkeypatch.chdir(work)
+    inputs = _ws_bytes(ws)
+    accepted = out in ("x/", "new/x")
+    if not accepted:
+        _forbid_work(monkeypatch, command)
+    code = main(_argv_to(ws, command, out))
     err = capsys.readouterr().err
-    assert err == f"error: --out {out!r} names no file\n"
-    assert [p.name for p in tmp_path.rglob("*")] == ["work"]
+    assert _ws_bytes(ws) == inputs
+    if accepted:
+        assert code == 0 and err == "", err
+        written = work / out.rstrip("/")
+        assert (written / "manifest.json").is_file() if command == "train-gan" else written.is_file()
+        return
+    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert "--out" in err or command == "train-gan" and out == "adir", err  # check_run_target names the run
+    if out in (".", "/", "", ".."):
+        assert err == f"error: --out {out!r} names no file\n"
+    assert sorted(p.relative_to(work).as_posix() for p in work.rglob("*")) == ["adir", "adir/keep.txt"]
 
 
 def test_config_hierarchy_path_is_an_input(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Golden fingerprint: sha256 of a dataset file, of a trained embedding table
 and of the artifacts of four short fixed runs, plus a hash of the arrays
-each loader returns from those files.
+each loader returns from those files; and sha256 of every file and of the
+standard output of a tiny eight-command CLI pipeline.
 
 `test_run_replays_exactly` only shows that a run agrees with itself; these
 hashes show that a refactor kept every number. The file hashes also pin the
@@ -11,10 +12,12 @@ says so in CHANGES.md, with criterion 8 passing on unchanged bounds.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
+from hiergan.cli import main
 from hiergan.embed import CheConfig, load_table, save_table, train_che
 from hiergan.hierarchy import FIXTURE_TREE, parse_hierarchy
 from hiergan.models import ClassifierConfig, HierClassifier, ModelConfig, load_models, train_classifier
@@ -156,3 +159,68 @@ def test_golden_contents(setup, che_table, runs, tmp_path):
         got[f"{mode}/embeddings.hgck"] = _contents(_table_arrays(table))
         got[f"{mode}/models.hgck"] = _contents((p.name, p.data) for net in nets for p in net.params())
     assert got == CONTENTS
+
+
+# A tiny eight-command CLI pipeline, run with relative paths in a fresh
+# directory: the sha256 of every file it leaves (manifests included) and of
+# everything it prints. This pins the CLI's own bytes (manifest fields,
+# stdout lines) across changes to how the commands are run.
+CLI_CONFIG = {
+    "dataset": {"samples_per_leaf": 10, "seed": 0},
+    "che": {"epochs": 20, "seed": 0},
+    "classifier": {"epochs": 2, "seed": 0},
+    "gan": {"steps_per_stage": 4, "eval_every": 4, "eval_n_per_class": 4, "batch_size": 8, "seed": 0},
+    "eval": {"n_per_class": 4, "seed": 3},
+}
+CLI_PIPELINE = [
+    ["gen-data", "--config", "c.json", "--out", "data.hgds"],
+    ["train-che", "--config", "c.json", "--out", "che.hgck"],
+    ["train-clf", "--config", "c.json", "--data", "data.hgds", "--resolution", "8", "--out", "clf8.hgck"],
+    ["train-clf", "--config", "c.json", "--data", "data.hgds", "--resolution", "16", "--out", "clf16.hgck"],
+    ["train-gan", "--config", "c.json", "--mode", "treegan", "--data", "data.hgds", "--clf8", "clf8.hgck",
+     "--clf16", "clf16.hgck", "--out", "treegan"],
+    ["train-gan", "--config", "c.json", "--mode", "seg", "--data", "data.hgds", "--clf8", "clf8.hgck",
+     "--clf16", "clf16.hgck", "--embeddings", "che.hgck", "--out", "seg"],
+    ["eval", "--config", "c.json", "--run", "treegan", "--data", "data.hgds", "--out", "metrics.csv"],
+    ["inspect-embeddings", "--embeddings", "seg/embeddings.hgck", "--out", "similarity.csv"],
+]
+CLI_GOLDEN = {
+    "c.json": "59e4c2ae085cb65b2802692182a77995d701e50ca32bdc77b69299057b8bf853",
+    "che.hgck": "47a333c683ffba6570043ac56b420a086213395b1f2e873ef122f4a3fbc85cfa",
+    "che.hgck.manifest.json": "08ee91d82a0f1108adcc7fb628f5beb2e693793b131e8f27ae620c374ee53848",
+    "clf16.hgck": "92cc4d932739a2bc8b433b36b0c0d49d7885afe42d38ca4a3db542053aeb338b",
+    "clf16.hgck.manifest.json": "b193f03159d31dd2135828b410fe5271883dcb2d9b185e0325d88e3dc0490e5e",
+    "clf8.hgck": "5d123f439b8c754c54b476207be44d8d1b5237e523c0efee7680d27fe791ce87",
+    "clf8.hgck.manifest.json": "f54ab40b7b85e86a9ccbc408537fa00fce30ba46c8058f22153b47f75ce522c8",
+    "data.hgds": "f143f55cedceb771095b53853d82a797e2fb1c200f9063ae90f185c28c580c41",
+    "data.hgds.manifest.json": "ad3121543e1206bcbf141aa1bf4eaffb7fa4906cc818678690ea6ee6671004e7",
+    "metrics.csv": "32c3708df8cb6c8e31fac837c00a70abf7f5a522398280858bb065035f194446",
+    "metrics.csv.manifest.json": "3a1a9c443148db5f710571fc40b1660e124d62bf3fe0a81c5d9d54a8b7b917c9",
+    "metrics.json": "2ae00f61ec7f87ff531c9252f2d063bad45b74a436ebd3a8502da23ea18c295b",
+    "seg/embeddings.hgck": "47a333c683ffba6570043ac56b420a086213395b1f2e873ef122f4a3fbc85cfa",
+    "seg/manifest.json": "aa7734858611ce5a0f1125133de4b5ed3bb20a50f585289868f0d403eaa75b1f",
+    "seg/metrics_step000008.csv": "590c00a106b20e764f72a52952d5148dc0ac006cf36c73ad788a81791b9029f4",
+    "seg/metrics_step000008.json": "89f89f9fb004612eba2a637b901124e6b7cd2854fac1be207030f018173eee7f",
+    "seg/models.hgck": "177a4dafe2d7751afaaad5743bb59d59513efeb374d10bafdee054874f98bd79",
+    "seg/trace.csv": "31023aeb8ecb5e6e40a1497d41750278eaff20988546ca8274b70405e4478721",
+    "similarity.csv": "d938af79bd33e783a8240bcbbecfa6f4f40ec66e94b9eb1238024ae94b745822",
+    "similarity.csv.manifest.json": "dcab5e5fbabae94cabcb76ef0e50ffd9f34c96aec59296688e71e15726292562",
+    "treegan/embeddings.hgck": "a4be45964fc8ae1b289688d0f7bf4b0a0c0d0e5e374cf6a104e9ff46b2c049dd",
+    "treegan/manifest.json": "34850cced9bfff03db9f2bb3ccc9c78856db5f2dc7f33d80c1201b70ac937528",
+    "treegan/metrics_step000008.csv": "8edc6318227d0a8cee7744f5f80b5f30de3b2c9e55aa53b39a0a3903c64bff7f",
+    "treegan/metrics_step000008.json": "1933cbcd32c067e1a98cc940345f490c086d93d677fee16d14f974d80c9c6726",
+    "treegan/models.hgck": "5e176fdc64d4471d772f87fc8437cc98519967326105bff584c20ad28d3037ca",
+    "treegan/trace.csv": "e2ff2bda2490ae402d467d6fd4f7cd12bb9b33570b86b71421f1e0a6935030ac",
+}
+CLI_STDOUT_SHA256 = "693732d464fcb8dfb9a1b746ced19fabfe029c9f63166dc1b1240a34d84892a5"
+
+
+def test_golden_cli_pipeline(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps(CLI_CONFIG, sort_keys=True))
+    for argv in CLI_PIPELINE:
+        assert main(argv) == 0, argv
+    got = {str(p.relative_to(tmp_path)): _sha256(p) for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+    stdout = capsys.readouterr().out
+    assert got == CLI_GOLDEN
+    assert hashlib.sha256(stdout.encode()).hexdigest() == CLI_STDOUT_SHA256
