@@ -28,9 +28,9 @@ backward rules, so a forward on a bare tape builds none. A NaN reaching
 ``relu`` stays NaN and raises ``NonFiniteError``.
 
 ``Tape._emit`` is also how other code adds a record: the embedding margin
-loss is one fused ``che_margin`` record whose backward replays, in plain
-numpy, the adjoints its primitive-op graph would produce; test oracles emit
-their op-by-op graphs the same way.
+loss is one fused ``che_margin`` record whose backward is the closed-form
+cosine adjoint in plain numpy; test oracles emit their op-by-op graphs the
+same way.
 
 Tapes are single-writer and rebuilt per training step. ``Tape.backward``
 returns the gradient of every tracked leaf the loss depends on; that dict is
@@ -40,11 +40,13 @@ one made on another tape, is a constant.
 ``Adam`` holds one parameter group's moment arrays; ``Adam.step`` takes the
 dict ``Tape.backward`` returns, updates them in place and rebinds
 ``Tensor.data`` to a new array, so the forward values a tape's closures
-captured never change under them.
+captured never change under them. It folds the bias corrections into the
+step size and eps, which is the same update rule.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -298,7 +300,12 @@ ADAM_EPS = 1e-8
 
 
 class Adam:
-    """Bias-corrected Adam over one parameter group, with its moments and step count."""
+    """Bias-corrected Adam over one parameter group, with its moments and
+    step count, in the folded form of Kingma & Ba (2015, section 2): at step
+    t the step size is lr * sqrt(1 - beta2^t) / (1 - beta1^t) and the raw
+    moments are used, with eps_hat = eps * sqrt(1 - beta2^t) in place of eps.
+    That is the textbook lr * m_hat / (sqrt(v_hat) + eps) rearranged, so the
+    rule is the same and only the rounding differs."""
 
     def __init__(self, params: Sequence[Tensor], lr: float):
         if lr <= 0:
@@ -313,6 +320,8 @@ class Adam:
         """One update from the gradients ``Tape.backward`` returns: the moments
         change in place, each ``p.data`` is rebound to the updated values."""
         self.t += 1
+        root = math.sqrt(1.0 - ADAM_BETA2**self.t)
+        step, eps = self.lr * root / (1.0 - ADAM_BETA1**self.t), ADAM_EPS * root
         for p, m, v in zip(self.params, self.m, self.v):
             g = np.asarray(grads[p], dtype=np.float64)
             if g.shape != p.data.shape:
@@ -321,9 +330,7 @@ class Adam:
             m += (1.0 - ADAM_BETA1) * g
             v *= ADAM_BETA2
             v += (1.0 - ADAM_BETA2) * (g * g)
-            m_hat = m / (1.0 - ADAM_BETA1**self.t)
-            v_hat = v / (1.0 - ADAM_BETA2**self.t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            p.data = p.data - step * m / (np.sqrt(v) + eps)
 
 
 # ----------------------------------------------------------------- gradcheck

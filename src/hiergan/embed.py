@@ -12,11 +12,10 @@ that ``sample_negatives`` draws for all true pairs in one call.
 The differentiable margin loss at the bottom is shared with the joint GAN
 objective, which keeps refining the same table while the generator trains;
 there it sits on the generator's tape, so one backward serves both updates.
-It is one tape record (op ``che_margin``) over the four table tensors: its
-forward evaluates every pair cosine with the same numpy expressions, in the
-same order, as a graph of primitive ops would, and its backward replays that
-graph's reverse sweep, so loss and gradients are bit-identical to the
-op-by-op graph at a small fraction of its bookkeeping.
+It is one tape record (op ``che_margin``) over the four table tensors, whose
+backward is the closed-form cosine adjoint chained through the rotation and
+the gathers; loss and gradients agree with a graph of primitive ops to
+rounding, at a small fraction of its bookkeeping.
 """
 
 from __future__ import annotations
@@ -177,19 +176,19 @@ def sample_negatives(
 # ------------------------------------------------------ differentiable graph
 
 
-def _pair_cosines(cre, cim, rre, rim, pairs: np.ndarray, ones: np.ndarray):
-    """Scores (B, 1) of int pairs (B, 2) from the table arrays, plus the
-    intermediate values their adjoint reads, in the order ``_cosine_adjoints``
-    unpacks them."""
-    i0, i1 = pairs[:, 0], pairs[:, 1]
-    rp, ip, rc, ic = cre[i0], cim[i0], cre[i1], cim[i1]
-    tp_re, tp_im = rp * rre - ip * rim, rp * rim + ip * rre
-    tc_re, tc_im = rc * rre - ic * rim, rc * rim + ic * rre
-    dots = (tp_re * tc_re) @ ones + (tp_im * tc_im) @ ones
-    norm_p = np.sqrt((tp_re * tp_re) @ ones + (tp_im * tp_im) @ ones)
-    norm_c = np.sqrt((tc_re * tc_re) @ ones + (tc_im * tc_im) @ ones)
-    den = norm_p * norm_c
-    return dots / den, (i0, i1, rp, ip, rc, ic, tp_re, tp_im, tc_re, tc_im, dots, norm_p, norm_c, den)
+def _pair_cosines(cre, cim, rre, rim, pairs: np.ndarray):
+    """Scores (B,) of int pairs (B, 2) from the table arrays, then what their
+    adjoint reads: the denominators |a||b| and, for the parent side then the
+    child side, its gather index, its gathered rows (re, im), their rotation
+    (re, im) and its norm."""
+    sides = []
+    for idx in (pairs[:, 0], pairs[:, 1]):
+        re, im = cre[idx], cim[idx]
+        t_re, t_im = re * rre - im * rim, re * rim + im * rre
+        sides.append((idx, re, im, t_re, t_im, np.sqrt((t_re * t_re).sum(axis=1) + (t_im * t_im).sum(axis=1))))
+    (*_, a_re, a_im, norm_a), (*_, b_re, b_im, norm_b) = sides
+    den = norm_a * norm_b
+    return ((a_re * b_re).sum(axis=1) + (a_im * b_im).sum(axis=1)) / den, den, sides
 
 
 def pair_scores(table: ClassEmbeddingTable, pairs) -> np.ndarray:
@@ -200,61 +199,30 @@ def pair_scores(table: ClassEmbeddingTable, pairs) -> np.ndarray:
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if pairs.size and not (0 <= pairs.min() and pairs.max() < table.num_classes):
         raise EmbeddingError(f"unknown class id in pairs for a table of {table.num_classes} classes")
-    ones = np.ones((table.dim, 1))
     with np.errstate(divide="ignore", invalid="ignore"):
-        scores, saved = _pair_cosines(table.class_re, table.class_im, table.rel_re, table.rel_im, pairs, ones)
-    if np.any(saved[-1] == 0.0):
+        scores, den, _ = _pair_cosines(table.class_re, table.class_im, table.rel_re, table.rel_im, pairs)
+    if np.any(den == 0.0):
         raise EmbeddingError("degenerate embedding: zero-norm transformed vector")
-    return scores[:, 0]
+    return scores
 
 
-def _acc(total, g):
-    return g if total is None else total + g
+def _cosine_adjoints(g, cosines, rre, rim, grads: list) -> None:
+    """Add the adjoints of one ``_pair_cosines`` call, given the adjoint g
+    (B,) of its scores, into ``grads`` = [class_re, class_im, rel_re, rel_im].
 
-
-def _cosine_adjoints(g, saved, rre, rim, ones, shape, grads: list) -> None:
-    """Add the adjoints of one ``_pair_cosines`` call, given its output
-    adjoint g (B, 1), into ``grads`` = [class_re, class_im, rel_re, rel_im]
-    (None until a first contribution arrives).
-
-    This is the reverse sweep of the primitive-op graph of the cosine
-    (gathers, complex rotation, row dots as ``@ ones``, square roots and the
-    division), replayed with the same numpy expressions in the same order, so
-    every adjoint is bit-identical to what the tape would compute op by op.
+    For the rotated vectors a, b of a pair, dcos/da = b/(|a||b|) - cos a/|a|^2
+    (and the same with a and b swapped); a rotation t = x * r (complex) sends
+    back g_x = g_t * conj(r) to the gathered rows and sum(g_t * conj(x)) to
+    the relation, and a repeated gather index accumulates through add.at.
     """
-    i0, i1, rp, ip, rc, ic, tp_re, tp_im, tc_re, tc_im, dots, norm_p, norm_c, den = saved
-    g_dots = g / den
-    g_den = -g * dots / (den * den)
-    g_norm_p, g_norm_c = g_den * norm_c, g_den * norm_p
-    # a row dot's adjoint spreads over its columns as ``g @ ones.T``; a
-    # squared norm feeds each factor of x * x, and the contributions add
-    rows = (g_norm_c * 0.5 / norm_c) @ ones.T
-    g_tc_re, g_tc_im = rows * tc_re + rows * tc_re, rows * tc_im + rows * tc_im
-    rows = (g_norm_p * 0.5 / norm_p) @ ones.T
-    g_tp_re, g_tp_im = rows * tp_re + rows * tp_re, rows * tp_im + rows * tp_im
-    rows = g_dots @ ones.T
-    g_tp_im, g_tc_im = g_tp_im + rows * tc_im, g_tc_im + rows * tp_im
-    g_tp_re, g_tc_re = g_tp_re + rows * tc_re, g_tc_re + rows * tp_re
-    # the rotations, child side first, each in reverse record order:
-    # im = re * rim + im * rre, then re = re * rre - im * rim
-    g_rot = []
-    for re, im, g_re, g_im in ((rc, ic, g_tc_re, g_tc_im), (rp, ip, g_tp_re, g_tp_im)):
-        neg = -g_re
-        g_im_in = g_im * rre
-        grads[2] = _acc(grads[2], (g_im * im).sum(axis=0))
-        g_re_in = g_im * rim
-        grads[3] = _acc(grads[3], (g_im * re).sum(axis=0))
-        g_im_in = g_im_in + neg * rim
-        grads[3] = grads[3] + (neg * im).sum(axis=0)
-        g_re_in = g_re_in + g_re * rre
-        grads[2] = grads[2] + (g_re * re).sum(axis=0)
-        g_rot.append((g_re_in, g_im_in))
-    # the gathers, last first; a repeated index accumulates through add.at
-    (g_rc, g_ic), (g_rp, g_ip) = g_rot
-    for k, idx, g_in in ((1, i1, g_ic), (0, i1, g_rc), (1, i0, g_ip), (0, i0, g_rp)):
-        full = np.zeros(shape)
-        np.add.at(full, idx, g_in)
-        grads[k] = _acc(grads[k], full)
+    cos, den, sides = cosines
+    for (idx, re, im, t_re, t_im, norm), (*_, o_re, o_im, _) in zip(sides, sides[::-1]):
+        to_other, to_self = (g / den)[:, None], (g * cos / (norm * norm))[:, None]
+        g_re, g_im = to_other * o_re - to_self * t_re, to_other * o_im - to_self * t_im
+        grads[2] += (g_re * re + g_im * im).sum(axis=0)
+        grads[3] += (g_im * re - g_re * im).sum(axis=0)
+        np.add.at(grads[0], idx, g_re * rre + g_im * rim)
+        np.add.at(grads[1], idx, g_im * rre - g_re * rim)
 
 
 def margin_loss_graph(
@@ -270,10 +238,9 @@ def margin_loss_graph(
     num_pos, num_neg = neg_pairs.shape[0], neg_pairs.shape[1]
     params = tuple(tensors)
     cre, cim, rre, rim = (t.data for t in params)
-    ones = np.ones((rre.shape[0], 1))
-    pos, pos_saved = _pair_cosines(cre, cim, rre, rim, pos_pairs, ones)
-    neg, neg_saved = _pair_cosines(cre, cim, rre, rim, neg_pairs.reshape(-1, 2), ones)
-    shifted = neg.reshape(num_pos, num_neg) - pos.reshape(num_pos, 1) + float(margin)
+    pos = _pair_cosines(cre, cim, rre, rim, pos_pairs)
+    neg = _pair_cosines(cre, cim, rre, rim, neg_pairs.reshape(-1, 2))
+    shifted = neg[0].reshape(num_pos, num_neg) - pos[0].reshape(num_pos, 1) + float(margin)
     if not np.isfinite(shifted).all():
         raise NonFiniteError("op 'che_margin' produced non-finite pair scores")
     mask = shifted > 0
@@ -281,10 +248,9 @@ def margin_loss_graph(
 
     def back(g):
         g_hinge = np.full(hinge.shape, float(g)) * mask
-        g_pos = (-g_hinge).sum(axis=1, keepdims=True)
-        grads = [None, None, None, None]
-        _cosine_adjoints(g_hinge.reshape(-1, 1), neg_saved, rre, rim, ones, cre.shape, grads)
-        _cosine_adjoints(g_pos, pos_saved, rre, rim, ones, cre.shape, grads)
+        grads = [np.zeros_like(a) for a in (cre, cim, rre, rim)]
+        _cosine_adjoints(g_hinge.reshape(-1), neg, rre, rim, grads)
+        _cosine_adjoints(-g_hinge.sum(axis=1), pos, rre, rim, grads)
         return tuple(grads)
 
     return tape._emit("che_margin", params, np.asarray(hinge.sum()), back)

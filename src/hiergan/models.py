@@ -118,16 +118,15 @@ class ModelConfig:
 
 
 def discriminator_loss(tape: Tape, d: Mlp, real: Tensor, fake: Tensor, e_c: Tensor) -> Tensor:
-    """Non-saturating GAN loss of the discriminator d:
-    BCE(D(real), 1) + BCE(D(fake), 0)."""
+    """Non-saturating GAN loss of the discriminator d,
+    BCE(D(real), 1) + BCE(D(fake), 0) over n rows each, from one forward over
+    the real rows stacked on the fake rows, each with its condition row: twice
+    the mean BCE over the 2n targets, ones then zeros."""
     if real.shape != fake.shape:
         raise ModelError(f"real and fake batches differ in shape: {real.shape} vs {fake.shape}")
-    real_logit = d.forward(tape, real, e_c)
-    fake_logit = d.forward(tape, fake, e_c)
-    return tape.add(
-        tape.binary_cross_entropy_with_logits(real_logit, np.ones(real_logit.shape)),
-        tape.binary_cross_entropy_with_logits(fake_logit, np.zeros(fake_logit.shape)),
-    )
+    logits = d.forward(tape, tape.concat([real, fake]), tape.concat([e_c, e_c]))
+    targets = np.repeat([[1.0], [0.0]], real.shape[0], axis=0)
+    return tape.scale(tape.binary_cross_entropy_with_logits(logits, targets), 2.0)
 
 
 def _classifier_nets(h: ClassHierarchy, pixels: int, cfg: ModelConfig) -> dict[str, list[int]]:

@@ -24,8 +24,9 @@ not merely close.
 
 The generator graph (conditioning rows and fake images, then in joint modes
 the margin loss over freshly sampled corruptions) is built once per step,
-before the D step: the D step reads its values as constants, and the G step
-appends the updated discriminator to the same tape. Nothing the graph
+before the D step: the D step reads its values as constants, in one
+discriminator forward over the real rows stacked on the fake rows, and the G
+step appends the updated discriminator to the same tape. Nothing the graph
 depends on changes in between, because the D step updates only
 discriminator weights. Each tape tracks the parameters its step updates: the
 D tape the discriminator's, the G tape the generator's and, in joint modes,

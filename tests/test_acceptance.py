@@ -8,8 +8,12 @@ criterion 8; everything else is oracles and short runs.
 
 import dataclasses
 import json
+import multiprocessing
+import os
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
+from unittest import mock
 
 import conftest
 
@@ -321,32 +325,53 @@ def test_criterion_07_ablation_identity(dataset, classifiers):
 # --------------------------------------------------------------- criterion 8
 
 
+def _matrix_run(mode: TrainMode, seed: int, dataset, classifiers):
+    """One criterion-8 run: (avg desk-FID, avg consistency) and its [matrix]
+    line. Everything it trains derives from its seed, so it gives the same
+    numbers in the test process and in a worker."""
+    emb = train_che(TREE, CheConfig(seed=seed)) if mode is TrainMode.SEG else None
+    cfg = TrainConfig(mode=mode, steps_per_stage=1500, eval_every=1500, eval_n_per_class=500, seed=seed)
+    art = run_training(dataset, TREE, cfg, *classifiers, embeddings=emb)
+    assert not art.aborted, f"{mode.value} seed {seed} aborted: {art.abort_reason}"
+    _, final = art.reports[-1]
+    line = (
+        f"  [matrix] {mode.value:7s} seed {seed}: desk_fid {final.avg_desk_fid:8.2f} "
+        f"consistency {final.avg_consistency_rate:.3f}\n"
+    )
+    return (final.avg_desk_fid, final.avg_consistency_rate), line
+
+
 @pytest.fixture(scope="module")
 def trend_matrix(dataset, classifiers):
-    clf_lo, clf_hi = classifiers
+    """The 20 (mode, seed) runs, one per usable CPU at a time (at most four,
+    in spawned workers), printed and collected in (seed, mode) order."""
+    jobs = [(mode, seed) for seed in range(5) for mode in TrainMode]
+    workers = min(len(os.sched_getaffinity(0)), 4)
     t0 = time.monotonic()
     results = {}
-    for seed in range(5):
-        seg_table = train_che(TREE, CheConfig(seed=seed))
-        for mode in TrainMode:
-            cfg = TrainConfig(
-                mode=mode,
-                steps_per_stage=1500,
-                eval_every=1500,
-                eval_n_per_class=500,
-                seed=seed,
-            )
-            emb = seg_table if mode is TrainMode.SEG else None
-            art = run_training(dataset, TREE, cfg, clf_lo, clf_hi, embeddings=emb)
-            assert not art.aborted, f"{mode.value} seed {seed} aborted: {art.abort_reason}"
-            _, final = art.reports[-1]
-            results[(mode.value, seed)] = (final.avg_desk_fid, final.avg_consistency_rate)
-            sys.__stdout__.write(
-                f"  [matrix] {mode.value:7s} seed {seed}: desk_fid {final.avg_desk_fid:8.2f} "
-                f"consistency {final.avg_consistency_rate:.3f}\n"
-            )
-            sys.__stdout__.flush()
-            del art
+
+    def collect(job, outcome):
+        results[(job[0].value, job[1])], line = outcome
+        sys.__stdout__.write(line)
+        sys.__stdout__.flush()
+
+    if workers == 1:
+        for job in jobs:
+            collect(job, _matrix_run(*job, dataset, classifiers))
+    else:
+        # workers inherit BLAS at one thread: extra threads buy these small
+        # matrices nothing and take a CPU from another run
+        blas = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        spawn = multiprocessing.get_context("spawn")
+        with mock.patch.dict(os.environ, blas), ProcessPoolExecutor(workers, mp_context=spawn) as pool:
+            futures = [pool.submit(_matrix_run, *job, dataset, classifiers) for job in jobs]
+            for job, future in zip(jobs, futures):
+                try:
+                    outcome = future.result()
+                except Exception as exc:
+                    pool.shutdown(wait=False, cancel_futures=True)
+                    pytest.fail(f"criterion-8 run {job[0].value} seed {job[1]} failed: {exc!r}")
+                collect(job, outcome)
     results["elapsed"] = time.monotonic() - t0
     return results
 

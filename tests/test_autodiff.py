@@ -2,6 +2,7 @@ import ast
 import gc
 import inspect
 import json
+import math
 import struct
 import weakref
 import zlib
@@ -519,9 +520,16 @@ def test_adam_converges_on_quadratic():
 
 
 def test_adam_matches_out_of_place_formula_bit_for_bit():
-    def reference_step(p, m, v, g, t, lr, beta1, beta2, eps=1e-8):
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * (g * g)
+    def moments(m, v, g, beta1, beta2):
+        return beta1 * m + (1.0 - beta1) * g, beta2 * v + (1.0 - beta2) * (g * g)
+
+    def folded_step(p, m, v, g, t, lr, beta1, beta2, eps=1e-8):
+        m, v = moments(m, v, g, beta1, beta2)
+        root = math.sqrt(1.0 - beta2**t)
+        return p - (lr * root / (1.0 - beta1**t)) * m / (np.sqrt(v) + eps * root), m, v
+
+    def textbook_step(p, m, v, g, t, lr, beta1, beta2, eps=1e-8):
+        m, v = moments(m, v, g, beta1, beta2)
         m_hat = m / (1.0 - beta1**t)
         v_hat = v / (1.0 - beta2**t)
         return p - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
@@ -530,15 +538,20 @@ def test_adam_matches_out_of_place_formula_bit_for_bit():
     shapes = [(4, 3), (3,)]
     params = [leaf(rng.normal(size=s)) for s in shapes]
     opt = Adam(params, lr=0.01)
-    ref = [(p.data.copy(), np.zeros(p.shape), np.zeros(p.shape)) for p in params]
-    for step in range(1, 6):
+    folded = [(p.data.copy(), np.zeros(p.shape), np.zeros(p.shape)) for p in params]
+    textbook = list(folded)
+    for step in range(1, 201):
         grads = [rng.normal(size=s) for s in shapes]
         opt.step(dict(zip(params, grads)))
-        ref = [reference_step(*r, g, step, 0.01, 0.5, 0.999) for r, g in zip(ref, grads)]
+        folded = [folded_step(*r, g, step, 0.01, 0.5, 0.999) for r, g in zip(folded, grads)]
+        textbook = [textbook_step(*r, g, step, 0.01, 0.5, 0.999) for r, g in zip(textbook, grads)]
         assert opt.t == step
-        for p, m, v, (rp, rm, rv) in zip(params, opt.m, opt.v, ref):
+        for p, m, v, (rp, rm, rv), (tp, _, _) in zip(params, opt.m, opt.v, folded, textbook):
             assert p.data.tobytes() == rp.tobytes()
             assert m.tobytes() == rm.tobytes() and v.tobytes() == rv.tobytes()
+            # eps_hat = eps * sqrt(1 - beta2^t) keeps the textbook rule: the two
+            # trajectories part only by rounding
+            assert np.max(np.abs(p.data - tp)) <= 1e-12 * np.max(np.abs(tp))
 
 
 def test_adam_rejects_bad_shapes_and_lr():

