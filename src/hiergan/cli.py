@@ -506,6 +506,9 @@ def main(argv=None) -> int:
     except NonFiniteError as err:
         print(f"error: non-finite loss: {err}", file=sys.stderr)
         return 2
+    except MemoryError as err:  # e.g. a config sized past what numpy can allocate
+        print(f"error: out of memory: {err}", file=sys.stderr)
+        return 2
     except (DatasetError, CheckpointError, ModelError, EmbeddingError, MetricsError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -10,18 +10,20 @@ generated images whose path matches the conditioning leaf's ancestor path at
 every level.
 
 All computations here are pure functions of their inputs. ``evaluate``
-scores its leaves independently, so when BLAS is pinned to fewer threads than
-there are usable CPUs it splits the leaves into interleaved shares: the
-calling thread scores one and a process-wide pool of idle threads, made on
-first use and again in a forked child, scores the rest. Each leaf's numbers
-come from its own rng and its own tapes, so the report is the same
-byte for byte whatever the split.
+classifies the whole test split once and takes each leaf's real features from
+its rows. A leaf's generated images are classified on their own; when BLAS is
+pinned to fewer threads than there are usable CPUs, a thread pool made for
+the call, and shut down before it returns, maps the leaves, while the caller
+computes each leaf's statistics in id order as its readout arrives. Each
+leaf's numbers come from its own rng and its own tapes, so the report is the
+same byte for byte whatever the pool size.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,43 +202,10 @@ def _blas_threads(usable: int) -> int:
 
 
 def _share_count(n_leaves: int) -> int:
-    """How many shares ``evaluate`` splits its leaves into: one per group of
-    CPUs a BLAS call leaves free, so unpinned BLAS keeps one share."""
+    """How many leaves ``evaluate`` maps at once: one per group of CPUs a
+    BLAS call leaves free, so unpinned BLAS maps them one at a time."""
     usable = _usable_cpus()
     return max(1, min(n_leaves, usable // _blas_threads(usable)))
-
-
-# (pid, threads, ThreadPoolExecutor) once made. Read once into a local before
-# use: two callers that race here each make a pool, and the one dropped shuts
-# itself down once its work is done, so no lock is needed (none to be left
-# held in a fork).
-_shared_pool = None
-
-
-def _pool(threads: int):
-    """The process-wide ``ThreadPoolExecutor`` of ``threads`` threads; a
-    forked child, which has none of its parent's threads, gets a new one."""
-    # imported here, not at the top: every CLI command imports this module
-    from concurrent.futures import ThreadPoolExecutor
-
-    global _shared_pool
-    pool = _shared_pool
-    if pool is None or pool[:2] != (os.getpid(), threads):
-        pool = _shared_pool = (os.getpid(), threads, ThreadPoolExecutor(threads, thread_name_prefix="hiergan-evaluate"))
-    return pool[2]
-
-
-def _score_share(score, leaves) -> list[tuple[int, object]]:
-    """``(leaf, score(leaf))`` in leaf order, ending at the first leaf that
-    raises with ``(leaf, exception)``; the caller re-raises it."""
-    done = []
-    for y in leaves:
-        try:
-            done.append((y, score(y)))
-        except Exception as err:  # carried back to the caller's thread
-            done.append((y, err))
-            break
-    return done
 
 
 def evaluate(
@@ -250,43 +219,46 @@ def evaluate(
     """Stage-2 metrics per leaf (images from ``models.generate_set``): desk-FID
     against real test features, desk-IS over generated leaf probabilities, and
     hierarchy consistency. Models, table and dataset must all belong to ``h``.
-    A failing leaf raises what it would raise if the leaves were scored one
-    by one in id order."""
+    One classifier pass covers the test split and one more each leaf's
+    generated images; ``_share_count`` decides how many leaves are mapped at
+    once, on a pool that lives for this call only. A failing leaf raises what
+    it would raise if the leaves were scored one by one in id order."""
     for what, other in (("models", models), ("embeddings", embeddings), ("dataset", dataset.spec)):
         if other.hierarchy != h:
             raise MetricsError(f"{what} belong to a different hierarchy than the one evaluated")
     clf = models.clf_hi
-    reals = {y: dataset.test.hi[dataset.test.leaf == y] for y in h.leaves}
-    for y, real in reals.items():
-        if len(real) < 2:
-            raise MetricsError(f"leaf {h.name_of(y)!r} has {len(real)} test samples; need at least 2")
+    for y in h.leaves:
+        n_real = np.count_nonzero(dataset.test.leaf == y)
+        if n_real < 2:
+            raise MetricsError(f"leaf {h.name_of(y)!r} has {n_real} test samples; need at least 2")
+    real = classify(clf, dataset.test.hi).features
 
-    def score(y: int) -> LeafMetrics:
-        real_stats = fit_gaussian(classify(clf, reals[y]).features)
-        gen = classify(clf, generate_set(models, embeddings, y, n_per_class, seed=[seed, y]))
-        return LeafMetrics(
-            desk_fid=frechet_distance(real_stats, fit_gaussian(gen.features)),
-            desk_is=inception_score(gen.leaf_probs),
-            consistency_rate=consistency_rate(gen.paths, y, h),
-            n_real=len(reals[y]),
-            n_generated=n_per_class,
-        )
+    def readout(y: int):
+        return classify(clf, generate_set(models, embeddings, y, n_per_class, seed=[seed, y]))
+
+    def scored(readouts) -> dict[str, LeafMetrics]:
+        per_leaf = {}
+        for y, gen in zip(h.leaves, readouts):
+            real_y = real[dataset.test.leaf == y]
+            per_leaf[h.name_of(y)] = LeafMetrics(
+                desk_fid=frechet_distance(fit_gaussian(real_y), fit_gaussian(gen.features)),
+                desk_is=inception_score(gen.leaf_probs),
+                consistency_rate=consistency_rate(gen.paths, y, h),
+                n_real=len(real_y),
+                n_generated=n_per_class,
+            )
+        return per_leaf
 
     k = _share_count(len(h.leaves))
-    shares = [h.leaves[i::k] for i in range(k)]
-    others = []
-    if k > 1:
-        pool = _pool(k - 1)
-        others = [pool.submit(_score_share, score, share) for share in shares[1:]]
-    done = dict(_score_share(score, shares[0]))
-    for future in others:
-        done.update(future.result())
-    per_leaf: dict[str, LeafMetrics] = {}
-    # a share stops at its first failure, so every leaf before the first
-    # failing one in id order was scored
-    for y in h.leaves:
-        if isinstance(done[y], Exception):
-            raise done[y]
-        per_leaf[h.name_of(y)] = done[y]
+    if k == 1:
+        per_leaf = scored(map(readout, h.leaves))
+    else:
+        # imported here, not at the top: every CLI command imports this module
+        from concurrent.futures import ThreadPoolExecutor
+
+        # the map is closed before the pool shuts down, which cancels the
+        # leaves not yet started when the caller raises
+        with ThreadPoolExecutor(k, thread_name_prefix="hiergan-evaluate") as pool, closing(pool.map(readout, h.leaves)) as readouts:
+            per_leaf = scored(readouts)
     side = int(np.sqrt(clf.pixels))
     return MetricsReport(per_leaf, feature_source=f"classifier-{side}x{side}")

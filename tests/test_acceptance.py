@@ -10,7 +10,6 @@ import dataclasses
 import json
 import multiprocessing
 import os
-import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from unittest import mock
@@ -336,7 +335,7 @@ def _matrix_run(mode: TrainMode, seed: int, dataset, classifiers):
     _, final = art.reports[-1]
     line = (
         f"  [matrix] {mode.value:7s} seed {seed}: desk_fid {final.avg_desk_fid:8.2f} "
-        f"consistency {final.avg_consistency_rate:.3f}\n"
+        f"consistency {final.avg_consistency_rate:.3f}"
     )
     return (final.avg_desk_fid, final.avg_consistency_rate), line
 
@@ -344,7 +343,8 @@ def _matrix_run(mode: TrainMode, seed: int, dataset, classifiers):
 @pytest.fixture(scope="module")
 def trend_matrix(dataset, classifiers):
     """The 20 (mode, seed) runs, one per usable CPU at a time (at most four,
-    in spawned workers), printed and collected in (seed, mode) order."""
+    in spawned workers), collected in (seed, mode) order; conftest prints
+    their [matrix] lines after the run."""
     jobs = [(mode, seed) for seed in range(5) for mode in TrainMode]
     workers = min(len(os.sched_getaffinity(0)), 4)
     t0 = time.monotonic()
@@ -352,8 +352,7 @@ def trend_matrix(dataset, classifiers):
 
     def collect(job, outcome):
         results[(job[0].value, job[1])], line = outcome
-        sys.__stdout__.write(line)
-        sys.__stdout__.flush()
+        conftest.matrix_lines.append(line)
 
     if workers == 1:
         for job in jobs:

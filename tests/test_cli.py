@@ -429,6 +429,30 @@ def test_non_finite_config_value_exits_one(ws, tmp_path, capsys, section, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, section, key, value",
+    [
+        ("eval", "eval", "n_per_class", 10**12),
+        ("train-gan", "gan", "eval_n_per_class", 10**12),
+        ("gen-data", "dataset", "samples_per_leaf", 10**11),
+        ("train-che", "che", "dim", 10**11),
+        # 10**11 already fails to allocate, but only on hosts with under 745 GiB
+        ("train-gan", "gan", "batch_size", 10**12),
+    ],
+    ids=["eval-n_per_class", "gan-eval_n_per_class", "dataset-samples_per_leaf", "che-dim", "gan-batch_size"],
+)
+def test_config_too_large_to_allocate_exits_two(ws, tmp_path, capsys, command, section, key, value):
+    config = json.loads(ws["cfg"].read_text())
+    config[section][key] = value
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps(config))
+    assert main(_argv_to(ws, command, tmp_path / "out") + ["--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json"]  # no output, lock or manifest
+
+
 def test_missing_input_exits_one(ws, tmp_path, capsys):
     code = main(
         [

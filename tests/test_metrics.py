@@ -476,11 +476,66 @@ def test_usable_cpus_counts_the_affinity_mask():
 
 def test_one_share_starts_no_thread(trained, corpus, tree, table, monkeypatch):
     _shares(monkeypatch, 1)
-    monkeypatch.setattr(metrics, "_shared_pool", None)
     before = set(threading.enumerate())
     evaluate(trained, table, corpus, tree, n_per_class=5, seed=0)
-    assert metrics._shared_pool is None
     assert set(threading.enumerate()) == before
+
+
+def test_pool_of_two_leaves_no_thread_behind(trained, corpus, tree, table, monkeypatch):
+    from hiergan.autodiff import NonFiniteError
+
+    _shares(monkeypatch, 2)
+    before = threading.enumerate()
+    evaluate(trained, table, corpus, tree, n_per_class=5, seed=0)
+    assert threading.enumerate() == before
+    real_generate_set = metrics.generate_set
+
+    def generate_set(models, table, c, n, seed):
+        if c == tree.leaves[1]:
+            raise NonFiniteError(f"op 'linear' produced non-finite values for leaf {c}")
+        return real_generate_set(models, table, c, n, seed)
+
+    monkeypatch.setattr(metrics, "generate_set", generate_set)
+    with pytest.raises(NonFiniteError, match=f"for leaf {tree.leaves[1]}$"):
+        evaluate(trained, table, corpus, tree, n_per_class=5, seed=0)
+    assert threading.enumerate() == before
+
+
+def test_failure_in_the_caller_cancels_the_leaves_not_yet_started(trained, corpus, tree, table, monkeypatch):
+    import time
+
+    _shares(monkeypatch, 2)
+    started = []
+    real_generate_set = metrics.generate_set
+
+    def generate_set(models, table, c, n, seed):
+        started.append(c)
+        if c != tree.leaves[0]:
+            time.sleep(1.0)  # both threads stay busy while the caller fails
+        return real_generate_set(models, table, c, n, seed)
+
+    def fit_gaussian(features):
+        raise MetricsError("the first leaf's statistics fail")
+
+    monkeypatch.setattr(metrics, "generate_set", generate_set)
+    monkeypatch.setattr(metrics, "fit_gaussian", fit_gaussian)
+    with pytest.raises(MetricsError, match="first leaf"):
+        evaluate(trained, table, corpus, tree, n_per_class=5, seed=0)
+    assert set(started) <= set(tree.leaves[:3])
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_one_classifier_pass_for_the_test_split_and_one_per_leaf(trained, corpus, tree, table, monkeypatch, k):
+    _shares(monkeypatch, k)
+    calls = []
+
+    def counting_classify(clf, images):
+        calls.append(len(images))
+        return classify(clf, images)
+
+    monkeypatch.setattr(metrics, "classify", counting_classify)
+    evaluate(trained, table, corpus, tree, n_per_class=5, seed=0)
+    assert calls == [len(corpus.test.leaf)] + [5] * len(tree.leaves)
 
 
 def _one_leaf_starved(corpus, leaf: int):
@@ -533,7 +588,6 @@ def test_forked_child_evaluates_after_its_parent_did(trained, corpus, tree, tabl
 
     _shares(monkeypatch, 2)
     want = report_json(evaluate(trained, table, corpus, tree, n_per_class=10, seed=5))
-    assert metrics._shared_pool[0] == os.getpid()
 
     def child():
         same = report_json(evaluate(trained, table, corpus, tree, n_per_class=10, seed=5)) == want
