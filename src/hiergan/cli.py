@@ -28,7 +28,6 @@ import dataclasses
 import hashlib
 import json
 import logging
-import math
 import os
 import sys
 import typing
@@ -49,7 +48,7 @@ from .embed import (
 )
 from .files import CheckpointError, write_atomic
 from .hierarchy import FIXTURE_TREE, HierarchyError, parse_hierarchy
-from .metrics import MetricsError, evaluate, report_csv, report_json
+from .metrics import EvalConfig, MetricsError, evaluate, report_csv, report_json
 from .models import (
     ClassifierConfig,
     HierClassifier,
@@ -86,19 +85,11 @@ class CliError(Exception):
 
 # ------------------------------------------------------------------- config
 
-def _fields(cls, *drop: str) -> set[str]:
-    return {f.name for f in dataclasses.fields(cls)} - set(drop)
-
-
-_SECTION_KEYS = {
-    "hierarchy": {"text", "path"},
-    # the hierarchy section sets the dataset's hierarchy
-    "dataset": _fields(DatasetSpec, "hierarchy"),
-    "che": _fields(CheConfig),
-    "classifier": _fields(ClassifierConfig),
-    # mode comes from the --mode flag only, never from the file
-    "gan": _fields(TrainConfig, "mode"),
-    "eval": {"n_per_class", "seed"},
+# the dataclass each section builds; its keys are the fields that declare a
+# rule: not the dataset's hierarchy (the hierarchy section) or mode (--mode)
+_SECTIONS = {"dataset": DatasetSpec, "che": CheConfig, "classifier": ClassifierConfig, "gan": TrainConfig, "eval": EvalConfig}
+_SECTION_KEYS = {"hierarchy": {"text", "path"}} | {
+    name: {f.name for f in dataclasses.fields(cls) if "rule" in f.metadata} for name, cls in _SECTIONS.items()
 }
 
 
@@ -108,7 +99,7 @@ def load_config(path: str | None) -> dict:
         return {}
     try:
         raw = json.loads(_read_text(path))
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # a JSONDecodeError, or an integer longer than int() takes
         raise CliError(f"config {path} is not valid JSON: {err}") from err
     if not isinstance(raw, dict):
         raise CliError(f"config {path} must be a JSON object")
@@ -134,13 +125,6 @@ def load_config(path: str | None) -> dict:
     return raw
 
 
-def _section(config: dict, name: str, seed_override: int | None) -> dict:
-    merged = dict(config.get(name, {}))
-    if seed_override is not None and "seed" in _SECTION_KEYS[name]:
-        merged["seed"] = seed_override
-    return merged
-
-
 def _read_text(path) -> str:
     try:
         return Path(path).read_text()
@@ -164,37 +148,15 @@ def resolve_hierarchy(config: dict, hierarchy_file: str | None):
     return parse_hierarchy(text), text
 
 
-def _fits(value, want) -> bool:
-    """Whether a JSON value fits a config field annotated ``want``: int
-    fields take integers, float fields any number with a finite float value,
-    tuple fields a list of such numbers; a bool is no number, and NaN,
-    Infinity (which JSON parsing accepts) and an integer beyond the float
-    range are not finite. Other fields are not checked here."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if want is int:
-        return number and isinstance(value, int)
-    if want is float:
-        try:
-            return number and math.isfinite(value)
-        except OverflowError:  # an int too large for a float
-            return False
-    if typing.get_origin(want) is tuple:
-        return isinstance(value, list) and all(_fits(v, float) for v in value)
-    return True
-
-
-def _build(cls, kwargs: dict, what: str, base=None):
-    """Construct config dataclass ``cls`` from ``kwargs``, as a copy of
-    ``base`` when one is given; a wrong-typed value, or one the dataclass
-    rejects, becomes a CliError."""
-    hints = typing.get_type_hints(cls)
-    for key, value in kwargs.items():
-        if not _fits(value, hints[key]):
-            raise CliError(f"bad {what} config: {key} has the wrong type or is not finite: {value!r}")
+def _build(config: dict, section: str, seed: int | None, /, **defaults):
+    """Construct the dataclass of ``section`` from ``defaults``, then the
+    config's section over them, then ``seed`` (``--seed``) when given; a
+    value the dataclass rejects becomes a CliError."""
+    kwargs = defaults | config.get(section, {}) | ({} if seed is None else {"seed": seed})
     try:
-        return cls(**kwargs) if base is None else dataclasses.replace(base, **kwargs)
+        return _SECTIONS[section](**kwargs)
     except ValueError as err:
-        raise CliError(f"bad {what} config: {err}") from err
+        raise CliError(f"bad {section} config: {err}") from err
 
 
 # ------------------------------------------------------------------- runner
@@ -341,7 +303,7 @@ def run(args) -> int:
 
 def cmd_gen_data(args, config: dict) -> Outcome:
     h, h_text = resolve_hierarchy(config, None)
-    spec = _build(DatasetSpec, _section(config, "dataset", args.seed), "dataset", base=default_dataset_spec(h))
+    spec = _build(config, "dataset", args.seed, **vars(default_dataset_spec(h)))
     dataset = generate_dataset(spec)
     log.info("dataset: %d train / %d test samples", len(dataset.train), len(dataset.test))
     effective = {key: getattr(spec, key) for key in _SECTION_KEYS["dataset"]} | {"hierarchy_text": h_text}
@@ -355,7 +317,7 @@ def cmd_gen_data(args, config: dict) -> Outcome:
 
 def cmd_train_che(args, config: dict) -> Outcome:
     h, h_text = resolve_hierarchy(config, args.hierarchy)
-    cfg = _build(CheConfig, _section(config, "che", args.seed), "che")
+    cfg = _build(config, "che", args.seed)
     table = train_che(h, cfg)
     acc = ranking_accuracy(table, h, cfg.negatives_per_positive, seed=cfg.seed)
     gap = sibling_similarity_gap(table, h)
@@ -366,7 +328,7 @@ def cmd_train_che(args, config: dict) -> Outcome:
 
 
 def cmd_train_clf(args, config: dict) -> Outcome:
-    cfg = _build(ClassifierConfig, _section(config, "classifier", args.seed), "classifier")
+    cfg = _build(config, "classifier", args.seed)
     dataset = load_dataset(args.data)
     pixels = args.resolution * args.resolution
     clf = HierClassifier.init(dataset.spec.hierarchy, pixels, ModelConfig(), np.random.default_rng(cfg.seed))
@@ -383,7 +345,7 @@ def cmd_train_gan(args, config: dict) -> Outcome:
         raise CliError("--embeddings is required for seg mode (a pre-trained table to freeze)")
     if args.mode != "seg" and args.embeddings is not None:
         raise CliError(f"--embeddings is only valid with seg mode, not {args.mode}")
-    cfg = _build(TrainConfig, _section(config, "gan", args.seed) | {"mode": args.mode}, "gan")
+    cfg = _build(config, "gan", args.seed, mode=args.mode)
     dataset = load_dataset(args.data)
     clf_lo, clf_hi = load_classifier(args.clf8), load_classifier(args.clf16)
     embeddings = load_table(args.embeddings) if args.embeddings else None
@@ -403,18 +365,12 @@ def cmd_train_gan(args, config: dict) -> Outcome:
 
 
 def cmd_eval(args, config: dict) -> Outcome:
-    section = _section(config, "eval", args.seed)
-    for key, value in section.items():
-        least = 2 if key == "n_per_class" else 0  # a Frechet fit needs two samples per class
-        if not _fits(value, int) or value < least:
-            raise CliError(f"bad eval config: {key} must be an integer >= {least}, got {value!r}")
-    n_per_class = section.get("n_per_class", 500)
-    seed = section.get("seed", 0)
+    cfg = _build(config, "eval", args.seed)
     paths = _reads(args, config)
     dataset = load_dataset(paths["data"])
     table = load_table(paths["embeddings"])
     models = load_models(paths["models"])
-    report = evaluate(models, table, dataset, dataset.spec.hierarchy, n_per_class=n_per_class, seed=seed)
+    report = evaluate(models, table, dataset, dataset.spec.hierarchy, n_per_class=cfg.n_per_class, seed=cfg.seed)
 
     def write(out):
         write_atomic(out, report_csv(report))
@@ -424,7 +380,7 @@ def cmd_eval(args, config: dict) -> Outcome:
         f"desk_fid {report.avg_desk_fid:.4f} desk_is {report.avg_desk_is:.4f} "
         f"consistency {report.avg_consistency_rate:.4f}"
     )
-    return Outcome(write, {"effective": {"n_per_class": n_per_class, "seed": seed}}, [line])
+    return Outcome(write, {"effective": dataclasses.asdict(cfg)}, [line])
 
 
 def cmd_inspect_embeddings(args, config: dict) -> Outcome:

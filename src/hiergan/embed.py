@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Adam, NonFiniteError, Tape, Tensor
+from .config import SEED, Rule, check, setting
 from .files import load_artifact, save_checkpoint
 from .hierarchy import ClassHierarchy
 
@@ -33,27 +34,23 @@ class EmbeddingError(ValueError):
     unknown ids, or a hierarchy too small to corrupt."""
 
 
+# margin must stay below 0.25: scores are cosines, and satisfying both "true
+# pair beats its corruptions" and "deeper pair beats the shallower pair's
+# corruptions" by m requires s(1-s) >= m for some s in [0, 1]
+MARGIN = Rule(float, 0, strict=True, high=0.25)
+
+
 @dataclass
 class CheConfig:
-    # margin must stay below 0.25: scores are cosines, and satisfying both
-    # "true pair beats its corruptions" and "deeper pair beats the shallower
-    # pair's corruptions" by m requires s(1-s) >= m for some s in [0, 1]
-    dim: int = 16
-    margin: float = 0.2
-    negatives_per_positive: int = 10
-    lr: float = 0.01
-    epochs: int = 200
-    seed: int = 0
+    dim: int = setting(16, Rule(int, 1))
+    margin: float = setting(0.2, MARGIN)
+    negatives_per_positive: int = setting(10, Rule(int, 1))
+    lr: float = setting(0.01, Rule(float, 0, strict=True))
+    epochs: int = setting(200, Rule(int, 1))
+    seed: int = setting(0, SEED)
 
     def __post_init__(self):
-        if self.dim < 1 or self.negatives_per_positive < 1 or self.epochs < 1:
-            raise EmbeddingError("dim, negatives_per_positive, and epochs must be positive")
-        if not 0 < self.margin < 0.25:
-            raise EmbeddingError("margin must lie in (0, 0.25)")
-        if self.lr <= 0:
-            raise EmbeddingError("lr must be positive")
-        if self.seed < 0:
-            raise EmbeddingError("seed must be non-negative")
+        check(self, EmbeddingError)
 
 
 @dataclass

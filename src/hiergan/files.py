@@ -3,9 +3,11 @@
 Every artifact the package writes (checkpoints, datasets, traces, metric
 reports, manifests) goes through ``write_atomic``: the bytes land in a fresh
 temporary file next to the target, which then replaces the target in one
-``os.replace``. A process that dies or a write that fails midway leaves the
-previous file intact and no temporary file behind; ``replace_dir`` swaps a
-run directory in whole, a promise it keeps for errors only (see there).
+``os.replace``. A write that fails with an error leaves the previous file
+intact and no temporary file behind; a killed process leaves the previous
+file too, but can leave its hidden ``.<name>.<hex>.tmp``, since the clean-up
+runs only for an exception. ``replace_dir`` swaps a run directory in whole,
+a promise it keeps for errors only (see there).
 Files are not fsynced, so this guards against interrupted processes, not
 against power loss.
 

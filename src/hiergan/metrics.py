@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import SEED, Rule, check, setting
 from .embed import ClassEmbeddingTable
 from .hierarchy import ClassHierarchy
 from .models import ModelSet, classify, generate_set
@@ -36,6 +37,18 @@ from .synthdata import Dataset
 
 class MetricsError(ValueError):
     """Invalid metric input: degenerate stats, bad distributions, mismatch."""
+
+
+TWO_SAMPLES = Rule(int, 2)  # a class's Frechet statistics need two samples
+
+
+@dataclass
+class EvalConfig:
+    n_per_class: int = setting(500, TWO_SAMPLES)
+    seed: int = setting(0, SEED)
+
+    def __post_init__(self):
+        check(self, MetricsError)
 
 
 @dataclass

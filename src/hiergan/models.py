@@ -27,6 +27,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .autodiff import Adam, Tape, Tensor, _softmax
+from .config import SEED, Rule, check, setting
 from .embed import ClassEmbeddingTable, EmbeddingError, condition
 from .files import load_artifact, save_checkpoint
 from .hierarchy import ClassHierarchy
@@ -243,16 +244,13 @@ def generate_set(models: ModelSet, table: ClassEmbeddingTable, c: int, n: int, s
 
 @dataclass
 class ClassifierConfig:
-    epochs: int = 80
-    batch_size: int = 64
-    lr: float = 0.003
-    seed: int = 0
+    epochs: int = setting(80, Rule(int, 1))
+    batch_size: int = setting(64, Rule(int, 1))
+    lr: float = setting(0.003, Rule(float, 0, strict=True))
+    seed: int = setting(0, SEED)
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.lr <= 0:
-            raise ModelError("classifier config needs epochs >= 1, batch_size >= 1, lr > 0")
-        if self.seed < 0:
-            raise ModelError("classifier seed must be non-negative")
+        check(self, ModelError)
 
 
 def train_classifier(clf: HierClassifier, dataset: Dataset, resolution: int, cfg: ClassifierConfig) -> HierClassifier:

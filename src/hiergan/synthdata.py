@@ -32,6 +32,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .config import SEED, Rule, check, setting
 from .files import load_artifact, save_checkpoint
 from .hierarchy import ClassHierarchy
 
@@ -52,40 +53,28 @@ class DatasetError(ValueError):
 @dataclass
 class DatasetSpec:
     hierarchy: ClassHierarchy
-    samples_per_leaf: int = 200
-    level_noise: tuple[float, ...] = ()
-    observation_noise: float = 0.12
-    seed: int = 0
+    # a fifth of each leaf's samples, rounded down, is its test split
+    samples_per_leaf: int = setting(200, Rule(int, 5))
+    # zero noise is allowed (degenerate diagnostics); negatives are not
+    level_noise: tuple[float, ...] = setting((), Rule(tuple, 0))
+    observation_noise: float = setting(0.12, Rule(float, 0))
+    seed: int = setting(0, SEED)
 
     def __post_init__(self):
+        check(self, DatasetError)
         self.level_noise = tuple(float(x) for x in self.level_noise)
-        # a fifth of each leaf's samples, rounded down, is its test split
-        if self.samples_per_leaf < 5:
-            raise DatasetError("samples_per_leaf must be at least 5")
         if len(self.level_noise) != self.hierarchy.K + 1:
             raise DatasetError(
                 f"level_noise needs K+1 = {self.hierarchy.K + 1} entries, got {len(self.level_noise)}"
             )
-        # zero is allowed (degenerate diagnostics); negatives are not
-        if any(x < 0 for x in self.level_noise) or self.observation_noise < 0:
-            raise DatasetError("noise scales must be non-negative")
-        if self.seed < 0:
-            raise DatasetError("seed must be non-negative")
 
 
-def default_dataset_spec(
-    h: ClassHierarchy, samples_per_leaf: int = 200, seed: int = 0
-) -> DatasetSpec:
-    """Desk-default noise schedule: large drift at the top, halving per level,
-    small observation noise; keeps leaves separable and siblings similar."""
+def default_dataset_spec(h: ClassHierarchy, **given) -> DatasetSpec:
+    """The spec of ``h`` with the desk-default noise schedule (large drift at
+    the top, halving per level: leaves separable, siblings similar) and the
+    ``given`` fields, such as ``samples_per_leaf`` and ``seed``."""
     noise = [1.3] + [0.9 * (0.5**k) for k in range(h.K)]
-    return DatasetSpec(
-        hierarchy=h,
-        samples_per_leaf=samples_per_leaf,
-        level_noise=tuple(noise),
-        observation_noise=0.12,
-        seed=seed,
-    )
+    return DatasetSpec(hierarchy=h, level_noise=tuple(noise), **given)
 
 
 @dataclass(frozen=True)

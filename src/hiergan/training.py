@@ -51,10 +51,11 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Adam, NonFiniteError, Tape, Tensor
-from .embed import ClassEmbeddingTable, EmbeddingError, condition, init_table, margin_loss_graph, sample_negatives, save_table
+from .config import SEED, Rule, check, setting
+from .embed import MARGIN, ClassEmbeddingTable, EmbeddingError, condition, init_table, margin_loss_graph, sample_negatives, save_table
 from .files import replace_dir, write_atomic
 from .hierarchy import ClassHierarchy
-from .metrics import MetricsReport, evaluate, report_csv, report_json
+from .metrics import TWO_SAMPLES, MetricsReport, evaluate, report_csv, report_json
 from .models import HierClassifier, ModelError, ModelSet, ModelConfig, build_models, discriminator_loss, save_models
 from .synthdata import Dataset
 
@@ -86,36 +87,23 @@ class TrainMode(enum.Enum):
 @dataclass
 class TrainConfig:
     mode: TrainMode = TrainMode.TREEGAN
-    lambda1: float = 15.0
-    lambda2: float = 1.0
-    batch_size: int = 64
-    gan_lr: float = 0.0002
-    emb_lr: float = 0.01
-    steps_per_stage: int = 3000
-    eval_every: int = 500
-    eval_n_per_class: int = 500
-    che_margin: float = 0.2
-    che_negatives: int = 10
-    embed_dim: int = 16
-    seed: int = 0
+    lambda1: float = setting(15.0, Rule(float, 0))
+    lambda2: float = setting(1.0, Rule(float, 0))
+    batch_size: int = setting(64, Rule(int, 1))
+    gan_lr: float = setting(0.0002, Rule(float, 0, strict=True))
+    emb_lr: float = setting(0.01, Rule(float, 0, strict=True))
+    steps_per_stage: int = setting(3000, Rule(int, 1))
+    eval_every: int = setting(500, Rule(int, 1))
+    eval_n_per_class: int = setting(500, TWO_SAMPLES)
+    che_margin: float = setting(0.2, MARGIN)
+    che_negatives: int = setting(10, Rule(int, 1))
+    embed_dim: int = setting(16, Rule(int, 1))
+    seed: int = setting(0, SEED)
 
     def __post_init__(self):
         if isinstance(self.mode, str):
             self.mode = TrainMode.from_string(self.mode)
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise TrainingError("lambda1 and lambda2 must be non-negative")
-        if min(self.gan_lr, self.emb_lr) <= 0:
-            raise TrainingError("learning rates must be positive")
-        if min(self.batch_size, self.steps_per_stage, self.eval_every) < 1:
-            raise TrainingError("batch_size, steps_per_stage, eval_every must be >= 1")
-        if self.eval_n_per_class < 2:
-            raise TrainingError("eval_n_per_class must be >= 2: a class's Frechet statistics need two samples")
-        if not 0 < self.che_margin < 0.25:
-            raise TrainingError("che_margin must lie in (0, 0.25)")
-        if self.che_negatives < 1 or self.embed_dim < 1:
-            raise TrainingError("che_negatives and embed_dim must be >= 1")
-        if self.seed < 0:
-            raise TrainingError("seed must be non-negative")
+        check(self, TrainingError)
 
     @property
     def effective_lambda1(self) -> float:

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import shutil
 import struct
@@ -14,13 +15,14 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from hiergan.cli import _SECTION_KEYS, main
-from hiergan.embed import CheConfig
+from hiergan.cli import _SECTION_KEYS, _SECTIONS, main
+from hiergan.embed import CheConfig, EmbeddingError
 from hiergan.files import load_checkpoint, save_checkpoint
 from hiergan.hierarchy import FIXTURE_TREE, parse_hierarchy
-from hiergan.models import ClassifierConfig
-from hiergan.synthdata import DatasetSpec, default_dataset_spec
-from hiergan.training import TrainConfig
+from hiergan.metrics import MetricsError
+from hiergan.models import ClassifierConfig, ModelError
+from hiergan.synthdata import DatasetError, DatasetSpec, default_dataset_spec
+from hiergan.training import TrainConfig, TrainingError
 
 
 @pytest.fixture(scope="module")
@@ -412,8 +414,9 @@ def test_wrong_typed_or_out_of_range_config_exits_one(ws, tmp_path, capsys, sect
         ("che", '{"margin": Infinity}'),
         ("gan", '{"lambda1": Infinity}'),
         ("che", '{"lr": 1' + "0" * 400 + "}"),
+        ("che", '{"seed": 1' + "0" * 5000 + "}"),
     ],
-    ids=["dataset-nan", "dataset-inf-in-tuple", "che-nan", "che-inf", "gan-inf", "che-int-beyond-float"],
+    ids=["dataset-nan", "dataset-inf-in-tuple", "che-nan", "che-inf", "gan-inf", "che-int-beyond-float", "che-int-past-digit-limit"],
 )
 def test_non_finite_config_value_exits_one(ws, tmp_path, capsys, section, text):
     cfg = tmp_path / "bad.json"
@@ -426,6 +429,62 @@ def test_non_finite_config_value_exits_one(ws, tmp_path, capsys, section, text):
     }[section]
     assert main(argv + ["--config", str(cfg)]) == 1
     assert_one_line_error(capsys)
+    assert not out.exists()
+
+
+COMMAND_OF = {"dataset": "gen-data", "che": "train-che", "classifier": "train-clf", "gan": "train-gan", "eval": "eval"}
+MODULE_ERROR = {"dataset": DatasetError, "che": EmbeddingError, "classifier": ModelError, "gan": TrainingError, "eval": MetricsError}
+
+
+def _across(kind, bound, toward):
+    """The neighbour of ``bound`` toward ``toward``: the next integer, or the
+    next float."""
+    return bound + (1 if toward > bound else -1) if kind is int else math.nextafter(bound, toward)
+
+
+def _boundary_cases():
+    """For every CLI-settable field, from the rule it declares: each bound
+    and its neighbour across it, with whether the rule admits them, and one
+    value of a wrong JSON type that meets the bound as a number."""
+    entries = len(default_dataset_spec(parse_hierarchy(FIXTURE_TREE)).level_noise)
+    cases = []
+    for section, cls in _SECTIONS.items():
+        for f in dataclasses.fields(cls):
+            rule = f.metadata.get("rule")
+            if rule is None:
+                continue
+            inward = math.inf if rule.strict else -math.inf
+            numbers = [(rule.low, not rule.strict), (_across(rule.kind, rule.low, inward), rule.strict)]
+            if rule.high < math.inf:
+                numbers += [(rule.high, False), (_across(rule.kind, rule.high, -math.inf), True)]
+            if rule.kind is tuple:
+                numbers = [([x] * entries, admitted) for x, admitted in numbers]
+            # the default as a float where an integer belongs, as a string
+            # where a number does, and a bare number where a list does
+            wrong = rule.low if rule.kind is tuple else (float if rule.kind is int else str)(f.default)
+            for value, admitted in numbers + [(wrong, False)]:
+                cases.append(pytest.param(section, f.name, value, admitted, id=f"{section}-{f.name}-{value!r}"))
+    return cases
+
+
+@pytest.mark.parametrize("section, key, value, admitted", _boundary_cases())
+def test_config_bounds_from_the_declared_rules(ws, tmp_path, capsys, section, key, value, admitted):
+    """The dataclass admits a value its rule admits and refuses the others
+    with the module's own error naming the field; the CLI refuses those with
+    exit 1, one stderr line naming the section, and nothing at --out."""
+    base = default_dataset_spec(parse_hierarchy(FIXTURE_TREE)) if section == "dataset" else _SECTIONS[section]()
+    if admitted:
+        made = dataclasses.replace(base, **{key: value})
+        assert getattr(made, key) == (tuple(value) if isinstance(value, list) else value)
+        return
+    with pytest.raises(MODULE_ERROR[section], match=rf"^{key} must be "):
+        dataclasses.replace(base, **{key: value})
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({section: {key: value}}))
+    out = tmp_path / "out"
+    assert main(_argv_to(ws, COMMAND_OF[section], out) + ["--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad {section} config: {key} must be ") and err.count("\n") == 1, err
     assert not out.exists()
 
 

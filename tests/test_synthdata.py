@@ -54,9 +54,9 @@ def test_spec_level_noise_length(tree):
 
 
 def test_spec_rejects_negative_noise(tree):
-    with pytest.raises(DatasetError, match="non-negative"):
+    with pytest.raises(DatasetError, match="level_noise must be a list of finite numbers >= 0"):
         DatasetSpec(hierarchy=tree, level_noise=(1.0, -0.5, 0.2))
-    with pytest.raises(DatasetError, match="non-negative"):
+    with pytest.raises(DatasetError, match="observation_noise must be a finite number >= 0"):
         DatasetSpec(hierarchy=tree, level_noise=(1.0, 0.5, 0.2), observation_noise=-0.1)
 
 
@@ -68,7 +68,7 @@ def test_spec_rejects_empty_leaf_budget(tree):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_spec_rejects_leaf_budget_without_test_rows(tree, n):
     # a leaf's test split is samples_per_leaf // 5 rows, empty below 5
-    with pytest.raises(DatasetError, match="samples_per_leaf must be at least 5"):
+    with pytest.raises(DatasetError, match="samples_per_leaf must be an integer >= 5"):
         DatasetSpec(hierarchy=tree, samples_per_leaf=n, level_noise=(1.0, 0.5, 0.2))
 
 
