@@ -1,19 +1,19 @@
 """Command-line pipeline: dataset generation through evaluation.
 
 Subcommands mirror the pipeline stages: gen-data, train-che, train-clf,
-train-gan, eval, inspect-embeddings. Every command accepts an optional JSON
-config file (--config) with sections hierarchy / dataset / che / classifier /
-gan / eval; all fields are optional and unknown keys are rejected so a typo in
-a weight name fails loudly instead of silently training the wrong thing.
---seed overrides the relevant section's seed.
+train-gan, eval, inspect-embeddings. All but inspect-embeddings take an
+optional JSON config file (--config) with sections hierarchy / dataset / che /
+classifier / gan / eval, and --seed, which overrides the relevant section's
+seed. All fields are optional and unknown keys are rejected so a typo in a
+weight name fails loudly instead of silently training the wrong thing.
 
 Every command goes through one runner, ``run``, in this order: parse the
 config; work out the files the command reads and writes; refuse, before any
 work, a write whose name is bad or that would replace an input; take the
-output's lock; run the handler; drop the old manifest, write the output, and
-write the manifest last; print. The manifest records the verbatim config, the
-effective settings and the sha256 of every input, with no timestamps, so
-reruns are byte-identical.
+output's lock; run the handler, which loads only the inputs worked out; drop
+the old manifest, write the output, and write the manifest last; print. The
+manifest records the verbatim config, the effective settings and the sha256
+of every input, with no timestamps, so reruns are byte-identical.
 
 Exit codes: 0 success, 1 usage or config error, 2 runtime failure.
 HIERGAN_LOG={debug,info,warning,error} controls log verbosity (default
@@ -122,6 +122,8 @@ def load_config(path: str | None) -> dict:
     for key, value in raw.get("hierarchy", {}).items():
         if not isinstance(value, str):
             raise CliError(f"config section 'hierarchy': {key} must be a string, got {value!r}")
+    if {"text", "path"} <= raw.get("hierarchy", {}).keys():
+        raise CliError("config section 'hierarchy' sets both 'text' and 'path'")
     return raw
 
 
@@ -132,19 +134,10 @@ def _read_text(path) -> str:
         raise CliError(f"{path} is not UTF-8 text: {err}") from err
 
 
-def resolve_hierarchy(config: dict, hierarchy_file: str | None):
-    """Explicit --hierarchy file wins; then the config section; then the
-    built-in fixture tree."""
-    if hierarchy_file is not None:
-        text = _read_text(hierarchy_file)
-    else:
-        section = config.get("hierarchy", {})
-        if "text" in section and "path" in section:
-            raise CliError("config section 'hierarchy' sets both 'text' and 'path'")
-        if "path" in section:
-            text = _read_text(section["path"])
-        else:
-            text = section.get("text", FIXTURE_TREE)
+def resolve_hierarchy(config: dict, path: str | None):
+    """The tree in ``path``, the file ``_reads`` resolved; else the config's
+    ``hierarchy.text``; else the built-in fixture tree."""
+    text = _read_text(path) if path is not None else config.get("hierarchy", {}).get("text", FIXTURE_TREE)
     return parse_hierarchy(text), text
 
 
@@ -215,17 +208,17 @@ def _write_manifest(out: Path, manifest: dict) -> None:
 
 def _reads(args, config: dict) -> dict:
     """The files a command reads, by the names its manifest records them
-    under (``--config`` is echoed there instead); a tree file that the
-    config's ``hierarchy.path`` names counts as ``hierarchy``."""
+    under (``--config`` is echoed there instead), and the only paths handlers
+    load; ``--hierarchy``, else the config's ``hierarchy.path``, is ``hierarchy``."""
     if args.command == "eval":
         run_dir = Path(args.run)
         if not run_dir.is_dir():
             raise CliError(f"--run {args.run} is not a run directory")
         return {"data": args.data, "models": run_dir / "models.hgck", "embeddings": run_dir / "embeddings.hgck"}
     named = {name: getattr(args, name, None) for name in ("hierarchy", "data", "clf8", "clf16", "embeddings")}
-    if args.command in ("gen-data", "train-che") and not named["hierarchy"]:
+    if args.command in ("gen-data", "train-che") and named["hierarchy"] is None:
         named["hierarchy"] = config.get("hierarchy", {}).get("path")
-    return {name: path for name, path in named.items() if path}
+    return {name: path for name, path in named.items() if path is not None}  # "" stays, to fail where it is loaded
 
 
 def _writes(args, reads: dict) -> list[Path]:
@@ -271,12 +264,12 @@ class Outcome(typing.NamedTuple):
 
 def run(args) -> int:
     """Run one command in the order the module docstring gives; return its
-    exit code."""
+    exit code; the handler loads only the paths in ``reads``."""
     config = load_config(args.config)
     reads = _reads(args, config)
     out = _writes(args, reads)[0]
     with output_lock(out):
-        outcome = args.handler(args, config)
+        outcome = args.handler(args, config, reads)
         manifest = {
             "command": args.command,
             "config_file": config,  # verbatim echo of the parsed JSON
@@ -301,8 +294,8 @@ def run(args) -> int:
 # ------------------------------------------------------------------ handlers
 
 
-def cmd_gen_data(args, config: dict) -> Outcome:
-    h, h_text = resolve_hierarchy(config, None)
+def cmd_gen_data(args, config: dict, reads: dict) -> Outcome:
+    h, h_text = resolve_hierarchy(config, reads.get("hierarchy"))
     spec = _build(config, "dataset", args.seed, **vars(default_dataset_spec(h)))
     dataset = generate_dataset(spec)
     log.info("dataset: %d train / %d test samples", len(dataset.train), len(dataset.test))
@@ -315,8 +308,8 @@ def cmd_gen_data(args, config: dict) -> Outcome:
     )
 
 
-def cmd_train_che(args, config: dict) -> Outcome:
-    h, h_text = resolve_hierarchy(config, args.hierarchy)
+def cmd_train_che(args, config: dict, reads: dict) -> Outcome:
+    h, h_text = resolve_hierarchy(config, reads.get("hierarchy"))
     cfg = _build(config, "che", args.seed)
     table = train_che(h, cfg)
     acc = ranking_accuracy(table, h, cfg.negatives_per_positive, seed=cfg.seed)
@@ -327,9 +320,9 @@ def cmd_train_che(args, config: dict) -> Outcome:
     return Outcome(lambda out: save_table(out, table), fields, lines, hashed=True)
 
 
-def cmd_train_clf(args, config: dict) -> Outcome:
+def cmd_train_clf(args, config: dict, reads: dict) -> Outcome:
     cfg = _build(config, "classifier", args.seed)
-    dataset = load_dataset(args.data)
+    dataset = load_dataset(reads["data"])
     pixels = args.resolution * args.resolution
     clf = HierClassifier.init(dataset.spec.hierarchy, pixels, ModelConfig(), np.random.default_rng(cfg.seed))
     train_classifier(clf, dataset, args.resolution, cfg)
@@ -340,15 +333,16 @@ def cmd_train_clf(args, config: dict) -> Outcome:
     return Outcome(lambda out: save_classifier(clf, out), fields, lines, hashed=True)
 
 
-def cmd_train_gan(args, config: dict) -> Outcome:
+def cmd_train_gan(args, config: dict, reads: dict) -> Outcome:
     if args.mode == "seg" and args.embeddings is None:
         raise CliError("--embeddings is required for seg mode (a pre-trained table to freeze)")
     if args.mode != "seg" and args.embeddings is not None:
         raise CliError(f"--embeddings is only valid with seg mode, not {args.mode}")
     cfg = _build(config, "gan", args.seed, mode=args.mode)
-    dataset = load_dataset(args.data)
-    clf_lo, clf_hi = load_classifier(args.clf8), load_classifier(args.clf16)
-    embeddings = load_table(args.embeddings) if args.embeddings else None
+    dataset = load_dataset(reads["data"])
+    clf_lo, clf_hi = load_classifier(reads["clf8"]), load_classifier(reads["clf16"])
+    # an empty --embeddings is no table, which run_training refuses in seg mode
+    embeddings = load_table(reads["embeddings"]) if reads.get("embeddings") else None
     art = run_training(dataset, dataset.spec.hierarchy, cfg, clf_lo, clf_hi, embeddings)
     if art.aborted:
         code, line = 2, (
@@ -364,12 +358,11 @@ def cmd_train_gan(args, config: dict) -> Outcome:
     return Outcome(lambda out, manifest: save_run(art, out, extra_manifest=manifest), {}, [line], code=code)
 
 
-def cmd_eval(args, config: dict) -> Outcome:
+def cmd_eval(args, config: dict, reads: dict) -> Outcome:
     cfg = _build(config, "eval", args.seed)
-    paths = _reads(args, config)
-    dataset = load_dataset(paths["data"])
-    table = load_table(paths["embeddings"])
-    models = load_models(paths["models"])
+    dataset = load_dataset(reads["data"])
+    table = load_table(reads["embeddings"])
+    models = load_models(reads["models"])
     report = evaluate(models, table, dataset, dataset.spec.hierarchy, n_per_class=cfg.n_per_class, seed=cfg.seed)
 
     def write(out):
@@ -383,8 +376,8 @@ def cmd_eval(args, config: dict) -> Outcome:
     return Outcome(write, {"effective": dataclasses.asdict(cfg)}, [line])
 
 
-def cmd_inspect_embeddings(args, config: dict) -> Outcome:
-    table = load_table(args.embeddings)  # rows labelled by the hierarchy stored with the table
+def cmd_inspect_embeddings(args, config: dict, reads: dict) -> Outcome:
+    table = load_table(reads["embeddings"])  # rows labelled by the hierarchy stored with the table
     n = len(table.names)
     line = f"wrote {n}x{n} similarity matrix to {Path(args.out)}"
     return Outcome(lambda out: write_atomic(out, similarity_csv(table)), {}, [line])

@@ -53,4 +53,8 @@ def check(config, error: type[Exception]) -> None:
     for f in fields(config):
         value = getattr(config, f.name)
         if "rule" in f.metadata and not f.metadata["rule"].admits(value):
-            raise error(f"{f.name} must be {f.metadata['rule']}, got {value!r}")
+            try:
+                shown = repr(value)
+            except ValueError:  # an integer with more digits than Python converts to text
+                shown = "an integer too long to print" + ("" if isinstance(value, int) else " in a list")
+            raise error(f"{f.name} must be {f.metadata['rule']}, got {shown}")

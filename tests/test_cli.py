@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -1147,6 +1148,93 @@ def test_config_hierarchy_path_is_an_input(tmp_path, capsys, monkeypatch):
     assert main(["gen-data", "--config", "c2.json", "--out", "d.hgds"]) == 0
     inputs = json.loads(Path("d.hgds.manifest.json").read_text())["inputs"]
     assert inputs == {"hierarchy": {"path": "tree.txt", "sha256": hashlib.sha256(FIXTURE_TREE.encode()).hexdigest()}}
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train-che", "train-clf", "train-gan", "eval"])
+def test_config_hierarchy_with_both_keys_exits_one_before_any_work(ws, tmp_path, capsys, monkeypatch, command):
+    """Every command that takes --config refuses a hierarchy section that
+    sets both ``text`` and ``path``, also those that never read a tree."""
+    tree = tmp_path / "tree.txt"
+    tree.write_text(FIXTURE_TREE)
+    both = tmp_path / "both.json"
+    both.write_text(json.dumps({"hierarchy": {"text": FIXTURE_TREE, "path": str(tree)}}))
+    argv = _argv_to(ws, command, tmp_path / "out")
+    argv[argv.index("--config") + 1] = str(both)
+    _forbid_work(monkeypatch, command)
+    inputs = _ws_bytes(ws)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: config section 'hierarchy' sets both 'text' and 'path'\n"
+    assert captured.out == ""
+    assert _ws_bytes(ws) == inputs
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["both.json", "tree.txt"]  # no output, lock or manifest
+
+
+@pytest.mark.parametrize("section", ["path", "text"])
+def test_hierarchy_flag_wins_over_the_config_tree(tmp_path, monkeypatch, section):
+    """``--hierarchy A`` beside a config naming tree B, by file or by text:
+    the table is A's, and the manifest records A as the only input."""
+    monkeypatch.chdir(tmp_path)
+    Path("A.txt").write_text(OTHER_TREE)
+    Path("B.txt").write_text(FIXTURE_TREE)
+    che = {"epochs": 5, "seed": 0}
+    Path("a.json").write_text(json.dumps({"che": che}))
+    tree_b = "B.txt" if section == "path" else FIXTURE_TREE
+    Path("ab.json").write_text(json.dumps({"che": che, "hierarchy": {section: tree_b}}))
+    assert main(["train-che", "--config", "a.json", "--hierarchy", "A.txt", "--out", "alone.hgck"]) == 0
+    assert main(["train-che", "--config", "ab.json", "--hierarchy", "A.txt", "--out", "both.hgck"]) == 0
+    assert Path("both.hgck").read_bytes() == Path("alone.hgck").read_bytes()
+    sha = hashlib.sha256(OTHER_TREE.encode()).hexdigest()
+    for out in ("alone.hgck", "both.hgck"):
+        inputs = json.loads(Path(out + ".manifest.json").read_text())["inputs"]
+        assert inputs == {"hierarchy": {"path": "A.txt", "sha256": sha}}
+
+
+# files opened for reading, appended to by the audit hook below while a test sets a list here
+_READS: list[Path] | None = None
+
+
+def _record_reads(event, args):
+    if event != "open" or _READS is None or not isinstance(args[0], (str, bytes, os.PathLike)):
+        return
+    path, _, flags = args
+    if flags & os.O_ACCMODE != os.O_WRONLY and not flags & os.O_CREAT and not os.path.isdir(path):
+        _READS.append(Path(os.path.abspath(os.fsdecode(path))))
+
+
+sys.addaudithook(_record_reads)  # an audit hook cannot be removed; this one is idle while _READS is None
+
+
+def test_a_command_reads_only_what_its_manifest_records(tmp_path, monkeypatch):
+    """Over the golden eight-command pipeline, each command reads every input
+    its manifest records and, beside its --config and its own outputs, no
+    other file. Handlers get those inputs from the runner as ``reads``."""
+    global _READS
+    import hiergan.cli as cli
+    from test_golden import CLI_CONFIG, CLI_PIPELINE
+
+    handlers = {name: fn for name, fn in vars(cli).items() if name.startswith("cmd_")}
+    assert len(handlers) == 6
+    for name, fn in handlers.items():
+        assert list(inspect.signature(fn).parameters) == ["args", "config", "reads"], name
+    root = tmp_path.resolve()
+    monkeypatch.chdir(root)
+    Path("c.json").write_text(json.dumps(CLI_CONFIG, sort_keys=True))
+    for argv in CLI_PIPELINE:
+        _READS = []
+        try:
+            assert main(argv) == 0, argv
+        finally:
+            read, _READS = set(_READS), None
+        args = cli.build_parser().parse_args(argv)
+        out = root / args.out
+        manifest_path = out / "manifest.json" if args.command == "train-gan" else cli._manifest_path(out)
+        vouched = {root / entry["path"] for entry in json.loads(manifest_path.read_text())["inputs"].values()}
+        vouched |= {root / args.config} if args.config else set()
+        own = {out, out.with_suffix(".json"), cli._manifest_path(out)}
+        assert vouched <= read, argv
+        strays = {p for p in read if root in p.parents and p not in vouched | own and out not in p.parents}
+        assert not strays, (argv, strays)
 
 
 @pytest.mark.parametrize("command", ["gen-data", "train-che", "train-clf", "inspect-embeddings"])

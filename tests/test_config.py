@@ -69,6 +69,22 @@ def test_library_caller_meets_the_config_rules(cls, error, key, value):
 
 
 @pytest.mark.parametrize(
+    "cls, error, key, value",
+    [
+        (CheConfig, EmbeddingError, "seed", -(10**5000)),
+        (TrainConfig, TrainingError, "lambda1", 10**5000),
+        (DatasetSpec, DatasetError, "level_noise", [10**5000, 0.0, 0.0]),
+    ],
+    ids=["che-seed", "gan-lambda1", "dataset-level-noise"],
+)
+def test_an_integer_too_long_to_print_is_refused_with_the_modules_error(cls, error, key, value):
+    """Python will not turn an integer of more than 4,300 digits into text;
+    the refusal still names the field and its rule, without the digits."""
+    with pytest.raises(error, match=rf"^{key} must be .+, got an integer too long to print"):
+        dataclasses.replace(_default(cls), **{key: value})
+
+
+@pytest.mark.parametrize(
     "rule, value, admitted",
     [
         (Rule(int, 0), np.int64(3), True),
