@@ -7,7 +7,9 @@ multiplication) and taking the cosine between the rotated vectors, flattened
 to real coordinates. ``pair_scores`` is the one scorer: it rates a batch of
 pairs at once, with the expressions the margin loss evaluates. Training
 minimizes a hinge ranking loss that pushes every true pair above corruptions
-that ``sample_negatives`` draws for all true pairs in one call.
+that ``sample_negatives`` draws for all true pairs in one call; those draws
+are numpy's own ``integers`` draws, taken from one bulk call of raw 32-bit
+words wherever that yields the same stream.
 
 The differentiable margin loss at the bottom is shared with the joint GAN
 objective, which keeps refining the same table while the generator trains;
@@ -15,7 +17,11 @@ there it sits on the generator's tape, so one backward serves both updates.
 It is one tape record (op ``che_margin``) over the four table tensors, whose
 backward is the closed-form cosine adjoint chained through the rotation and
 the gathers; loss and gradients agree with a graph of primitive ops to
-rounding, at a small fraction of its bookkeeping.
+rounding, at a small fraction of its bookkeeping. The record scores the
+negatives and then the positives in one pass, and its backward scatters the
+row adjoints into each class array with one ``np.bincount``, in the order
+negatives' parent side, their child side, positives' parent side, their
+child side: the order, and so the sums, of one ``np.add.at`` per part.
 """
 
 from __future__ import annotations
@@ -149,25 +155,58 @@ def sample_negatives(
     integers: the side, uniformly, then a replacement uniformly from that
     side's valid classes; a draw whose side admits no corruption falls back
     to the other side.
+
+    When every side of every pair has two or more candidates, each of those
+    integers is one 32-bit word, so all of them come from one bulk call of
+    raw words, mapped as numpy's ``integers(k)`` maps a word (Lemire's
+    multiply-shift: ``(u * k) >> 32``). Should a word land where that draw
+    would reject it and take another, or a side have fewer than two
+    candidates (``integers(1)`` takes no word), the rng is rewound and the
+    draws are taken one by one. Either way the stream and the negatives are
+    the same.
     """
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).tolist()
-    for p, c in pairs:
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    for p, c in pairs.tolist():
         if not h.is_parent_child(p, c):
             raise EmbeddingError(f"({p}, {c}) is not a parent-child pair")
     if n < 1:
         raise EmbeddingError("need n >= 1 negatives")
     if len(h) < 3:
         raise EmbeddingError(f"hierarchy with {len(h)} nodes admits no negative pairs")
+    sides = [(h.unrelated(c), h.unrelated(p)) for p, c in pairs.tolist()]  # replacements for p, for c
+    counts = np.array([[len(s) for s in two] for two in sides], dtype=np.uint64).reshape(-1, 2)
+    if counts.size and counts.min() >= 2:
+        state = rng.bit_generator.state
+        words = rng.integers(0, _WORD, size=(len(pairs), n, 2), dtype=np.uint64)
+        side = ((words[..., 0] * 2) >> 32).astype(np.intp)  # integers(2) never rejects
+        k = np.take_along_axis(counts, side, axis=1)
+        if not _lemire_rejects(words[..., 1], k).any():
+            starts = np.cumsum(counts.reshape(-1)) - counts.reshape(-1)
+            flat = np.array([q for two in sides for s in two for q in s], dtype=np.int64)
+            picks = flat[np.take_along_axis(starts.reshape(-1, 2), side, axis=1) + ((words[..., 1] * k) >> 32)]
+            out = np.repeat(pairs[:, None, :], n, axis=1)
+            np.put_along_axis(out, side[..., None], picks[..., None], axis=2)
+            return out
+        rng.bit_generator.state = state
     out = []
-    for p, c in pairs:
-        sides = (h.unrelated(c), h.unrelated(p))  # replacements for p, for c
+    for (p, c), two in zip(pairs.tolist(), sides):
         for _ in range(n):
             side = int(rng.integers(2))
-            if not sides[side]:
+            if not two[side]:
                 side = 1 - side
-            pick = sides[side][int(rng.integers(len(sides[side])))]
+            pick = two[side][int(rng.integers(len(two[side])))]
             out.append((pick, c) if side == 0 else (p, pick))
     return np.asarray(out, dtype=np.int64).reshape(len(pairs), n, 2)
+
+
+_WORD = 1 << 32
+
+
+def _lemire_rejects(words: np.ndarray, k) -> np.ndarray:
+    """Whether numpy's ``integers(k)`` would reject each 32-bit word and draw
+    another: the low half of ``word * k`` falls below 2**32 mod k."""
+    k = np.asarray(k, dtype=np.uint64)
+    return (words * k) & np.uint64(_WORD - 1) < np.uint64(_WORD) % k
 
 
 # ------------------------------------------------------ differentiable graph
@@ -203,23 +242,41 @@ def pair_scores(table: ClassEmbeddingTable, pairs) -> np.ndarray:
     return scores
 
 
-def _cosine_adjoints(g, cosines, rre, rim, grads: list) -> None:
-    """Add the adjoints of one ``_pair_cosines`` call, given the adjoint g
-    (B,) of its scores, into ``grads`` = [class_re, class_im, rel_re, rel_im].
+def _cosine_adjoints(g, cosines, rre, rim, split: int, num_classes: int) -> tuple[np.ndarray, ...]:
+    """The adjoints (class_re, class_im, rel_re, rel_im) of one
+    ``_pair_cosines`` call over a table of ``num_classes`` classes, given the
+    adjoint g (B,) of its scores; its first ``split`` pairs are the negatives
+    and the rest the positives.
 
     For the rotated vectors a, b of a pair, dcos/da = b/(|a||b|) - cos a/|a|^2
     (and the same with a and b swapped); a rotation t = x * r (complex) sends
     back g_x = g_t * conj(r) to the gathered rows and sum(g_t * conj(x)) to
-    the relation, and a repeated gather index accumulates through add.at.
+    the relation. Each side's row adjoints are built once, over all pairs.
+    The relation's column sums and the scatter into the class rows take the
+    parts in one order: the negatives' parent side, their child side, the
+    positives' parent side, their child side. One ``np.bincount`` per class
+    array adds the rows in that order from zero, which is how ``np.add.at``
+    accumulates a repeated gather index.
     """
     cos, den, sides = cosines
+    parts = []  # per side: gather index and the adjoints of the gathered rows and of the relation
     for (idx, re, im, t_re, t_im, norm), (*_, o_re, o_im, _) in zip(sides, sides[::-1]):
         to_other, to_self = (g / den)[:, None], (g * cos / (norm * norm))[:, None]
         g_re, g_im = to_other * o_re - to_self * t_re, to_other * o_im - to_self * t_im
-        grads[2] += (g_re * re + g_im * im).sum(axis=0)
-        grads[3] += (g_im * re - g_re * im).sum(axis=0)
-        np.add.at(grads[0], idx, g_re * rre + g_im * rim)
-        np.add.at(grads[1], idx, g_im * rre - g_re * rim)
+        rows = (g_re * rre + g_im * rim, g_im * rre - g_re * rim)
+        parts.append((idx, rows, (g_re * re + g_im * im, g_im * re - g_re * im)))
+    order = [(side, cut) for cut in (slice(None, split), slice(split, None)) for side in parts]
+    grads = [np.zeros_like(rre), np.zeros_like(rim)]
+    for (_, _, rel), cut in order:
+        grads[0] += rel[0][cut].sum(axis=0)
+        grads[1] += rel[1][cut].sum(axis=0)
+    dim = rre.shape[0]
+    bins = (np.concatenate([idx[cut] for (idx, _, _), cut in order])[:, None] * dim + np.arange(dim)).reshape(-1)
+    scatter = (
+        np.bincount(bins, np.concatenate([rows[k][cut] for (_, rows, _), cut in order]).reshape(-1), num_classes * dim)
+        for k in (0, 1)
+    )
+    return (*(a.reshape(num_classes, dim) for a in scatter), *grads)
 
 
 def margin_loss_graph(
@@ -227,17 +284,21 @@ def margin_loss_graph(
 ) -> Tensor:
     """Differentiable hinge ranking loss, sum of max(0, margin + neg - pos);
     ``neg_pairs`` is int (P, n, 2). One tape record, op ``che_margin``, over
-    the four table tensors, in ``ClassEmbeddingTable.arrays`` order."""
+    the four table tensors, in ``ClassEmbeddingTable.arrays`` order. The
+    negatives and then the positives are scored in one ``_pair_cosines``
+    call; each pair's score is a row of its own, so it is the score a call
+    of its own gives."""
     pos_pairs = np.asarray(pos_pairs, dtype=np.int64).reshape(-1, 2)
     neg_pairs = np.asarray(neg_pairs, dtype=np.int64)
     if neg_pairs.ndim != 3 or neg_pairs.shape[0] != len(pos_pairs) or neg_pairs.shape[2] != 2:
         raise EmbeddingError(f"expected pos pairs (P, 2) and neg pairs (P, n, 2), got {neg_pairs.shape} negatives")
     num_pos, num_neg = neg_pairs.shape[0], neg_pairs.shape[1]
+    split = num_pos * num_neg
     params = tuple(tensors)
     cre, cim, rre, rim = (t.data for t in params)
-    pos = _pair_cosines(cre, cim, rre, rim, pos_pairs)
-    neg = _pair_cosines(cre, cim, rre, rim, neg_pairs.reshape(-1, 2))
-    shifted = neg[0].reshape(num_pos, num_neg) - pos[0].reshape(num_pos, 1) + float(margin)
+    cosines = _pair_cosines(cre, cim, rre, rim, np.concatenate([neg_pairs.reshape(-1, 2), pos_pairs]))
+    scores = cosines[0]
+    shifted = scores[:split].reshape(num_pos, num_neg) - scores[split:].reshape(num_pos, 1) + float(margin)
     if not np.isfinite(shifted).all():
         raise NonFiniteError("op 'che_margin' produced non-finite pair scores")
     mask = shifted > 0
@@ -245,10 +306,8 @@ def margin_loss_graph(
 
     def back(g):
         g_hinge = np.full(hinge.shape, float(g)) * mask
-        grads = [np.zeros_like(a) for a in (cre, cim, rre, rim)]
-        _cosine_adjoints(g_hinge.reshape(-1), neg, rre, rim, grads)
-        _cosine_adjoints(-g_hinge.sum(axis=1), pos, rre, rim, grads)
-        return tuple(grads)
+        g_scores = np.concatenate([g_hinge.reshape(-1), -g_hinge.sum(axis=1)])
+        return _cosine_adjoints(g_scores, cosines, rre, rim, split, len(cre))
 
     return tape._emit("che_margin", params, np.asarray(hinge.sum()), back)
 

@@ -249,6 +249,61 @@ def test_negatives_match_per_call_oracle(text):
         assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)
 
 
+@pytest.mark.parametrize(
+    "text, bulk",
+    [
+        (FIXTURE_TREE, True),  # every side has 4 or more candidates
+        ("root\nroot/a\nroot/a/x\nroot/b\nroot/b/y\n", True),  # sides of 2 and 3 candidates
+        ("root\nroot/a\nroot/a/b\nroot/a/b/x\nroot/a/b/y\n", False),  # one side of 1: integers(1) takes no word
+        ("root\nroot/a\nroot/a/x\n", False),  # sides of 0 and 1 candidates
+        ("root\nroot/a\nroot/b\nroot/c\n", False),  # a side of 0: every draw falls back to the other side
+    ],
+)
+def test_negatives_match_per_call_oracle_on_either_branch(text, bulk, monkeypatch):
+    """The one-call draw runs only when every side has two or more
+    candidates; elsewhere the per-draw loop runs. Both give the oracle's
+    negatives and leave the stream where the oracle leaves it."""
+    import hiergan.embed as embed
+
+    h = parse_hierarchy(text)
+    seen, rejects = [], embed._lemire_rejects
+    monkeypatch.setattr(embed, "_lemire_rejects", lambda words, k: seen.append(k) or rejects(words, k))
+    for seed in range(3):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = [per_call_sample_negatives(h, pair, 25, ref_rng) for pair in h.parent_child_pairs()]
+        got = sample_negatives(h, h.parent_child_pairs(), 25, rng)
+        assert got.tolist() == [[list(neg) for neg in row] for row in want]
+        assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)
+    assert len(seen) == (3 if bulk else 0)
+
+
+def test_negatives_rewind_when_a_word_would_be_rejected(tree, monkeypatch):
+    """Were any word in Lemire's rejection zone, the bulk words are given
+    back and the draws are taken one by one: same negatives, same stream."""
+    import hiergan.embed as embed
+
+    monkeypatch.setattr(embed, "_lemire_rejects", lambda words, k: np.ones(np.shape(words), dtype=bool))
+    pairs = tree.parent_child_pairs()
+    for seed in range(3):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = [per_call_sample_negatives(tree, pair, 10, ref_rng) for pair in pairs]
+        assert sample_negatives(tree, pairs, 10, rng).tolist() == [[list(neg) for neg in row] for row in want]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_lemire_rejection_zone_on_crafted_words():
+    """numpy's integers(k) maps a 32-bit word u to (u * k) >> 32 unless the
+    low half of u * k is below 2**32 mod k, where it draws again."""
+    from hiergan.embed import _lemire_rejects
+
+    words = np.array([0, 1, 2, 3, 2**32 - 1], dtype=np.uint64)
+    assert _lemire_rejects(words, 3).tolist() == [True, False, False, False, False]  # 2**32 mod 3 == 1
+    assert _lemire_rejects(words, 7).tolist() == [True, False, False, False, False]  # 2**32 mod 7 == 4, 1*7 >= 4
+    assert not _lemire_rejects(words, 2).any() and not _lemire_rejects(words, 8).any()  # powers of 2 never reject
+    # per word and per count, as the sampler passes them
+    assert _lemire_rejects(np.array([0, 0], dtype=np.uint64), np.array([3, 4], dtype=np.uint64)).tolist() == [True, False]
+
+
 def test_negatives_error_cases(tree):
     rng = np.random.default_rng(0)
     good = tree.parent_child_pairs()[0]
