@@ -58,5 +58,5 @@ for y, name in zip(h.leaves, leaf_names):
 from hiergan.autodiff import Tape, Tensor
 from hiergan.embed import condition
 
-vec = condition(Tape(), [Tensor(a) for a in table.arrays], fox, 1).data[0]
+vec = condition(Tape(), [Tensor(a) for a in table.arrays], fox).data[0]
 print(f"\ncondition vector for {h.name_of(fox)}: shape {vec.shape}, norm {np.linalg.norm(vec):.3f}")

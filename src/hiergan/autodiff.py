@@ -18,7 +18,10 @@ returns None for an input the tape does not track, so classifier weights and
 real images cost no gradient product, while a tracked image still receives
 the gradient that reaches it through them. ``linear(x, w, b)`` is one record
 for ``x @ w + b``, the dense layer every network is built from; its bias
-adjoint is the column sum of the output adjoint.
+adjoint is the column sum of the output adjoint. A conditioned first layer
+passes its class row as ``linear(x, w, b, cond=c)``: the row joins every
+input row in the math, but it is multiplied once, into the bias, and its
+adjoints are column sums, so a batch of n rows costs no n copies of it.
 
 The elementwise forward kernels are branch-free: ``relu`` and ``leaky_relu``
 take a maximum, and ``sigmoid`` picks its numerator with one ``where``; each
@@ -141,20 +144,52 @@ class Tape:
 
     # ------------------------------------------------------------ primitives
 
-    def linear(self, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-        """Dense layer ``x @ w + b`` for x (n, k), w (k, m) and b (m,)."""
-        if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
-            raise ValueError(f"linear shape mismatch: {x.shape} @ {w.shape} + {b.shape}")
+    def linear(self, x: Tensor, w: Tensor, b: Tensor, cond: Tensor | None = None, cond_first: bool = False) -> Tensor:
+        """Dense layer ``x @ w + b`` for x (n, k), w (k, m) and b (m,).
+
+        With ``cond`` c (1, j), the layer's input is every row of x joined to
+        c, as [c | x] when ``cond_first`` and [x | c] otherwise, for w
+        (k + j, m). The row is never repeated: with w_c the j rows of w that
+        c meets and w_x the rest, the value is x @ w_x + (c @ w_c + b), and c
+        acts as a bias. Its adjoints are g @ w_x.T for x, x.T @ g in the x
+        rows of w and outer(c, g.sum(0)) in the c rows, g.sum(0) @ w_c.T for
+        c and g.sum(0) for b.
+        """
+        j = 0 if cond is None else cond.data.shape[-1]
+        if (
+            x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] + j != w.shape[0] or b.shape != (w.shape[1],)
+            or cond is not None and cond.shape != (1, j)
+        ):
+            shapes = f"{x.shape} @ {w.shape} + {b.shape}" + ("" if cond is None else f" with condition {cond.shape}")
+            raise ValueError(f"linear shape mismatch: {shapes}")
         xd, wd = x.data, w.data
         # resolved here: a rule that asked the tape would keep it in a cycle
         tx, tw, tb = self.tracks(x), self.tracks(w), self.tracks(b)
+        if cond is None:
 
-        def back(g):
-            return (g @ wd.T if tx else None, xd.T @ g if tw else None, g.sum(axis=0) if tb else None)
+            def back(g):
+                return (g @ wd.T if tx else None, xd.T @ g if tw else None, g.sum(axis=0) if tb else None)
 
-        out = xd @ wd
-        out += b.data
-        return self._emit("linear", (x, w, b), out, back)
+            out = xd @ wd
+            out += b.data
+            return self._emit("linear", (x, w, b), out, back)
+
+        k = x.shape[1]
+        rows_c, rows_x = (slice(None, j), slice(j, None)) if cond_first else (slice(k, None), slice(None, k))
+        cd, wc, wx, tc = cond.data, wd[rows_c], wd[rows_x], self.tracks(cond)
+
+        def back_cond(g):
+            col = g.sum(axis=0)
+            gw = None
+            if tw:
+                gw = np.empty_like(wd)
+                gw[rows_x] = xd.T @ g
+                gw[rows_c] = np.outer(cd, col)
+            return (g @ wx.T if tx else None, gw, col if tb else None, (wc @ col)[None] if tc else None)
+
+        out = xd @ wx
+        out += cd @ wc + b.data
+        return self._emit("linear", (x, w, b, cond), out, back_cond)
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
         if a.shape != b.shape:
@@ -183,17 +218,17 @@ class Tape:
 
         return self._emit("concat", parts, np.concatenate([t.data for t in parts], axis=axis), back)
 
-    def slice(self, a: Tensor, key) -> Tensor:
-        data = a.data[key]
+    def slice(self, a: Tensor, start: int, stop: int) -> Tensor:
+        """Rows start:stop of a; each row is taken once, so the adjoint is g
+        put back in place."""
+        key = np.s_[start:stop]
 
         def back(g):
             full = np.zeros_like(a.data)
-            # add.at accumulates when the key repeats an index (gather of
-            # duplicate rows), where plain assignment would drop contributions
-            np.add.at(full, key, g)
+            full[key] = g
             return (full,)
 
-        return self._emit("slice", (a,), data, back)
+        return self._emit("slice", (a,), a.data[key], back)
 
     def relu(self, a: Tensor) -> Tensor:
         ad = a.data

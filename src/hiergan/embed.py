@@ -116,11 +116,12 @@ def init_table(h: ClassHierarchy, dim: int, rng: np.random.Generator) -> ClassEm
     return ClassEmbeddingTable(*(rng.uniform(-scale, scale, size=shape) for shape in shapes), hierarchy=h)
 
 
-def condition(tape: Tape, tensors: list[Tensor], y: int, n: int) -> Tensor:
-    """n conditioning rows (re || im) of class y, gathered on ``tape`` from
-    the table tensors: the one gather, in training and generation."""
-    idx = np.full(n, y)
-    return tape.concat([tape.slice(tensors[0], idx), tape.slice(tensors[1], idx)], axis=1)
+def condition(tape: Tape, tensors: list[Tensor], y: int) -> Tensor:
+    """The conditioning row (re || im) of class y, (1, 2D), gathered on
+    ``tape`` from the table tensors: the one gather, in training and
+    generation. A batch shares it: each network adds it into its first
+    layer's bias (``Tape.linear``'s ``cond``)."""
+    return tape.concat([tape.slice(tensors[0], y, y + 1), tape.slice(tensors[1], y, y + 1)], axis=1)
 
 
 _TABLE_ARRAYS = ("class_re", "class_im", "rel_re", "rel_im")

@@ -4,16 +4,17 @@ All networks are small dense MLPs over flattened pixels, sized for the
 16x16/8x8 desk resolutions. The generator runs in two conditional stages
 (class embedding + noise -> 8x8, then class embedding + 8x8 -> 16x16), each
 with its own discriminator that judges an image joined to its class
-embedding. Each of these four is a plain ``Mlp``: ``Mlp.forward`` joins its
-input parts column by column and runs its layers, and
-``discriminator_loss`` is the D step's objective. The hierarchical classifier
-shares one trunk and puts a linear head on every level of the class tree; its
-loss is the sum of per-level softmax cross-entropies against the leaf's
-ancestor path. One forward serves both the loss and ``classify``, the readout
-the metrics use. Only ``train_classifier`` tracks the classifier's
-parameters; every other tape it runs on leaves them constant, while gradients
-still flow through it to a tracked *image*, which is the path the
-generated-image consistency penalty trains the generator through.
+embedding. Each of these four is a plain ``Mlp`` whose first layer reads
+the class's one conditioning row as a bias (``Mlp.forward``, with
+``Tape.linear``'s ``cond``), and ``discriminator_loss`` is the D step's
+objective. The hierarchical classifier shares one trunk and puts a linear
+head on every level of the class tree; its loss is the sum of per-level
+softmax cross-entropies against the leaf's ancestor path. One forward
+serves both the loss and ``classify``, the readout the metrics use. Only
+``train_classifier`` tracks the classifier's parameters; every other tape it
+runs on leaves them constant, while gradients still flow through it to a
+tracked *image*, which is the path the generated-image consistency penalty
+trains the generator through.
 
 A ``ModelSet`` holds networks only; ``generate_set`` conditions them on a
 given embedding table and is the generator's readout, as ``classify`` is the
@@ -73,22 +74,26 @@ class Mlp:
     layers: list[tuple[Tensor, Tensor]]
     hidden: str  # "leaky_relu" | "relu"
     out: str  # "sigmoid" | "linear"
+    cond_first: bool = False  # a condition row takes the first input columns, else the last
 
     @property
     def in_dim(self) -> int:
         return self.layers[0][0].shape[0]
 
-    def forward(self, tape: Tape, *parts: Tensor) -> Tensor:
-        """Join the input parts column by column (one ``concat`` record, none
-        for a single part), then run the layers."""
-        shapes = [p.shape for p in parts]
-        if any(p.data.ndim != 2 for p in parts) or sum(p.shape[1] for p in parts) != self.in_dim:
-            raise ModelError(f"expected inputs (n, k) whose widths add up to {self.in_dim}, got {shapes}")
-        if len({p.shape[0] for p in parts}) > 1:
-            raise ModelError(f"batch mismatch: input parts {shapes} differ in rows")
-        h = parts[0] if len(parts) == 1 else tape.concat(list(parts), axis=1)
+    def forward(self, tape: Tape, x: Tensor, *, cond: Tensor | None = None) -> Tensor:
+        """Run the layers on x (n, k). A condition row ``cond`` (1, j) is
+        part of every input row, in its first j columns when ``cond_first``
+        and its last j otherwise; the first layer takes it as a bias
+        (``Tape.linear``), so it is never repeated n times."""
+        j = 0 if cond is None else cond.data.shape[-1]
+        if x.data.ndim != 2 or x.shape[1] + j != self.in_dim:
+            got = f"{x.shape}" + ("" if cond is None else f" and condition {cond.shape}")
+            raise ModelError(f"expected inputs (n, k) whose widths add up to {self.in_dim}, got {got}")
+        if cond is not None and cond.shape != (1, j):
+            raise ModelError(f"a condition is one row (1, j), got shape {cond.shape}")
+        h = x
         for i, (w, b) in enumerate(self.layers):
-            h = tape.linear(h, w, b)
+            h = tape.linear(h, w, b, cond, self.cond_first) if i == 0 else tape.linear(h, w, b)
             if i < len(self.layers) - 1:
                 h = tape.leaky_relu(h) if self.hidden == "leaky_relu" else tape.relu(h)
         if self.out == "sigmoid":
@@ -121,11 +126,11 @@ class ModelConfig:
 def discriminator_loss(tape: Tape, d: Mlp, real: Tensor, fake: Tensor, e_c: Tensor) -> Tensor:
     """Non-saturating GAN loss of the discriminator d,
     BCE(D(real), 1) + BCE(D(fake), 0) over n rows each, from one forward over
-    the real rows stacked on the fake rows, each with its condition row: twice
-    the mean BCE over the 2n targets, ones then zeros."""
+    the real rows stacked on the fake rows, all with the one condition row
+    e_c: twice the mean BCE over the 2n targets, ones then zeros."""
     if real.shape != fake.shape:
         raise ModelError(f"real and fake batches differ in shape: {real.shape} vs {fake.shape}")
-    logits = d.forward(tape, tape.concat([real, fake]), tape.concat([e_c, e_c]))
+    logits = d.forward(tape, tape.concat([real, fake]), cond=e_c)
     targets = np.repeat([[1.0], [0.0]], real.shape[0], axis=0)
     return tape.scale(tape.binary_cross_entropy_with_logits(logits, targets), 2.0)
 
@@ -234,7 +239,7 @@ def generate_set(models: ModelSet, table: ClassEmbeddingTable, c: int, n: int, s
         raise ModelError(f"embedding table has dim {table.dim} but the models were built for dim {models.config.embed_dim}")
     if c not in table.leaves:
         raise EmbeddingError(f"id {c} is not a leaf of this table's hierarchy")
-    e_c = condition(Tape(), [Tensor(a) for a in table.arrays], c, n)
+    e_c = condition(Tape(), [Tensor(a) for a in table.arrays], c)
     z = np.random.default_rng(seed).standard_normal((n, models.config.noise_dim))
     return models.generate(Tape(), e_c, Tensor(z)).data.reshape(n, 16, 16)
 
@@ -298,10 +303,11 @@ class ModelSet:
     clf_hi: HierClassifier
 
     def generate(self, tape: Tape, e_c: Tensor, z: Tensor, stage: int = 2) -> Tensor:
-        """The generator graph: stage 1's 8x8 images, or at stage 2 the 16x16
+        """The generator graph for the condition row e_c (1, cond_dim) and a
+        batch of noise rows: stage 1's 8x8 images, or at stage 2 the 16x16
         images grown from them. Rows are flattened pixels."""
-        lo = self.g1.forward(tape, e_c, z)
-        return lo if stage == 1 else self.g2.forward(tape, e_c, lo)
+        lo = self.g1.forward(tape, z, cond=e_c)
+        return lo if stage == 1 else self.g2.forward(tape, lo, cond=e_c)
 
 
 def build_models(
@@ -334,11 +340,14 @@ def _gan_nets(cfg: ModelConfig) -> dict[str, list[int]]:
 
 
 def _model_set(h: ClassHierarchy, cfg: ModelConfig, arrays, clf_lo: HierClassifier, clf_hi: HierClassifier) -> ModelSet:
-    """The GAN networks of ``cfg``'s shapes over arrays, generators ending
-    in a sigmoid and discriminators in a logit, with the classifiers."""
+    """The GAN networks of ``cfg``'s shapes over arrays, with the
+    classifiers: generators read the condition in their first input columns
+    and end in a sigmoid, discriminators read it in their last and end in a
+    logit."""
     gan = {
-        name: Mlp(_layers(arrays, name, sizes), "leaky_relu", "sigmoid" if name[0] == "g" else "linear")
+        name: Mlp(_layers(arrays, name, sizes), "leaky_relu", "sigmoid" if gen else "linear", cond_first=gen)
         for name, sizes in _gan_nets(cfg).items()
+        for gen in [name[0] == "g"]
     }
     return ModelSet(config=cfg, hierarchy=h, **gan, clf_lo=clf_lo, clf_hi=clf_hi)
 

@@ -11,8 +11,9 @@ weighted by ``lambda2`` (the prior control). Modes:
   FLAT     random frozen embeddings; lambda1 = 0
 
 In every mode the trainer's table tensors ``emb`` are the run's one copy of
-the class embedding; ``embed.condition`` gathers the generator's rows from
-them, and the generator's tape tracks them only in the joint modes.
+the class embedding; ``embed.condition`` gathers the step's one conditioning
+row from them, which every network's first layer takes as a bias for the
+whole batch, and the generator's tape tracks them only in the joint modes.
 
 Each step runs strict alternation: a discriminator Adam step, then one
 backward of ``g_adv + lambda1 * penalty + lambda2 * margin`` that feeds the
@@ -22,7 +23,7 @@ through the generator pathway. When lambda1 == 0 the penalty branch is
 skipped outright, which makes TREEGAN with lambda1=0 bit-identical to NPC,
 not merely close.
 
-The generator graph (conditioning rows and fake images, then in joint modes
+The generator graph (conditioning row and fake images, then in joint modes
 the margin loss over freshly sampled corruptions) is built once per step,
 before the D step: the D step reads its values as constants, in one
 discriminator forward over the real rows stacked on the fake rows, and the G
@@ -212,7 +213,7 @@ class Trainer:
         # the G step extends it once D has moved; in joint modes the margin
         # loss joins it, since only the embedding update changes the table
         tape_g = Tape(self.g_opt.params + emb)
-        e_c = condition(tape_g, self.emb, y, n)
+        e_c = condition(tape_g, self.emb, y)
         fake = self.models.generate(tape_g, e_c, Tensor(z), self.stage)
         if joint:
             neg = sample_negatives(self.h, self.pairs, cfg.che_negatives, self.rng)
@@ -230,7 +231,7 @@ class Trainer:
         # reaches the margin record before the conditioning gathers, so each
         # table gradient is the margin part plus the generator-path part.
         g_adv = tape_g.binary_cross_entropy_with_logits(
-            self.disc.forward(tape_g, fake, e_c), np.ones((n, 1))
+            self.disc.forward(tape_g, fake, cond=e_c), np.ones((n, 1))
         )
         g_obj, h_penalty, che_loss = g_adv, 0.0, 0.0
         lam1 = cfg.effective_lambda1

@@ -68,6 +68,18 @@ def sum(t: Tape, a: Tensor) -> Tensor:
     return t._emit("sum", (a,), np.asarray(a.data.sum()), lambda g: (np.full(shape, float(g)),))
 
 
+def gather(t: Tape, a: Tensor, idx) -> Tensor:
+    """Rows ``idx`` of a; a repeated index accumulates its rows' adjoints."""
+    idx = np.asarray(idx)
+
+    def back(g):
+        full = np.zeros_like(a.data)
+        np.add.at(full, idx, g)
+        return (full,)
+
+    return t._emit("gather", (a,), a.data[idx], back)
+
+
 def sqrt(t: Tape, a: Tensor) -> Tensor:
     data = np.sqrt(a.data)
     return t._emit("sqrt", (a,), data, lambda g: (g * 0.5 / data,))

@@ -102,10 +102,10 @@ def test_criterion_01_gradients(dataset):
     params = ms.g1.params() + ms.g2.params() + trainer.emb
 
     def composite(tape, ps):
-        e_c = condition(tape, trainer.emb, y, 3)
+        e_c = condition(tape, trainer.emb, y)
         fake = trainer.models.generate(tape, e_c, Tensor(z), trainer.stage)
         g_adv = tape.binary_cross_entropy_with_logits(
-            trainer.disc.forward(tape, fake, e_c), np.ones((3, 1))
+            trainer.disc.forward(tape, fake, cond=e_c), np.ones((3, 1))
         )
         penalty = tape.scale(trainer.clf.loss(tape, fake, [y] * 3), 1.0 / 3)
         return tape.add(g_adv, tape.scale(penalty, 15.0))

@@ -236,12 +236,22 @@ def test_duplicated_consumer_doubles_gradient():
     assert np.array_equal(g_double, 2.0 * g_single)
 
 
-def test_slice_with_repeated_indices_accumulates():
+def test_reference_gather_with_repeated_indices_accumulates():
+    # the margin oracle gathers class rows by pair, with repeats
     x = leaf(np.arange(6.0).reshape(3, 2))
     t = Tape([x])
-    rows = t.slice(x, np.array([0, 0, 2]))
+    rows = ref.gather(t, x, np.array([0, 0, 2]))
     grads = t.backward(ref.sum(t, rows))
     assert np.array_equal(grads[x], [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
+
+
+def test_slice_puts_the_adjoint_back_at_its_rows():
+    x = leaf(np.arange(8.0).reshape(4, 2))
+    t = Tape([x])
+    rows = t.slice(x, 1, 3)
+    assert np.array_equal(rows.data, [[2.0, 3.0], [4.0, 5.0]])
+    grads = t.backward(ref.sum(t, ref.mul(t, rows, Tensor([[1.0, 2.0], [3.0, 4.0]]))))
+    assert np.array_equal(grads[x], [[0.0, 0.0], [1.0, 2.0], [3.0, 4.0], [0.0, 0.0]])
 
 
 def test_backward_bit_identical_across_reruns():
@@ -330,6 +340,44 @@ def test_linear_shape_mismatch():
     t = Tape()
     with pytest.raises(ValueError, match="linear"):
         t.linear(leaf(np.ones((2, 3))), leaf(np.ones((3, 4))), leaf(np.ones(3)))
+    # a condition is one row, and its width is part of w's
+    for c in (np.ones((2, 1)), np.ones(1), np.ones((1, 2))):
+        with pytest.raises(ValueError, match="linear shape mismatch"):
+            t.linear(leaf(np.ones((2, 2))), leaf(np.ones((3, 4))), leaf(np.ones(4)), cond=leaf(c))
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["cond-first", "cond-last"])
+def test_linear_condition_row_matches_repeated_join(first):
+    """linear(x, w, b, cond=c) against the layer over c joined to every row
+    of x, built from tape ops: the value and every gradient agree within
+    1e-12 of the largest magnitude."""
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        n, k, j, m = (int(v) for v in rng.integers(1, 7, size=4))
+        data = [rng.normal(size=shape) for shape in ((n, k), (k + j, m), (m,), (1, j))]
+        out_w = rng.normal(size=(n, m))
+
+        x, w, b, c = (leaf(a.copy()) for a in data)
+        t = Tape([x, w, b, c])
+        got = t.linear(x, w, b, cond=c, cond_first=first)
+        got_grads = t.backward(ref.sum(t, ref.mul(t, got, Tensor(out_w))))
+
+        x2, w2, b2, c2 = (leaf(a.copy()) for a in data)
+        t2 = Tape([x2, w2, b2, c2])
+        rows = t2.concat([c2] * n, axis=0)
+        want = t2.linear(t2.concat([rows, x2] if first else [x2, rows], axis=1), w2, b2)
+        want_grads = t2.backward(ref.sum(t2, ref.mul(t2, want, Tensor(out_w))))
+
+        assert np.max(np.abs(got.data - want.data)) <= 1e-12 * np.max(np.abs(want.data))
+        for p, p2 in zip((x, w, b, c), (x2, w2, b2, c2)):
+            assert got_grads[p].shape == p.shape
+            assert np.max(np.abs(got_grads[p] - want_grads[p2])) <= 1e-12 * np.max(np.abs(want_grads[p2]))
+        # untracked operands get no adjoint
+        t3 = Tape([w])
+        t3.linear(x, w, b, cond=c, cond_first=first)
+        gx, gw, gb, gc = t3._records[0].backward(out_w)
+        assert gx is None and gb is None and gc is None
+        assert gw.tobytes() == t._records[0].backward(out_w)[1].tobytes()
 
 
 def test_add_rejects_operands_of_different_shapes():
@@ -420,7 +468,7 @@ def _fd_cases(rng):
                     [mk((n, m)), mk((n, m))]),
         "concat1": (lambda t, ps: weighted(t, t.concat([ps[0], ps[1]], axis=1), w_cat1),
                     [mk((n, m)), mk((n, k))]),
-        "slice": (lambda t, ps: weighted(t, t.slice(ps[0], (slice(0, 1), slice(None))), w_slice),
+        "slice": (lambda t, ps: weighted(t, t.slice(ps[0], 0, 1), w_slice),
                   [mk((n, m))]),
         "relu": (lambda t, ps: weighted(t, t.relu(ps[0]), w1), [kinkless((n, m))]),
         "leaky_relu": (lambda t, ps: weighted(t, t.leaky_relu(ps[0]), w1), [kinkless((n, m))]),
@@ -443,6 +491,11 @@ def _fd_cases(rng):
             ),
             [mk((n, m)), mk((m, m)), leaf(rng.normal(size=(m,))), mk((m, k)), leaf(rng.normal(size=(k,)))],
         ),
+        # drawn last, so the cases above keep their draws
+        "linear_cond_first": (lambda t, ps: weighted(t, t.linear(ps[0], ps[1], ps[2], cond=ps[3], cond_first=True), w_mm),
+                              [mk((n, m)), mk((2 + m, k)), mk((k,)), mk((1, 2))]),
+        "linear_cond_last": (lambda t, ps: weighted(t, t.linear(ps[0], ps[1], ps[2], cond=ps[3]), w_mm),
+                             [mk((n, m)), mk((m + 3, k)), mk((k,)), mk((1, 3))]),
     }
     return cases
 

@@ -383,10 +383,10 @@ def reference_pair_scores_graph(tape: Tape, ts: list[Tensor], pairs: np.ndarray)
     class_re, class_im, rel_re, rel_im = ts
     dim = rel_re.shape[0]
     ones = Tensor(np.ones((dim, 1)))
-    rp = tape.slice(class_re, pairs[:, 0])
-    ip = tape.slice(class_im, pairs[:, 0])
-    rc = tape.slice(class_re, pairs[:, 1])
-    ic = tape.slice(class_im, pairs[:, 1])
+    rp = ref.gather(tape, class_re, pairs[:, 0])
+    ip = ref.gather(tape, class_im, pairs[:, 0])
+    rc = ref.gather(tape, class_re, pairs[:, 1])
+    ic = ref.gather(tape, class_im, pairs[:, 1])
 
     def rotate(re, im):
         rot_re = ref.sub(tape, ref.mul(tape, re, rel_re), ref.mul(tape, im, rel_im))
@@ -582,7 +582,7 @@ def test_leaf_condition_vector_layout():
         rel_im=np.array([0.0]),
         hierarchy=parse_hierarchy("root\nroot/a\n"),
     )
-    assert np.array_equal(condition(Tape(), tensors(table), 1, 2).data, [[0.3, -0.2], [0.3, -0.2]])
+    assert np.array_equal(condition(Tape(), tensors(table), 1).data, [[0.3, -0.2]])
     # generation conditions on leaves only
     models = build_models(table.hierarchy, ModelConfig(embed_dim=1))
     with pytest.raises(EmbeddingError, match="not a leaf"):
@@ -593,7 +593,7 @@ def test_leaf_condition_vector_layout():
 
 def test_condition_vector_length(tree, trained):
     for y in tree.leaves:
-        assert condition(Tape(), tensors(trained), y, 3).shape == (3, 2 * trained.dim)
+        assert condition(Tape(), tensors(trained), y).shape == (1, 2 * trained.dim)
 
 
 def _calls(path, attr, receiver=None):
@@ -630,8 +630,8 @@ def test_table_save_load_round_trip(tmp_path, tree, trained):
     assert np.array_equal(loaded.rel_im, trained.rel_im)
     assert loaded.names == trained.names and loaded.leaves == trained.leaves
     for y in tree.leaves:
-        want = condition(Tape(), tensors(trained), y, 1).data
-        assert np.array_equal(condition(Tape(), tensors(loaded), y, 1).data, want)
+        want = condition(Tape(), tensors(trained), y).data
+        assert np.array_equal(condition(Tape(), tensors(loaded), y).data, want)
 
 
 def test_table_load_rejects_flat_class_arrays(tmp_path, tree):

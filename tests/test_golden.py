@@ -33,26 +33,26 @@ CHE_SHA256 = "d769138f4a85deee8c6db98db7889f09e4780f2ac6e90b2f342d27d70931770d"
 
 GOLDEN = {
     "flat": {
-        "trace.csv": "cea20f945a730e891a72152a408d6f4ab4fc5fc2244bb222a064c0e7b26dd0b7",
-        "models.hgck": "9eb001e9f2f890e50fd6cf7a7334dfca20893d871f93fc4b3a0f2a4a5d3ae78a",
+        "trace.csv": "d277ac3c4b210f5fd2331c69e233deba399a3739eaeb92921b907703a66f04d5",
+        "models.hgck": "2fbffb12b3efeceb1dd4a710683e081e4ba84fcaff8012fd57959dc39f292ff0",
         "embeddings.hgck": "3c644a67d193bf149c33c0051d7a14dbc02a55e7552e25967396fbcff9decdc8",
-        "metrics_step000020.json": "cbc662e75627c2b2c7abfabeb9640db52dfaa4334134facdfd4b5270e66ab5c9",
+        "metrics_step000020.json": "f62a59c914758e11eed76fdb11e1d55ecac17eb841a27534fafea8bcc9c58c9b",
     },
     "treegan": {
-        "trace.csv": "600e9608d39553001f8fdf8f605a0e394d666cc5d9a378fd530b7d27b0b3fbf5",
-        "models.hgck": "8fb11f6fa131bb52a6581891a209ceddf83786a817a4d86e442abb24965439ee",
-        "metrics_step000020.json": "347a0592ea27a352c08536fdfdd30ff1c0fb2c076f05e247a520359e222aebc3",
+        "trace.csv": "c7dff6500ddc6473403d910365e6f486d4430c3b39b80c31c7e4876cae508c18",
+        "models.hgck": "c4a240ea0a777f9d3b9da584332105c7a52053dc90a71791f01c992d744414fa",
+        "metrics_step000020.json": "900c52caa7144225c8f43cac224c0f73fa5864b44ed9078b7b6288989a392218",
     },
     "npc": {
-        "trace.csv": "a83119afbbf88afc69b851c25cebc46453278052558bb1d87668e195809c75e8",
-        "models.hgck": "c66372aa6c3b63abf0fc0941f9f57ba70c0c75b2f6c271fa65032906c1a4e3d0",
-        "metrics_step000020.json": "65d8ad169749787bf7869b1e46bf1ceb9855b24379773037a8c976ab6c4bae0b",
+        "trace.csv": "64e84eb53709905f4ea106928b9b69ced9e177e94f41371ab570de79708ba5f8",
+        "models.hgck": "682ee5cd3432c08fb52c2920126246e13f81eb8e6967a71b058142da4f0e2f47",
+        "metrics_step000020.json": "6520b44f65f14bf66a2730700f17dbc410b61a662af0a7e2898e0ca7971413f5",
     },
     "seg": {
-        "trace.csv": "c987695e33376cfbc603ef72ec4be92c907a32a5966092a9609fc4c0b21caecd",
-        "models.hgck": "cbf4164c522bb352052b3ea6c7d5503c9933edd574b21da2e580915cb81ba9d9",
+        "trace.csv": "f86f6daf122309eb771210a95426c905c97afd7fd35f0b1e691dea17f1f959d8",
+        "models.hgck": "0bd5ec7f851b6f474c87303493a446990bcb5943b850135bb57a0adbc2db1c14",
         "embeddings.hgck": CHE_SHA256,
-        "metrics_step000020.json": "d130cad47dedc6a1aa988f382c37c7e447ff69cf3d6796deed115131e6e09ad6",
+        "metrics_step000020.json": "fbde9c24f3560c22a718d1b324ded50b74b4a3193f0091f98bd1b8f06e644342",
     },
 }
 
@@ -63,13 +63,13 @@ CONTENTS = {
     "dataset": "50dabc463b04411e7274534a6b6068a2ec4c90acaf0467c054cd863ef73b058f",
     "che.hgck": "de34cb3090d1be85aaf95890ac03a8cd6de5fd3e043c8ca82838f1527e17592d",
     "flat/embeddings.hgck": "23f8ac16f3709d6805a09b0103ddca94918eca949399a56817142f4cda70d84c",
-    "flat/models.hgck": "4bac48b7f1b726cf02479d0c245624f029813fda3b45fe984be477117df5036e",
+    "flat/models.hgck": "3e60524d916b49c6c612ae3b0238f775a5e6fd3dde8a48e4e14555448e239817",
     "npc/embeddings.hgck": "25968fad7d6ffd68cc2fed31895708c64eca1efff042f7e446d13734348a653c",
-    "npc/models.hgck": "3e6fd72f8fc3f8420c616ffd1acb928e3bcef768106d85534585997a1fbe506f",
+    "npc/models.hgck": "b89fbf239a8daf0194001270de37ad5cd15a3819685631b5b54f01f07144ba16",
     "seg/embeddings.hgck": "de34cb3090d1be85aaf95890ac03a8cd6de5fd3e043c8ca82838f1527e17592d",
-    "seg/models.hgck": "1721265bfeac52a48cbc24e2418eedde78e7dfbd0c092a4476f47663a191ce21",
-    "treegan/embeddings.hgck": "54b63844d24d484cd8d3ec720522c9be9d2eb9ac4de11eb4013209f838aa56f3",
-    "treegan/models.hgck": "ed0fb70ecfde8e91e9f5c3f6ba2bfcc0d520e28b4f95e948782c8665502050a1",
+    "seg/models.hgck": "3681804709f29f68b2ddd32ac887b39b947d27801494bafd8fc33564c83bba3c",
+    "treegan/embeddings.hgck": "e5423e2b2853b7956326888de17f59d553c6682a340bce172b2075f301b433cd",
+    "treegan/models.hgck": "7b51561437d67613de7d6dabf0e967434d3e56b31a8b405d3b54c09868b04ca6",
 }
 
 
@@ -195,22 +195,22 @@ CLI_GOLDEN = {
     "data.hgds": "f143f55cedceb771095b53853d82a797e2fb1c200f9063ae90f185c28c580c41",
     "data.hgds.manifest.json": "ad3121543e1206bcbf141aa1bf4eaffb7fa4906cc818678690ea6ee6671004e7",
     "metrics.csv": "32c3708df8cb6c8e31fac837c00a70abf7f5a522398280858bb065035f194446",
-    "metrics.csv.manifest.json": "1846dffcd3f830bc8a214cdecbfe4d395181ba17271cb2218f714313f9528bd4",
-    "metrics.json": "70f40a2ddd3e4039f126273e11c2700d25492e0413ed009e953e922991085478",
+    "metrics.csv.manifest.json": "dfa2938e9e75ba27982bbdf0adaa6c5306b952d9aa1d35ac7e00aeef5690422a",
+    "metrics.json": "7a4df1f8f06d0dea8d58dbb8f800e5e9c37c49f61133260ef55e1408dc414114",
     "seg/embeddings.hgck": "8690f43f7dc252099127087a9249998538abb016c81058243af33dce36d12a20",
     "seg/manifest.json": "b770f817c7a2b763dc391d1ae7df63488f77a472bd6e7e6d905abb9092d9fc04",
     "seg/metrics_step000008.csv": "590c00a106b20e764f72a52952d5148dc0ac006cf36c73ad788a81791b9029f4",
-    "seg/metrics_step000008.json": "86b42df3a37c89d4884b789df9143897ee981e4a9e1a6c14a8057033bac2ec68",
-    "seg/models.hgck": "8e0e16fd0f99b80027f9564f4f48738f44c57d24c4728cc09c8e736a2c949f82",
-    "seg/trace.csv": "807f8cc4dfc9cf976ea73571538495c1f777605033400d6fbae418e2a25fa742",
+    "seg/metrics_step000008.json": "ca9021d7b35180904c73232dbaea18beb629975488c7b925fd3dfc28189c1ea3",
+    "seg/models.hgck": "8a027a9351c76a01d26af05cf37b31e2de1372bb59c3d40d8a00b3167aff6b5d",
+    "seg/trace.csv": "7b22b01667f40a57e32f771b124f9f3bb1e5bcbad12a076ef70cd16109fa857a",
     "similarity.csv": "d938af79bd33e783a8240bcbbecfa6f4f40ec66e94b9eb1238024ae94b745822",
     "similarity.csv.manifest.json": "ebb3e989ca2144aa3008ad07e47acfefc9e9a1994da6a67e8059b44cb91c35eb",
     "treegan/embeddings.hgck": "f580481c60bb711ff315c83e1f8903f2a2cf38d82fa32c8e3a38f94ab0f856ce",
     "treegan/manifest.json": "2c061bdb249087d557f8f8206c64b7f349cbff582b6cd805306dc57a8a6b4a1f",
     "treegan/metrics_step000008.csv": "8edc6318227d0a8cee7744f5f80b5f30de3b2c9e55aa53b39a0a3903c64bff7f",
-    "treegan/metrics_step000008.json": "7e38a98a18764cad8f653dfae07deacbad7ebbad770e0aeb8e92150ef10b6d8f",
-    "treegan/models.hgck": "c89be5dfce99284661cefa341ff2dcc22a962149a7fccdba814f5472df9c3aca",
-    "treegan/trace.csv": "b722da7e5e4ad16bc43c702cb48c8dddb4d5fc39edaa030c94c0495a18d133f4",
+    "treegan/metrics_step000008.json": "c41eac2158e91d2587d89b3406fc0292a987a0ec5462ca301695b8cc47c16674",
+    "treegan/models.hgck": "7f29885e8439df81dcdee7d32280b0a387ea676c1a9f7dbf62cc542e3dc163e0",
+    "treegan/trace.csv": "a647f74b6c30989a6dfe4ede1fabc302ad48ba0056db95c940a17d76aade8cba",
 }
 CLI_STDOUT_SHA256 = "693732d464fcb8dfb9a1b746ced19fabfe029c9f63166dc1b1240a34d84892a5"
 

@@ -51,15 +51,16 @@ def zeroed(net):
 
 def leaf_row(table, y):
     """Leaf y's conditioning row (re || im), as ``condition`` gathers it."""
-    return condition(Tape(), [Tensor(a) for a in table.arrays], y, 1).data[0]
+    return condition(Tape(), [Tensor(a) for a in table.arrays], y).data[0]
 
 
 def generate_images(ms, e, z):
-    """Both stages for one condition/noise row or a batch of them, as images."""
+    """Both stages for one condition row and one noise row or a batch of
+    them, as images."""
     e2, z2 = Tensor(np.atleast_2d(e)), Tensor(np.atleast_2d(z))
     lo = ms.generate(Tape(), e2, z2, stage=1).data.reshape(-1, 8, 8)
     hi = ms.generate(Tape(), e2, z2, stage=2).data.reshape(-1, 16, 16)
-    return (lo[0], hi[0]) if np.ndim(e) == 1 else (lo, hi)
+    return (lo[0], hi[0]) if np.ndim(z) == 1 else (lo, hi)
 
 
 def test_generate_shapes_and_range(models, tree, table):
@@ -72,11 +73,16 @@ def test_generate_shapes_and_range(models, tree, table):
 
 
 def test_generate_batched(models, tree, table):
+    # a batch shares its one condition row; each image is the one its noise
+    # row makes alone
     rng = np.random.default_rng(1)
-    e = np.stack([leaf_row(table, y) for y in tree.leaves[:3]])
+    e = leaf_row(table, tree.leaves[2])
     z = rng.standard_normal((3, 32))
     lo, hi = generate_images(models, e, z)
     assert lo.shape == (3, 8, 8) and hi.shape == (3, 16, 16)
+    for i in range(3):
+        lo_i, hi_i = generate_images(models, e, z[i])
+        assert np.max(np.abs(lo[i] - lo_i)) <= 1e-12 and np.max(np.abs(hi[i] - hi_i)) <= 1e-12
 
 
 def test_generate_deterministic(models, tree, table):
@@ -100,21 +106,32 @@ def test_generate_dimension_mismatch(models):
         generate_images(models, np.zeros(7), np.zeros(32))
     with pytest.raises(ModelError):
         generate_images(models, np.zeros(32), np.zeros(7))
-    with pytest.raises(ModelError, match="batch mismatch"):
+    with pytest.raises(ModelError, match="one row"):
         generate_images(models, np.zeros((2, 32)), np.zeros((3, 32)))
 
 
-def test_mlp_joins_parts_in_one_concat_record(models):
+@pytest.mark.parametrize(
+    "net, first", [("g1", True), ("g2", True), ("d_lo", False), ("d_hi", False)], ids=["g1", "g2", "d_lo", "d_hi"]
+)
+def test_mlp_condition_row_matches_joined_input(models, net, first):
+    """A network's condition row is the block of input columns its weights
+    give it, first in the generators and last in the discriminators: the
+    same values as the row joined to every input row, with no join record."""
+    mlp = getattr(models, net)
     rng = np.random.default_rng(4)
-    x, e = Tensor(rng.uniform(size=(3, 64))), Tensor(rng.normal(size=(3, 32)))
-    joined = Tensor(np.concatenate([x.data, e.data], axis=1))
-    parts_tape, joined_tape = Tape([x, e]), Tape([joined])
-    a = models.d_lo.forward(parts_tape, x, e)
-    b = models.d_lo.forward(joined_tape, joined)
-    assert a.data.tobytes() == b.data.tobytes()
-    assert len(parts_tape) == len(joined_tape) + 1
+    x, e = Tensor(rng.uniform(size=(3, mlp.in_dim - 32))), Tensor(rng.normal(size=(1, 32)))
+    rows = np.repeat(e.data, 3, axis=0)
+    joined = Tensor(np.concatenate([rows, x.data] if first else [x.data, rows], axis=1))
+    cond_tape, joined_tape = Tape([x, e]), Tape([joined])
+    a = mlp.forward(cond_tape, x, cond=e)
+    b = mlp.forward(joined_tape, joined)
+    assert mlp.cond_first is first
+    assert np.max(np.abs(a.data - b.data)) <= 1e-12 * np.max(np.abs(b.data))
+    assert len(cond_tape) == len(joined_tape)
     with pytest.raises(ModelError):
-        models.d_lo.forward(Tape(), Tensor(np.zeros(96)))
+        mlp.forward(Tape(), Tensor(np.zeros(mlp.in_dim)))
+    with pytest.raises(ModelError, match="one row"):
+        mlp.forward(Tape(), x, cond=Tensor(rows))
 
 
 # -------------------------------------------------------------- generate_set
@@ -158,8 +175,8 @@ def test_generator_pixel_gradcheck(tree, table):
     params = ms.g1.params() + ms.g2.params()
 
     def pixel(tape, ps):
-        lo = ms.g1.forward(tape, Tensor(e), Tensor(z))
-        hi = ms.g2.forward(tape, Tensor(e), lo)
+        lo = ms.g1.forward(tape, Tensor(z), cond=Tensor(e))
+        hi = ms.g2.forward(tape, lo, cond=Tensor(e))
         return tape.scale(ref.sum(tape, hi), 1.0 / hi.data.size)
 
     report = grad_check(pixel, params, step=1e-6, max_per_param=40)
@@ -173,11 +190,11 @@ def gan_losses(d, real, fake, e):
     """The D step's loss and the G step's adversarial term, as joint_step
     computes them, for image batches and one condition row."""
     n = real.shape[0]
-    e_c = Tensor(np.tile(e, (n, 1)))
+    e_c = Tensor(e[None])
     real_t, fake_t = Tensor(real.reshape(n, -1)), Tensor(fake.reshape(fake.shape[0], -1))
     tape = Tape()
     d_loss = discriminator_loss(tape, d, real_t, fake_t, e_c)
-    g_loss = tape.binary_cross_entropy_with_logits(d.forward(tape, fake_t, e_c), np.ones((n, 1)))
+    g_loss = tape.binary_cross_entropy_with_logits(d.forward(tape, fake_t, cond=e_c), np.ones((n, 1)))
     return d_loss.item(), g_loss.item()
 
 
@@ -231,14 +248,14 @@ def test_adversarial_losses_match_loop_oracle(tree):
     # the one stacked forward's weight gradients are those of two forwards,
     # one per batch, summed
     n = real.shape[0]
-    real_t, fake_t, e_c = Tensor(real.reshape(n, -1)), Tensor(fake.reshape(n, -1)), Tensor(np.tile(e, (n, 1)))
+    real_t, fake_t, e_c = Tensor(real.reshape(n, -1)), Tensor(fake.reshape(n, -1)), Tensor(e[None])
     d = ms.d_lo
     tape = Tape(d.params())
     got = tape.backward(discriminator_loss(tape, d, real_t, fake_t, e_c))
     tape = Tape(d.params())
     want = tape.backward(tape.add(
-        tape.binary_cross_entropy_with_logits(d.forward(tape, real_t, e_c), np.ones((n, 1))),
-        tape.binary_cross_entropy_with_logits(d.forward(tape, fake_t, e_c), np.zeros((n, 1))),
+        tape.binary_cross_entropy_with_logits(d.forward(tape, real_t, cond=e_c), np.ones((n, 1))),
+        tape.binary_cross_entropy_with_logits(d.forward(tape, fake_t, cond=e_c), np.zeros((n, 1))),
     ))
     assert set(got) == set(want) == set(d.params())
     for p in d.params():
@@ -247,7 +264,7 @@ def test_adversarial_losses_match_loop_oracle(tree):
 
 def test_adversarial_losses_shape_mismatch(models):
     rng = np.random.default_rng(3)
-    e_c = Tensor(np.zeros((4, 32)))
+    e_c = Tensor(np.zeros((1, 32)))
     with pytest.raises(ModelError):
         discriminator_loss(Tape(), models.d_lo, Tensor(rng.uniform(size=(4, 64))), Tensor(rng.uniform(size=(3, 64))), e_c)
 
@@ -523,7 +540,7 @@ def test_save_load_round_trip(tmp_path, tree, table):
     tape = Tape(back.g1.params())
     cond = Tensor(e[None])
     fake = back.generate(tape, cond, Tensor(z[None]), stage=1)
-    loss = tape.add(ref.sum(tape, back.d_lo.forward(tape, fake, cond)), back.clf_lo.loss(tape, fake, [tree.id_of("tiger")]))
+    loss = tape.add(ref.sum(tape, back.d_lo.forward(tape, fake, cond=cond)), back.clf_lo.loss(tape, fake, [tree.id_of("tiger")]))
     assert set(tape.backward(loss)) == set(back.g1.params())
 
 

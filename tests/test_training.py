@@ -175,10 +175,10 @@ def test_composite_generator_objective_gradcheck(tree, corpus):
     params = ms.g1.params() + ms.g2.params() + trainer.emb
 
     def objective(tape, ps):
-        e_c = condition(tape, trainer.emb, y, 3)
+        e_c = condition(tape, trainer.emb, y)
         fake = trainer.models.generate(tape, e_c, Tensor(z), trainer.stage)
         g_adv = tape.binary_cross_entropy_with_logits(
-            trainer.disc.forward(tape, fake, e_c), np.ones((3, 1))
+            trainer.disc.forward(tape, fake, cond=e_c), np.ones((3, 1))
         )
         penalty = tape.scale(trainer.clf.loss(tape, fake, [y] * 3), 1.0 / 3)
         return tape.add(g_adv, tape.scale(penalty, 15.0))
@@ -205,10 +205,10 @@ def test_one_generator_forward_per_joint_step(tree, corpus, frozen_clfs, seg_tab
     trainer = Trainer(corpus, tree, cfg, *frozen_clfs, seg_table if mode == "seg" else None)
     original = Mlp.forward
 
-    def forward(self, *args):
+    def forward(self, *args, **kwargs):
         calls[1] += self is trainer.models.g1
         calls[2] += self is trainer.models.g2
-        return original(self, *args)
+        return original(self, *args, **kwargs)
 
     monkeypatch.setattr(Mlp, "forward", forward)
     for stage, expected in ((1, {1: 1, 2: 0}), (2, {1: 1, 2: 1})):
@@ -279,12 +279,12 @@ def test_table_gradient_matches_two_tape_reference(tree, corpus, frozen_clfs, mo
     z = ref.rng.standard_normal((n, ref.models.config.noise_dim))
     real = ref.real_batch(y)
     tape_g = Tape(ref.g_opt.params + ref.emb)
-    e_c = condition(tape_g, ref.emb, y, n)
+    e_c = condition(tape_g, ref.emb, y)
     fake = ref.models.generate(tape_g, e_c, Tensor(z), ref.stage)
     tape_d = Tape(ref.d_opt.params)
     d_loss = discriminator_loss(tape_d, ref.disc, Tensor(real.reshape(n, -1)), Tensor(fake.data), Tensor(e_c.data))
     step(ref.d_opt, tape_d.backward(d_loss))
-    g_obj = tape_g.binary_cross_entropy_with_logits(ref.disc.forward(tape_g, fake, e_c), np.ones((n, 1)))
+    g_obj = tape_g.binary_cross_entropy_with_logits(ref.disc.forward(tape_g, fake, cond=e_c), np.ones((n, 1)))
     if cfg.effective_lambda1 > 0:
         penalty = tape_g.scale(ref.clf.loss(tape_g, fake, [y] * n), 1.0 / n)
         g_obj = tape_g.add(g_obj, tape_g.scale(penalty, cfg.effective_lambda1))
@@ -305,11 +305,11 @@ def test_untracked_discriminator_passes_gradients_to_inputs(tree, corpus, frozen
     disc = trainer.disc
     rng = np.random.default_rng(3)
     x = Tensor(rng.uniform(size=(5, 64)))
-    e_c = Tensor(rng.normal(size=(5, disc.in_dim - 64)))
+    e_c = Tensor(rng.normal(size=(1, disc.in_dim - 64)))
     results = []
     for weights in (disc.params(), []):
         tape = Tape([x, e_c] + weights)
-        grads = tape.backward(ref.sum(tape, disc.forward(tape, x, e_c)))
+        grads = tape.backward(ref.sum(tape, disc.forward(tape, x, cond=e_c)))
         results.append((grads[x].tobytes(), grads[e_c].tobytes(), set(grads) & set(disc.params())))
     assert results[1][:2] == results[0][:2]
     assert results[0][2] == set(disc.params()) and results[1][2] == set()
