@@ -209,7 +209,13 @@ def _write_manifest(out: Path, manifest: dict) -> None:
 def _reads(args, config: dict) -> dict:
     """The files a command reads, by the names its manifest records them
     under (``--config`` is echoed there instead), and the only paths handlers
-    load; ``--hierarchy``, else the config's ``hierarchy.path``, is ``hierarchy``."""
+    load; ``--hierarchy``, else the config's ``hierarchy.path``, is ``hierarchy``.
+    An empty path, which would name the working directory, is refused."""
+    for name in ("run", "hierarchy", "data", "clf8", "clf16", "embeddings"):
+        if getattr(args, name, None) == "":
+            raise CliError(f"--{name} is empty; it must name a path")
+    if config.get("hierarchy", {}).get("path") == "":
+        raise CliError("config section 'hierarchy': path is empty; it must name a file")
     if args.command == "eval":
         run_dir = Path(args.run)
         if not run_dir.is_dir():
@@ -218,7 +224,7 @@ def _reads(args, config: dict) -> dict:
     named = {name: getattr(args, name, None) for name in ("hierarchy", "data", "clf8", "clf16", "embeddings")}
     if args.command in ("gen-data", "train-che") and named["hierarchy"] is None:
         named["hierarchy"] = config.get("hierarchy", {}).get("path")
-    return {name: path for name, path in named.items() if path is not None}  # "" stays, to fail where it is loaded
+    return {name: path for name, path in named.items() if path is not None}
 
 
 def _writes(args, reads: dict) -> list[Path]:
@@ -341,8 +347,7 @@ def cmd_train_gan(args, config: dict, reads: dict) -> Outcome:
     cfg = _build(config, "gan", args.seed, mode=args.mode)
     dataset = load_dataset(reads["data"])
     clf_lo, clf_hi = load_classifier(reads["clf8"]), load_classifier(reads["clf16"])
-    # an empty --embeddings is no table, which run_training refuses in seg mode
-    embeddings = load_table(reads["embeddings"]) if reads.get("embeddings") else None
+    embeddings = load_table(reads["embeddings"]) if "embeddings" in reads else None
     art = run_training(dataset, dataset.spec.hierarchy, cfg, clf_lo, clf_hi, embeddings)
     if art.aborted:
         code, line = 2, (

@@ -1136,6 +1136,48 @@ def test_out_that_names_no_file_exits_one_before_any_work(ws, tmp_path, capsys, 
     assert sorted(p.relative_to(work).as_posix() for p in work.rglob("*")) == ["adir", "adir/keep.txt"]
 
 
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        ("gen-data", "hierarchy.path"),
+        ("train-che", "--hierarchy"),
+        ("train-che", "hierarchy.path"),
+        ("train-clf", "--data"),
+        ("train-gan", "--data"),
+        ("train-gan", "--clf8"),
+        ("train-gan", "--clf16"),
+        ("train-gan", "--embeddings"),
+        ("eval", "--run"),
+        ("eval", "--data"),
+        ("inspect-embeddings", "--embeddings"),
+    ],
+)
+def test_empty_input_path_exits_one_before_any_work(ws, tmp_path, capsys, monkeypatch, command, name):
+    """An empty path names the working directory, never a file: an empty
+    input flag or config ``hierarchy.path`` is refused with exit 1 and one
+    line naming it, before the lock and before any work."""
+    argv = _argv_to(ws, command, tmp_path / "out")
+    if command == "train-gan" and name == "--embeddings":
+        argv = gan_args(ws, "seg", tmp_path / "out", embeddings="")
+    elif name == "--hierarchy":
+        argv[1:1] = ["--hierarchy", ""]
+    elif name == "hierarchy.path":
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps({"hierarchy": {"path": ""}}))
+        argv[argv.index("--config") + 1] = str(empty)
+    else:
+        argv[argv.index(name) + 1] = ""
+    _forbid_work(monkeypatch, command)
+    inputs = _ws_bytes(ws)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert (name if name.startswith("--") else "'hierarchy': path") in captured.err
+    assert "is empty" in captured.err and captured.out == ""
+    assert _ws_bytes(ws) == inputs
+    assert [p.name for p in tmp_path.iterdir()] == (["empty.json"] if name == "hierarchy.path" else [])
+
+
 def test_config_hierarchy_path_is_an_input(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     Path("tree.txt").write_text(FIXTURE_TREE)
