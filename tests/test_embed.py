@@ -233,33 +233,17 @@ def per_call_sample_negatives(h, pair, n, rng):
 
 
 @pytest.mark.parametrize(
-    "text",
-    [FIXTURE_TREE, "root\nroot/a\nroot/a/x\n", "root\nroot/a\nroot/b\nroot/c\n"],
-    ids=["fixture", "chain", "star"],
-)
-def test_negatives_match_per_call_oracle(text):
-    h = parse_hierarchy(text)
-    for seed in range(3):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        want = [per_call_sample_negatives(h, pair, 25, ref_rng) for pair in h.parent_child_pairs()]
-        assert sample_negatives(h, h.parent_child_pairs(), 25, rng).tolist() == [
-            [list(neg) for neg in row] for row in want
-        ]
-        # the same draws were consumed, so the streams stay in step
-        assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)
-
-
-@pytest.mark.parametrize(
     "text, bulk",
     [
         (FIXTURE_TREE, True),  # every side has 4 or more candidates
-        ("root\nroot/a\nroot/a/x\nroot/b\nroot/b/y\n", True),  # sides of 2 and 3 candidates
-        ("root\nroot/a\nroot/a/b\nroot/a/b/x\nroot/a/b/y\n", False),  # one side of 1: integers(1) takes no word
         ("root\nroot/a\nroot/a/x\n", False),  # sides of 0 and 1 candidates
         ("root\nroot/a\nroot/b\nroot/c\n", False),  # a side of 0: every draw falls back to the other side
+        ("root\nroot/a\nroot/a/x\nroot/b\nroot/b/y\n", True),  # sides of 2 and 3 candidates
+        ("root\nroot/a\nroot/a/b\nroot/a/b/x\nroot/a/b/y\n", False),  # one side of 1: integers(1) takes no word
     ],
+    ids=["fixture", "chain", "star", "two-families", "deep"],
 )
-def test_negatives_match_per_call_oracle_on_either_branch(text, bulk, monkeypatch):
+def test_negatives_match_per_call_oracle(text, bulk, monkeypatch):
     """The one-call draw runs only when every side has two or more
     candidates; elsewhere the per-draw loop runs. Both give the oracle's
     negatives and leave the stream where the oracle leaves it."""
@@ -271,8 +255,10 @@ def test_negatives_match_per_call_oracle_on_either_branch(text, bulk, monkeypatc
     for seed in range(3):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         want = [per_call_sample_negatives(h, pair, 25, ref_rng) for pair in h.parent_child_pairs()]
-        got = sample_negatives(h, h.parent_child_pairs(), 25, rng)
-        assert got.tolist() == [[list(neg) for neg in row] for row in want]
+        assert sample_negatives(h, h.parent_child_pairs(), 25, rng).tolist() == [
+            [list(neg) for neg in row] for row in want
+        ]
+        # the same draws were consumed, so the streams stay in step
         assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)
     assert len(seen) == (3 if bulk else 0)
 
