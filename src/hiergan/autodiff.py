@@ -1,10 +1,10 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-Design: define-by-run Wengert list. A ``Tape`` owns, as methods, the ten ops
-the networks run: ``linear``, ``add``, ``scale``, ``concat``, ``slice``,
-``relu``, ``leaky_relu``, ``sigmoid``, ``binary_cross_entropy_with_logits``
-and ``softmax_cross_entropy``; each call computes the forward value with
-numpy and appends one record (inputs, output, backward rule).
+Design: define-by-run Wengert list. A ``Tape`` owns, as methods, the eight
+ops the networks run: ``linear``, ``add``, ``scale``, ``relu``,
+``leaky_relu``, ``sigmoid``, ``binary_cross_entropy_with_logits`` and
+``softmax_cross_entropy``; each call computes the forward value with numpy
+and appends one record (inputs, output, backward rule).
 ``Tape.backward`` walks the records once in reverse, accumulating adjoints
 additively, so a tensor feeding several consumers receives the sum of their
 contributions. Construction order is a topological order, which makes the
@@ -32,8 +32,9 @@ backward rules, so a forward on a bare tape builds none. A NaN reaching
 
 ``Tape._emit`` is also how other code adds a record: the embedding margin
 loss is one fused ``che_margin`` record whose backward is the closed-form
-cosine adjoint in plain numpy; test oracles emit their op-by-op graphs the
-same way.
+cosine adjoint in plain numpy, and a class's conditioning row is one
+``condition`` record (``embed.condition``); test oracles emit their op-by-op
+graphs the same way.
 
 Tapes are single-writer and rebuilt per training step. ``Tape.backward``
 returns the gradient of every tracked leaf the loss depends on; that dict is
@@ -208,28 +209,6 @@ class Tape:
 
         return self._emit("scale", (a,), a.data * s, back)
 
-    def concat(self, tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-        parts = tuple(tensors)
-        cuts = np.cumsum([t.shape[axis] for t in parts])[:-1]
-
-        def back(g):
-            # views of g; backward accumulates out of place, so none is written through
-            return tuple(np.split(g, cuts, axis=axis))
-
-        return self._emit("concat", parts, np.concatenate([t.data for t in parts], axis=axis), back)
-
-    def slice(self, a: Tensor, start: int, stop: int) -> Tensor:
-        """Rows start:stop of a; each row is taken once, so the adjoint is g
-        put back in place."""
-        key = np.s_[start:stop]
-
-        def back(g):
-            full = np.zeros_like(a.data)
-            full[key] = g
-            return (full,)
-
-        return self._emit("slice", (a,), a.data[key], back)
-
     def relu(self, a: Tensor) -> Tensor:
         ad = a.data
 
@@ -292,10 +271,11 @@ class Tape:
         if idx.min() < 0 or idx.max() >= z.shape[1]:
             raise ValueError(f"softmax_cross_entropy target out of range 0..{z.shape[1] - 1}")
         shifted = z - z.max(axis=1, keepdims=True)
-        logsumexp = np.log(np.exp(shifted).sum(axis=1))
+        e = np.exp(shifted)
+        total = e.sum(axis=1, keepdims=True)
         rows = np.arange(z.shape[0])
-        losses = logsumexp - shifted[rows, idx]
-        probs = _softmax(z, axis=1)
+        losses = np.log(total[:, 0]) - shifted[rows, idx]
+        probs = e / total
 
         def back(g):
             gz = probs.copy()

@@ -117,11 +117,20 @@ def init_table(h: ClassHierarchy, dim: int, rng: np.random.Generator) -> ClassEm
 
 
 def condition(tape: Tape, tensors: list[Tensor], y: int) -> Tensor:
-    """The conditioning row (re || im) of class y, (1, 2D), gathered on
-    ``tape`` from the table tensors: the one gather, in training and
-    generation. A batch shares it: each network adds it into its first
-    layer's bias (``Tape.linear``'s ``cond``)."""
-    return tape.concat([tape.slice(tensors[0], y, y + 1), tape.slice(tensors[1], y, y + 1)], axis=1)
+    """The conditioning row (re || im) of class y, (1, 2D), from the table
+    tensors as one ``condition`` record on ``tape``: the one gather, in
+    training and generation. A batch shares it: each network adds it into
+    its first layer's bias (``Tape.linear``'s ``cond``). The adjoint of each
+    class array is zero but in row y, which takes its half of g."""
+    re, im = tensors[0], tensors[1]
+    row = np.s_[y : y + 1]
+
+    def back(g):
+        adjoints = np.zeros_like(re.data), np.zeros_like(im.data)
+        adjoints[0][row], adjoints[1][row] = np.split(g, 2, axis=1)
+        return adjoints
+
+    return tape._emit("condition", (re, im), np.concatenate([re.data[row], im.data[row]], axis=1), back)
 
 
 _TABLE_ARRAYS = ("class_re", "class_im", "rel_re", "rel_im")

@@ -7,14 +7,15 @@ with its own discriminator that judges an image joined to its class
 embedding. Each of these four is a plain ``Mlp`` whose first layer reads
 the class's one conditioning row as a bias (``Mlp.forward``, with
 ``Tape.linear``'s ``cond``), and ``discriminator_loss`` is the D step's
-objective. The hierarchical classifier shares one trunk and puts a linear
-head on every level of the class tree; its loss is the sum of per-level
-softmax cross-entropies against the leaf's ancestor path. One forward
-serves both the loss and ``classify``, the readout the metrics use. Only
-``train_classifier`` tracks the classifier's parameters; every other tape it
-runs on leaves them constant, while gradients still flow through it to a
-tracked *image*, which is the path the generated-image consistency penalty
-trains the generator through.
+objective, over real and fake rows given as arrays. The hierarchical
+classifier shares one trunk and puts a linear head on every level of the
+class tree; its loss is the sum of per-level softmax cross-entropies against
+the leaf's ancestor path. One forward serves both the loss and
+``classify``, the readout the metrics use. Only ``train_classifier`` tracks
+the classifier's parameters; every other tape it runs on leaves them
+constant, while gradients still flow through it to a tracked *image*, which
+is the path the generated-image consistency penalty trains the generator
+through.
 
 A ``ModelSet`` holds networks only; ``generate_set`` conditions them on a
 given embedding table and is the generator's readout, as ``classify`` is the
@@ -123,14 +124,15 @@ class ModelConfig:
         return 2 * self.embed_dim
 
 
-def discriminator_loss(tape: Tape, d: Mlp, real: Tensor, fake: Tensor, e_c: Tensor) -> Tensor:
+def discriminator_loss(tape: Tape, d: Mlp, real: np.ndarray, fake: np.ndarray, e_c: Tensor) -> Tensor:
     """Non-saturating GAN loss of the discriminator d,
     BCE(D(real), 1) + BCE(D(fake), 0) over n rows each, from one forward over
     the real rows stacked on the fake rows, all with the one condition row
-    e_c: twice the mean BCE over the 2n targets, ones then zeros."""
+    e_c: twice the mean BCE over the 2n targets, ones then zeros. The rows
+    are arrays: the D step reads the generator's images as constants."""
     if real.shape != fake.shape:
         raise ModelError(f"real and fake batches differ in shape: {real.shape} vs {fake.shape}")
-    logits = d.forward(tape, tape.concat([real, fake]), cond=e_c)
+    logits = d.forward(tape, Tensor(np.concatenate([real, fake])), cond=e_c)
     targets = np.repeat([[1.0], [0.0]], real.shape[0], axis=0)
     return tape.scale(tape.binary_cross_entropy_with_logits(logits, targets), 2.0)
 

@@ -25,7 +25,7 @@ not merely close.
 
 The generator graph (conditioning row and fake images, then in joint modes
 the margin loss over freshly sampled corruptions) is built once per step,
-before the D step: the D step reads its values as constants, in one
+before the D step: the D step takes the fake images as an array, in one
 discriminator forward over the real rows stacked on the fake rows, and the G
 step appends the updated discriminator to the same tape. Nothing the graph
 depends on changes in between, because the D step updates only
@@ -219,29 +219,35 @@ class Trainer:
             neg = sample_negatives(self.h, self.pairs, cfg.che_negatives, self.rng)
             margin = margin_loss_graph(tape_g, self.emb, self.pairs, neg, cfg.che_margin)
 
-        # --- discriminator step (generator and embeddings held fixed: the D
-        # tape does not track them, so it reads the G graph as constants)
+        # --- discriminator step (generator and embeddings held fixed: it
+        # reads the fake images as an array)
         tape_d = Tape(self.d_opt.params)
-        d_loss = discriminator_loss(tape_d, self.disc, Tensor(real_flat), fake, e_c)
+        d_loss = discriminator_loss(tape_d, self.disc, real_flat, fake.data, e_c)
+        d_before = [p.data for p in self.d_opt.params]  # Adam.step rebinds, so no copy
         self.d_opt.step(tape_d.backward(d_loss))
 
         # --- generator and embedding steps (the G tape does not track the
         # discriminator, so its weights get no adjoint): one backward of
         # g_adv + lambda1 * penalty + lambda2 * margin. The reverse sweep
-        # reaches the margin record before the conditioning gathers, so each
+        # reaches the margin record before the condition record, so each
         # table gradient is the margin part plus the generator-path part.
-        g_adv = tape_g.binary_cross_entropy_with_logits(
-            self.disc.forward(tape_g, fake, cond=e_c), np.ones((n, 1))
-        )
-        g_obj, h_penalty, che_loss = g_adv, 0.0, 0.0
-        lam1 = cfg.effective_lambda1
-        if lam1 > 0:
-            penalty = tape_g.scale(self.clf.loss(tape_g, fake, [y] * n), 1.0 / n)
-            g_obj = tape_g.add(g_obj, tape_g.scale(penalty, lam1))
-            h_penalty = float(penalty.item())
-        if joint:
-            g_obj = tape_g.add(g_obj, tape_g.scale(margin, cfg.lambda2))
-            che_loss = float(margin.item())
+        try:
+            g_adv = tape_g.binary_cross_entropy_with_logits(
+                self.disc.forward(tape_g, fake, cond=e_c), np.ones((n, 1))
+            )
+            g_obj, h_penalty, che_loss = g_adv, 0.0, 0.0
+            lam1 = cfg.effective_lambda1
+            if lam1 > 0:
+                penalty = tape_g.scale(self.clf.loss(tape_g, fake, [y] * n), 1.0 / n)
+                g_obj = tape_g.add(g_obj, tape_g.scale(penalty, lam1))
+                h_penalty = float(penalty.item())
+            if joint:
+                g_obj = tape_g.add(g_obj, tape_g.scale(margin, cfg.lambda2))
+                che_loss = float(margin.item())
+        except NonFiniteError:  # the run aborts: D goes back to its last completed step
+            for p, data in zip(self.d_opt.params, d_before):
+                p.data = data
+            raise
         grads = tape_g.backward(g_obj)
         self.g_opt.step(grads)
         if joint:

@@ -80,6 +80,14 @@ def gather(t: Tape, a: Tensor, idx) -> Tensor:
     return t._emit("gather", (a,), a.data[idx], back)
 
 
+def concat(t: Tape, parts, axis: int = 0) -> Tensor:
+    """The parts joined along ``axis``; each part's adjoint is its block of g."""
+    parts = tuple(parts)
+    cuts = np.cumsum([p.shape[axis] for p in parts])[:-1]
+    data = np.concatenate([p.data for p in parts], axis=axis)
+    return t._emit("concat", parts, data, lambda g: tuple(np.split(g, cuts, axis=axis)))
+
+
 def sqrt(t: Tape, a: Tensor) -> Tensor:
     data = np.sqrt(a.data)
     return t._emit("sqrt", (a,), data, lambda g: (g * 0.5 / data,))

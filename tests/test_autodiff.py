@@ -25,6 +25,7 @@ from hiergan.autodiff import (
     grad_check,
     _sigmoid,
 )
+from hiergan.embed import condition
 from hiergan.files import CheckpointError, load_checkpoint, save_checkpoint
 
 
@@ -245,15 +246,6 @@ def test_reference_gather_with_repeated_indices_accumulates():
     assert np.array_equal(grads[x], [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
 
 
-def test_slice_puts_the_adjoint_back_at_its_rows():
-    x = leaf(np.arange(8.0).reshape(4, 2))
-    t = Tape([x])
-    rows = t.slice(x, 1, 3)
-    assert np.array_equal(rows.data, [[2.0, 3.0], [4.0, 5.0]])
-    grads = t.backward(ref.sum(t, ref.mul(t, rows, Tensor([[1.0, 2.0], [3.0, 4.0]]))))
-    assert np.array_equal(grads[x], [[0.0, 0.0], [1.0, 2.0], [3.0, 4.0], [0.0, 0.0]])
-
-
 def test_backward_bit_identical_across_reruns():
     rng = np.random.default_rng(9)
     w_data = rng.normal(size=(3, 3))
@@ -364,8 +356,8 @@ def test_linear_condition_row_matches_repeated_join(first):
 
         x2, w2, b2, c2 = (leaf(a.copy()) for a in data)
         t2 = Tape([x2, w2, b2, c2])
-        rows = t2.concat([c2] * n, axis=0)
-        want = t2.linear(t2.concat([rows, x2] if first else [x2, rows], axis=1), w2, b2)
+        rows = ref.concat(t2, [c2] * n, axis=0)
+        want = t2.linear(ref.concat(t2, [rows, x2] if first else [x2, rows], axis=1), w2, b2)
         want_grads = t2.backward(ref.sum(t2, ref.mul(t2, want, Tensor(out_w))))
 
         assert np.max(np.abs(got.data - want.data)) <= 1e-12 * np.max(np.abs(want.data))
@@ -451,7 +443,7 @@ def _fd_cases(rng):
     w_mm = Tensor(rng.normal(size=(n, k)))
     w_cat0 = Tensor(rng.normal(size=(2 * n, m)))
     w_cat1 = Tensor(rng.normal(size=(n, m + k)))
-    w_slice = Tensor(rng.normal(size=(1, m)))
+    w_cond = Tensor(rng.normal(size=(1, 2 * m)))
     w_resh = Tensor(rng.normal(size=(m, n)))
     targets = rng.integers(0, m, size=n)
     bce_t = rng.integers(0, 2, size=(n, m)).astype(np.float64)
@@ -464,12 +456,7 @@ def _fd_cases(rng):
                    [mk((n, m)), mk((m, k)), mk((k,))]),
         "add": (lambda t, ps: weighted(t, t.add(ps[0], ps[1]), w1), [mk((n, m)), mk((n, m))]),
         "scale": (lambda t, ps: weighted(t, t.scale(ps[0], -1.7), w1), [mk((n, m))]),
-        "concat0": (lambda t, ps: weighted(t, t.concat([ps[0], ps[1]], axis=0), w_cat0),
-                    [mk((n, m)), mk((n, m))]),
-        "concat1": (lambda t, ps: weighted(t, t.concat([ps[0], ps[1]], axis=1), w_cat1),
-                    [mk((n, m)), mk((n, k))]),
-        "slice": (lambda t, ps: weighted(t, t.slice(ps[0], 0, 1), w_slice),
-                  [mk((n, m))]),
+        "condition": (lambda t, ps: weighted(t, condition(t, ps, 1), w_cond), [mk((n, m)), mk((n, m))]),
         "relu": (lambda t, ps: weighted(t, t.relu(ps[0]), w1), [kinkless((n, m))]),
         "leaky_relu": (lambda t, ps: weighted(t, t.leaky_relu(ps[0]), w1), [kinkless((n, m))]),
         "sigmoid": (lambda t, ps: weighted(t, t.sigmoid(ps[0]), w1), [mk((n, m))]),
@@ -477,6 +464,10 @@ def _fd_cases(rng):
         "softmax_cross_entropy": (lambda t, ps: t.softmax_cross_entropy(ps[0], targets), [mk((n, m), -3.0, 3.0)]),
         "ref.matmul": (lambda t, ps: weighted(t, ref.matmul(t, ps[0], ps[1]), w_mm),
                        [mk((n, m)), mk((m, k))]),
+        "ref.concat0": (lambda t, ps: weighted(t, ref.concat(t, [ps[0], ps[1]], axis=0), w_cat0),
+                        [mk((n, m)), mk((n, m))]),
+        "ref.concat1": (lambda t, ps: weighted(t, ref.concat(t, [ps[0], ps[1]], axis=1), w_cat1),
+                        [mk((n, m)), mk((n, k))]),
         "ref.add": (lambda t, ps: weighted(t, ref.add(t, ps[0], ps[1]), w1), [mk((n, m)), mk((m,))]),
         "ref.sub": (lambda t, ps: weighted(t, ref.sub(t, ps[0], ps[1]), w1), [mk((n, m)), mk((n, 1))]),
         "ref.mul": (lambda t, ps: weighted(t, ref.mul(t, ps[0], ps[1]), w1), [mk((n, m)), mk((m,))]),

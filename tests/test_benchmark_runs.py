@@ -10,9 +10,12 @@ and reads its last line of standard output, one JSON object. The traced
 run also wraps hiergan's functions by name (perfbench/spec.py WRAPS); the
 checks below resolve every one of those names, except a listed few that src/
 no longer has, and keep the calling shape of the CLI handlers and of the
-joint step that the untraced run times.
+joint step that the untraced run times. The traced run also counts records
+by op name (perfbench/spec.py OPS); a check below compares those names with
+the op names src/ emits.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -111,3 +114,26 @@ def test_benchmark_wraps_resolve_but_the_known_stale_ones():
     # the untraced train-treegan run times every step through this wrapper
     joint_step = _resolve("hiergan.training", "Trainer.joint_step")
     assert list(inspect.signature(joint_step).parameters) == ["self", "real_images", "y", "z"]
+
+
+# OPS names that src/ emits no record under: their counters read 0.
+STALE_OPS = {"matmul", "tanh", "concat", "slice"}
+# op names src/ emits that OPS does not count.
+UNCOUNTED_OPS = {"linear", "scale", "che_margin", "condition"}
+
+
+def test_benchmark_op_counters_match_the_ops_src_emits_but_the_known_gaps():
+    # an op name that is not a literal would read as None
+    emitted = {
+        getattr(node.args[0], "value", None)
+        for path in (ROOT / "src" / "hiergan").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_emit"
+    }
+    assert emitted == {
+        "linear", "add", "scale", "relu", "leaky_relu", "sigmoid", "bce_with_logits", "softmax_cross_entropy",
+        "che_margin", "condition",
+    }
+    counted = set(_perfbench_spec().OPS)
+    assert counted - emitted == STALE_OPS
+    assert emitted - counted == UNCOUNTED_OPS

@@ -868,6 +868,36 @@ def test_failed_train_gan_leaves_no_run_directory_and_no_lock(ws, tmp_path, caps
     assert sorted(p.name for p in tmp_path.iterdir()) == []
 
 
+def _config_with(ws, tmp_path, section: str, key: str, value) -> Path:
+    config = json.loads(ws["cfg"].read_text())
+    config[section][key] = value
+    cfg = tmp_path / "diverge.json"
+    cfg.write_text(json.dumps(config))
+    return cfg
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_diverged_train_gan_exits_two_and_saves_the_aborted_run(ws, tmp_path, capsys):
+    # at this rate the first step overflows: the run ends there, and its
+    # directory records the abort
+    cfg = _config_with(ws, tmp_path, "gan", "gan_lr", 1e200)
+    out = tmp_path / "run"
+    assert main(gan_args(ws, "treegan", out) + ["--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("error: run aborted at step 1: "), err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["aborted"] is True and manifest["abort_step"] == 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverged_train_che_exits_two_and_leaves_nothing(ws, tmp_path, capsys):
+    cfg = _config_with(ws, tmp_path, "che", "lr", 1e300)
+    assert main(["train-che", "--config", str(cfg), "--out", str(tmp_path / "che.hgck")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite loss: op 'che_margin' ") and err.count("\n") == 1, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["diverge.json"]  # no output, lock or manifest
+
+
 def corrupt(blob: bytes, how: str, at, bit: int, tail: bytes) -> bytes:
     """Cut the file at, flip one bit at, or append bytes to it. ``at`` is a
     byte offset (taken modulo the length) or the name of a tensor, which

@@ -582,26 +582,40 @@ def test_condition_vector_length(tree, trained):
         assert condition(Tape(), tensors(trained), y).shape == (1, 2 * trained.dim)
 
 
-def _calls(path, attr, receiver=None):
-    """``file:function`` for every ``<receiver>.<attr>(...)`` call in ``path``
-    (any receiver when ``receiver`` is None)."""
+def test_condition_puts_the_adjoint_back_in_row_y():
+    re, im = Tensor(np.arange(8.0).reshape(4, 2)), Tensor(np.arange(8.0).reshape(4, 2) + 10.0)
+    t = Tape([re, im])
+    row = condition(t, [re, im], 2)
+    assert np.array_equal(row.data, [[4.0, 5.0, 14.0, 15.0]]) and len(t) == 1
+    grads = t.backward(ref.sum(t, ref.mul(t, row, Tensor([[1.0, 2.0, 3.0, 4.0]]))))
+    assert np.array_equal(grads[re], [[0.0, 0.0], [0.0, 0.0], [1.0, 2.0], [0.0, 0.0]])
+    assert np.array_equal(grads[im], [[0.0, 0.0], [0.0, 0.0], [3.0, 4.0], [0.0, 0.0]])
+
+
+def _calls(path, name, receiver=None, first=None):
+    """``file:function`` for every ``<receiver>.<name>(...)`` call in ``path``
+    (any receiver, or none, when ``receiver`` is None) whose first argument
+    is the literal ``first``, when that is given."""
     return [
         f"{path.name}:{fn.name}"
         for fn in ast.walk(ast.parse(path.read_text()))
         if isinstance(fn, ast.FunctionDef)
         for node in ast.walk(fn)
         if isinstance(node, ast.Call)
-        and getattr(node.func, "attr", None) == attr
-        and receiver in (None, getattr(node.func.value, "id", None))
+        and name in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+        and (receiver is None or getattr(getattr(node.func, "value", None), "id", None) == receiver)
+        and (first is None or bool(node.args) and getattr(node.args[0], "value", None) == first)
     ]
 
 
 def test_condition_is_the_one_gather_of_conditioning_rows_in_src():
-    # training and generation both gather through condition: another caller
-    # of Tape.slice, or an np.tile of a row where the models are conditioned,
-    # would be a second path
+    # training and generation both gather through condition, the one emitter
+    # of the condition record: another emitter, or an np.tile of a row where
+    # the models are conditioned, would be a second path
     src = Path(__file__).resolve().parent.parent / "src" / "hiergan"
-    assert [c for path in sorted(src.glob("*.py")) for c in _calls(path, "slice")] == ["embed.py:condition"] * 2
+    files = sorted(src.glob("*.py"))
+    assert [c for path in files for c in _calls(path, "_emit", first="condition")] == ["embed.py:condition"]
+    assert [c for path in files for c in _calls(path, "condition")] == ["models.py:generate_set", "training.py:joint_step"]
     assert _calls(src / "models.py", "tile", "np") + _calls(src / "training.py", "tile", "np") == []
 
 

@@ -191,10 +191,10 @@ def gan_losses(d, real, fake, e):
     computes them, for image batches and one condition row."""
     n = real.shape[0]
     e_c = Tensor(e[None])
-    real_t, fake_t = Tensor(real.reshape(n, -1)), Tensor(fake.reshape(fake.shape[0], -1))
+    real_rows, fake_rows = real.reshape(n, -1), fake.reshape(fake.shape[0], -1)
     tape = Tape()
-    d_loss = discriminator_loss(tape, d, real_t, fake_t, e_c)
-    g_loss = tape.binary_cross_entropy_with_logits(d.forward(tape, fake_t, cond=e_c), np.ones((n, 1)))
+    d_loss = discriminator_loss(tape, d, real_rows, fake_rows, e_c)
+    g_loss = tape.binary_cross_entropy_with_logits(d.forward(tape, Tensor(fake_rows), cond=e_c), np.ones((n, 1)))
     return d_loss.item(), g_loss.item()
 
 
@@ -251,7 +251,7 @@ def test_adversarial_losses_match_loop_oracle(tree):
     real_t, fake_t, e_c = Tensor(real.reshape(n, -1)), Tensor(fake.reshape(n, -1)), Tensor(e[None])
     d = ms.d_lo
     tape = Tape(d.params())
-    got = tape.backward(discriminator_loss(tape, d, real_t, fake_t, e_c))
+    got = tape.backward(discriminator_loss(tape, d, real_t.data, fake_t.data, e_c))
     tape = Tape(d.params())
     want = tape.backward(tape.add(
         tape.binary_cross_entropy_with_logits(d.forward(tape, real_t, cond=e_c), np.ones((n, 1))),
@@ -266,7 +266,7 @@ def test_adversarial_losses_shape_mismatch(models):
     rng = np.random.default_rng(3)
     e_c = Tensor(np.zeros((1, 32)))
     with pytest.raises(ModelError):
-        discriminator_loss(Tape(), models.d_lo, Tensor(rng.uniform(size=(4, 64))), Tensor(rng.uniform(size=(3, 64))), e_c)
+        discriminator_loss(Tape(), models.d_lo, rng.uniform(size=(4, 64)), rng.uniform(size=(3, 64)), e_c)
 
 
 # --------------------------------------------------------------- classifier

@@ -282,7 +282,7 @@ def test_table_gradient_matches_two_tape_reference(tree, corpus, frozen_clfs, mo
     e_c = condition(tape_g, ref.emb, y)
     fake = ref.models.generate(tape_g, e_c, Tensor(z), ref.stage)
     tape_d = Tape(ref.d_opt.params)
-    d_loss = discriminator_loss(tape_d, ref.disc, Tensor(real.reshape(n, -1)), Tensor(fake.data), Tensor(e_c.data))
+    d_loss = discriminator_loss(tape_d, ref.disc, real.reshape(n, -1), fake.data, Tensor(e_c.data))
     step(ref.d_opt, tape_d.backward(d_loss))
     g_obj = tape_g.binary_cross_entropy_with_logits(ref.disc.forward(tape_g, fake, cond=e_c), np.ones((n, 1)))
     if cfg.effective_lambda1 > 0:
@@ -448,6 +448,18 @@ def test_aborts_on_non_finite(tree, corpus, frozen_clfs, monkeypatch):
     assert art.abort_step == 4
     assert len(art.trace) == 3
     assert "non-finite" in art.abort_reason
+
+
+def test_an_aborted_step_keeps_no_discriminator_update(tree, corpus, frozen_clfs):
+    # at this rate the D step's update overflows the G step's D forward, so
+    # the run aborts at step 1, and no network keeps an update from it
+    cfg = tiny_cfg(gan_lr=1e200)
+    with np.errstate(over="ignore"):
+        art = run_training(corpus, tree, cfg, *frozen_clfs)
+    assert art.aborted and art.abort_step == 1 and art.trace == []
+    drawn = build_models(tree, ModelConfig(embed_dim=cfg.embed_dim, seed=cfg.seed), *frozen_clfs)
+    for got, want in zip(art.models.d_lo.params() + art.models.g1.params(), drawn.d_lo.params() + drawn.g1.params()):
+        assert got.data.tobytes() == want.data.tobytes(), got.name
 
 
 # ---------------------------------------------------------------- artifacts
