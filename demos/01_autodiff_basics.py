@@ -26,8 +26,9 @@ b2 = Tensor(np.zeros(1), name="b2")
 params = [w1, b1, w2, b2]
 
 
-def logits(tape: Tape, ps) -> Tensor:
-    return tape.linear(tape.leaky_relu(tape.linear(x, ps[0], ps[1])), ps[2], ps[3])
+def logits(tape: Tape, ps, act=None) -> Tensor:
+    # a layer's activation is part of its one record
+    return tape.linear(tape.linear(x, ps[0], ps[1], act="leaky_relu"), ps[2], ps[3], act=act)
 
 
 def objective(tape: Tape, ps) -> Tensor:
@@ -58,6 +59,6 @@ for step in range(1, 201):
 
 # A tape that tracks nothing records nothing: forward-only passes are free.
 tape = Tape()
-probs = tape.sigmoid(logits(tape, params))
+probs = logits(tape, params, act="sigmoid")
 print(f"accuracy {np.mean((probs.data > 0.5) == labels):.2f}")
 print(f"records on a bare tape: {len(tape)}")

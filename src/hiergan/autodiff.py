@@ -1,10 +1,10 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-Design: define-by-run Wengert list. A ``Tape`` owns, as methods, the eight
-ops the networks run: ``linear``, ``add``, ``scale``, ``relu``,
-``leaky_relu``, ``sigmoid``, ``binary_cross_entropy_with_logits`` and
-``softmax_cross_entropy``; each call computes the forward value with numpy
-and appends one record (inputs, output, backward rule).
+Design: define-by-run Wengert list. A ``Tape`` owns, as methods, the five
+ops the networks run: ``linear``, ``add``, ``scale``,
+``binary_cross_entropy_with_logits`` and ``softmax_cross_entropy``; each
+call computes the forward value with numpy and appends one record (inputs,
+output, backward rule).
 ``Tape.backward`` walks the records once in reverse, accumulating adjoints
 additively, so a tensor feeding several consumers receives the sum of their
 contributions. Construction order is a topological order, which makes the
@@ -23,12 +23,13 @@ passes its class row as ``linear(x, w, b, cond=c)``: the row joins every
 input row in the math, but it is multiplied once, into the bias, and its
 adjoints are column sums, so a batch of n rows costs no n copies of it.
 
-The elementwise forward kernels are branch-free: ``relu`` and ``leaky_relu``
-take a maximum, and ``sigmoid`` picks its numerator with one ``where``; each
-equals its masked two-branch form bit for bit (the test oracles keep those
-forms). The sign masks the activations' adjoints need are built by their
-backward rules, so a forward on a bare tape builds none. A NaN reaching
-``relu`` stays NaN and raises ``NonFiniteError``.
+A layer's activation is part of its record: ``linear(..., act=a)`` applies
+relu, leaky_relu or sigmoid in place, with branch-free kernels (a maximum;
+one ``where`` for sigmoid's numerator) that equal their masked two-branch
+forms bit for bit (the test oracles keep those forms). Its adjoint reads
+the output alone, and the sign masks are built by the backward rule, so a
+forward on a bare tape builds none. A NaN or infinity is caught before the
+activation, which could map it to a finite value.
 
 ``Tape._emit`` is also how other code adds a record: the embedding margin
 loss is one fused ``che_margin`` record whose backward is the closed-form
@@ -145,8 +146,10 @@ class Tape:
 
     # ------------------------------------------------------------ primitives
 
-    def linear(self, x: Tensor, w: Tensor, b: Tensor, cond: Tensor | None = None, cond_first: bool = False) -> Tensor:
-        """Dense layer ``x @ w + b`` for x (n, k), w (k, m) and b (m,).
+    def linear(self, x: Tensor, w: Tensor, b: Tensor, cond: Tensor | None = None, cond_first: bool = False,
+               act: str | None = None) -> Tensor:
+        """Dense layer ``act(x @ w + b)`` for x (n, k), w (k, m) and b (m,),
+        where ``act`` is None, "relu", "leaky_relu" or "sigmoid".
 
         With ``cond`` c (1, j), the layer's input is every row of x joined to
         c, as [c | x] when ``cond_first`` and [x | c] otherwise, for w
@@ -154,7 +157,7 @@ class Tape:
         c meets and w_x the rest, the value is x @ w_x + (c @ w_c + b), and c
         acts as a bias. Its adjoints are g @ w_x.T for x, x.T @ g in the x
         rows of w and outer(c, g.sum(0)) in the c rows, g.sum(0) @ w_c.T for
-        c and g.sum(0) for b.
+        c and g.sum(0) for b, where g is the pre-activation's adjoint.
         """
         j = 0 if cond is None else cond.data.shape[-1]
         if (
@@ -163,6 +166,8 @@ class Tape:
         ):
             shapes = f"{x.shape} @ {w.shape} + {b.shape}" + ("" if cond is None else f" with condition {cond.shape}")
             raise ValueError(f"linear shape mismatch: {shapes}")
+        if act not in (None, "relu", "leaky_relu", "sigmoid"):
+            raise ValueError(f"linear activation must be relu, leaky_relu, sigmoid or None, got {act!r}")
         xd, wd = x.data, w.data
         # resolved here: a rule that asked the tape would keep it in a cycle
         tx, tw, tb = self.tracks(x), self.tracks(w), self.tracks(b)
@@ -173,7 +178,7 @@ class Tape:
 
             out = xd @ wd
             out += b.data
-            return self._emit("linear", (x, w, b), out, back)
+            return self._activated((x, w, b), out, back, act)
 
         k = x.shape[1]
         rows_c, rows_x = (slice(None, j), slice(j, None)) if cond_first else (slice(k, None), slice(None, k))
@@ -190,7 +195,30 @@ class Tape:
 
         out = xd @ wx
         out += cd @ wc + b.data
-        return self._emit("linear", (x, w, b, cond), out, back_cond)
+        return self._activated((x, w, b, cond), out, back_cond, act)
+
+    def _activated(self, inputs: tuple[Tensor, ...], out: np.ndarray, back, act: str | None) -> Tensor:
+        """The ``linear`` record of ``act(out)``: its rule chains the
+        activation's adjoint into ``back``. _emit checks ``out`` before the
+        activation runs in place on it, the buffer the tensor and rule hold."""
+        if act is None:
+            return self._emit("linear", inputs, out, back)
+        if act == "sigmoid":
+            h = self._emit("linear", inputs, out, lambda g: back(g * out * (1.0 - out)))
+            out[...] = _sigmoid(out)
+            return h
+        # out > 0 exactly where the pre-activation is
+        if act == "relu":
+            h = self._emit("linear", inputs, out, lambda g: back(g * (out > 0)))
+            np.maximum(out, 0.0, out=out)
+            # numpy's maximum(-0.0, 0.0) may return either zero; adding +0.0
+            # makes it the +0.0 of the masked form
+            out += 0.0
+            return h
+        h = self._emit("linear", inputs, out, lambda g: back(np.where(out > 0, g, g * _LEAKY_SLOPE)))
+        # for a slope in [0, 1], max(a, slope * a) is the masked form bit for bit
+        np.maximum(out, out * _LEAKY_SLOPE, out=out)
+        return h
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
         if a.shape != b.shape:
@@ -208,37 +236,6 @@ class Tape:
             return (g * s,)
 
         return self._emit("scale", (a,), a.data * s, back)
-
-    def relu(self, a: Tensor) -> Tensor:
-        ad = a.data
-
-        def back(g):
-            return (g * (ad > 0),)
-
-        out = np.maximum(ad, 0.0)
-        # numpy's maximum(-0.0, 0.0) may return either zero; adding +0.0 makes
-        # it the +0.0 of the masked form
-        out += 0.0
-        return self._emit("relu", (a,), out, back)
-
-    def leaky_relu(self, a: Tensor) -> Tensor:
-        ad = a.data
-
-        def back(g):
-            return (np.where(ad > 0, g, g * _LEAKY_SLOPE),)
-
-        # for a slope in [0, 1], max(a, slope * a) is the masked form bit for bit
-        out = ad * _LEAKY_SLOPE
-        np.maximum(ad, out, out=out)
-        return self._emit("leaky_relu", (a,), out, back)
-
-    def sigmoid(self, a: Tensor) -> Tensor:
-        data = _sigmoid(a.data)
-
-        def back(g):
-            return (g * data * (1.0 - data),)
-
-        return self._emit("sigmoid", (a,), data, back)
 
     def binary_cross_entropy_with_logits(self, logits: Tensor, target) -> Tensor:
         """Mean BCE over all elements in the overflow-free form

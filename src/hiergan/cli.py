@@ -450,7 +450,11 @@ def _configure_logging() -> None:
 def main(argv=None) -> int:
     _configure_logging()
     try:
-        return run(build_parser().parse_args(argv))
+        # a diverging run prints its one error line and no numpy warning;
+        # errstate holds on this thread only, not in metrics.evaluate's pool,
+        # but a training divergence is raised on this thread
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return run(build_parser().parse_args(argv))
     except (CliError, HierarchyError, TrainingError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

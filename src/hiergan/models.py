@@ -74,7 +74,7 @@ def _layers(arrays: dict[str, np.ndarray], prefix: str, sizes: list[int]) -> lis
 class Mlp:
     layers: list[tuple[Tensor, Tensor]]
     hidden: str  # "leaky_relu" | "relu"
-    out: str  # "sigmoid" | "linear"
+    out: str | None  # "sigmoid" | "relu" | None
     cond_first: bool = False  # a condition row takes the first input columns, else the last
 
     @property
@@ -94,11 +94,8 @@ class Mlp:
             raise ModelError(f"a condition is one row (1, j), got shape {cond.shape}")
         h = x
         for i, (w, b) in enumerate(self.layers):
-            h = tape.linear(h, w, b, cond, self.cond_first) if i == 0 else tape.linear(h, w, b)
-            if i < len(self.layers) - 1:
-                h = tape.leaky_relu(h) if self.hidden == "leaky_relu" else tape.relu(h)
-        if self.out == "sigmoid":
-            h = tape.sigmoid(h)
+            act = self.hidden if i < len(self.layers) - 1 else self.out
+            h = tape.linear(h, w, b, cond, self.cond_first, act) if i == 0 else tape.linear(h, w, b, act=act)
         return h
 
     def params(self) -> list[Tensor]:
@@ -170,7 +167,7 @@ class HierClassifier:
         targets = np.full((len(h), h.K), -1, dtype=np.int64)
         for y in h.leaves:
             targets[y] = [position[a] for a in h.ancestor_path(y)]
-        trunk = Mlp(_layers(arrays, prefix, sizes), "relu", "linear")
+        trunk = Mlp(_layers(arrays, prefix, sizes), "relu", "relu")
         heads = [_layers(arrays, *head)[0] for head in heads]
         return cls(hierarchy=h, pixels=pixels, trunk=trunk, heads=heads, targets=targets)
 
@@ -178,7 +175,7 @@ class HierClassifier:
         """The shared trunk: penultimate activations, (n, F)."""
         if x.shape[1] != self.pixels:
             raise ModelError(f"classifier expects {self.pixels} pixels, got {x.shape}")
-        return tape.relu(self.trunk.forward(tape, x))
+        return self.trunk.forward(tape, x)
 
     def forward(self, tape: Tape, x: Tensor) -> tuple[Tensor, list[Tensor]]:
         """One pass: trunk features and the logits of every level's head."""
@@ -347,7 +344,7 @@ def _model_set(h: ClassHierarchy, cfg: ModelConfig, arrays, clf_lo: HierClassifi
     and end in a sigmoid, discriminators read it in their last and end in a
     logit."""
     gan = {
-        name: Mlp(_layers(arrays, name, sizes), "leaky_relu", "sigmoid" if gen else "linear", cond_first=gen)
+        name: Mlp(_layers(arrays, name, sizes), "leaky_relu", "sigmoid" if gen else None, cond_first=gen)
         for name, sizes in _gan_nets(cfg).items()
         for gen in [name[0] == "g"]
     }

@@ -6,8 +6,10 @@ record does, so it runs on any tape, including those ``grad_check`` builds.
 to its operand's shape. No backward rule holds the tape: that would be a cycle.
 
 The ``masked_*`` array functions are the activations' two-branch forms by a
-sign mask, forward and adjoint: the bitwise oracles for the tape's
-branch-free kernels.
+sign mask, forward and adjoint: the bitwise oracles for the branch-free
+kernels of ``Tape.linear``'s ``act``. ``relu``, ``leaky_relu`` and
+``sigmoid`` are the activations as records of their own, the op-by-op form
+of ``linear(..., act=a)``.
 """
 
 import numpy as np
@@ -107,3 +109,29 @@ def masked_leaky_relu(a: np.ndarray) -> np.ndarray:
 
 def masked_leaky_relu_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.where(a > 0, g, g * 0.2)
+
+
+def masked_sigmoid(x: np.ndarray) -> np.ndarray:
+    """The two-branch sigmoid by boolean-mask gathers; neither branch's exp
+    overflows."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def relu(t: Tape, a: Tensor) -> Tensor:
+    ad = a.data
+    return t._emit("relu", (a,), masked_relu(ad), lambda g: (masked_relu_grad(ad, g),))
+
+
+def leaky_relu(t: Tape, a: Tensor) -> Tensor:
+    ad = a.data
+    return t._emit("leaky_relu", (a,), masked_leaky_relu(ad), lambda g: (masked_leaky_relu_grad(ad, g),))
+
+
+def sigmoid(t: Tape, a: Tensor) -> Tensor:
+    data = masked_sigmoid(a.data)
+    return t._emit("sigmoid", (a,), data, lambda g: (g * data * (1.0 - data),))

@@ -45,22 +45,11 @@ def test_matmul_identity():
 
 
 def test_sigmoid_gradient_at_zero_is_quarter():
-    x = leaf([0.0])
+    x = leaf([[0.0]])
     t = Tape([x])
-    loss = ref.sum(t, t.sigmoid(x))
+    loss = ref.sum(t, t.linear(x, leaf([[1.0]]), leaf([0.0]), act="sigmoid"))
     grads = t.backward(loss)
-    assert abs(grads[x][0] - 0.25) < 1e-15
-
-
-def masked_sigmoid(x):
-    """The two-branch sigmoid by boolean-mask gathers, the oracle for
-    ``_sigmoid``."""
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    assert abs(grads[x][0, 0] - 0.25) < 1e-15
 
 
 def test_sigmoid_matches_masked_oracle_bitwise():
@@ -68,7 +57,7 @@ def test_sigmoid_matches_masked_oracle_bitwise():
     rng = np.random.default_rng(4)
     for x in [special, special.reshape(3, 4)] + [rng.normal(size=(50, 7)) * s for s in (1e-3, 1.0, 30.0, 500.0)]:
         with np.errstate(over="ignore"):
-            want = masked_sigmoid(x)
+            want = ref.masked_sigmoid(x)
         assert _sigmoid(x).tobytes() == want.tobytes()
         assert _sigmoid(x).shape == x.shape
 
@@ -78,18 +67,26 @@ EDGE_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e308, -1e3
 ACTIVATION_ORACLES = {
     "relu": (ref.masked_relu, ref.masked_relu_grad),
     "leaky_relu": (ref.masked_leaky_relu, ref.masked_leaky_relu_grad),
+    "sigmoid": (ref.masked_sigmoid, lambda a, g: g * ref.masked_sigmoid(a) * (1.0 - ref.masked_sigmoid(a))),
 }
+ACTS = sorted(ACTIVATION_ORACLES)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 def _check_activation_bitwise(op, x):
+    """The layer x @ [[1]] + [-0] with ``act=op``: its value is the masked
+    form of its pre-activation, which holds x's values (a product may turn
+    -0.0 into +0.0), and its rule is the linear rule of the masked adjoint."""
+    ps = [leaf(x.reshape(-1, 1)), leaf([[1.0]]), leaf([-0.0])]
     forward, grad = ACTIVATION_ORACLES[op]
-    a = leaf(x)
-    t = Tape([a])
-    out = getattr(t, op)(a)
-    assert out.data.shape == x.shape and out.data.tobytes() == forward(x).tobytes()
-    g = np.roll(x, 1)  # an adjoint with the same edge values, in other places
-    assert t._records[0].backward(g)[0].tobytes() == grad(x, g).tobytes()
+    plain, fused = Tape(ps), Tape(ps)
+    pre = plain.linear(*ps).data
+    out = fused.linear(*ps, act=op)
+    assert out.data.shape == pre.shape and out.data.tobytes() == forward(pre).tobytes()
+    g = np.roll(pre, 1)  # an adjoint with the same edge values, in other places
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = fused._records[0].backward(g), plain._records[0].backward(grad(pre, g))
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 @pytest.mark.parametrize("op", ACTIVATION_ORACLES)
@@ -209,9 +206,26 @@ def test_non_finite_reports_op_name():
     with np.errstate(over="ignore"):
         with pytest.raises(NonFiniteError, match="scale"):
             t.scale(leaf([1e308]), 10.0)
-    # a NaN reaching relu stays NaN; the masked form returned 0.0 and hid it
-    with pytest.raises(NonFiniteError, match="relu"):
-        t.relu(leaf([np.nan, 1.0]))
+
+
+@pytest.mark.parametrize("act", ACTS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_non_finite_before_the_activation_names_linear(act, bad):
+    """A NaN or infinity in any operand of a layer, conditioned or not,
+    aborts as linear's, whatever the activation would make of it."""
+    rng = np.random.default_rng(8)
+    plain = {"x": rng.normal(size=(3, 4)), "w": rng.normal(size=(4, 5)), "b": rng.normal(size=5)}
+    conditioned = plain | {"w": rng.normal(size=(6, 5)), "cond": rng.normal(size=(1, 2))}
+    for arrays, firsts in ((plain, [False]), (conditioned, [True, False])):
+        for name in arrays:
+            for first in firsts:
+                ps = {k: leaf(v.copy()) for k, v in arrays.items()}
+                ps[name].data.flat[1] = bad
+                for t in (Tape(), Tape(ps.values())):
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        with pytest.raises(NonFiniteError, match="op 'linear'"):
+                            t.linear(ps["x"], ps["w"], ps["b"], cond=ps.get("cond"), cond_first=first, act=act)
+                    assert len(t) == 0
 
 
 def test_backward_requires_scalar_loss():
@@ -255,7 +269,7 @@ def test_backward_bit_identical_across_reruns():
         w = leaf(w_data.copy())
         x = Tensor(x_data.copy())
         t = Tape([w])
-        h = t.sigmoid(ref.matmul(t, x, w))
+        h = t.linear(x, w, Tensor(np.zeros(3)), act="sigmoid")
         loss = ref.sum(t, ref.mul(t, h, h))
         return t.backward(loss)[w].tobytes()
 
@@ -268,7 +282,7 @@ def test_frozen_network_input_gradient():
     w = Tensor(rng.normal(size=(4, 2)))  # untracked
     x = leaf(rng.normal(size=(3, 4)), name="image")
     t = Tape([x])
-    loss = ref.sum(t, t.sigmoid(ref.matmul(t, x, w)))
+    loss = ref.sum(t, t.linear(x, w, Tensor(np.zeros(2)), act="sigmoid"))
     grads = t.backward(loss)
     assert list(grads) == [x] and grads[x].shape == (3, 4)
 
@@ -372,6 +386,29 @@ def test_linear_condition_row_matches_repeated_join(first):
         assert gw.tobytes() == t._records[0].backward(out_w)[1].tobytes()
 
 
+@pytest.mark.parametrize("act", ACTS)
+@pytest.mark.parametrize("cond", [None, True, False], ids=["plain", "cond-first", "cond-last"])
+def test_fused_activation_is_linear_then_the_reference_op_bit_for_bit(act, cond):
+    """linear(..., act=a) against ref.a(linear(...)), two records on the
+    masked forms: the value and every gradient agree bit for bit."""
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        j = 0 if cond is None else 3
+        data = [rng.normal(size=shape) for shape in ((5, 4), (4 + j, 6), (6,), (1, j))]
+        out_w = Tensor(rng.normal(size=(5, 6)))
+        results = []
+        for fused in (True, False):
+            x, w, b, c = (leaf(a.copy()) for a in data)
+            t = Tape([x, w, b, c])
+            kw = {} if cond is None else {"cond": c, "cond_first": cond}
+            h = t.linear(x, w, b, act=act, **kw) if fused else getattr(ref, act)(t, t.linear(x, w, b, **kw))
+            grads = t.backward(ref.sum(t, ref.mul(t, h, out_w)))
+            ps = (x, w, b) if cond is None else (x, w, b, c)
+            results.append(([h.data.tobytes()] + [grads[p].tobytes() for p in ps], len(t)))
+        (got, got_len), (want, want_len) = results
+        assert got == want and got_len == want_len - 1
+
+
 def test_add_rejects_operands_of_different_shapes():
     t = Tape()
     for a, b in [((2, 3), (3,)), ((2, 3), (2, 1)), ((), (1,))]:
@@ -390,6 +427,9 @@ def test_tape_ops_are_exactly_the_ops_src_calls():
         and isinstance(node.func.value, ast.Name) and node.func.value.id.startswith("tape")
     }
     assert public - {"backward", "tracks"} == called - {"backward", "_emit"}
+    assert called - {"backward", "_emit"} == {
+        "linear", "add", "scale", "binary_cross_entropy_with_logits", "softmax_cross_entropy"
+    }
 
 
 def test_backward_of_a_leaf_loss():
@@ -404,9 +444,10 @@ def test_backward_of_a_leaf_loss():
 def test_bare_tape_records_nothing_and_computes_the_same_values():
     rng = np.random.default_rng(14)
     x, w, b = leaf(rng.normal(size=(3, 4))), leaf(rng.normal(size=(4, 2))), leaf(rng.normal(size=2))
+    w2, b2 = leaf(rng.normal(size=(2, 2))), leaf(rng.normal(size=2))
     bare, tracking = Tape(), Tape([w])
-    outs = [t.leaky_relu(t.sigmoid(t.linear(x, w, b))) for t in (bare, tracking)]
-    assert (len(bare), len(tracking)) == (0, 3)
+    outs = [t.linear(t.linear(x, w, b, act="leaky_relu"), w2, b2, act="sigmoid") for t in (bare, tracking)]
+    assert (len(bare), len(tracking)) == (0, 2)
     assert outs[0].data.tobytes() == outs[1].data.tobytes()
     assert not bare.tracks(outs[0]) and tracking.tracks(outs[1])
 
@@ -457,9 +498,9 @@ def _fd_cases(rng):
         "add": (lambda t, ps: weighted(t, t.add(ps[0], ps[1]), w1), [mk((n, m)), mk((n, m))]),
         "scale": (lambda t, ps: weighted(t, t.scale(ps[0], -1.7), w1), [mk((n, m))]),
         "condition": (lambda t, ps: weighted(t, condition(t, ps, 1), w_cond), [mk((n, m)), mk((n, m))]),
-        "relu": (lambda t, ps: weighted(t, t.relu(ps[0]), w1), [kinkless((n, m))]),
-        "leaky_relu": (lambda t, ps: weighted(t, t.leaky_relu(ps[0]), w1), [kinkless((n, m))]),
-        "sigmoid": (lambda t, ps: weighted(t, t.sigmoid(ps[0]), w1), [mk((n, m))]),
+        "ref.relu": (lambda t, ps: weighted(t, ref.relu(t, ps[0]), w1), [kinkless((n, m))]),
+        "ref.leaky_relu": (lambda t, ps: weighted(t, ref.leaky_relu(t, ps[0]), w1), [kinkless((n, m))]),
+        "ref.sigmoid": (lambda t, ps: weighted(t, ref.sigmoid(t, ps[0]), w1), [mk((n, m))]),
         "bce_with_logits": (lambda t, ps: t.binary_cross_entropy_with_logits(ps[0], bce_t), [mk((n, m), -4.0, 4.0)]),
         "softmax_cross_entropy": (lambda t, ps: t.softmax_cross_entropy(ps[0], targets), [mk((n, m), -3.0, 3.0)]),
         "ref.matmul": (lambda t, ps: weighted(t, ref.matmul(t, ps[0], ps[1]), w_mm),
@@ -478,7 +519,7 @@ def _fd_cases(rng):
         "ref.sqrt": (lambda t, ps: weighted(t, ref.sqrt(t, ps[0]), w1), [mk((n, m), 0.5, 3.0)]),
         "two_layer_net": (
             lambda t, ps: t.binary_cross_entropy_with_logits(
-                t.sigmoid(t.linear(t.leaky_relu(t.linear(ps[0], ps[1], ps[2])), ps[3], ps[4])), net_t
+                t.linear(t.linear(ps[0], ps[1], ps[2], act="leaky_relu"), ps[3], ps[4], act="sigmoid"), net_t
             ),
             [mk((n, m)), mk((m, m)), leaf(rng.normal(size=(m,))), mk((m, k)), leaf(rng.normal(size=(k,)))],
         ),
@@ -488,6 +529,18 @@ def _fd_cases(rng):
         "linear_cond_last": (lambda t, ps: weighted(t, t.linear(ps[0], ps[1], ps[2], cond=ps[3]), w_mm),
                              [mk((n, m)), mk((m + 3, k)), mk((k,)), mk((1, 3))]),
     }
+    # the fused activations, drawn after every case above
+    for act in ACTS:
+        for first in (None, True, False):
+            kind = "" if first is None else "_cond_first" if first else "_cond_last"
+
+            def fused(t, ps, act=act, first=first):
+                kw = {} if first is None else {"cond": ps[3], "cond_first": first}
+                return weighted(t, t.linear(ps[0], ps[1], ps[2], act=act, **kw), w_mm)
+
+            j = 0 if first is None else 2
+            params = [mk((n, m)), mk((m + j, k)), mk((k,))] + ([mk((1, j))] if j else [])
+            cases[f"linear_{act}{kind}"] = (fused, params)
     return cases
 
 
@@ -503,10 +556,13 @@ def test_every_primitive_matches_finite_differences():
 
 def test_tapes_are_freed_without_the_cycle_collector():
     # a backward rule that held its tape would make a cycle, so every step's
-    # tape and the arrays it saved would wait for the cycle collector
+    # tape and the arrays it saved would wait for the cycle collector; the
+    # cases include each fused activation, whose rule chains into linear's
     gc.disable()
     try:
-        for name, (fn, params) in _fd_cases(np.random.default_rng(1)).items():
+        cases = _fd_cases(np.random.default_rng(1))
+        assert {f"linear_{act}{kind}" for act in ACTS for kind in ("", "_cond_first", "_cond_last")} <= set(cases)
+        for name, (fn, params) in cases.items():
             t = Tape(params)
             t.backward(fn(t, params))
             ref = weakref.ref(t)
@@ -525,17 +581,14 @@ def test_grad_check_trivial_dot():
     assert np.allclose(grads[p], [2.0, -4.0], atol=1e-12)
 
 
-def test_grad_check_catches_corrupted_backward(monkeypatch):
-    # negative control: break sigmoid's backward rule, keep its forward
-    def bad_sigmoid(self, a):
-        def back(g):
-            return (g,)  # wrong: claims derivative 1 everywhere
+def test_grad_check_catches_corrupted_backward():
+    # negative control: a sigmoid record with a broken backward rule
+    def bad_sigmoid(t, a):
+        # wrong: claims derivative 1 everywhere
+        return t._emit("sigmoid", (a,), _sigmoid(a.data), lambda g: (g,))
 
-        return self._emit("sigmoid", (a,), _sigmoid(a.data), back)
-
-    monkeypatch.setattr(Tape, "sigmoid", bad_sigmoid)
     p = leaf([0.7, -1.2, 0.3])
-    report = grad_check(lambda t, ps: ref.sum(t, t.sigmoid(ps[0])), [p], tol=1e-4)
+    report = grad_check(lambda t, ps: ref.sum(t, bad_sigmoid(t, ps[0])), [p], tol=1e-4)
     assert not report.passed
     assert report.max_rel_error > 0.1
 

@@ -116,8 +116,9 @@ def test_benchmark_wraps_resolve_but_the_known_stale_ones():
     assert list(inspect.signature(joint_step).parameters) == ["self", "real_images", "y", "z"]
 
 
-# OPS names that src/ emits no record under: their counters read 0.
-STALE_OPS = {"matmul", "tanh", "concat", "slice"}
+# OPS names that src/ emits no record under: their counters read 0. The
+# activations are part of the linear record.
+STALE_OPS = {"matmul", "tanh", "concat", "slice", "relu", "leaky_relu", "sigmoid"}
 # op names src/ emits that OPS does not count.
 UNCOUNTED_OPS = {"linear", "scale", "che_margin", "condition"}
 
@@ -131,8 +132,7 @@ def test_benchmark_op_counters_match_the_ops_src_emits_but_the_known_gaps():
         if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_emit"
     }
     assert emitted == {
-        "linear", "add", "scale", "relu", "leaky_relu", "sigmoid", "bce_with_logits", "softmax_cross_entropy",
-        "che_margin", "condition",
+        "linear", "add", "scale", "bce_with_logits", "softmax_cross_entropy", "che_margin", "condition",
     }
     counted = set(_perfbench_spec().OPS)
     assert counted - emitted == STALE_OPS

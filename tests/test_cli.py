@@ -876,26 +876,48 @@ def _config_with(ws, tmp_path, section: str, key: str, value) -> Path:
     return cfg
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_diverged_train_gan_exits_two_and_saves_the_aborted_run(ws, tmp_path, capsys):
+def _runtime_warnings(recwarn) -> list[str]:
+    return [str(w.message) for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_diverged_train_gan_exits_two_and_saves_the_aborted_run(ws, tmp_path, capsys, recwarn):
     # at this rate the first step overflows: the run ends there, and its
     # directory records the abort
     cfg = _config_with(ws, tmp_path, "gan", "gan_lr", 1e200)
     out = tmp_path / "run"
     assert main(gan_args(ws, "treegan", out) + ["--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert err.splitlines()[-1].startswith("error: run aborted at step 1: "), err
+    assert err.startswith("error: run aborted at step 1: ") and err.count("\n") == 1, err
+    assert _runtime_warnings(recwarn) == []
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["aborted"] is True and manifest["abort_step"] == 1
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_diverged_train_che_exits_two_and_leaves_nothing(ws, tmp_path, capsys):
+def test_diverged_train_che_exits_two_and_leaves_nothing(ws, tmp_path, capsys, recwarn):
     cfg = _config_with(ws, tmp_path, "che", "lr", 1e300)
     assert main(["train-che", "--config", str(cfg), "--out", str(tmp_path / "che.hgck")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: non-finite loss: op 'che_margin' ") and err.count("\n") == 1, err
+    assert _runtime_warnings(recwarn) == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["diverge.json"]  # no output, lock or manifest
+
+
+@pytest.mark.parametrize("command", ["train-che", "train-gan"])
+def test_a_diverging_command_writes_one_line_to_stderr(ws, tmp_path, command):
+    """``python -m hiergan``, where numpy's warnings would reach stderr: the
+    error line is all a diverging command prints there."""
+    if command == "train-che":
+        argv = ["train-che", "--config", str(_config_with(ws, tmp_path, "che", "lr", 1e300)),
+                "--out", str(tmp_path / "che.hgck")]
+    else:
+        argv = gan_args(ws, "treegan", tmp_path / "run") + [
+            "--config", str(_config_with(ws, tmp_path, "gan", "gan_lr", 1e200))]
+    env = {k: v for k, v in os.environ.items() if k not in ("HIERGAN_LOG", "PYTHONWARNINGS")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-m", "hiergan", *argv], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 2 and proc.stderr.startswith("error: "), proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
 
 
 def corrupt(blob: bytes, how: str, at, bit: int, tail: bytes) -> bytes:

@@ -402,7 +402,7 @@ def reference_margin_loss_graph(tape, ts, pos_pairs, neg_pairs, margin) -> Tenso
     num_pos, num_neg = neg_pairs.shape[0], neg_pairs.shape[1]
     pos = ref.reshape(tape, reference_pair_scores_graph(tape, ts, pos_pairs), (num_pos, 1))
     neg = ref.reshape(tape, reference_pair_scores_graph(tape, ts, neg_pairs.reshape(-1, 2)), (num_pos, num_neg))
-    hinge = tape.relu(ref.add_const(tape, ref.sub(tape, neg, pos), margin))
+    hinge = ref.relu(tape, ref.add_const(tape, ref.sub(tape, neg, pos), margin))
     return ref.sum(tape, hinge)
 
 

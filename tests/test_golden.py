@@ -13,6 +13,10 @@ says so in CHANGES.md, with criterion 8 passing on unchanged bounds.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,8 +77,8 @@ CONTENTS = {
 }
 
 
-@pytest.fixture(scope="module")
-def setup():
+def golden_setup():
+    """The dataset and the two trained classifiers every golden run uses."""
     dataset = generate_dataset(default_dataset_spec(TREE, samples_per_leaf=30, seed=0))
     cfg = ClassifierConfig(epochs=3, seed=0)
     clfs = []
@@ -82,6 +86,20 @@ def setup():
         clf = HierClassifier.init(TREE, res * res, ModelConfig(), np.random.default_rng(cfg.seed))
         clfs.append(train_classifier(clf, dataset, res, cfg))
     return dataset, clfs
+
+
+def save_golden_run(mode, setup, che_table, out) -> None:
+    """Run ``mode``'s short fixed run and save it to the directory ``out``."""
+    dataset, (clf_lo, clf_hi) = setup
+    cfg = TrainConfig(mode=mode, steps_per_stage=10, eval_every=10, eval_n_per_class=50, seed=0)
+    art = run_training(dataset, TREE, cfg, clf_lo, clf_hi, che_table if mode == "seg" else None)
+    assert not art.aborted, art.abort_reason
+    save_run(art, out)
+
+
+@pytest.fixture(scope="module")
+def setup():
+    return golden_setup()
 
 
 @pytest.fixture(scope="module")
@@ -92,14 +110,10 @@ def che_table():
 @pytest.fixture(scope="module")
 def runs(setup, che_table, tmp_path_factory):
     """The four short runs, each saved once: mode -> run directory."""
-    dataset, (clf_lo, clf_hi) = setup
     out = {}
     for mode in sorted(GOLDEN):
-        cfg = TrainConfig(mode=mode, steps_per_stage=10, eval_every=10, eval_n_per_class=50, seed=0)
-        art = run_training(dataset, TREE, cfg, clf_lo, clf_hi, che_table if mode == "seg" else None)
-        assert not art.aborted, art.abort_reason
         out[mode] = tmp_path_factory.mktemp(mode)
-        save_run(art, out[mode])
+        save_golden_run(mode, setup, che_table, out[mode])
     return out
 
 
@@ -136,6 +150,25 @@ def test_golden_che_table(che_table, tmp_path):
 def test_golden_fingerprint(runs, mode):
     got = {name: _sha256(runs[mode] / name) for name in GOLDEN[mode]}
     assert got == GOLDEN[mode]
+
+
+# the treegan run in a fresh process, its setup included
+TREEGAN_RUN = """
+import sys
+import test_golden as g
+g.save_golden_run("treegan", g.golden_setup(), None, sys.argv[1])
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_golden_fingerprint_at_any_blas_thread_count(tmp_path, threads):
+    """The treegan fingerprint holds with BLAS pinned to one thread and to
+    two; evaluate's leaf pool follows the same setting."""
+    here = Path(__file__).resolve().parent
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env |= {"OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
+    subprocess.run([sys.executable, "-c", TREEGAN_RUN, str(tmp_path)], env=env, check=True, timeout=300)
+    assert {name: _sha256(tmp_path / name) for name in GOLDEN["treegan"]} == GOLDEN["treegan"]
 
 
 def test_golden_contents(setup, che_table, runs, tmp_path):

@@ -134,6 +134,25 @@ def test_mlp_condition_row_matches_joined_input(models, net, first):
         mlp.forward(Tape(), x, cond=Tensor(rows))
 
 
+@pytest.mark.parametrize("net", ["g1", "g2", "d_lo", "d_hi", "clf_lo", "clf_hi"])
+def test_tracking_mlp_forward_emits_one_record_per_layer(models, net, monkeypatch):
+    """A dense layer and its activation are one linear record."""
+    mlp = getattr(models, net)
+    mlp, cond = (mlp.trunk, None) if net.startswith("clf") else (mlp, Tensor(np.ones((1, 32))))
+    ops = []
+    emit = Tape._emit
+
+    def counting(tape, op, *args):
+        ops.append(op)
+        return emit(tape, op, *args)
+
+    monkeypatch.setattr(Tape, "_emit", counting)
+    x = Tensor(np.random.default_rng(5).uniform(size=(4, mlp.in_dim - (0 if cond is None else 32))))
+    tape = Tape(mlp.params())
+    mlp.forward(tape, x, cond=cond)
+    assert ops == ["linear"] * len(mlp.layers) and len(tape) == len(mlp.layers)
+
+
 # -------------------------------------------------------------- generate_set
 
 
